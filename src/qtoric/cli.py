@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .index import (
+    check_q_order,
     colored_index,
     elliptic_genus,
     phi_c,
@@ -200,8 +201,7 @@ def cmd_index(args):
     pair = load_pair(args.manifold)
     model = pair.to_index_model(seed=args.seed)
     result = phi_c(model, _parse_bundle(args.V), _parse_bundle(args.W),
-                   q_order=args.q_order, threads=args.threads,
-                   via_q2=args.via_q2)
+                   q_order=args.q_order, via_q2=args.via_q2)
     _emit(args, _result_payload(result),
           ["phi_c(%s) = %s" % (model.name,
                                " + ".join("%s q^%d" % (c, j)
@@ -314,14 +314,12 @@ def build_parser():
                         help="seed for the generic localization points")
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="opt-in worker threads for the pairing stage")
 
     parser = argparse.ArgumentParser(
         prog="qtoric", parents=[common],
         description="Twisted Dirac indices, genera, facet colorings and "
                     "symmetry bounds for quasitoric manifolds")
-    parser.set_defaults(q_order=4, seed=DEFAULT_SEED, format="json", threads=1)
+    parser.set_defaults(q_order=4, seed=DEFAULT_SEED, format="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", parents=[common],
@@ -386,6 +384,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_q_order(args.q_order)
         return args.func(args)
     except (StructureError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)

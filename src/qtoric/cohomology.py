@@ -1,21 +1,33 @@
-"""Index models: top-degree pairing oracles and characteristic-class tests.
+"""Index models: one fixed-point pairing engine and characteristic-class tests.
 
 A model packages everything the index pipeline needs from a closed oriented
 manifold whose rational cohomology is generated in degree two: the
-half-dimension n, labeled degree-2 generators, a top-degree pairing oracle,
-the stable tangent roots, and a mod-2 oracle for degree-2 integral classes.
+half-dimension n, labeled degree-2 generators, the stable tangent roots, a
+mod-2 oracle for degree-2 integral classes, and its fixed-point data.
 
-For quasitoric models the pairing is evaluated by exact fixed-point
-localization: a sum over the vertices of the orbit polytope of restriction
-quotients by tangent weights, evaluated at two independently drawn generic
-rational points (the sum is a constant, so the points must agree; any
-disagreement is reported as a bug, never returned).  A face-ring reduction
-oracle provides an independent cross-check at small half-dimension.
+The fixed-point data are two independently drawn generic point sets.  At
+each point every generator u_i is a number (0 off its support) and there is
+a denominator, so that <f, [M]> = sum over the points of f / denominator for
+every class f of degree n.  For a quasitoric model the points are the
+vertices of the orbit polytope (exact localization at a generic rational t);
+a product model takes the Cartesian product of its factors' points, a
+connected sum the union of its summands' points, and the point model the
+single point ({}, 1).
+
+Every pairing runs on that one engine, at both point sets, which must agree
+exactly (the sum is a constant; a disagreement is reported as a bug, never
+returned): pair_top and is_zero_class evaluate a class once per point, and
+pair_series evaluates a whole product of per-root factors there, where the
+roots are numbers, through their power sums and one truncated exponential.
+
+A face-ring reduction oracle provides an independent cross-check of the
+pairing at small half-dimension.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +38,7 @@ from .errors import (
     StructureError,
 )
 from .polynomial import GradedPolynomial, monomials_of_degree
+from .qseries import series_product
 
 DEFAULT_SEED = 20250810
 _POINT_LO = 10 ** 3
@@ -151,12 +164,6 @@ class BundleSpec:
             out = out + c.mul(c)
         return out
 
-    def euler_class(self, trunc=None) -> GradedPolynomial:
-        out = GradedPolynomial.one()
-        for c in self.classes:
-            out = out.mul(c, trunc)
-        return out
-
     def to_vectors(self):
         return [list(c.integer_vector(self.gen_count)) for c in self.classes]
 
@@ -172,8 +179,9 @@ class IndexModel:
     """Interface shared by quasitoric, product, connected-sum and point models.
 
     Concrete subclasses set: n, gen_labels, tangent_roots (linear classes),
-    c1_vector (integers), euler, name, and implement pair_monomial and
-    is_even_vector.
+    c1_vector (integers), euler, name, and implement _draw_fixed_points and
+    is_even_vector.  Every pairing goes through the fixed-point engine
+    below, evaluated at both generic point sets, which must agree exactly.
     """
 
     n: int
@@ -183,6 +191,8 @@ class IndexModel:
     euler: int
     name: str
 
+    _point_sets = None
+
     @property
     def gen_count(self) -> int:
         return len(self.gen_labels)
@@ -190,20 +200,134 @@ class IndexModel:
     def generators(self):
         return [GradedPolynomial.generator(i) for i in range(self.gen_count)]
 
-    def pair_monomial(self, mon) -> Fraction:
+    def _draw_fixed_points(self):
+        """Two generic point sets, each a list of (values {generator: x}, denominator)."""
         raise NotImplementedError
 
     def is_even_vector(self, vec) -> bool:
         raise NotImplementedError
 
+    def fixed_points(self):
+        """The two generic point sets (drawn once and kept).
+
+        At each point a generator u_i takes the value values.get(i, 0), and
+        <f, [M]> = sum over the points of f(values) / denominator for any
+        class f of degree n.
+        """
+        return tuple(pts for pts, _, _ in self._indexed_points())
+
+    def _indexed_points(self):
+        """Per point set: (points, generator -> supporting points, common denominator)."""
+        if self._point_sets is None:
+            self._point_sets = tuple(
+                (pts, _support_index(pts), math.lcm(*(den for _, den in pts)))
+                for pts in self._draw_fixed_points())
+        return self._point_sets
+
+    def _weights(self, part: GradedPolynomial):
+        """A homogeneous class at every point, over one integer denominator.
+
+        Per point set: (points, support, {point: part(point) * D / den}, D),
+        with D the points' common denominator times that of part's
+        coefficients, so <part * w, [M]> is the sum of weight * w(point)
+        over the points supporting w, divided by D.
+        """
+        scale = math.lcm(*(c.denominator for c in part.terms.values()))
+        terms = [(mon, int(c * scale)) for mon, c in part.terms.items()]
+        out = []
+        for pts, support, common in self._indexed_points():
+            acc = {}
+            for mon, c in terms:
+                for p in _points_containing(support, mon, len(pts)):
+                    acc[p] = acc.get(p, 0) + c * _monomial_value(mon, pts[p][0])
+            weights = {p: v * (common // pts[p][1]) for p, v in acc.items() if v}
+            out.append((pts, support, weights, common * scale))
+        return out
+
     def pair_top(self, poly: GradedPolynomial) -> Fraction:
         """<poly, [M]>: only the degree-n part contributes."""
+        values = [Fraction(sum(weights.values()), common)
+                  for _, _, weights, common in self._weights(poly.homogeneous_part(self.n))]
+        return _agree(values, "pairing of %r", poly)
+
+    def pair_monomial(self, mon) -> Fraction:
+        return self.pair_top(GradedPolynomial({tuple(sorted(mon)): Fraction(1)}))
+
+    def is_zero_class(self, poly: GradedPolynomial) -> bool:
+        """Rational zero test by Poincare duality: pair against all complements.
+
+        Each homogeneous part is evaluated once per point; a complementary
+        monomial w then pairs only at the points whose support contains w.
+        """
         n = self.n
-        total = _ZERO
-        for mon, c in poly.terms.items():
-            if len(mon) == n:
-                total += c * self.pair_monomial(mon)
-        return total
+        for d in poly.degrees_present():
+            if d > n:
+                continue  # beyond top degree: zero automatically
+            part = poly.homogeneous_part(d)
+            weighted = self._weights(part)
+            for w in monomials_of_degree(self.gen_count, n - d):
+                values = [
+                    Fraction(sum(weights[p] * _monomial_value(w, pts[p][0])
+                                 for p in _points_containing(support, w, len(pts))
+                                 if p in weights), common)
+                    for pts, support, weights, common in weighted]
+                if _agree(values, "pairing of %r with %r", part, w):
+                    return False
+        return True
+
+    def pair_series(self, groups, q_order: int) -> list:
+        """Top-degree pairing of prod over groups of prod_{x in roots} F(x), per q^j.
+
+        groups: (table, roots) with table = (xpow, c, L) from
+        qseries.log_table(..., q_order, n), so F(x) = x^xpow c(q)
+        exp(sum_k L_k(q) x^k), and roots linear classes.  At a point every
+        root is a number x, and with power sums p_k = sum x^k per group
+
+            prod F(s x) = s^X prod x^xpow * C(q) * exp(sum_k s^k E_k(q)),
+            E_k = sum_groups L_k p_k,   C = prod_groups c^#roots,
+
+        X the total x-power.  The pairing is [s^n]: the coefficient of
+        s^(n - X) in one truncated exponential per point.  C is the same at
+        every point, so it multiplies the sum once.  Scaling s by the common
+        denominator delta of the L_k keeps the exponential in integers.
+        """
+        groups = [(table, [_linear_items(r) for r in roots])
+                  for table, roots in groups if roots]
+        top = self.n - sum(table[0] * len(roots) for table, roots in groups)
+        if top < 0:
+            return [_ZERO] * (q_order + 1)
+        delta = math.lcm(*(x.denominator for (_, _, L), _ in groups
+                           for row in L[:top] for x in row))
+        scaled = [[[int(x * delta ** k) for x in row] for k, row in enumerate(L[:top], 1)]
+                  for (_, _, L), _ in groups]
+        values = []
+        for pts, _, common in self._indexed_points():
+            total = [0] * (q_order + 1)
+            for vals, den in pts:
+                pref = 1
+                E = [[0] * (q_order + 1) for _ in range(top + 1)]
+                for ((xpow, _, _), roots), L in zip(groups, scaled):
+                    xs = [sum(a * vals.get(i, 0) for i, a in root) for root in roots]
+                    if xpow:
+                        for x in xs:
+                            pref *= x ** xpow
+                    powers = xs
+                    for k in range(1, top + 1):
+                        pk = sum(powers)
+                        if pk:
+                            E[k] = [e + pk * l for e, l in zip(E[k], L[k - 1])]
+                        powers = [y * x for y, x in zip(powers, xs)]
+                if pref:
+                    pref *= common // den
+                    total = [t + pref * g for t, g in zip(total, _exp_numerator(E, top))]
+            values.append([Fraction(t, common) for t in total])
+        series = _agree(values, "series coefficients")
+        scale = Fraction(1, math.factorial(top) * delta ** top)
+        series = [x * scale for x in series]
+        for (_, c, _), roots in groups:
+            for _ in roots:
+                series = series_product(series, c)
+        return series
 
     def c1_poly(self) -> GradedPolynomial:
         out = GradedPolynomial.zero()
@@ -225,6 +349,75 @@ class IndexModel:
             type(self).__name__, self.name or "?", self.n, self.gen_count)
 
 
+def _agree(values, what, *args):
+    """The common value of both generic point sets; a disagreement is a bug."""
+    first, second = values
+    if first != second:
+        raise InternalConsistencyError(
+            "%s disagrees between generic points: %s vs %s"
+            % (what % args, first, second))
+    return first
+
+
+def _support_index(pts):
+    """generator -> frozenset of the points where it is nonzero."""
+    index = {}
+    for p, (vals, _) in enumerate(pts):
+        for i in vals:
+            index.setdefault(i, set()).add(p)
+    return {i: frozenset(ps) for i, ps in index.items()}
+
+
+def _points_containing(support, mon, count):
+    """The points at which every generator of mon is nonzero."""
+    if not mon:
+        return range(count)
+    return frozenset.intersection(*(support.get(i, frozenset()) for i in set(mon)))
+
+
+def _monomial_value(mon, vals):
+    v = 1
+    for i in mon:
+        v *= vals[i]
+    return v
+
+
+def _linear_items(root):
+    """A linear class as (generator, coefficient) pairs, integers where integral."""
+    if not root.is_linear():
+        raise StructureError("root must be a degree-1 class, got %r" % (root,))
+    return [(mon[0], int(c) if c.denominator == 1 else c)
+            for mon, c in root.terms.items()]
+
+
+def _exp_numerator(E, top):
+    """top! * [s^top] of exp(sum_{k=1..top} E[k](q) s^k), E[k] lists of q coefficients.
+
+    F = exp(sum E_k s^k) obeys k F_k = sum_{i=1..k} i E_i F_{k-i}, so
+    g_k = k! F_k obeys g_k = sum_i i (k-1)!/(k-i)! E_i g_{k-i}: integer
+    arithmetic for integer E, products truncated in q.
+    """
+    N = len(E[0]) - 1
+    nonzero = {i for i in range(1, top + 1) if any(E[i])}
+    g = [[1] + [0] * N]
+    for k in range(1, top + 1):
+        acc = [0] * (N + 1)
+        falling = 1  # (k-1)! / (k-i)!
+        for i in range(1, k + 1):
+            if i > 1:
+                falling *= k - i + 1
+            if i not in nonzero:
+                continue
+            f = g[k - i]
+            for a, e in enumerate(E[i]):
+                if e:
+                    e *= i * falling
+                    for b in range(N + 1 - a):
+                        acc[a + b] += e * f[b]
+        g.append(acc)
+    return g[top]
+
+
 class PointModel(IndexModel):
     """The one-point model: n = 0, pairing of the empty monomial is 1."""
 
@@ -236,8 +429,8 @@ class PointModel(IndexModel):
         self.euler = 1
         self.name = "point"
 
-    def pair_monomial(self, mon) -> Fraction:
-        return Fraction(1) if mon == () else _ZERO
+    def _draw_fixed_points(self):
+        return [({}, 1)], [({}, 1)]
 
     def is_even_vector(self, vec) -> bool:
         return True
@@ -273,12 +466,6 @@ class QuasitoricModel(IndexModel):
         self.name = pair.name
         self.seed = seed
         self._eps = self._propagate_orientations()
-        self._facet_vertices = [set() for _ in range(pair.m)]
-        for vid, v in enumerate(pair.polytope.vertices):
-            for i in v:
-                self._facet_vertices[i].add(vid)
-        self._points = None
-        self._memo = {}
         self._ring_oracle = None
 
     # -- orientation bookkeeping ---------------------------------------
@@ -334,9 +521,15 @@ class QuasitoricModel(IndexModel):
     def orientation_signs(self):
         return tuple(self._eps)
 
-    # -- generic point machinery ----------------------------------------
+    # -- fixed-point data ------------------------------------------------
 
     def _draw_point_data(self, rng):
+        """A point t with no zero weight, and the generator values there.
+
+        u_i restricts at a vertex on facet i to signs_i * <w_i, t>, w_i its
+        tangent weight there; the denominator is eps_v * prod_i <w_i, t>.
+        """
+        signs = self.pair.signs
         for _ in range(50):
             t = tuple(rng.randint(_POINT_LO, _POINT_HI) for _ in range(self.n))
             data = []
@@ -350,7 +543,7 @@ class QuasitoricModel(IndexModel):
                     if x == 0:
                         ok = False
                         break
-                    vals[facet] = x
+                    vals[facet] = signs[facet] * x
                     den *= x
                 if not ok:
                     break
@@ -359,52 +552,13 @@ class QuasitoricModel(IndexModel):
                 return t, data
         raise InternalConsistencyError("could not draw a generic evaluation point")
 
-    def _ensure_points(self):
-        if self._points is None:
-            rng = random.Random(self.seed)
-            first = self._draw_point_data(rng)
-            second = self._draw_point_data(rng)
-            while second[0] == first[0]:
-                second = self._draw_point_data(rng)
-            self._points = (first, second)
-        return self._points
-
-    def _localize(self, mon, data):
-        signs = self.pair.signs
-        support = set(mon)
-        vids = None
-        for i in support:
-            s = self._facet_vertices[i]
-            vids = s if vids is None else vids & s
-        if vids is None:
-            vids = range(len(self.polytope.vertices))
-        total = _ZERO
-        for vid in vids:
-            vals, den = data[vid]
-            num = 1
-            for i in mon:
-                num *= signs[i] * vals[i]
-            total += Fraction(num, den)
-        return total
-
-    # -- the pairing oracle ----------------------------------------------
-
-    def pair_monomial(self, mon) -> Fraction:
-        if len(mon) != self.n:
-            return _ZERO
-        mon = tuple(sorted(mon))
-        got = self._memo.get(mon)
-        if got is not None:
-            return got
-        (t1, d1), (t2, d2) = self._ensure_points()
-        v1 = self._localize(mon, d1)
-        v2 = self._localize(mon, d2)
-        if v1 != v2:
-            raise InternalConsistencyError(
-                "localization of %r disagrees between generic points: %s vs %s"
-                % (mon, v1, v2))
-        self._memo[mon] = v1
-        return v1
+    def _draw_fixed_points(self):
+        rng = random.Random(self.seed)
+        t1, first = self._draw_point_data(rng)
+        t2, second = self._draw_point_data(rng)
+        while t2 == t1:
+            t2, second = self._draw_point_data(rng)
+        return first, second
 
     def is_even_vector(self, vec) -> bool:
         """True iff sum a_i u_i vanishes in mod-2 cohomology (a_i = lambda_i . mu)."""
@@ -536,16 +690,7 @@ def _as_model(pair_or_model) -> QuasitoricModel:
 
 def is_zero_class(model: IndexModel, poly: GradedPolynomial) -> bool:
     """Rational zero test by Poincare duality: pair against all complements."""
-    n = model.n
-    for d in poly.degrees_present():
-        if d > n:
-            continue  # beyond top degree: zero automatically
-        part = poly.homogeneous_part(d)
-        for w in monomials_of_degree(model.gen_count, n - d):
-            shifted = part.mul(GradedPolynomial({w: Fraction(1)}))
-            if model.pair_top(shifted) != 0:
-                return False
-    return True
+    return model.is_zero_class(poly)
 
 
 def is_even_class(model: IndexModel, cls) -> bool:

@@ -5,16 +5,20 @@ phi_c(M; V, W) is evaluated cohomologically: the top-degree pairing of
     e(V) * Q2'(V) * Q1(TM) * Q3(W) * Ahat(TM)          (V a sum of lines)
     e^{c1c/2}    * Q1(TM) * Q3(W) * Ahat(TM)           (V = 0)
 
-per power of q, all over exact rationals.  Special cases: the Witten genus
-is the V = W = 0 index with c1c = 0, and the elliptic genus twists by the
-stable tangent roots (with the trivial-summand doubling divided back out).
+per power of q, all over exact rationals.  The integrand is never expanded
+into monomials: each per-root factor is a cached one-variable table
+(qseries.log_table) in the form x^xpow c(q) exp(sum_k L_k(q) x^k), and the
+model's fixed-point engine (IndexModel.pair_series) evaluates the product
+at every fixed point through power sums of the root values and one
+truncated exponential per point.  Special cases: the Witten genus is the
+V = W = 0 index with c1c = 0, and the elliptic genus twists by the stable
+tangent roots (with the trivial-summand doubling divided back out).
 Product and connected-sum models let the multiplicativity and additivity
 formulas be verified numerically coefficient by coefficient.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,7 +32,7 @@ from .cohomology import (
 from .errors import HypothesisUnmetError, InternalConsistencyError, StructureError
 from .polynomial import GradedPolynomial
 from .polytope import FacetColoring, verify_coloring
-from .qseries import bundle_series, root_factor
+from .qseries import log_table, series_product
 
 DEFAULT_Q_ORDER = 4
 
@@ -71,8 +75,14 @@ def _as_bundle(model: IndexModel, spec) -> BundleSpec:
     return BundleSpec.from_vectors(spec, model.gen_count)
 
 
+def check_q_order(q_order) -> None:
+    """Reject a truncation order in q that is not a non-negative int (or is a bool)."""
+    if isinstance(q_order, bool) or not isinstance(q_order, int) or q_order < 0:
+        raise StructureError("q_order must be a non-negative integer, got %r" % (q_order,))
+
+
 def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
-          c1c=None, via_q2: bool = False, threads: int = 1) -> IndexResult:
+          c1c=None, via_q2: bool = False) -> IndexResult:
     """Twisted Dirac index over any model, per power of q.
 
     With V a nonzero sum of line bundles the Euler-class route e(V)*Q2'(V)
@@ -81,6 +91,7 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     the class c1c (default 0, the Witten-genus convention) enters through
     e^{c1c/2} alone.
     """
+    check_q_order(q_order)
     V = _as_bundle(model, V)
     W = _as_bundle(model, W)
     n = model.n
@@ -90,6 +101,7 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     if V.dim and c1c is not None:
         raise StructureError("c1c is determined by V when V is nonzero")
 
+    groups = [(log_table(("Q1", "AHAT"), q_order, n), model.tangent_roots)]
     if V.dim == 0:
         if c1c is None:
             c1c_poly = GradedPolynomial.zero()
@@ -100,30 +112,20 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
             c1c_poly = c1c
         else:
             c1c_poly = GradedPolynomial.linear(list(c1c))
-        integrand = root_factor("EXPHALF", c1c_poly, q_order, n)
+        groups.append((log_table(("EXPHALF",), q_order, n), [c1c_poly]))
     elif via_q2:
-        integrand = bundle_series("EXPHALF", V.classes, q_order, n)
-        integrand = integrand * bundle_series("Q2", V.classes, q_order, n)
+        groups.append((log_table(("EXPHALF", "Q2"), q_order, n), V.classes))
     else:
-        euler = V.euler_class(trunc=n)
-        integrand = bundle_series("Q2PRIME", V.classes, q_order, n) * euler
-
-    integrand = integrand * bundle_series("Q1", model.tangent_roots, q_order, n)
-    integrand = integrand * bundle_series("AHAT", model.tangent_roots, q_order, n)
+        groups.append((log_table(("Q2PRIME",), q_order, n, euler=True), V.classes))
     if W.dim:
-        integrand = integrand * bundle_series("Q3", W.classes, q_order, n)
+        groups.append((log_table(("Q3",), q_order, n), W.classes))
 
     if not admissibility.met:
         warnings.append("hypotheses unmet: " + ", ".join(
             k for k, v in admissibility.as_dict().items()
             if k != "hypotheses_met" and not v))
 
-    coeffs = integrand.coeffs
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            series = list(pool.map(model.pair_top, coeffs))
-    else:
-        series = [model.pair_top(c) for c in coeffs]
+    series = model.pair_series(groups, q_order)
 
     meta = {
         "model": model.name,
@@ -248,7 +250,11 @@ def exists_nonvanishing_signs(model: QuasitoricModel, coloring: FacetColoring):
 
 
 class ProductModel(IndexModel):
-    """Model of a cartesian product: split pairings multiply."""
+    """Model of a cartesian product: split pairings multiply.
+
+    Its fixed points are the pairs of the factors' points, with the values
+    concatenated and the denominators multiplied.
+    """
 
     def __init__(self, left: IndexModel, right: IndexModel):
         self.left = left
@@ -264,17 +270,10 @@ class ProductModel(IndexModel):
         self.euler = left.euler * right.euler
         self.name = "(%s)x(%s)" % (left.name, right.name)
 
-    def _split(self, mon):
-        lm = tuple(i for i in mon if i < self.offset)
-        rm = tuple(i - self.offset for i in mon if i >= self.offset)
-        return lm, rm
-
-    def pair_monomial(self, mon) -> Fraction:
-        lm, rm = self._split(mon)
-        a = self.left.pair_monomial(lm)
-        if a == 0:
-            return Fraction(0)
-        return a * self.right.pair_monomial(rm)
+    def _draw_fixed_points(self):
+        off = self.offset
+        return [[({**lv, **_shifted(rv, off)}, ld * rd) for lv, ld in lp for rv, rd in rp]
+                for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
 
     def is_even_vector(self, vec) -> bool:
         return (self.left.is_even_vector(vec[:self.offset])
@@ -286,7 +285,10 @@ class ConnectedSumModel(IndexModel):
 
     Positive-degree classes from the two summands multiply to zero; purely
     one-sided top pairings delegate to their summand, the right one weighted
-    by the orientation sign identifying the two top classes.
+    by the orientation sign identifying the two top classes.  Its fixed
+    points are the left summand's (right generators 0) and the right
+    summand's (left generators 0, denominators times the sign): a mixed
+    top-degree monomial vanishes at every one of them, as it must for n >= 2.
     """
 
     def __init__(self, left: IndexModel, right: IndexModel, orientation_sign: int = 1):
@@ -310,17 +312,18 @@ class ConnectedSumModel(IndexModel):
         self.euler = left.euler + right.euler - 2
         self.name = "(%s)#(%s)" % (left.name, right.name)
 
-    def pair_monomial(self, mon) -> Fraction:
-        if all(i < self.offset for i in mon):
-            return self.left.pair_monomial(mon)
-        if all(i >= self.offset for i in mon):
-            return self.sign * self.right.pair_monomial(
-                tuple(i - self.offset for i in mon))
-        return Fraction(0)
+    def _draw_fixed_points(self):
+        off, sign = self.offset, self.sign
+        return [lp + [(_shifted(rv, off), sign * rd) for rv, rd in rp]
+                for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
 
     def is_even_vector(self, vec) -> bool:
         return (self.left.is_even_vector(vec[:self.offset])
                 and self.right.is_even_vector(vec[self.offset:]))
+
+
+def _shifted(vals, offset):
+    return {i + offset: x for i, x in vals.items()}
 
 
 def product_model(m1: IndexModel, m2: IndexModel) -> ProductModel:
@@ -360,12 +363,6 @@ def tensor_extend(model: ConnectedSumModel, V1: BundleSpec, V2: BundleSpec) -> B
 # theorem verification
 
 
-def series_product(a, b):
-    """Cauchy product of two coefficient lists, truncated to their length."""
-    N = min(len(a), len(b)) - 1
-    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(N + 1)]
-
-
 def verify_product_formula(m1: IndexModel, V1, W1, m2: IndexModel, V2, W2,
                            q_order: int = DEFAULT_Q_ORDER) -> dict:
     """Check phi_c(M1 x M2; V1 (+) V2, W1 (+) W2) = phi_c(M1)*phi_c(M2) in Z[[q]]."""
@@ -403,8 +400,6 @@ def verify_connected_sum_formula(m1: IndexModel, V1, W1, m2: IndexModel, V2, W2,
     W1 = _as_bundle(m1, W1)
     V2 = _as_bundle(m2, V2)
     W2 = _as_bundle(m2, W2)
-    adm1 = check_admissible(m1, V1, W1)
-    adm2 = check_admissible(m2, V2, W2)
     summod = ConnectedSumModel(m1, m2, orientation_sign)
     V = tensor_extend(summod, V1, V2)
     W = BundleSpec(
@@ -433,8 +428,8 @@ def verify_connected_sum_formula(m1: IndexModel, V1, W1, m2: IndexModel, V2, W2,
         "rhs": [str(c) for c in rhs],
         "summand_series": [[str(c) for c in r1.series], [str(c) for c in r2.series]],
         "equal": lhs.series == rhs,
-        "hypotheses_met": adm1.met and adm2.met,
-        "summand_admissibility": [adm1.as_dict(), adm2.as_dict()],
+        "hypotheses_met": r1.admissibility.met and r2.admissibility.met,
+        "summand_admissibility": [r1.admissibility.as_dict(), r2.admissibility.as_dict()],
     }
 
 

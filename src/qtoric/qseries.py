@@ -5,6 +5,8 @@ the ambient model; classes beyond the top degree vanish, so dropping them is
 exact).  Everything is exact rational arithmetic: the characteristic factors
 are built from Taylor expansions of e^{+-x} and (x/2)/sinh(x/2) composed with
 nilpotent degree-1 classes, and from finite q-products inverted recursively.
+log_table turns a product of factors of one root into the power-sum form
+x^a c(q) exp(sum_k L_k(q) x^k) that the fixed-point engine consumes.
 """
 
 from __future__ import annotations
@@ -269,6 +271,56 @@ def root_factor(kind: str, x: GradedPolynomial, q_order: int, trunc: int) -> QSe
             * _scalar_as(_scalar_product(q_order, +1), trunc).invert())
     pre = exp_of(x, trunc, num=1, den=2) + exp_of(x, trunc, num=-1, den=2)
     return tail * pre
+
+
+def series_product(a, b):
+    """Cauchy product of two coefficient lists, truncated to their length."""
+    N = min(len(a), len(b)) - 1
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(N + 1)]
+
+
+@lru_cache(maxsize=None)
+def log_table(kinds: tuple, q_order: int, trunc: int, euler: bool = False):
+    """Power-sum form of one root's factor F(x) = [x *] prod_K root_factor(K, x).
+
+    Returns (xpow, c, L) with F(x) = x^xpow * c(q) * exp(sum_k L[k-1](q) x^k)
+    through x^trunc and q^q_order; c and each L[k-1] are tuples of q
+    coefficients.  A factor that vanishes at x = 0 (Q2, or the Euler-class
+    x when euler is set) has that power of x split off into xpow, which
+    leaves L known through x^(trunc - xpow): all that the top degree needs
+    once the x's are split off.  A factor that vanishes through x^trunc
+    gets xpow = trunc + 1 and empty c and L.
+
+    The table is read off root_factor on a single generator, so the closed
+    forms in root_factor stay its only source.
+    """
+    u = GradedPolynomial.generator(0)
+    f = QSeries.from_poly(u if euler else GradedPolynomial.one(), q_order, trunc)
+    for kind in kinds:
+        f = f * root_factor(kind, u, q_order, trunc)
+    # a[d][j]: the coefficient of x^d q^j
+    a = [[c.terms.get((0,) * d, _ZERO) for c in f.coeffs] for d in range(trunc + 1)]
+    xpow = 0
+    while xpow <= trunc and not any(a[xpow]):
+        xpow += 1
+    if xpow > trunc:
+        return xpow, (), ()
+    a = a[xpow:]
+    c = a[0]
+    if not c[0]:
+        raise StructureError("root factor %r has no invertible x-constant term" % (kinds,))
+    # h = F / (x^xpow c) has h_0 = 1; its log L satisfies d L_d = d h_d - sum_i i L_i h_{d-i}
+    c_inv = [Fraction(1) / c[0]]
+    for j in range(1, q_order + 1):
+        c_inv.append(-sum(c[i] * c_inv[j - i] for i in range(1, j + 1)) * c_inv[0])
+    h = [series_product(row, c_inv) for row in a]
+    L = [None]
+    for d in range(1, len(h)):
+        acc = [d * x for x in h[d]]
+        for i in range(1, d):
+            acc = [x - y for x, y in zip(acc, series_product([i * v for v in L[i]], h[d - i]))]
+        L.append([x / d for x in acc])
+    return xpow, tuple(c), tuple(tuple(l) for l in L[1:])
 
 
 def bundle_series(kind: str, roots, q_order: int, trunc: int) -> QSeries:

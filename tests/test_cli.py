@@ -76,6 +76,15 @@ def test_index_q_order_flag_after_subcommand():
     assert len(json.loads(out)["series"]) == 3
 
 
+def test_negative_q_order_exits_2(capsys):
+    _, pair, _ = run_cli(["generate", "cp:2"])
+    code, out, err = run_cli(["genus", "--kind", "witten", "--q-order", "-1"], stdin=pair)
+    assert code == 2 and out == "" and "q_order" in err
+    # rejected before any subcommand runs, even one that never builds a series
+    assert main(["alpha", "--q-order", "-1"]) == 2
+    assert "q_order" in capsys.readouterr().err
+
+
 def test_genus_elliptic_refusal_exit_3():
     _, pair, _ = run_cli(["generate", "cp:2"])
     code, _, err = run_cli(["genus", "--kind", "elliptic"], stdin=pair)

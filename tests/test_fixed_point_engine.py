@@ -1,0 +1,273 @@
+"""The fixed-point engine against the monomial route it replaced.
+
+The oracle below is the route the engine superseded, written out here so
+that it no longer lives in the library: the integrand is expanded into
+monomials by the multivariate bundle_series product, and each top-degree
+monomial is localized on its own, summed over the vertices containing its
+support at a generic point drawn here (not the model's).  Product and
+connected-sum pairings split a monomial the way those models used to.
+Every series coefficient, pairing and zero test must agree exactly.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
+import pytest
+
+from qtoric.charpair import cp_pair, cube_pair, hirzebruch_pair, polygon_pair, s2xs2_pair
+from qtoric.cohomology import (
+    DEFAULT_SEED,
+    PointModel,
+    QuasitoricModel,
+    is_zero_class,
+)
+from qtoric.errors import InternalConsistencyError
+from qtoric.index import ConnectedSumModel, ProductModel, elliptic_genus, phi_c, witten_genus
+from qtoric.polynomial import GradedPolynomial as GP
+from qtoric.qseries import bundle_series, root_factor
+
+Q_ORDER = 2
+
+
+def _quasitoric(spec, seed=DEFAULT_SEED):
+    family, _, k = spec.partition(":")
+    pair = {"cp": lambda: cp_pair(int(k)), "cube": lambda: cube_pair(int(k)),
+            "hirzebruch": lambda: hirzebruch_pair(int(k)),
+            "polygon": lambda: polygon_pair(int(k)), "s2xs2": s2xs2_pair}[family]()
+    return QuasitoricModel(pair, seed=seed)
+
+
+def _models():
+    out = {spec: _quasitoric(spec)
+           for spec in ("cp:2", "cp:3", "cp:4", "cp:5", "hirzebruch:1", "s2xs2", "cube:3")}
+    out["polygon:6 x cp:2"] = ProductModel(_quasitoric("polygon:6"), _quasitoric("cp:2"))
+    out["cp:2 # cp:2"] = ConnectedSumModel(_quasitoric("cp:2"), _quasitoric("cp:2"), 1)
+    out["cp:2 # -cp:2"] = ConnectedSumModel(_quasitoric("cp:2"), _quasitoric("cp:2"), -1)
+    out["point"] = PointModel()
+    return out
+
+
+MODELS = _models()
+
+
+# ----------------------------------------------------------------------
+# the monomial route
+
+
+class OldPairing:
+    """Per-monomial localization at a generic point of the oracle's own."""
+
+    def __init__(self, model, seed=7):
+        self.model = model
+        self.memo = {}
+        if isinstance(model, QuasitoricModel):
+            rng = random.Random(seed)
+            data = [model.pair.vertex_weights[vid]
+                    for vid in range(len(model.polytope.vertices))]
+            while True:
+                t = [rng.randint(-50, 50) for _ in range(model.n)]
+                weights = [dict(zip(wd.facets, (sum(a * b for a, b in zip(w, t))
+                                                for w in wd.weights)))
+                           for wd in data]
+                if all(all(x.values()) for x in weights):
+                    break
+            self.weights = weights
+        elif isinstance(model, (ProductModel, ConnectedSumModel)):
+            self.left = OldPairing(model.left, seed + 1)
+            self.right = OldPairing(model.right, seed + 2)
+
+    def monomial(self, mon):
+        mon = tuple(sorted(mon))
+        if mon not in self.memo:
+            self.memo[mon] = self._monomial(mon)
+        return self.memo[mon]
+
+    def _monomial(self, mon):
+        model = self.model
+        if len(mon) != model.n:
+            return Fraction(0)
+        if isinstance(model, PointModel):
+            return Fraction(1)
+        if isinstance(model, QuasitoricModel):
+            signs, total = model.pair.signs, Fraction(0)
+            for vid, x in enumerate(self.weights):
+                if not set(mon) <= set(x):
+                    continue
+                num, den = 1, model.orientation_signs[vid]
+                for i in mon:
+                    num *= signs[i] * x[i]
+                for w in x.values():
+                    den *= w
+                total += Fraction(num, den)
+            return total
+        off = model.offset
+        left = tuple(i for i in mon if i < off)
+        right = tuple(i - off for i in mon if i >= off)
+        if isinstance(model, ProductModel):
+            return self.left.monomial(left) * self.right.monomial(right)
+        if not right:
+            return self.left.monomial(left)
+        if not left:
+            return model.sign * self.right.monomial(right)
+        return Fraction(0)
+
+    def top(self, poly):
+        return sum((c * self.monomial(mon) for mon, c in poly.terms.items()
+                    if len(mon) == self.model.n), Fraction(0))
+
+    def is_zero(self, poly):
+        n, m = self.model.n, self.model.gen_count
+        for d in poly.degrees_present():
+            if d > n:
+                continue
+            part = poly.homogeneous_part(d)
+            for w in combinations_with_replacement(range(m), n - d):
+                if self.top(part.mul(GP({w: Fraction(1)}))) != 0:
+                    return False
+        return True
+
+
+def old_phi_c(model, V=(), W=(), c1c=None, via_q2=False, q_order=Q_ORDER):
+    n = model.n
+    V = [GP.linear(v) for v in V]
+    W = [GP.linear(w) for w in W]
+    if not V:
+        integrand = root_factor("EXPHALF", GP.linear(c1c or []), q_order, n)
+    elif via_q2:
+        integrand = (bundle_series("EXPHALF", V, q_order, n)
+                     * bundle_series("Q2", V, q_order, n))
+    else:
+        euler = GP.one()
+        for x in V:
+            euler = euler.mul(x, n)
+        integrand = bundle_series("Q2PRIME", V, q_order, n) * euler
+    integrand = integrand * bundle_series("Q1", model.tangent_roots, q_order, n)
+    integrand = integrand * bundle_series("AHAT", model.tangent_roots, q_order, n)
+    if W:
+        integrand = integrand * bundle_series("Q3", W, q_order, n)
+    oracle = OldPairing(model)
+    return [oracle.top(c) for c in integrand.coeffs]
+
+
+# ----------------------------------------------------------------------
+# series
+
+
+def _unit(model, *gens):
+    return [[1 if i == g else 0 for i in range(model.gen_count)] for g in gens]
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_witten_and_elliptic_match_monomial_route(name):
+    model = MODELS[name]
+    assert witten_genus(model, Q_ORDER).series == old_phi_c(model)
+    tangent = [r.integer_vector(model.gen_count) for r in model.tangent_roots]
+    twisted = old_phi_c(model, W=tangent)
+    assert phi_c(model, None, model.tangent_bundle(), q_order=Q_ORDER).series == twisted
+    if model.is_even_vector(model.c1_vector):
+        scale = Fraction(1, 2 ** (len(tangent) - model.n))
+        assert elliptic_genus(model, Q_ORDER).series == [c * scale for c in twisted]
+
+
+@pytest.mark.parametrize("name", [k for k in MODELS if k != "point"])
+def test_twisted_phi_c_matches_monomial_route(name):
+    model = MODELS[name]
+    m = model.gen_count
+    V = _unit(model, 0) + _unit(model, m - 1)
+    W = _unit(model, 1)
+    for via_q2 in (False, True):
+        expected = old_phi_c(model, V=V, via_q2=via_q2)
+        assert phi_c(model, V, None, q_order=Q_ORDER, via_q2=via_q2).series == expected
+    assert phi_c(model, V, W, q_order=Q_ORDER).series == old_phi_c(model, V=V, W=W)
+    c1c = list(model.c1_vector)
+    assert (phi_c(model, None, W, q_order=Q_ORDER, c1c=c1c).series
+            == old_phi_c(model, W=W, c1c=c1c))
+
+
+def test_euler_route_beyond_top_degree_is_zero():
+    model = MODELS["cp:2"]
+    V = _unit(model, 0, 1, 2)  # e(V) has degree 3 > n
+    for via_q2 in (False, True):
+        series = phi_c(model, V, None, q_order=Q_ORDER, via_q2=via_q2).series
+        assert series == old_phi_c(model, V=V, via_q2=via_q2) == [0] * (Q_ORDER + 1)
+
+
+def test_point_model_series():
+    point = MODELS["point"]
+    assert phi_c(point, None, None, q_order=3, c1c=[]).series == [1, 0, 0, 0]
+
+
+# ----------------------------------------------------------------------
+# pairings and zero tests
+
+
+def _relations(model):
+    """Linear classes that vanish in the model's cohomology."""
+    if isinstance(model, QuasitoricModel):
+        pair = model.pair
+        return [GP.linear({i: pair.lam[i][j] * pair.signs[i] for i in range(pair.m)})
+                for j in range(model.n)]
+    if isinstance(model, (ProductModel, ConnectedSumModel)):
+        return (_relations(model.left)
+                + [r.shift_generators(model.offset) for r in _relations(model.right)])
+    return []
+
+
+def _random_class(model, rng, zero):
+    """A mixed-degree class; a zero one is a combination of relation multiples."""
+    m, n = model.gen_count, model.n
+    out = GP.zero()
+    relations = _relations(model)
+    for _ in range(3):
+        d = rng.randint(0, n)
+        mon = tuple(sorted(rng.randrange(m) for _ in range(d)))
+        term = GP({mon: Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
+        if zero:
+            term = term.mul(rng.choice(relations))
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("name", [k for k in MODELS if k != "point"])
+def test_is_zero_class_matches_complement_loop(name):
+    model = MODELS[name]
+    oracle = OldPairing(model)
+    rng = random.Random(2024)
+    seen = set()
+    for trial in range(12):
+        poly = _random_class(model, rng, zero=trial % 2 == 0)
+        expected = oracle.is_zero(poly)
+        assert is_zero_class(model, poly) == expected, poly
+        assert model.pair_top(poly) == oracle.top(poly)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+# ----------------------------------------------------------------------
+# generic points
+
+
+@pytest.mark.parametrize("spec", ["cp:3", "hirzebruch:1", "cube:3"])
+def test_series_do_not_depend_on_seed(spec):
+    V = [[1] + [0] * (_quasitoric(spec).gen_count - 1)]
+    results = set()
+    for seed in (DEFAULT_SEED, 1, 99991):
+        model = _quasitoric(spec, seed)
+        product = ProductModel(model, _quasitoric("cp:2", seed + 1))
+        results.add((tuple(witten_genus(model, 3).series),
+                     tuple(phi_c(model, V, None, q_order=3).series),
+                     tuple(witten_genus(product, 2).series)))
+    assert len(results) == 1
+
+
+def test_disagreeing_points_raise():
+    model = _quasitoric("cp:2")
+    first, second = model._draw_fixed_points()
+    model._draw_fixed_points = lambda: (first, [(vals, 2 * den) for vals, den in second])
+    with pytest.raises(InternalConsistencyError):
+        model.pair_monomial((0, 1))
+    with pytest.raises(InternalConsistencyError):
+        witten_genus(model, 1)
+    with pytest.raises(InternalConsistencyError):
+        is_zero_class(model, GP.generator(0).mul(GP.generator(1)))

@@ -84,14 +84,15 @@ def test_phi_c_q2_route_agrees():
         assert a.series == b.series, model.name
 
 
+@pytest.mark.parametrize("q_order", [-1, True, 2.0, "3"])
+def test_phi_c_rejects_bad_q_order(q_order):
+    with pytest.raises(StructureError):
+        phi_c(S2, None, None, q_order=q_order)
+
+
 def test_phi_c_rejects_c1c_with_nonzero_v():
     with pytest.raises(StructureError):
         phi_c(S2, [[1, 1]], None, c1c=[0, 0])
-
-
-def test_threads_give_identical_series():
-    V = [[1, 0, 1, 0], [0, 1, 0, 1]]
-    assert phi_c(CUBE2, V, None).series == phi_c(CUBE2, V, None, threads=4).series
 
 
 # ----------------------------------------------------------------------
