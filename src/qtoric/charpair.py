@@ -9,13 +9,12 @@ drive the localization pairing downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import StructureError, ValidationError
 from .polytope import (
     SimplePolytope, ValidationCheck, ValidationReport,
-    cube, interval, polygon, simplex,
+    cube, int_vector, interval, polygon, simplex,
 )
 
 
@@ -28,49 +27,50 @@ class VertexWeightData:
     weights: tuple  # n integer covectors, rows of the inverse transpose of the block
 
 
-def _det(rows):
-    """Exact determinant by fraction-free expansion (tiny n)."""
+def _bareiss(rows):
+    """Determinant and adjugate of a square integer matrix.
+
+    Integer-preserving Gauss-Jordan elimination (Bareiss 1968) on [A | I]: every
+    intermediate entry is a minor, so each division is exact and the work
+    stays in integers.  The adjugate is None when the determinant is 0.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
-        total += ((-1) ** j) * rows[0][j] * _det(minor)
-    return total
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if aug[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        top = aug[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                a = aug[i][k]
+                aug[i] = [(p * x - a * y) // prev for x, y in zip(aug[i], top)]
+        prev = p
+    # now aug = [d I | d A^{-1}] with d = det of the row-swapped matrix
+    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
 
 
-def _inverse_transpose(rows):
-    """Inverse transpose of a unimodular integer matrix, as integer rows."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] +
-           [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    # inverse columns -> inverse transpose rows
-    out = []
-    for j in range(n):
-        row = tuple(aug[i][n + j] for i in range(n))
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+def _dual_basis(block):
+    """Rows w_k with <w_k, block[l]> = delta_kl (the inverse transpose of the
+    block), or None when the block is not unimodular."""
+    d, adj = _bareiss(block)
+    if d not in (-1, 1):
+        return None
+    return tuple(tuple(d * row[k] for row in adj) for k in range(len(block)))
 
 
 class CharacteristicPair:
     def __init__(self, polytope: SimplePolytope, lam, signs=None, name=None):
         if not isinstance(polytope, SimplePolytope):
             raise StructureError("polytope must be a SimplePolytope")
-        lam = [tuple(int(x) for x in row) for row in lam]
+        if not isinstance(lam, (list, tuple)):
+            raise StructureError("lambda must be a list of rows, got %r" % (lam,))
+        lam = [int_vector(row, "lambda row %d" % i) for i, row in enumerate(lam)]
         if len(lam) != polytope.facet_count:
             raise StructureError(
                 "lambda has %d rows for %d facets" % (len(lam), polytope.facet_count))
@@ -78,12 +78,12 @@ class CharacteristicPair:
             raise StructureError("each lambda row must have length dim=%d" % polytope.dim)
         if signs is None:
             signs = [1] * polytope.facet_count
-        signs = [int(s) for s in signs]
+        signs = int_vector(signs, "signs")
         if len(signs) != polytope.facet_count or any(s not in (-1, 1) for s in signs):
             raise StructureError("signs must be a +-1 vector of length m")
         self.polytope = polytope
         self.lam = tuple(lam)
-        self.signs = tuple(signs)
+        self.signs = signs
         self.name = name or polytope.name
         self._report = None
         self._vertex_weights = None
@@ -124,29 +124,69 @@ class CharacteristicPair:
         if prim_ok:
             checks.append(ValidationCheck("primitive-rows", True))
 
-        weights = {}
-        unimodular = base.ok
+        weights = None
         if base.ok:
-            for vid, v in enumerate(self.polytope.vertices):
-                block = [self.lam[i] for i in v]
-                d = _det([list(r) for r in block])
-                if d not in (-1, 1):
-                    unimodular = False
-                    checks.append(ValidationCheck(
-                        "vertex-unimodular", False,
-                        "vertex %r has det %d, expected +-1" % (v, d)))
-                    break
-                weights[vid] = VertexWeightData(
-                    vid, v, _inverse_transpose([list(r) for r in block]))
-            if unimodular:
+            weights = self._dual_bases()
+            if weights is None:
+                # report the first bad block in stored order, whatever the walk met
+                for v in self.polytope.vertices:
+                    d = _bareiss([self.lam[i] for i in v])[0]
+                    if d not in (-1, 1):
+                        break
+                checks.append(ValidationCheck(
+                    "vertex-unimodular", False,
+                    "vertex %r has det %d, expected +-1" % (v, d)))
+            else:
                 checks.append(ValidationCheck("vertex-unimodular", True))
 
-        ok = base.ok and prim_ok and unimodular
+        ok = base.ok and prim_ok and weights is not None
         report = ValidationReport(ok, checks)
         if ok:
             self._vertex_weights = weights
         self._report = report
         return report
+
+    def _dual_bases(self):
+        """VertexWeightData for every vertex, or None if some block is not unimodular.
+
+        Only the first vertex's block is inverted.  Every other vertex is
+        reached along an edge a -> b of the (connected) edge graph, where
+        facet `out` leaves and facet `enter` enters.  With c = <w_out,
+        lambda_enter>, Cramer gives det(b) = +-c det(a), so b is unimodular
+        exactly when c = +-1, and then its dual basis is a rank-one update:
+        w'_enter = c w_out and w'_k = w_k - <w_k, lambda_enter> w'_enter.
+        """
+        verts = self.polytope.vertices
+        lam = self.lam
+        first = _dual_basis([lam[i] for i in verts[0]])
+        if first is None:
+            return None
+        bases = {0: dict(zip(verts[0], first))}
+        adjacency = self.polytope.vertex_adjacency()
+        stack = [0]
+        while stack:
+            a = stack.pop()
+            for b in adjacency[a]:
+                if b in bases:
+                    continue
+                (out,) = set(verts[a]).difference(verts[b])
+                (enter,) = set(verts[b]).difference(verts[a])
+                basis = dict(bases[a])
+                row = lam[enter]
+                w_out = basis.pop(out)
+                c = sum(x * y for x, y in zip(w_out, row))
+                if c not in (-1, 1):
+                    return None
+                w_enter = tuple(c * x for x in w_out)
+                for k, w in basis.items():
+                    t = sum(x * y for x, y in zip(w, row))
+                    if t:
+                        basis[k] = tuple(x - t * y for x, y in zip(w, w_enter))
+                basis[enter] = w_enter
+                bases[b] = basis
+                stack.append(b)
+        return {vid: VertexWeightData(vid, v, tuple(bases[vid][i] for i in v))
+                for vid, v in enumerate(verts)}
 
     def require_valid(self):
         report = self.validate()

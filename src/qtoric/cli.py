@@ -86,11 +86,15 @@ def generate_pair(spec: str) -> cp.CharacteristicPair:
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise StructureError("cannot read manifold JSON from %r: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise StructureError("manifold JSON must be an object, got %r" % (data,))
+    return data
 
 
 def load_pair(path: str) -> cp.CharacteristicPair:
@@ -134,10 +138,6 @@ def _parse_signs(arg, m):
     if len(signs) != m:
         raise StructureError("signs need one entry per facet (%d)" % m)
     return signs
-
-
-def _result_payload(result):
-    return result.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +202,7 @@ def cmd_index(args):
     model = pair.to_index_model(seed=args.seed)
     result = phi_c(model, _parse_bundle(args.V), _parse_bundle(args.W),
                    q_order=args.q_order, via_q2=args.via_q2)
-    _emit(args, _result_payload(result),
+    _emit(args, result.as_dict(),
           ["phi_c(%s) = %s" % (model.name,
                                " + ".join("%s q^%d" % (c, j)
                                           for j, c in enumerate(result.series)))])
@@ -216,7 +216,7 @@ def cmd_genus(args):
         result = witten_genus(model, q_order=args.q_order)
     else:
         result = elliptic_genus(model, q_order=args.q_order)
-    _emit(args, _result_payload(result))
+    _emit(args, result.as_dict())
     return EXIT_OK
 
 
@@ -229,7 +229,7 @@ def cmd_color_index(args):
             "orbit polytope is not n-colorable (d_min=%d, n=%d)" % (d_min, pair.n))
     signs = _parse_signs(args.signs, pair.m)
     result = colored_index(model, coloring, signs, q_order=args.q_order)
-    payload = _result_payload(result)
+    payload = result.as_dict()
     payload["coloring"] = coloring.as_dict()
     payload["predicted_constant"] = str(result.meta["predicted_constant"])
     _emit(args, payload)

@@ -32,12 +32,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .charpair import _dual_basis
 from .errors import (
     InternalConsistencyError,
     OracleUnavailableError,
     StructureError,
 )
 from .polynomial import GradedPolynomial, monomials_of_degree
+from .polytope import int_vector
 from .qseries import series_product
 
 DEFAULT_SEED = 20250810
@@ -138,6 +140,7 @@ class BundleSpec:
     def from_vectors(cls, vectors, gen_count: int) -> "BundleSpec":
         classes = []
         for vec in vectors:
+            vec = int_vector(vec, "bundle vector")
             if len(vec) != gen_count:
                 raise StructureError(
                     "bundle vector %r has length %d, expected %d"
@@ -599,8 +602,7 @@ class QuasitoricModel(IndexModel):
         free_index = {i: r for r, i in enumerate(free)}
         signs = self.pair.signs
         lamt = [tuple(signs[i] * x for x in self.pair.lam[i]) for i in range(m)]
-        from .charpair import _inverse_transpose
-        inv_t = _inverse_transpose([list(lamt[i]) for i in base])  # (A^{-1})^T rows
+        inv_t = _dual_basis([lamt[i] for i in base])  # (A^{-1})^T rows
         # u_elim = -(A^T)^{-1} B^T u_free; (A^T)^{-1} = (A^{-1})^T
         mapping = {}
         for k, i in enumerate(base):

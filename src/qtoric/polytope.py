@@ -77,20 +77,30 @@ class FacetColoring:
         }
 
 
+def int_vector(values, what):
+    """The entries of a list as a tuple of ints.  Anything else (a float, a
+    bool, a string, a scalar in place of the list) is a StructureError, so
+    input is never silently truncated."""
+    if not isinstance(values, (list, tuple)) or any(type(x) is not int for x in values):
+        raise StructureError("%s must be a list of integers, got %r" % (what, values))
+    return tuple(values)
+
+
 class SimplePolytope:
     """Simple n-polytope given by its vertex-facet incidences."""
 
     def __init__(self, dim, vertices, facet_count=None, facet_names=None, name=None):
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise StructureError("dim must be an integer >= 1, got %r" % (dim,))
+        if not isinstance(vertices, (list, tuple)):
+            raise StructureError("vertices must be a list, got %r" % (vertices,))
         vertex_sets = []
         for pos, v in enumerate(vertices):
-            v = tuple(sorted(v))
+            v = tuple(sorted(int_vector(v, "vertex %d" % pos)))
             if len(set(v)) != len(v):
                 raise StructureError("vertex %d repeats a facet index: %r" % (pos, v))
-            for i in v:
-                if not isinstance(i, int) or i < 0:
-                    raise StructureError("vertex %d has a bad facet index %r" % (pos, i))
+            if v and v[0] < 0:
+                raise StructureError("vertex %d has a bad facet index %r" % (pos, v[0]))
             vertex_sets.append(v)
         if not vertex_sets:
             raise StructureError("polytope needs at least one vertex")
@@ -373,6 +383,8 @@ class SimplePolytope:
         except (KeyError, TypeError) as exc:
             raise StructureError("polytope JSON needs 'dim' and 'vertices': %s" % exc)
         facets = data.get("facets")
+        if facets is not None and not isinstance(facets, list):
+            raise StructureError("'facets' must be a list of names, got %r" % (facets,))
         return cls(dim, vertices,
                    facet_count=len(facets) if facets else None,
                    facet_names=facets, name=data.get("name") or None)

@@ -1,7 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from qtoric.charpair import (
     CharacteristicPair,
+    VertexWeightData,
+    _bareiss,
     cp_pair,
     cube_pair,
     hirzebruch_pair,
@@ -10,7 +15,7 @@ from qtoric.charpair import (
     sphere_pair,
 )
 from qtoric.errors import StructureError, ValidationError
-from qtoric.polytope import polygon, simplex
+from qtoric.polytope import SimplePolytope, cube, polygon, simplex
 
 
 def test_cp2_valid():
@@ -114,3 +119,142 @@ def test_json_round_trip():
     assert again.polytope.vertices == pair.polytope.vertices
     with pytest.raises(StructureError):
         CharacteristicPair.from_json_dict(pair.polytope.to_json_dict())
+
+
+# ----------------------------------------------------------------------
+# The routes the integer kernel replaced, kept as the reference: a Laplace
+# determinant and a Fraction Gauss-Jordan inverse for every vertex block.
+
+
+def laplace_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
+        total += ((-1) ** j) * rows[0][j] * laplace_det(minor)
+    return total
+
+
+def fraction_inverse_transpose(rows):
+    n = len(rows)
+    aug = [[Fraction(rows[i][j]) for j in range(n)] +
+           [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    out = []
+    for j in range(n):
+        row = tuple(aug[i][n + j] for i in range(n))
+        assert all(x.denominator == 1 for x in row)
+        out.append(tuple(int(x) for x in row))
+    return tuple(out)
+
+
+def reference_weights(pair):
+    out = {}
+    for vid, v in enumerate(pair.polytope.vertices):
+        block = [list(pair.lam[i]) for i in v]
+        assert laplace_det(block) in (-1, 1)
+        out[vid] = VertexWeightData(vid, v, fraction_inverse_transpose(block))
+    return out
+
+
+def dense_rebased(pair, seed):
+    """lambda times (unit lower)(unit upper), off-diagonal entries in {1, 2}:
+    every entry of the rebased rows is nonzero, so each block is dense."""
+    rng = random.Random(seed)
+    n = pair.n
+    low = [[1 if i == j else (rng.choice((1, 2)) if j < i else 0) for j in range(n)]
+           for i in range(n)]
+    up = [[1 if i == j else (rng.choice((1, 2)) if j > i else 0) for j in range(n)]
+          for i in range(n)]
+    a = [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    lam = [[sum(r[k] * a[k][j] for k in range(n)) for j in range(n)] for r in pair.lam]
+    return CharacteristicPair(pair.polytope, lam, name=pair.name + "+dense")
+
+
+def vertex_cuts(pair, cuts, seed):
+    """Blow up seeded vertices: a new facet F with lambda_F = sum_{i in v} lambda_i
+    replaces v by the n vertices (v - {i}) + {F}."""
+    rng = random.Random(seed)
+    verts, lam = list(pair.polytope.vertices), list(pair.lam)
+    for _ in range(cuts):
+        v = verts.pop(rng.randrange(len(verts)))
+        f = len(lam)
+        verts += [tuple(j for j in v if j != i) + (f,) for i in v]
+        lam.append(tuple(sum(lam[i][k] for i in v) for k in range(pair.n)))
+    poly = SimplePolytope(pair.n, verts, facet_count=len(lam))
+    return CharacteristicPair(poly, lam, name=pair.name + "+cuts")
+
+
+KERNEL_CASES = (
+    [("cube:%d" % n, lambda n=n: cube_pair(n)) for n in range(3, 7)]
+    + [("cp:%d" % n, lambda n=n: cp_pair(n)) for n in range(2, 8)]
+    + [("hirzebruch:%d" % k, lambda k=k: hirzebruch_pair(k)) for k in range(4)]
+    + [("polygon:6*cp:2", lambda: polygon_pair(6).product_pair(cp_pair(2))),
+       ("dense cp:7", lambda: dense_rebased(cp_pair(7), 7)),
+       ("dense cube:6", lambda: dense_rebased(cube_pair(6), 6)),
+       ("cp:4 with 3 vertex cuts", lambda: vertex_cuts(cp_pair(4), 3, 4))]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in KERNEL_CASES],
+                         ids=[name for name, _ in KERNEL_CASES])
+def test_vertex_weights_match_old_routes(make):
+    pair = make()
+    assert pair.vertex_weights == reference_weights(pair)
+
+
+def test_bareiss_det_and_adjugate():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        d, adj = _bareiss(a)
+        assert d == laplace_det(a)
+        if d == 0:
+            assert adj is None
+            continue
+        for i in range(n):
+            for j in range(n):
+                assert sum(a[i][k] * adj[k][j] for k in range(n)) == (d if i == j else 0)
+
+
+def _unimodular_detail(pair):
+    report = pair.validate()
+    assert not report.ok
+    (fail,) = report.failures()
+    assert fail.name == "vertex-unimodular"
+    return fail.detail
+
+
+def test_singular_base_vertex_detail():
+    pair = CharacteristicPair(polygon(4), [(1, 0), (1, 0), (0, 1), (0, 1)])
+    assert pair.polytope.vertices[0] == (0, 1)
+    assert _unimodular_detail(pair) == "vertex (0, 1) has det 0, expected +-1"
+
+
+def test_det_zero_block_detail():
+    pair = CharacteristicPair(polygon(4), [(1, 0), (0, 1), (0, 1), (0, 1)])
+    assert _unimodular_detail(pair) == "vertex (1, 2) has det 0, expected +-1"
+
+
+def test_first_bad_vertex_in_stored_order_is_reported():
+    # vertex 3 = (0, 4, 5) has det 2 and vertex 4 = (1, 2, 3) has det 0; only
+    # the latter is a neighbour of the base vertex, so a walk from the base
+    # meets it first, but the report names the first bad vertex in stored order
+    lam = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, -1), (0, 1, 1)]
+    pair = CharacteristicPair(cube(3), lam)
+    assert pair.polytope.vertices[3:5] == ((0, 4, 5), (1, 2, 3))
+    assert pair.polytope.vertex_adjacency()[0] == {1, 2, 4}
+    assert _unimodular_detail(pair) == "vertex (0, 4, 5) has det 2, expected +-1"

@@ -51,6 +51,47 @@ def test_malformed_json_exit_2(tmp_path):
     assert code == 2
 
 
+def _cp2(**overrides):
+    data = {"name": "cp:2", "dim": 2, "facets": ["F0", "F1", "F2"],
+            "vertices": [[0, 1], [0, 2], [1, 2]],
+            "lambda": [[1, 0], [0, 1], [-1, -1]], "signs": [1, 1, 1]}
+    data.update(overrides)
+    return data
+
+
+# Non-integral or mistyped data must never be truncated to a different pair
+# or crash with a traceback: each of these exits 2 with an error message.
+BAD_INPUTS = [
+    ("lambda 1.5", _cp2(**{"lambda": [[1.5, 0], [0, 1], [-1, -1]]}), []),
+    ("lambda 1.0", _cp2(**{"lambda": [[1.0, 0], [0, 1], [-1, -1]]}), []),
+    ("lambda true", _cp2(**{"lambda": [[True, 0], [0, 1], [-1, -1]]}), []),
+    ("lambda string", _cp2(**{"lambda": [["a", 0], [0, 1], [-1, -1]]}), []),
+    ("lambda scalar", _cp2(**{"lambda": 5}), []),
+    ("signs 1.0", _cp2(signs=[1, 1.0, 1]), []),
+    ("signs true", _cp2(signs=[1, True, 1]), []),
+    ("vertex string", _cp2(vertices=[["x", 1], [0, 2], [1, 2]]), []),
+    ("vertices scalar", _cp2(vertices=5), []),
+    ("dim true", {"dim": True, "vertices": [[0], [1]], "lambda": [[1], [-1]]}, []),
+    ("facets scalar", _cp2(facets=5), []),
+    ("not an object", 5, []),
+    ("--V string entry", _cp2(), ["--V", '[[1,"a",0]]']),
+    ("--V 0.5", _cp2(), ["--V", "[[1,0.5,0]]"]),
+    ("--V flat", _cp2(), ["--V", "[1,0,0]"]),
+    ("--V 1.7", _cp2(), ["--V", "[[1.7,0,0]]"]),
+]
+
+
+@pytest.mark.parametrize("data,flags", [(d, f) for _, d, f in BAD_INPUTS],
+                         ids=[name for name, _, _ in BAD_INPUTS])
+def test_malformed_pair_data_exits_2(tmp_path, capsys, data, flags):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(data))
+    command = ["index"] if flags else ["validate"]
+    assert main(command + flags + ["--manifold", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_analyze_joswig_fields():
     _, pair, _ = run_cli(["generate", "cube:3"])
     code, out, _ = run_cli(["analyze"], stdin=pair)
