@@ -128,13 +128,21 @@ def _parse_bundle(arg):
     return data
 
 
+def _parse_ints(arg, what):
+    """Integers separated by commas or spaces, e.g. '0,1'."""
+    try:
+        return [int(x) for x in arg.replace(",", " ").split()]
+    except ValueError:
+        raise StructureError("%s must be integers like '0,1', got %r" % (what, arg))
+
+
 def _parse_signs(arg, m):
     if arg is None:
         return None
     if set(arg) <= {"+", "-"}:
         signs = [1 if ch == "+" else -1 for ch in arg]
     else:
-        signs = [int(x) for x in arg.replace(",", " ").split()]
+        signs = _parse_ints(arg, "--signs")
     if len(signs) != m:
         raise StructureError("signs need one entry per facet (%d)" % m)
     return signs
@@ -242,7 +250,7 @@ def cmd_verify(args):
     if args.theorem == "split":
         if args.S is None:
             raise StructureError("verify split needs --S like '0,1'")
-        subset = [int(x) for x in args.S.replace(",", " ").split()]
+        subset = _parse_ints(args.S, "--S")
         payload = verify_exhaustive_split_vanishing(model, subset, q_order=args.q_order)
         _emit(args, payload)
         if not payload["hypotheses_met"]:

@@ -16,8 +16,10 @@ single point ({}, 1).
 
 Every pairing runs on that one engine, at both point sets, which must agree
 exactly (the sum is a constant; a disagreement is reported as a bug, never
-returned): pair_top and is_zero_class evaluate a class once per point, and
-pair_series evaluates a whole product of per-root factors there, where the
+returned): pair_top and is_zero_class evaluate a class once per point
+(is_zero_class then pairs it only against the square-free monomials u_S over
+the faces S of complementary degree, which span that degree of H*(M; Q)),
+and pair_series evaluates a whole product of per-root factors there, where the
 roots are numbers, through their power sums and one truncated exponential.
 
 A face-ring reduction oracle provides an independent cross-check of the
@@ -256,11 +258,18 @@ class IndexModel:
     def pair_monomial(self, mon) -> Fraction:
         return self.pair_top(GradedPolynomial({tuple(sorted(mon)): Fraction(1)}))
 
-    def is_zero_class(self, poly: GradedPolynomial) -> bool:
-        """Rational zero test by Poincare duality: pair against all complements.
+    def nonzero_face(self, poly: GradedPolynomial):
+        """The first face S whose monomial u_S pairs nonzero with poly, or None.
 
-        Each homogeneous part is evaluated once per point; a complementary
-        monomial w then pairs only at the points whose support contains w.
+        By Poincare duality a class of degree d <= n is zero in H*(M; Q)
+        exactly when it pairs to zero with all of H^{2(n-d)}.  That space is
+        spanned by the square-free monomials u_S over the faces S with
+        |S| = n - d: H*(M; Q) is the face ring modulo a linear system of
+        parameters (Davis-Januszkiewicz; Buchstaber-Panov, Toric Topology,
+        ch. 3), and products, connected sums and the point inherit this.
+        So only those u_S are tried, in sorted order per degree; u_S is
+        nonzero only at the points whose support contains S.  Both point
+        sets must list the same faces and give each the same pairing.
         """
         n = self.n
         for d in poly.degrees_present():
@@ -268,15 +277,28 @@ class IndexModel:
                 continue  # beyond top degree: zero automatically
             part = poly.homogeneous_part(d)
             weighted = self._weights(part)
-            for w in monomials_of_degree(self.gen_count, n - d):
-                values = [
-                    Fraction(sum(weights[p] * _monomial_value(w, pts[p][0])
-                                 for p in _points_containing(support, w, len(pts))
-                                 if p in weights), common)
+            faces = [_faces(pts, n - d) for pts, _, _, _ in weighted]
+            if faces[0] != faces[1]:
+                raise InternalConsistencyError(
+                    "faces of size %d differ between generic points" % (n - d))
+            for S in sorted(faces[0]):
+                (a, den_a), (b, den_b) = [
+                    (sum(weights[p] * _monomial_value(S, pts[p][0])
+                         for p in _points_containing(support, S, len(pts))
+                         if p in weights), common)
                     for pts, support, weights, common in weighted]
-                if _agree(values, "pairing of %r with %r", part, w):
-                    return False
-        return True
+                if a * den_b != b * den_a:
+                    raise InternalConsistencyError(
+                        "pairing of %r with u_%r disagrees between generic points: %s vs %s"
+                        % (part, S, Fraction(a, den_a), Fraction(b, den_b)))
+                if a:
+                    return S
+        return None
+
+    def is_zero_class(self, poly: GradedPolynomial) -> bool:
+        """Rational zero test: poly pairs to zero against every square-free
+        face monomial of complementary degree (see nonzero_face)."""
+        return self.nonzero_face(poly) is None
 
     def pair_series(self, groups, q_order: int) -> list:
         """Top-degree pairing of prod over groups of prod_{x in roots} F(x), per q^j.
@@ -376,6 +398,12 @@ def _points_containing(support, mon, count):
     if not mon:
         return range(count)
     return frozenset.intersection(*(support.get(i, frozenset()) for i in set(mon)))
+
+
+def _faces(pts, k):
+    """The k-element faces: sets of k generators that are all nonzero at some point."""
+    return set(itertools.chain.from_iterable(
+        itertools.combinations(sorted(vals), k) for vals, _ in pts))
 
 
 def _monomial_value(mon, vals):
@@ -691,7 +719,8 @@ def _as_model(pair_or_model) -> QuasitoricModel:
 
 
 def is_zero_class(model: IndexModel, poly: GradedPolynomial) -> bool:
-    """Rational zero test by Poincare duality: pair against all complements."""
+    """Rational zero test by Poincare duality, against the square-free face
+    monomials of complementary degree, which span it (IndexModel.nonzero_face)."""
     return model.is_zero_class(poly)
 
 
@@ -706,10 +735,15 @@ def is_even_class(model: IndexModel, cls) -> bool:
 
 @dataclass
 class AdmissibilityReport:
+    """The index-theorem hypotheses.  p1_witness names (by generator labels)
+    a face S whose monomial u_S pairs nonzero with p1(V + W - TM), or is
+    None when p1 vanishes; as_dict leaves it out."""
+
     spin_c_exists: bool
     w_is_spin: bool
     p1_zero: bool
     c1c_vector: tuple
+    p1_witness: tuple = None
 
     @property
     def met(self) -> bool:
@@ -742,9 +776,9 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     diff = [a - b for a, b in zip(c1c_vec, model.c1_vector)]
     spin_c = model.is_even_vector(diff)
     w_spin = model.is_even_vector(W.c1_vector() if W.dim else (0,) * model.gen_count)
-    p1_delta = V.p1() + W.p1() - model.p1_poly()
-    p1_zero = is_zero_class(model, p1_delta)
-    return AdmissibilityReport(spin_c, w_spin, p1_zero, tuple(c1c_vec))
+    face = model.nonzero_face(V.p1() + W.p1() - model.p1_poly())
+    witness = None if face is None else tuple(model.gen_labels[i] for i in face)
+    return AdmissibilityReport(spin_c, w_spin, face is None, tuple(c1c_vec), witness)
 
 
 def rank_of_pairing(model: IndexModel, k: int) -> int:

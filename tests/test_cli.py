@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qtoric.cli import main
+from qtoric.cli import generate_pair, main
 
 PY = [sys.executable, "-m", "qtoric"]
 
@@ -88,6 +88,25 @@ def test_malformed_pair_data_exits_2(tmp_path, capsys, data, flags):
     path.write_text(json.dumps(data))
     command = ["index"] if flags else ["validate"]
     assert main(command + flags + ["--manifold", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+# Integer lists given as flag text: a non-integer entry exits 2, not 1.
+BAD_FLAG_VALUES = [
+    ("--signs letters", "hirzebruch:2", ["color-index", "--signs", "a,b,c,d"]),
+    ("--signs one letter", "hirzebruch:2", ["color-index", "--signs", "1,x,1,1"]),
+    ("--S letter", "cp:3", ["verify", "--theorem", "split", "--S", "a"]),
+    ("--S 1.5", "cp:3", ["verify", "--theorem", "split", "--S", "1.5"]),
+]
+
+
+@pytest.mark.parametrize("family,argv", [(f, a) for _, f, a in BAD_FLAG_VALUES],
+                         ids=[name for name, _, _ in BAD_FLAG_VALUES])
+def test_non_integer_flag_values_exit_2(tmp_path, capsys, family, argv):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(generate_pair(family).to_json_dict()))
+    assert main(argv + ["--manifold", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
 

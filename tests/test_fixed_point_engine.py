@@ -18,8 +18,10 @@ import pytest
 from qtoric.charpair import cp_pair, cube_pair, hirzebruch_pair, polygon_pair, s2xs2_pair
 from qtoric.cohomology import (
     DEFAULT_SEED,
+    BundleSpec,
     PointModel,
     QuasitoricModel,
+    check_admissible,
     is_zero_class,
 )
 from qtoric.errors import InternalConsistencyError
@@ -229,19 +231,54 @@ def _random_class(model, rng, zero):
     return out
 
 
-@pytest.mark.parametrize("name", [k for k in MODELS if k != "point"])
+def _zero_test_models():
+    out = {k: v for k, v in MODELS.items() if k != "point"}
+    out["cube:4"] = _quasitoric("cube:4")
+    out["cube:5"] = _quasitoric("cube:5")
+    out["cube:3 x cp:2"] = ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2"))
+    out["cube:3 # cube:3"] = ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cube:3"), 1)
+    return out
+
+
+ZERO_TEST_MODELS = _zero_test_models()
+ZERO_TRIALS = 30  # per model: 14 models, 420 classes in all
+
+
+@pytest.mark.parametrize("name", list(ZERO_TEST_MODELS))
 def test_is_zero_class_matches_complement_loop(name):
-    model = MODELS[name]
+    """The face-monomial zero test against pairing with every complement."""
+    model = ZERO_TEST_MODELS[name]
     oracle = OldPairing(model)
     rng = random.Random(2024)
     seen = set()
-    for trial in range(12):
+    for trial in range(ZERO_TRIALS):
         poly = _random_class(model, rng, zero=trial % 2 == 0)
         expected = oracle.is_zero(poly)
         assert is_zero_class(model, poly) == expected, poly
         assert model.pair_top(poly) == oracle.top(poly)
+        witness = model.nonzero_face(poly)
+        assert (witness is None) == expected, poly
+        if witness is not None:
+            # a face: every generator of the witness is nonzero at some point
+            for pts in model.fixed_points():
+                assert any(set(witness) <= set(vals) for vals, _ in pts), witness
+            assert oracle.top(poly.mul(GP({witness: Fraction(1)}))) != 0, (poly, witness)
         seen.add(expected)
     assert seen == {True, False}
+
+
+def test_p1_witness():
+    empty = BundleSpec.empty
+    cube = _quasitoric("cube:7")
+    report = check_admissible(cube, empty(cube.gen_count), empty(cube.gen_count))
+    assert report.p1_zero and report.p1_witness is None
+    cp4 = MODELS["cp:4"]
+    report = check_admissible(cp4, empty(cp4.gen_count), empty(cp4.gen_count))
+    assert not report.p1_zero
+    face = cp4.nonzero_face(-cp4.p1_poly())
+    assert len(face) == cp4.n - 2
+    assert report.p1_witness == tuple(cp4.gen_labels[i] for i in face)
+    assert "p1_witness" not in report.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -271,3 +308,11 @@ def test_disagreeing_points_raise():
         witten_genus(model, 1)
     with pytest.raises(InternalConsistencyError):
         is_zero_class(model, GP.generator(0).mul(GP.generator(1)))
+
+
+def test_disagreeing_faces_raise():
+    model = _quasitoric("cp:2")
+    first, second = model._draw_fixed_points()
+    model._draw_fixed_points = lambda: (first, second[:-1])
+    with pytest.raises(InternalConsistencyError):
+        is_zero_class(model, GP.one())  # the vertices, as faces of size n
