@@ -13,7 +13,6 @@ from .charpair import (
     s2xs2_pair,
     sphere_pair,
     to_index_model,
-    validate_pair,
 )
 from .cohomology import (
     AdmissibilityReport,
@@ -74,10 +73,9 @@ from .polytope import (
     prism,
     product,
     simplex,
-    validate_polytope,
     verify_coloring,
 )
-from .qseries import QSeries, bundle_series, root_factor, scalar_mul, series_add, series_mul
+from .qseries import QSeries, bundle_series, root_factor
 from .symmetry import (
     GroupRecord,
     SymmetryReport,

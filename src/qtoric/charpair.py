@@ -27,32 +27,49 @@ class VertexWeightData:
     weights: tuple  # n integer covectors, rows of the inverse transpose of the block
 
 
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer matrix.
+
+    Returns (sign of the row swaps, last pivot d or 1 if none, reduced rows,
+    pivot columns); each pivot column ends up as d times a unit vector, and
+    a column without a pivot is skipped.  Every entry stays a minor of the
+    input, so each division is exact.  The package's one elimination loop:
+    _bareiss and _dual_basis run it on [A | I], cohomology.rank_of_pairing
+    counts its pivots and the face-ring oracle reads its kernel off it.
+    """
+    rows = [list(r) for r in rows]
+    sign, prev, pivots = 1, 1, []
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[c]
+        for i in range(len(rows)):
+            if i != k:
+                a = rows[i][c]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        pivots.append(c)
+    return sign, prev, rows, pivots
+
+
 def _bareiss(rows):
     """Determinant and adjugate of a square integer matrix.
 
-    Integer-preserving Gauss-Jordan elimination (Bareiss 1968) on [A | I]: every
-    intermediate entry is a minor, so each division is exact and the work
-    stays in integers.  The adjugate is None when the determinant is 0.
+    _eliminate on [A | I] leaves [d I | d A^{-1}], d the determinant of the
+    row-swapped matrix.  The adjugate is None when the determinant is 0.
     """
     n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if aug[r][k]), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-            sign = -sign
-        top = aug[k]
-        p = top[k]
-        for i in range(n):
-            if i != k:
-                a = aug[i][k]
-                aug[i] = [(p * x - a * y) // prev for x, y in zip(aug[i], top)]
-        prev = p
-    # now aug = [d I | d A^{-1}] with d = det of the row-swapped matrix
-    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
+    sign, d, reduced, pivots = _eliminate(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        return 0, None
+    return sign * d, [[sign * x for x in row[n:]] for row in reduced]
 
 
 def _dual_basis(block):
@@ -251,10 +268,6 @@ class CharacteristicPair:
 
 # ----------------------------------------------------------------------
 # spec'd free functions
-
-
-def validate_pair(pair: CharacteristicPair) -> ValidationReport:
-    return pair.validate()
 
 
 def euler_characteristic(pair: CharacteristicPair) -> int:

@@ -290,7 +290,7 @@ def cmd_symmetry_report(args):
                 nonzero, _ = exists_nonvanishing_signs(model, coloring)
         except (UnsatisfiableError, BudgetExceededError):
             nonzero = False
-    report = symmetry_report(model, index_nonvanishing=nonzero, q_order=args.q_order)
+    report = symmetry_report(model, index_nonvanishing=nonzero)
     _emit(args, report.as_dict())
     return EXIT_OK
 

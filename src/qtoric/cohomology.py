@@ -3,7 +3,7 @@
 A model packages everything the index pipeline needs from a closed oriented
 manifold whose rational cohomology is generated in degree two: the
 half-dimension n, labeled degree-2 generators, the stable tangent roots, a
-mod-2 oracle for degree-2 integral classes, and its fixed-point data.
+mod-2 test for degree-2 integral classes, and its fixed-point data.
 
 The fixed-point data are two independently drawn generic point sets.  At
 each point every generator u_i is a number (0 off its support) and there is
@@ -22,8 +22,10 @@ the faces S of complementary degree, which span that degree of H*(M; Q)),
 and pair_series evaluates a whole product of per-root factors there, where the
 roots are numbers, through their power sums and one truncated exponential.
 
-A face-ring reduction oracle provides an independent cross-check of the
-pairing at small half-dimension.
+The mod-2 test of a quasitoric model needs no elimination: a class is even
+iff it is a relation lambda mu mod 2, and the dual basis at one vertex,
+cached by validation, determines mu (QuasitoricModel.is_even_vector).  A
+face-ring reduction oracle cross-checks the pairing at small half-dimension.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpair import _dual_basis
+from .charpair import _dual_basis, _eliminate
 from .errors import (
     InternalConsistencyError,
     OracleUnavailableError,
@@ -51,70 +53,23 @@ _POINT_HI = 10 ** 6
 _ZERO = Fraction(0)
 
 
-# ----------------------------------------------------------------------
-# small exact linear algebra
+def _int_class(cls, gen_count, what):
+    """A degree-2 class, a GradedPolynomial or a list of ints, as an integer tuple."""
+    if isinstance(cls, GradedPolynomial):
+        return cls.integer_vector(gen_count)
+    vec = int_vector(cls, what)
+    if len(vec) != gen_count:
+        raise StructureError("%s %r has length %d, expected %d" % (what, vec, len(vec), gen_count))
+    return vec
 
 
-def _rref(rows):
-    """Reduced row echelon form over Fraction; returns (rref rows, pivot cols)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def matrix_rank(rows) -> int:
-    rr, pivots = _rref(rows)
-    return len(pivots)
-
-
-def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix with the given rows."""
-    rr, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [_ZERO] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rr[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def _solve_mod2(rows, rhs):
-    """Is rhs in the column span of the matrix over GF(2)?  rows: list of tuples."""
-    aug = [[x & 1 for x in row] + [b & 1] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                aug[i] = [a ^ b for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return all(any(row[:-1]) or not row[-1] for row in aug)
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators (same rank and kernel)."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -140,15 +95,8 @@ class BundleSpec:
 
     @classmethod
     def from_vectors(cls, vectors, gen_count: int) -> "BundleSpec":
-        classes = []
-        for vec in vectors:
-            vec = int_vector(vec, "bundle vector")
-            if len(vec) != gen_count:
-                raise StructureError(
-                    "bundle vector %r has length %d, expected %d"
-                    % (vec, len(vec), gen_count))
-            classes.append(GradedPolynomial.linear(vec))
-        return cls(classes, gen_count)
+        return cls([GradedPolynomial.linear(_int_class(vec, gen_count, "bundle vector"))
+                    for vec in vectors], gen_count)
 
     @property
     def dim(self) -> int:
@@ -592,10 +540,23 @@ class QuasitoricModel(IndexModel):
         return first, second
 
     def is_even_vector(self, vec) -> bool:
-        """True iff sum a_i u_i vanishes in mod-2 cohomology (a_i = lambda_i . mu)."""
+        """True iff sum a_i u_i vanishes in mod-2 cohomology.
+
+        H^2(M; Z) = Z^m / lambda Z^n (Davis-Januszkiewicz), so the class is
+        even iff a = lambda mu (mod 2) for some mu.  The base vertex's block
+        is unimodular, so its rows alone force mu = sum_k a_{v_k} w_k (mod 2),
+        w_k the block's cached dual basis; the class is even iff that mu
+        satisfies every row of lambda mod 2.
+        """
         if len(vec) != self.gen_count:
             raise StructureError("vector length %d, expected %d" % (len(vec), self.gen_count))
-        return _solve_mod2(self.pair.lam, [int(a) for a in vec])
+        base = self.pair.vertex_weights[0]
+        mu = [0] * self.n
+        for i, w in zip(base.facets, base.weights):
+            if vec[i] % 2:
+                mu = [x + y for x, y in zip(mu, w)]
+        return all((sum(x * y for x, y in zip(row, mu)) - a) % 2 == 0
+                   for row, a in zip(self.pair.lam, vec))
 
     # -- independent face-ring oracle --------------------------------------
 
@@ -662,11 +623,16 @@ class QuasitoricModel(IndexModel):
                 vec = to_vector(g_sub.mul(GradedPolynomial({h: Fraction(1)})))
                 if any(vec):
                     span.append(vec)
-        kernel = nullspace(span, len(basis))
+        _, d, reduced, pivots = _eliminate(_integer_rows(span))
+        kernel = [c for c in range(len(basis)) if c not in pivots]
         if len(kernel) != 1:
             raise InternalConsistencyError(
                 "face-ring top degree is %d-dimensional, expected 1" % len(kernel))
-        phi = kernel[0]
+        (f,) = kernel  # row r reads d x[pivots[r]] + reduced[r][f] x[f] = 0
+        phi = [0] * len(basis)
+        phi[f] = d
+        for row, c in zip(reduced, pivots):
+            phi[c] = -row[f]
         ref = GradedPolynomial({tuple(base): Fraction(1)}).substitute(mapping)
         val = sum(a * b for a, b in zip(phi, to_vector(ref)))
         if val == 0:
@@ -726,11 +692,7 @@ def is_zero_class(model: IndexModel, poly: GradedPolynomial) -> bool:
 
 def is_even_class(model: IndexModel, cls) -> bool:
     """True iff the integral degree-2 class vanishes in mod-2 cohomology."""
-    if isinstance(cls, GradedPolynomial):
-        vec = cls.integer_vector(model.gen_count)
-    else:
-        vec = tuple(int(x) for x in cls)
-    return model.is_even_vector(vec)
+    return model.is_even_vector(_int_class(cls, model.gen_count, "class vector"))
 
 
 @dataclass
@@ -769,8 +731,7 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     if V.dim:
         c1c_vec = V.c1_vector()
     elif c1c is not None:
-        c1c_vec = (c1c.integer_vector(model.gen_count)
-                   if isinstance(c1c, GradedPolynomial) else tuple(int(x) for x in c1c))
+        c1c_vec = _int_class(c1c, model.gen_count, "c1c")
     else:
         c1c_vec = (0,) * model.gen_count
     diff = [a - b for a, b in zip(c1c_vec, model.c1_vector)]
@@ -787,4 +748,4 @@ def rank_of_pairing(model: IndexModel, k: int) -> int:
     right = list(monomials_of_degree(model.gen_count, model.n - k))
     for w1 in monomials_of_degree(model.gen_count, k):
         rows.append([model.pair_monomial(tuple(sorted(w1 + w2))) for w2 in right])
-    return matrix_rank(rows)
+    return len(_eliminate(_integer_rows(rows))[3])

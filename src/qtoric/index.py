@@ -317,9 +317,8 @@ class ConnectedSumModel(IndexModel):
         return [lp + [(_shifted(rv, off), sign * rd) for rv, rd in rp]
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
 
-    def is_even_vector(self, vec) -> bool:
-        return (self.left.is_even_vector(vec[:self.offset])
-                and self.right.is_even_vector(vec[self.offset:]))
+    # H^2(M # N) = H^2(M) + H^2(N) for n >= 2, as for the product
+    is_even_vector = ProductModel.is_even_vector
 
 
 def _shifted(vals, offset):

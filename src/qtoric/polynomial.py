@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .errors import StructureError
+
 Monomial = tuple
 
 _ZERO = Fraction(0)
@@ -170,20 +172,15 @@ class GradedPolynomial:
     def is_linear(self) -> bool:
         return all(len(m) == 1 for m in self.terms)
 
-    def coefficient_vector(self, m: int):
-        """Coefficient vector of a linear class over m generators."""
-        if not self.is_linear():
-            raise ValueError("not a linear class: %r" % (self,))
-        vec = [_ZERO] * m
-        for mon, c in self.terms.items():
-            vec[mon[0]] = c
-        return tuple(vec)
-
     def integer_vector(self, m: int):
-        vec = self.coefficient_vector(m)
-        if any(c.denominator != 1 for c in vec):
-            raise ValueError("class has non-integral coefficients: %r" % (self,))
-        return tuple(int(c) for c in vec)
+        """Coefficient vector of an integral linear class over generators 0..m-1."""
+        if any(len(mon) != 1 or mon[0] >= m or c.denominator != 1
+               for mon, c in self.terms.items()):
+            raise StructureError("not an integral linear class in u_0..u_%d: %r" % (m - 1, self))
+        vec = [0] * m
+        for (i,), c in self.terms.items():
+            vec[i] = int(c)
+        return tuple(vec)
 
     def shift_generators(self, offset: int) -> "GradedPolynomial":
         p = GradedPolynomial.__new__(GradedPolynomial)

@@ -205,7 +205,7 @@ class SimplePolytope:
         faces_ok = False
         if edge_ok and connected and simple:
             try:
-                two_faces = self._trace_two_faces(edges)
+                two_faces = self._trace_two_faces(adj)
                 faces_ok = True
                 checks.append(ValidationCheck("two-faces-polygonal", True))
             except ValidationError as exc:
@@ -219,11 +219,12 @@ class SimplePolytope:
         self._report = report
         return report
 
-    def _trace_two_faces(self, edges):
+    def _trace_two_faces(self, adj):
+        """The two-faces, each with its vertex cycle traced from the lowest
+        vertex along adj, the ascending vertex-adjacency lists."""
         n = self.dim
         if n < 2:
             return []
-        edge_set = {tuple(sorted(e)) for e in edges}
         face_vertices = {}
         for vid, v in enumerate(self.vertices):
             for sub in itertools.combinations(v, n - 2):
@@ -235,9 +236,7 @@ class SimplePolytope:
                 raise ValidationError(
                     "two-face %r has only %d vertices" % (sub, len(members)))
             mset = set(members)
-            nbrs = {v: [w for w in members
-                        if w != v and tuple(sorted((v, w))) in edge_set]
-                    for v in members}
+            nbrs = {v: [w for w in adj[v] if w in mset] for v in members}
             if any(len(ns) != 2 for ns in nbrs.values()):
                 raise ValidationError("two-face %r is not 2-regular" % (sub,))
             start = min(members)
@@ -401,10 +400,6 @@ def _binomial(n, k):
 
 # ----------------------------------------------------------------------
 # spec'd operations as free functions
-
-
-def validate_polytope(p: SimplePolytope) -> ValidationReport:
-    return p.validate()
 
 
 def adjacency(p: SimplePolytope):

@@ -330,17 +330,3 @@ def bundle_series(kind: str, roots, q_order: int, trunc: int) -> QSeries:
         out = out * root_factor(kind, x, q_order, trunc)
     return out
 
-
-# spec'd aliases
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def series_add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
-
-
-def scalar_mul(c, a: QSeries) -> QSeries:
-    return a.scale(c)

@@ -191,8 +191,8 @@ class SymmetryReport:
         }
 
 
-def symmetry_report(model=None, n=None, chi=None, index_nonvanishing=False,
-                    q_order=None) -> SymmetryReport:
+def symmetry_report(model=None, n=None, chi=None,
+                    index_nonvanishing=False) -> SymmetryReport:
     """Assemble every applicable symmetry-degree rule for one manifold.
 
     Unconditional ceilings enter N_max; rules conditioned on unavailable

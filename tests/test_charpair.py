@@ -7,6 +7,7 @@ from qtoric.charpair import (
     CharacteristicPair,
     VertexWeightData,
     _bareiss,
+    _eliminate,
     cp_pair,
     cube_pair,
     hirzebruch_pair,
@@ -228,6 +229,105 @@ def test_bareiss_det_and_adjugate():
         for i in range(n):
             for j in range(n):
                 assert sum(a[i][k] * adj[k][j] for k in range(n)) == (d if i == j else 0)
+
+
+# The Fraction Gauss-Jordan that cohomology used for ranks and kernels before
+# every elimination moved onto _eliminate, kept as the reference.
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form over Fraction; returns (rref rows, pivot cols)."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def fraction_nullspace(rows, ncols):
+    """Basis of the right nullspace of the matrix with the given rows."""
+    rr, pivots = fraction_rref(rows)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rr[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def random_matrix(rng, kind):
+    """A seeded integer matrix of one of the shapes the kernel must handle."""
+    r, c = rng.randint(1, 6), rng.randint(1, 6)
+    if kind == "row":
+        r = 1
+    elif kind == "column":
+        c = 1
+    if kind == "deficient":
+        k = rng.randint(0, min(r, c) - 1) if min(r, c) > 1 else 0
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+        return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)]
+                for i in range(r)]
+    a = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+    if kind == "zeros":
+        for i in rng.sample(range(r), rng.randint(0, r)):
+            a[i] = [0] * c
+        for j in rng.sample(range(c), rng.randint(0, c)):
+            for row in a:
+                row[j] = 0
+    return a
+
+
+def test_eliminate_matches_fraction_rref():
+    rng = random.Random(5)
+    kinds = ("general", "row", "column", "deficient", "zeros")
+    ranks = set()
+    for trial in range(1500):
+        a = random_matrix(rng, kinds[trial % len(kinds)])
+        ncols = len(a[0])
+        sign, d, reduced, pivots = _eliminate(a)
+        rr, ref_pivots = fraction_rref(a)
+        assert pivots == ref_pivots, a
+        rank = len(pivots)
+        ranks.add((len(a), ncols, rank))
+        assert sign in (-1, 1) and d != 0
+        # the reduced rows are d times the (unique) reduced row echelon form
+        assert [[Fraction(x, d) for x in row] for row in reduced[:rank]] == rr, a
+        assert not any(any(row) for row in reduced[rank:]), a
+        # the kernel read off the reduced rows, as the face-ring oracle reads it
+        kernel = []
+        for f in (c for c in range(ncols) if c not in pivots):
+            vec = [0] * ncols
+            vec[f] = d
+            for row, c in zip(reduced, pivots):
+                vec[c] = -row[f]
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a), a
+            kernel.append([Fraction(x, d) for x in vec])
+        assert kernel == fraction_nullspace(a, ncols), a
+    # every shape and rank occurred: zero, full and in between, 1 x k and k x 1
+    assert {rank for _, _, rank in ranks} == set(range(7))
+    assert any(r == 1 and c > 1 for r, c, _ in ranks)
+    assert any(c == 1 and r > 1 for r, c, _ in ranks)
+    assert any(0 < rank < min(r, c) for r, c, rank in ranks)
 
 
 def _unimodular_detail(pair):

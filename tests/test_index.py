@@ -11,7 +11,7 @@ from qtoric.charpair import (
     s2xs2_pair,
     sphere_pair,
 )
-from qtoric.cohomology import BundleSpec, PointModel, matrix_rank
+from qtoric.cohomology import BundleSpec, PointModel
 from qtoric.errors import HypothesisUnmetError, StructureError
 from qtoric.index import (
     ConnectedSumModel,
