@@ -6,13 +6,10 @@ from .charpair import (
     CharacteristicPair,
     cp_pair,
     cube_pair,
-    euler_characteristic,
     hirzebruch_pair,
     polygon_pair,
-    product_pair,
     s2xs2_pair,
     sphere_pair,
-    to_index_model,
 )
 from .cohomology import (
     AdmissibilityReport,
@@ -22,11 +19,7 @@ from .cohomology import (
     QuasitoricModel,
     check_admissible,
     is_even_class,
-    is_zero_class,
-    localization_pairing,
-    pair_top,
     rank_of_pairing,
-    ring_reduction_pairing,
 )
 from .errors import (
     BudgetExceededError,
@@ -44,12 +37,10 @@ from .index import (
     ProductModel,
     admissible_splits,
     colored_index,
-    connected_sum_model,
     elliptic_genus,
     exists_nonvanishing_signs,
     extend_bundles,
     phi_c,
-    product_model,
     tensor_extend,
     verify_connected_sum_formula,
     verify_exhaustive_split_vanishing,
@@ -62,16 +53,12 @@ from .polytope import (
     SimplePolytope,
     TwoFace,
     ValidationReport,
-    adjacency,
     cube,
     facet_chromatic,
     greedy_coloring,
     interval,
-    is_even,
-    is_vertex_graph_bipartite,
     polygon,
     prism,
-    product,
     simplex,
     verify_coloring,
 )

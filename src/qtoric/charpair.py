@@ -2,8 +2,9 @@
 
 Each facet carries a primitive integer vector (its isotropy circle) and an
 omniorientation sign; validity means the lambda-block at every vertex is
-unimodular.  Validation caches the dual covector bases at the vertices, which
-drive the localization pairing downstream.
+unimodular and the orientation signs the edges impose close up around every
+cycle.  Validation caches the dual covector bases and those signs at the
+vertices, which drive the localization pairing downstream.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .polytope import (
     SimplePolytope, ValidationCheck, ValidationReport,
     cube, int_vector, interval, polygon, simplex,
 )
+
+# the seed of the generic points at which an index model localizes
+DEFAULT_SEED = 20250810
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,7 @@ class CharacteristicPair:
         self.name = name or polytope.name
         self._report = None
         self._vertex_weights = None
+        self._orientation_signs = None
 
     # ------------------------------------------------------------------
 
@@ -141,10 +146,10 @@ class CharacteristicPair:
         if prim_ok:
             checks.append(ValidationCheck("primitive-rows", True))
 
-        weights = None
+        ok = False
         if base.ok:
-            weights = self._dual_bases()
-            if weights is None:
+            walk = self._dual_bases()
+            if walk is None:
                 # report the first bad block in stored order, whatever the walk met
                 for v in self.polytope.vertices:
                     d = _bareiss([self.lam[i] for i in v])[0]
@@ -155,16 +160,28 @@ class CharacteristicPair:
                     "vertex %r has det %d, expected +-1" % (v, d)))
             else:
                 checks.append(ValidationCheck("vertex-unimodular", True))
+                weights, signs, clash = walk
+                if clash is not None:
+                    # listed only on failure: a valid pair's report keeps three checks
+                    checks.append(ValidationCheck(
+                        "orientation-consistent", False,
+                        "orientation signs inconsistent around a cycle at %r"
+                        % (self.polytope.vertices[clash],)))
+                ok = prim_ok and clash is None
+                if ok:
+                    self._vertex_weights, self._orientation_signs = weights, signs
 
-        ok = base.ok and prim_ok and weights is not None
         report = ValidationReport(ok, checks)
-        if ok:
-            self._vertex_weights = weights
         self._report = report
         return report
 
     def _dual_bases(self):
-        """VertexWeightData for every vertex, or None if some block is not unimodular.
+        """One walk of the edge graph: the dual bases and the orientation signs.
+
+        None if some block is not unimodular, else (VertexWeightData for
+        every vertex, the orientation sign eps_v of every vertex, the first
+        vertex at which the signs close inconsistently around a cycle or
+        None).
 
         Only the first vertex's block is inverted.  Every other vertex is
         reached along an edge a -> b of the (connected) edge graph, where
@@ -172,6 +189,11 @@ class CharacteristicPair:
         lambda_enter>, Cramer gives det(b) = +-c det(a), so b is unimodular
         exactly when c = +-1, and then its dual basis is a rank-one update:
         w'_enter = c w_out and w'_k = w_k - <w_k, lambda_enter> w'_enter.
+        The tangent weights along the edge are w_out at a and w'_enter at b,
+        so the orientation signs obey eps_b = -c eps_a, with eps = +1 at the
+        base vertex.  Every edge is checked once, from the endpoint the walk
+        leaves first.  A quasitoric manifold is orientable, so a pair on
+        which the signs clash describes none.
         """
         verts = self.polytope.vertices
         lam = self.lam
@@ -179,21 +201,34 @@ class CharacteristicPair:
         if first is None:
             return None
         bases = {0: dict(zip(verts[0], first))}
+        eps = [1] + [0] * (len(verts) - 1)
+        done = set()
+        clash = None
         adjacency = self.polytope.vertex_adjacency()
         stack = [0]
         while stack:
             a = stack.pop()
+            done.add(a)
+            va = set(verts[a])
             for b in adjacency[a]:
-                if b in bases:
+                if b in done:
                     continue
-                (out,) = set(verts[a]).difference(verts[b])
-                (enter,) = set(verts[b]).difference(verts[a])
-                basis = dict(bases[a])
+                vb = set(verts[b])
+                (enter,) = vb - va
+                (out,) = va - vb
+                w_out = bases[a][out]
+                if b in bases:
+                    # both blocks are unimodular, so w'_enter = c w_out with
+                    # c = +-1, and eps_b = -c eps_a asks c = 1 iff eps_b != eps_a
+                    if clash is None and (bases[b][enter] == w_out) == (eps[b] == eps[a]):
+                        clash = b
+                    continue
                 row = lam[enter]
-                w_out = basis.pop(out)
                 c = sum(x * y for x, y in zip(w_out, row))
                 if c not in (-1, 1):
                     return None
+                basis = dict(bases[a])
+                del basis[out]
                 w_enter = tuple(c * x for x in w_out)
                 for k, w in basis.items():
                     t = sum(x * y for x, y in zip(w, row))
@@ -201,9 +236,11 @@ class CharacteristicPair:
                         basis[k] = tuple(x - t * y for x, y in zip(w, w_enter))
                 basis[enter] = w_enter
                 bases[b] = basis
+                eps[b] = -c * eps[a]
                 stack.append(b)
-        return {vid: VertexWeightData(vid, v, tuple(bases[vid][i] for i in v))
-                for vid, v in enumerate(verts)}
+        weights = {vid: VertexWeightData(vid, v, tuple(bases[vid][i] for i in v))
+                   for vid, v in enumerate(verts)}
+        return weights, tuple(eps), clash
 
     def require_valid(self):
         report = self.validate()
@@ -219,6 +256,13 @@ class CharacteristicPair:
     def vertex_weights(self):
         self.require_valid()
         return self._vertex_weights
+
+    @property
+    def orientation_signs(self):
+        """The sign eps_v of every vertex (+1 at the base vertex), read off
+        the validation walk; it orients the localization sums."""
+        self.require_valid()
+        return self._orientation_signs
 
     def euler_characteristic(self) -> int:
         """chi(M) = number of torus fixed points = number of vertices of P."""
@@ -241,10 +285,8 @@ class CharacteristicPair:
     def with_signs(self, signs) -> "CharacteristicPair":
         return CharacteristicPair(self.polytope, self.lam, signs, name=self.name)
 
-    def to_index_model(self, seed=None):
+    def to_index_model(self, seed=DEFAULT_SEED):
         from .cohomology import QuasitoricModel
-        if seed is None:
-            return QuasitoricModel(self)
         return QuasitoricModel(self, seed=seed)
 
     # ------------------------------------------------------------------
@@ -264,22 +306,6 @@ class CharacteristicPair:
             raise StructureError("pair JSON needs a 'lambda' matrix")
         return cls(poly, data["lambda"], data.get("signs"),
                    name=data.get("name") or None)
-
-
-# ----------------------------------------------------------------------
-# spec'd free functions
-
-
-def euler_characteristic(pair: CharacteristicPair) -> int:
-    return pair.euler_characteristic()
-
-
-def product_pair(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPair:
-    return p1.product_pair(p2)
-
-
-def to_index_model(pair: CharacteristicPair, seed=None):
-    return pair.to_index_model(seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import charpair as cp
 from . import polytope as pt
-from .cohomology import DEFAULT_SEED, QuasitoricModel, check_admissible
+from .cohomology import DEFAULT_SEED
 from .errors import (
     BudgetExceededError,
     HypothesisUnmetError,
@@ -31,6 +30,7 @@ from .index import (
     check_q_order,
     colored_index,
     elliptic_genus,
+    exists_nonvanishing_signs,
     phi_c,
     verify_connected_sum_formula,
     verify_exhaustive_split_vanishing,
@@ -45,11 +45,11 @@ EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
 
 _FAMILIES = {
-    "cube": lambda k: cp.cube_pair(k),
-    "simplex": lambda k: cp.cp_pair(k),
-    "cp": lambda k: cp.cp_pair(k),
-    "polygon": lambda k: cp.polygon_pair(k),
-    "hirzebruch": lambda k: cp.hirzebruch_pair(k),
+    "cube": cp.cube_pair,
+    "simplex": cp.cp_pair,
+    "cp": cp.cp_pair,
+    "polygon": cp.polygon_pair,
+    "hirzebruch": cp.hirzebruch_pair,
 }
 _PLAIN = {
     "s2": cp.sphere_pair,
@@ -286,7 +286,6 @@ def cmd_symmetry_report(args):
         try:
             d_min, coloring = pt.facet_chromatic(pair.polytope)
             if d_min == pair.n:
-                from .index import exists_nonvanishing_signs
                 nonzero, _ = exists_nonvanishing_signs(model, coloring)
         except (UnsatisfiableError, BudgetExceededError):
             nonzero = False

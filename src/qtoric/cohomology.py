@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpair import _dual_basis, _eliminate
+from .charpair import DEFAULT_SEED, _dual_basis, _eliminate
 from .errors import (
     InternalConsistencyError,
     OracleUnavailableError,
@@ -46,7 +46,6 @@ from .polynomial import GradedPolynomial, monomials_of_degree
 from .polytope import int_vector
 from .qseries import series_product
 
-DEFAULT_SEED = 20250810
 _POINT_LO = 10 ** 3
 _POINT_HI = 10 ** 6
 
@@ -302,12 +301,6 @@ class IndexModel:
                 series = series_product(series, c)
         return series
 
-    def c1_poly(self) -> GradedPolynomial:
-        out = GradedPolynomial.zero()
-        for r in self.tangent_roots:
-            out = out + r
-        return out
-
     def p1_poly(self) -> GradedPolynomial:
         out = GradedPolynomial.zero()
         for r in self.tangent_roots:
@@ -424,10 +417,10 @@ class QuasitoricModel(IndexModel):
 
     Generators u_i correspond to facets; u_i restricts at a vertex to
     signs_i times the dual covector of its lambda row there, and to 0 at
-    vertices away from the facet.  The per-vertex orientation signs are
-    propagated along polytope edges from the base vertex (the
-    lexicographically first one, fixed to +1); this pins the fundamental
-    class so that <u_1, [CP^1]> = +1 for the standard pair and makes the
+    vertices away from the facet.  The per-vertex orientation signs come
+    from the pair's validation walk, which fixes the base vertex (the
+    lexicographically first one) to +1; this pins the fundamental class so
+    that <u_1, [CP^1]> = +1 for the standard pair and makes the
     localization sums exactly the pairings against the linear relations
     sum_i lambda_ij * signs_i * u_i = 0.
     """
@@ -444,61 +437,7 @@ class QuasitoricModel(IndexModel):
         self.euler = len(pair.polytope.vertices)
         self.name = pair.name
         self.seed = seed
-        self._eps = self._propagate_orientations()
         self._ring_oracle = None
-
-    # -- orientation bookkeeping ---------------------------------------
-
-    def _edge_weight(self, vid, facet):
-        data = self.pair.vertex_weights[vid]
-        k = data.facets.index(facet)
-        return data.weights[k]
-
-    def _propagate_orientations(self):
-        """Per-vertex signs making the localization sums orientation-consistent.
-
-        Along an edge the two endpoint weights in the edge direction are
-        proportional primitive covectors; consistency forces
-        eps' * w' = -eps * w.  Any contradiction around a cycle is a bug.
-        """
-        verts = self.polytope.vertices
-        eps = {0: 1}
-        adj = {}
-        for a, b in self.polytope.edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        stack = [0]
-        order = []
-        while stack:
-            a = stack.pop()
-            order.append(a)
-            for b in adj[a]:
-                shared = set(verts[a]) & set(verts[b])
-                fa = next(i for i in verts[a] if i not in shared)
-                fb = next(i for i in verts[b] if i not in shared)
-                wa = self._edge_weight(a, fa)
-                wb = self._edge_weight(b, fb)
-                if wb == wa:
-                    eps_b = -eps[a]
-                elif wb == tuple(-x for x in wa):
-                    eps_b = eps[a]
-                else:
-                    raise InternalConsistencyError(
-                        "edge weights %r / %r along edge %r-%r are not up-to-sign equal"
-                        % (wa, wb, verts[a], verts[b]))
-                if b in eps:
-                    if eps[b] != eps_b:
-                        raise InternalConsistencyError(
-                            "orientation signs inconsistent around a cycle at %r"
-                            % (verts[b],))
-                else:
-                    eps[b] = eps_b
-                    stack.append(b)
-        return [eps[i] for i in range(len(verts))]
-
-    @property
-    def orientation_signs(self):
-        return tuple(self._eps)
 
     # -- fixed-point data ------------------------------------------------
 
@@ -508,7 +447,7 @@ class QuasitoricModel(IndexModel):
         u_i restricts at a vertex on facet i to signs_i * <w_i, t>, w_i its
         tangent weight there; the denominator is eps_v * prod_i <w_i, t>.
         """
-        signs = self.pair.signs
+        signs, eps = self.pair.signs, self.pair.orientation_signs
         for _ in range(50):
             t = tuple(rng.randint(_POINT_LO, _POINT_HI) for _ in range(self.n))
             data = []
@@ -516,7 +455,7 @@ class QuasitoricModel(IndexModel):
             for vid, v in enumerate(self.polytope.vertices):
                 wd = self.pair.vertex_weights[vid]
                 vals = {}
-                den = self._eps[vid]
+                den = eps[vid]
                 for facet, w in zip(wd.facets, wd.weights):
                     x = sum(a * b for a, b in zip(w, t))
                     if x == 0:
@@ -658,36 +597,6 @@ class QuasitoricModel(IndexModel):
         poly = GradedPolynomial({tuple(sorted(mon)): Fraction(1)}).substitute(mapping)
         vec = to_vector(poly)
         return sum(a * b for a, b in zip(phi, vec))
-
-
-# ----------------------------------------------------------------------
-# spec'd free functions
-
-
-def pair_top(model: IndexModel, poly: GradedPolynomial) -> Fraction:
-    return model.pair_top(poly)
-
-
-def localization_pairing(pair_or_model, mon) -> Fraction:
-    model = _as_model(pair_or_model)
-    return model.pair_monomial(tuple(mon))
-
-
-def ring_reduction_pairing(pair_or_model, mon) -> Fraction:
-    model = _as_model(pair_or_model)
-    return model.ring_reduction_pairing(tuple(mon))
-
-
-def _as_model(pair_or_model) -> QuasitoricModel:
-    if isinstance(pair_or_model, QuasitoricModel):
-        return pair_or_model
-    return pair_or_model.to_index_model()
-
-
-def is_zero_class(model: IndexModel, poly: GradedPolynomial) -> bool:
-    """Rational zero test by Poincare duality, against the square-free face
-    monomials of complementary degree, which span it (IndexModel.nonzero_face)."""
-    return model.is_zero_class(poly)
 
 
 def is_even_class(model: IndexModel, cls) -> bool:

@@ -249,7 +249,28 @@ def exists_nonvanishing_signs(model: QuasitoricModel, coloring: FacetColoring):
 # model combinators
 
 
-class ProductModel(IndexModel):
+class _PairedModel(IndexModel):
+    """Two models side by side: the left generators, then the right ones
+    shifted by offset, with the tangent roots and c1 of both."""
+
+    def __init__(self, left: IndexModel, right: IndexModel):
+        self.left = left
+        self.right = right
+        self.offset = left.gen_count
+        self.gen_labels = (["L:" + s for s in left.gen_labels]
+                           + ["R:" + s for s in right.gen_labels])
+        self.tangent_roots = (list(left.tangent_roots)
+                              + [r.shift_generators(self.offset)
+                                 for r in right.tangent_roots])
+        self.c1_vector = tuple(left.c1_vector) + tuple(right.c1_vector)
+
+    def is_even_vector(self, vec) -> bool:
+        # H^2 is the direct sum of the two sides', for a connected sum too (n >= 2)
+        return (self.left.is_even_vector(vec[:self.offset])
+                and self.right.is_even_vector(vec[self.offset:]))
+
+
+class ProductModel(_PairedModel):
     """Model of a cartesian product: split pairings multiply.
 
     Its fixed points are the pairs of the factors' points, with the values
@@ -257,16 +278,8 @@ class ProductModel(IndexModel):
     """
 
     def __init__(self, left: IndexModel, right: IndexModel):
-        self.left = left
-        self.right = right
-        self.offset = left.gen_count
+        super().__init__(left, right)
         self.n = left.n + right.n
-        self.gen_labels = (["L:" + s for s in left.gen_labels]
-                           + ["R:" + s for s in right.gen_labels])
-        self.tangent_roots = (list(left.tangent_roots)
-                              + [r.shift_generators(self.offset)
-                                 for r in right.tangent_roots])
-        self.c1_vector = tuple(left.c1_vector) + tuple(right.c1_vector)
         self.euler = left.euler * right.euler
         self.name = "(%s)x(%s)" % (left.name, right.name)
 
@@ -275,12 +288,8 @@ class ProductModel(IndexModel):
         return [[({**lv, **_shifted(rv, off)}, ld * rd) for lv, ld in lp for rv, rd in rp]
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
 
-    def is_even_vector(self, vec) -> bool:
-        return (self.left.is_even_vector(vec[:self.offset])
-                and self.right.is_even_vector(vec[self.offset:]))
 
-
-class ConnectedSumModel(IndexModel):
+class ConnectedSumModel(_PairedModel):
     """Cohomology model of a connected sum of two models of equal n >= 2.
 
     Positive-degree classes from the two summands multiply to zero; purely
@@ -298,17 +307,9 @@ class ConnectedSumModel(IndexModel):
             raise StructureError("connected sum model needs n >= 2")
         if orientation_sign not in (-1, 1):
             raise StructureError("orientation_sign must be +-1")
-        self.left = left
-        self.right = right
+        super().__init__(left, right)
         self.sign = orientation_sign
-        self.offset = left.gen_count
         self.n = left.n
-        self.gen_labels = (["L:" + s for s in left.gen_labels]
-                           + ["R:" + s for s in right.gen_labels])
-        self.tangent_roots = (list(left.tangent_roots)
-                              + [r.shift_generators(self.offset)
-                                 for r in right.tangent_roots])
-        self.c1_vector = tuple(left.c1_vector) + tuple(right.c1_vector)
         self.euler = left.euler + right.euler - 2
         self.name = "(%s)#(%s)" % (left.name, right.name)
 
@@ -317,25 +318,13 @@ class ConnectedSumModel(IndexModel):
         return [lp + [(_shifted(rv, off), sign * rd) for rv, rd in rp]
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
 
-    # H^2(M # N) = H^2(M) + H^2(N) for n >= 2, as for the product
-    is_even_vector = ProductModel.is_even_vector
-
 
 def _shifted(vals, offset):
     return {i + offset: x for i, x in vals.items()}
 
 
-def product_model(m1: IndexModel, m2: IndexModel) -> ProductModel:
-    return ProductModel(m1, m2)
-
-
-def connected_sum_model(m1: IndexModel, m2: IndexModel,
-                        orientation_sign: int = 1) -> ConnectedSumModel:
-    return ConnectedSumModel(m1, m2, orientation_sign)
-
-
-def extend_bundles(model: ProductModel, V1: BundleSpec, V2: BundleSpec) -> BundleSpec:
-    """External direct sum V1 (+) V2 over a product model."""
+def extend_bundles(model: _PairedModel, V1: BundleSpec, V2: BundleSpec) -> BundleSpec:
+    """External direct sum V1 (+) V2 over a product or connected-sum model."""
     classes = list(V1.classes) + [c.shift_generators(model.offset) for c in V2.classes]
     return BundleSpec(classes, model.gen_count)
 
@@ -401,10 +390,7 @@ def verify_connected_sum_formula(m1: IndexModel, V1, W1, m2: IndexModel, V2, W2,
     W2 = _as_bundle(m2, W2)
     summod = ConnectedSumModel(m1, m2, orientation_sign)
     V = tensor_extend(summod, V1, V2)
-    W = BundleSpec(
-        list(c for c in W1.classes)
-        + [c.shift_generators(summod.offset) for c in W2.classes],
-        summod.gen_count)
+    W = extend_bundles(summod, W1, W2)
     lhs = phi_c(summod, V, W, q_order=q_order)
     r1 = phi_c(m1, V1, W1, q_order=q_order)
     r2 = phi_c(m2, V2, W2, q_order=q_order)

@@ -134,18 +134,8 @@ class GradedPolynomial:
         p.terms = out
         return p
 
-    def pow(self, k: int, trunc: int | None = None) -> "GradedPolynomial":
-        out = GradedPolynomial.one()
-        for _ in range(k):
-            out = out.mul(self, trunc)
-        return out
-
     # ------------------------------------------------------------------
     # grading
-
-    def degree(self) -> int:
-        """Maximal complex degree; -1 for the zero polynomial."""
-        return max((len(m) for m in self.terms), default=-1)
 
     def truncate(self, trunc: int) -> "GradedPolynomial":
         p = GradedPolynomial.__new__(GradedPolynomial)
@@ -156,9 +146,6 @@ class GradedPolynomial:
         p = GradedPolynomial.__new__(GradedPolynomial)
         p.terms = {m: c for m, c in self.terms.items() if len(m) == deg}
         return p
-
-    def is_homogeneous(self, deg: int) -> bool:
-        return all(len(m) == deg for m in self.terms)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), _ZERO)

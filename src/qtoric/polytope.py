@@ -124,7 +124,7 @@ class SimplePolytope:
             raise StructureError("facet_names length must equal facet_count")
         self.facet_names = list(facet_names)
         self._report = None
-        self._edges = None
+        self._adjacency = None
         self._two_faces = None
 
     # ------------------------------------------------------------------
@@ -156,31 +156,28 @@ class SimplePolytope:
             "simplicity", simple,
             "" if simple else "vertex %r has %d facets, expected %d" % (bad[0], len(bad[0]), n)))
 
-        edges = None
-        edge_ok = False
+        adj = None
         if simple:
             ridge_map = {}
             for vid, v in enumerate(self.vertices):
                 for sub in itertools.combinations(v, n - 1):
                     ridge_map.setdefault(sub, []).append(vid)
-            edge_ok = all(len(vs) == 2 for vs in ridge_map.values())
-            if edge_ok:
-                edges = sorted({tuple(sorted(vs)) for vs in ridge_map.values()})
+            if all(len(vs) == 2 for vs in ridge_map.values()):
+                adj = [[] for _ in self.vertices]
+                for a, b in ridge_map.values():
+                    adj[a].append(b)
+                    adj[b].append(a)
+                adj = tuple(tuple(sorted(ns)) for ns in adj)
+                checks.append(ValidationCheck("edge-regularity", True))
             else:
                 bad_sub = next(s for s, vs in ridge_map.items() if len(vs) != 2)
                 checks.append(ValidationCheck(
                     "edge-regularity", False,
                     "facet set %r lies in %d vertices, expected 2"
                     % (bad_sub, len(ridge_map[bad_sub]))))
-        if edge_ok:
-            checks.append(ValidationCheck("edge-regularity", True))
 
         connected = False
-        if edge_ok:
-            adj = {i: [] for i in range(len(self.vertices))}
-            for a, b in edges:
-                adj[a].append(b)
-                adj[b].append(a)
+        if adj is not None:
             seen = {0}
             stack = [0]
             while stack:
@@ -203,7 +200,7 @@ class SimplePolytope:
 
         two_faces = None
         faces_ok = False
-        if edge_ok and connected and simple:
+        if connected:
             try:
                 two_faces = self._trace_two_faces(adj)
                 faces_ok = True
@@ -211,10 +208,10 @@ class SimplePolytope:
             except ValidationError as exc:
                 checks.append(ValidationCheck("two-faces-polygonal", False, str(exc)))
 
-        ok = simple and edge_ok and connected and coverage and faces_ok
+        ok = connected and coverage and faces_ok
         report = ValidationReport(ok, checks)
         if ok:
-            self._edges = tuple(edges)
+            self._adjacency = adj
             self._two_faces = tuple(two_faces)
         self._report = report
         return report
@@ -271,8 +268,8 @@ class SimplePolytope:
 
     @property
     def edges(self):
-        self.require_valid()
-        return self._edges
+        """The edges (a, b), a < b, in ascending order."""
+        return tuple((a, b) for a, ns in enumerate(self.vertex_adjacency()) for b in ns if a < b)
 
     @property
     def two_faces(self):
@@ -290,34 +287,29 @@ class SimplePolytope:
         return adj
 
     def vertex_adjacency(self):
+        """The neighbours of each vertex in the edge graph, ascending: the
+        lists validation builds and traces the two-faces along, kept as a
+        tuple of tuples."""
         self.require_valid()
-        adj = [set() for _ in range(len(self.vertices))]
-        for a, b in self._edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        return self._adjacency
 
     def is_even(self) -> bool:
         """True iff every two-face has an even number of vertices (vacuous for n=1)."""
         return all(len(f) % 2 == 0 for f in self.two_faces)
 
     def is_vertex_graph_bipartite(self) -> bool:
-        self.require_valid()
+        """Two-colour the edge graph from vertex 0; validation made it connected."""
         adj = self.vertex_adjacency()
-        color = {}
-        for start in range(len(self.vertices)):
-            if start in color:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        stack.append(w)
-                    elif color[w] == color[v]:
-                        return False
+        color = {0: 0}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
         return True
 
     def f_vector(self):
@@ -396,26 +388,6 @@ def _binomial(n, k):
     for i in range(k):
         out = out * (n - i) // (i + 1)
     return out
-
-
-# ----------------------------------------------------------------------
-# spec'd operations as free functions
-
-
-def adjacency(p: SimplePolytope):
-    return p.facet_adjacency()
-
-
-def is_even(p: SimplePolytope) -> bool:
-    return p.is_even()
-
-
-def is_vertex_graph_bipartite(p: SimplePolytope) -> bool:
-    return p.is_vertex_graph_bipartite()
-
-
-def product(p1: SimplePolytope, p2: SimplePolytope) -> SimplePolytope:
-    return p1.product(p2)
 
 
 # ----------------------------------------------------------------------

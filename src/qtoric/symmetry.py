@@ -10,7 +10,6 @@ auditable structure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial

@@ -15,7 +15,7 @@ from qtoric.charpair import (
     s2xs2_pair,
     sphere_pair,
 )
-from qtoric.errors import StructureError, ValidationError
+from qtoric.errors import InternalConsistencyError, StructureError, ValidationError
 from qtoric.polytope import SimplePolytope, cube, polygon, simplex
 
 
@@ -356,5 +356,101 @@ def test_first_bad_vertex_in_stored_order_is_reported():
     lam = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, -1), (0, 1, 1)]
     pair = CharacteristicPair(cube(3), lam)
     assert pair.polytope.vertices[3:5] == ((0, 4, 5), (1, 2, 3))
-    assert pair.polytope.vertex_adjacency()[0] == {1, 2, 4}
+    assert pair.polytope.vertex_adjacency()[0] == (1, 2, 4)
     assert _unimodular_detail(pair) == "vertex (0, 4, 5) has det 2, expected +-1"
+
+
+# ----------------------------------------------------------------------
+# Orientation signs.  The walk that propagated them inside QuasitoricModel,
+# before validation read them off its own walk, kept as the reference: it
+# compares the endpoint tangent weights of every edge, in both directions,
+# on weights from the reference routes above.
+
+
+def reference_orientation_signs(pair):
+    verts = pair.polytope.vertices
+    weights = reference_weights(pair)
+
+    def edge_weight(vid, facet):
+        data = weights[vid]
+        return data.weights[data.facets.index(facet)]
+
+    eps = {0: 1}
+    adj = {}
+    for a, b in pair.polytope.edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            shared = set(verts[a]) & set(verts[b])
+            fa = next(i for i in verts[a] if i not in shared)
+            fb = next(i for i in verts[b] if i not in shared)
+            wa = edge_weight(a, fa)
+            wb = edge_weight(b, fb)
+            if wb == wa:
+                eps_b = -eps[a]
+            elif wb == tuple(-x for x in wa):
+                eps_b = eps[a]
+            else:
+                raise InternalConsistencyError(
+                    "edge weights %r / %r along edge %r-%r are not up-to-sign equal"
+                    % (wa, wb, verts[a], verts[b]))
+            if b in eps:
+                if eps[b] != eps_b:
+                    raise InternalConsistencyError(
+                        "orientation signs inconsistent around a cycle at %r"
+                        % (verts[b],))
+            else:
+                eps[b] = eps_b
+                stack.append(b)
+    return tuple(eps[i] for i in range(len(verts)))
+
+
+ORIENTATION_CASES = (
+    [("cp:%d" % n, lambda n=n: cp_pair(n)) for n in range(1, 8)]
+    + [("cube:%d" % n, lambda n=n: cube_pair(n)) for n in range(1, 9)]
+    + [("hirzebruch:%d" % k, lambda k=k: hirzebruch_pair(k)) for k in range(5)]
+    + [("polygon:%d" % k, lambda k=k: polygon_pair(k)) for k in range(3, 9)]
+    + [("s2xs2", s2xs2_pair),
+       ("polygon:6*cp:2", lambda: polygon_pair(6).product_pair(cp_pair(2))),
+       ("hirzebruch:1*cube:2", lambda: hirzebruch_pair(1).product_pair(cube_pair(2))),
+       ("dense cp:7", lambda: dense_rebased(cp_pair(7), 7)),
+       ("dense cube:6", lambda: dense_rebased(cube_pair(6), 6)),
+       ("cp:4 with 3 vertex cuts", lambda: vertex_cuts(cp_pair(4), 3, 4))]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORIENTATION_CASES],
+                         ids=[name for name, _ in ORIENTATION_CASES])
+def test_orientation_signs_match_old_walk(make):
+    pair = make()
+    assert pair.orientation_signs == reference_orientation_signs(pair)
+
+
+def rp2_dual_pair():
+    """The dual of the 6-vertex triangulation of RP^2: every block is
+    unimodular, but the edge graph carries no orientation."""
+    verts = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+             (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
+    lam = [(1, 0, 0), (0, 1, 0), (-1, -1, -1), (0, 0, 1), (-1, -1, 0), (-1, 0, -1)]
+    return CharacteristicPair(SimplePolytope(3, verts), lam, name="rp2-dual")
+
+
+def test_non_orientable_pair_fails_validation():
+    pair = rp2_dual_pair()
+    report = pair.validate()
+    assert not report.ok and pair.polytope.validate().ok
+    assert [c.name for c in report.checks] == [
+        "polytope-valid", "primitive-rows", "vertex-unimodular", "orientation-consistent"]
+    (fail,) = report.failures()
+    assert fail.detail == "orientation signs inconsistent around a cycle at (0, 1, 5)"
+    # the old walk meets the same cycle first
+    with pytest.raises(InternalConsistencyError) as exc:
+        reference_orientation_signs(pair)
+    assert str(exc.value) == fail.detail
+    for read in (lambda: pair.orientation_signs, lambda: pair.vertex_weights,
+                 pair.euler_characteristic, pair.to_index_model):
+        with pytest.raises(ValidationError):
+            read()

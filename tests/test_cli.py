@@ -111,6 +111,43 @@ def test_non_integer_flag_values_exit_2(tmp_path, capsys, family, argv):
     assert out == "" and err.startswith("error: ")
 
 
+RP2_DUAL = {
+    "name": "rp2-dual", "dim": 3,
+    "vertices": [[0, 1, 3], [0, 1, 5], [0, 2, 4], [0, 2, 5], [0, 3, 4],
+                 [1, 2, 3], [1, 2, 4], [1, 4, 5], [2, 3, 5], [3, 4, 5]],
+    "lambda": [[1, 0, 0], [0, 1, 0], [-1, -1, -1], [0, 0, 1], [-1, -1, 0], [-1, 0, -1]],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi"], ["index"], ["genus", "--kind", "witten"], ["color-index"],
+    ["symmetry-report"], ["verify", "--theorem", "split", "--S", "0"],
+])
+def test_non_orientable_pair_exits_2(tmp_path, capsys, argv):
+    # every block is unimodular, but the orientation signs clash around a cycle
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps(RP2_DUAL))
+    assert main(argv + ["--manifold", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "around a cycle at (0, 1, 5)" in err
+
+
+def test_validate_names_the_orientation_clash(tmp_path, capsys):
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps(RP2_DUAL))
+    assert main(["validate", "--manifold", str(path)]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-1] == {
+        "name": "orientation-consistent", "passed": False,
+        "detail": "orientation signs inconsistent around a cycle at (0, 1, 5)"}
+    # a valid pair lists no orientation check
+    path.write_text(json.dumps(generate_pair("cp:3").to_json_dict()))
+    assert main(["validate", "--manifold", str(path)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == ["polytope-valid", "primitive-rows", "vertex-unimodular"]
+
+
 def test_analyze_joswig_fields():
     _, pair, _ = run_cli(["generate", "cube:3"])
     code, out, _ = run_cli(["analyze"], stdin=pair)

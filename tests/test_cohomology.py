@@ -19,10 +19,7 @@ from qtoric.cohomology import (
     QuasitoricModel,
     check_admissible,
     is_even_class,
-    is_zero_class,
-    localization_pairing,
     rank_of_pairing,
-    ring_reduction_pairing,
 )
 from qtoric.errors import OracleUnavailableError
 from qtoric.polynomial import GradedPolynomial as GP
@@ -94,8 +91,8 @@ def test_ring_oracle_budget():
 
 def test_free_function_oracles():
     pair = cp_pair(2)
-    assert localization_pairing(pair, (0, 1)) == 1
-    assert ring_reduction_pairing(pair, (0, 0)) == 1
+    assert pair.to_index_model().pair_monomial((0, 1)) == 1
+    assert pair.to_index_model().ring_reduction_pairing((0, 0)) == 1
 
 
 def test_poincare_duality_ranks_match_h_vector():
@@ -114,9 +111,9 @@ def test_poincare_duality_ranks_match_h_vector():
 def test_zero_class_examples():
     m = s2xs2_pair().to_index_model()
     u = m.generators()
-    assert is_zero_class(m, u[0] - u[2])  # linear relation of the standard pair
-    assert not is_zero_class(m, u[0])
-    assert is_zero_class(m, u[0].mul(u[2]))  # Stanley-Reisner monomial
+    assert m.is_zero_class(u[0] - u[2])  # linear relation of the standard pair
+    assert not m.is_zero_class(u[0])
+    assert m.is_zero_class(u[0].mul(u[2]))  # Stanley-Reisner monomial
 
 
 def test_p1_of_full_split_is_zero():
@@ -124,7 +121,7 @@ def test_p1_of_full_split_is_zero():
         m = pair.to_index_model()
         V = BundleSpec(list(m.tangent_roots), m.gen_count)
         W = BundleSpec.empty(m.gen_count)
-        assert is_zero_class(m, V.p1() + W.p1() - m.p1_poly())
+        assert m.is_zero_class(V.p1() + W.p1() - m.p1_poly())
 
 
 def test_colored_p1_matches_tangent_p1():
@@ -132,7 +129,7 @@ def test_colored_p1_matches_tangent_p1():
     m = cube_pair(3).to_index_model()
     classes = [GP.linear({i: 1, i + 3: 1}) for i in range(3)]
     V = BundleSpec(classes, m.gen_count)
-    assert is_zero_class(m, V.p1() - m.p1_poly())
+    assert m.is_zero_class(V.p1() - m.p1_poly())
 
 
 # ----------------------------------------------------------------------

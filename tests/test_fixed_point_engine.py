@@ -22,7 +22,6 @@ from qtoric.cohomology import (
     PointModel,
     QuasitoricModel,
     check_admissible,
-    is_zero_class,
 )
 from qtoric.errors import InternalConsistencyError
 from qtoric.index import ConnectedSumModel, ProductModel, elliptic_genus, phi_c, witten_genus
@@ -96,7 +95,7 @@ class OldPairing:
             for vid, x in enumerate(self.weights):
                 if not set(mon) <= set(x):
                     continue
-                num, den = 1, model.orientation_signs[vid]
+                num, den = 1, model.pair.orientation_signs[vid]
                 for i in mon:
                     num *= signs[i] * x[i]
                 for w in x.values():
@@ -254,7 +253,7 @@ def test_is_zero_class_matches_complement_loop(name):
     for trial in range(ZERO_TRIALS):
         poly = _random_class(model, rng, zero=trial % 2 == 0)
         expected = oracle.is_zero(poly)
-        assert is_zero_class(model, poly) == expected, poly
+        assert model.is_zero_class(poly) == expected, poly
         assert model.pair_top(poly) == oracle.top(poly)
         witness = model.nonzero_face(poly)
         assert (witness is None) == expected, poly
@@ -307,7 +306,7 @@ def test_disagreeing_points_raise():
     with pytest.raises(InternalConsistencyError):
         witten_genus(model, 1)
     with pytest.raises(InternalConsistencyError):
-        is_zero_class(model, GP.generator(0).mul(GP.generator(1)))
+        model.is_zero_class(GP.generator(0).mul(GP.generator(1)))
 
 
 def test_disagreeing_faces_raise():
@@ -315,4 +314,4 @@ def test_disagreeing_faces_raise():
     first, second = model._draw_fixed_points()
     model._draw_fixed_points = lambda: (first, second[:-1])
     with pytest.raises(InternalConsistencyError):
-        is_zero_class(model, GP.one())  # the vertices, as faces of size n
+        model.is_zero_class(GP.one())  # the vertices, as faces of size n

@@ -18,12 +18,9 @@ from qtoric.index import (
     ProductModel,
     admissible_splits,
     colored_index,
-    connected_sum_model,
     elliptic_genus,
     exists_nonvanishing_signs,
-    extend_bundles,
     phi_c,
-    product_model,
     series_product,
     tensor_extend,
     verify_connected_sum_formula,
@@ -112,7 +109,7 @@ def test_witten_genus_cp2_leading_term_is_ahat():
 def test_witten_genus_s2xs2_vanishes():
     assert witten_genus(S2S2).is_zero()
     # parity: a product of two vanishing factors
-    prod = product_model(S2, S2)
+    prod = ProductModel(S2, S2)
     assert witten_genus(prod).is_zero()
 
 
@@ -223,7 +220,7 @@ def test_exists_nonvanishing_signs():
 
 def test_product_model_matches_product_pair():
     pp = sphere_pair().product_pair(sphere_pair()).to_index_model()
-    pm = product_model(S2, S2)
+    pm = ProductModel(S2, S2)
     assert pm.n == pp.n and pm.gen_count == pp.gen_count
     for mon in monomials_of_degree(4, 2):
         assert pm.pair_monomial(mon) == pp.pair_monomial(mon), mon
@@ -231,7 +228,7 @@ def test_product_model_matches_product_pair():
 
 
 def test_product_with_point_model_is_identity():
-    pm = product_model(S2, PointModel())
+    pm = ProductModel(S2, PointModel())
     for mon in monomials_of_degree(2, 1):
         assert pm.pair_monomial(mon) == S2.pair_monomial(mon)
     assert pm.euler == S2.euler
@@ -259,7 +256,7 @@ def test_product_formula_five_combinations():
 def test_product_formula_is_cauchy_product():
     # nontrivial q-dependence on both sides still multiplies correctly
     r1 = witten_genus(CP2).series
-    prod = product_model(CP2, CP2)
+    prod = ProductModel(CP2, CP2)
     r = witten_genus(prod)
     assert r.series == series_product(r1, r1)
     assert any(c != 0 for c in r.series[1:])
@@ -271,25 +268,25 @@ def test_product_formula_is_cauchy_product():
 
 def test_connected_sum_needs_matching_dimensions():
     with pytest.raises(StructureError):
-        connected_sum_model(S2, CP2)
+        ConnectedSumModel(S2, CP2)
     with pytest.raises(StructureError):
-        connected_sum_model(S2, S2)  # n = 1 < 2
+        ConnectedSumModel(S2, S2)  # n = 1 < 2
 
 
 def test_connected_sum_pairing_rules():
-    sm = connected_sum_model(CUBE2, S2S2)
+    sm = ConnectedSumModel(CUBE2, S2S2)
     u = sm.generators()
     # pure left, pure right, and mixed classes
     assert sm.pair_monomial((0, 1)) == CUBE2.pair_monomial((0, 1))
     assert sm.pair_monomial((4, 5)) == S2S2.pair_monomial((0, 1))
     assert sm.pair_monomial((0, 4)) == 0
-    flipped = connected_sum_model(CUBE2, S2S2, orientation_sign=-1)
+    flipped = ConnectedSumModel(CUBE2, S2S2, orientation_sign=-1)
     assert flipped.pair_monomial((4, 5)) == -S2S2.pair_monomial((0, 1))
     assert sm.euler == CUBE2.euler + S2S2.euler - 2
 
 
 def test_connected_sum_additive_pairing_of_sums():
-    sm = connected_sum_model(CUBE2, S2S2)
+    sm = ConnectedSumModel(CUBE2, S2S2)
     left = GP.linear([1, 0, 1, 0, 0, 0, 0, 0]).mul(GP.linear([0, 1, 0, 1, 0, 0, 0, 0]))
     right = GP.linear([0, 0, 0, 0, 1, 0, 1, 0]).mul(GP.linear([0, 0, 0, 0, 0, 1, 0, 1]))
     a = sm.pair_top(left + right)
@@ -298,7 +295,7 @@ def test_connected_sum_additive_pairing_of_sums():
 
 
 def test_tensor_extend_padding():
-    sm = connected_sum_model(CUBE2, CP2)
+    sm = ConnectedSumModel(CUBE2, CP2)
     V1 = BundleSpec([GP.linear([1, 0, 1, 0]), GP.linear([0, 1, 0, 1])], 4)
     V2 = BundleSpec([GP.linear([1, 0, 0])], 3)
     V = tensor_extend(sm, V1, V2)
