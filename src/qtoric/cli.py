@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation failure or malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -312,7 +313,10 @@ def cmd_alpha(args):
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so repeated in-process calls of `main` can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q-order", type=int, dest="q_order",
                         default=argparse.SUPPRESS,
@@ -326,7 +330,6 @@ def build_parser():
         prog="qtoric", parents=[common],
         description="Twisted Dirac indices, genera, facet colorings and "
                     "symmetry bounds for quasitoric manifolds")
-    parser.set_defaults(q_order=4, seed=DEFAULT_SEED, format="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", parents=[common],
@@ -388,8 +391,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The global flags' defaults go in a fresh namespace, not on their
+    # actions, which the subcommands share: a default set there would
+    # overwrite a flag given before the subcommand.
+    args = build_parser().parse_args(
+        argv, argparse.Namespace(q_order=4, seed=DEFAULT_SEED, format="json"))
     try:
         check_q_order(args.q_order)
         return args.func(args)

@@ -4,11 +4,15 @@ A polytope is given purely combinatorially: the facets are indexed
 0..m-1 and each vertex is the set of the n facets through it.  Convex
 realizability is never checked; validation covers the necessary
 combinatorial conditions (simplicity, edge regularity, connectivity,
-polygonal two-faces) and caches the derived face data.
+facet coverage, polygonal two-faces) and caches the derived face data.
+Edge regularity already gives each vertex of a two-face exactly two
+neighbours in it, so 2-regularity needs no test of its own: a two-face
+can only fail by falling apart into several cycles.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 
@@ -145,6 +149,11 @@ class SimplePolytope:
     # validation
 
     def validate(self) -> ValidationReport:
+        """Check simplicity, edge regularity (each ridge lies in exactly two
+        vertices), connectivity, facet coverage and that each two-face is a
+        single cycle; if all pass, cache the edge graph and the two-faces.
+        Edge regularity implies that every two-face is 2-regular (see
+        `_walk_two_faces`), so that is not checked separately."""
         if self._report is not None:
             return self._report
         checks = []
@@ -156,25 +165,28 @@ class SimplePolytope:
             "simplicity", simple,
             "" if simple else "vertex %r has %d facets, expected %d" % (bad[0], len(bad[0]), n)))
 
-        adj = None
+        adj = steps = None
         if simple:
+            # The k-th (n-1)-subset of v omits v[n-1-k], the facet its edge leaves.
             ridge_map = {}
             for vid, v in enumerate(self.vertices):
-                for sub in itertools.combinations(v, n - 1):
-                    ridge_map.setdefault(sub, []).append(vid)
-            if all(len(vs) == 2 for vs in ridge_map.values()):
-                adj = [[] for _ in self.vertices]
+                for sub, left in zip(itertools.combinations(v, n - 1), reversed(v)):
+                    ridge_map.setdefault(sub, []).append((vid, left))
+            if all(len(es) == 2 for es in ridge_map.values()):
+                # steps[v][f] = (w, e): the edge of v that leaves f enters e at w
+                steps = [{} for _ in self.vertices]
                 for a, b in ridge_map.values():
-                    adj[a].append(b)
-                    adj[b].append(a)
-                adj = tuple(tuple(sorted(ns)) for ns in adj)
+                    steps[a[0]][a[1]] = b
+                    steps[b[0]][b[1]] = a
+                adj = tuple(tuple(sorted(w for w, _ in s.values())) for s in steps)
                 checks.append(ValidationCheck("edge-regularity", True))
             else:
-                bad_sub = next(s for s, vs in ridge_map.items() if len(vs) != 2)
+                bad_sub = next(s for s, es in ridge_map.items() if len(es) != 2)
                 checks.append(ValidationCheck(
                     "edge-regularity", False,
                     "facet set %r lies in %d vertices, expected 2"
                     % (bad_sub, len(ridge_map[bad_sub]))))
+            del ridge_map
 
         connected = False
         if adj is not None:
@@ -202,7 +214,7 @@ class SimplePolytope:
         faces_ok = False
         if connected:
             try:
-                two_faces = self._trace_two_faces(adj)
+                two_faces = self._walk_two_faces(steps)
                 faces_ok = True
                 checks.append(ValidationCheck("two-faces-polygonal", True))
             except ValidationError as exc:
@@ -216,42 +228,46 @@ class SimplePolytope:
         self._report = report
         return report
 
-    def _trace_two_faces(self, adj):
-        """The two-faces, each with its vertex cycle traced from the lowest
-        vertex along adj, the ascending vertex-adjacency lists."""
+    def _walk_two_faces(self, steps):
+        """The two-faces in sorted order, each cycle traced from its lowest
+        vertex towards the lower of that vertex's two neighbours in the face.
+
+        steps[v] maps each facet f of vertex v to (w, e): the edge of v that
+        leaves f ends at w and enters facet e there.  At a vertex of a
+        two-face, its two free facets (those outside the facet complement)
+        name the vertex's two edges in the face, and edge regularity makes
+        their ends distinct.  So every two-face is 2-regular, a union of
+        simple cycles of length >= 3, and a walk that leaves the free facet
+        it did not just enter goes once round one of them.  The one way to
+        fail is a face of several cycles: then the traced lengths fall short
+        of V * C(n, 2), the number of (vertex, two-face) incidences.
+        """
         n = self.dim
         if n < 2:
             return []
-        face_vertices = {}
-        for vid, v in enumerate(self.vertices):
-            for sub in itertools.combinations(v, n - 2):
-                face_vertices.setdefault(sub, []).append(vid)
-        faces = []
-        for sub in sorted(face_vertices):
-            members = face_vertices[sub]
-            if len(members) < 3:
-                raise ValidationError(
-                    "two-face %r has only %d vertices" % (sub, len(members)))
-            mset = set(members)
-            nbrs = {v: [w for w in adj[v] if w in mset] for v in members}
-            if any(len(ns) != 2 for ns in nbrs.values()):
-                raise ValidationError("two-face %r is not 2-regular" % (sub,))
-            start = min(members)
-            cycle = [start]
-            prev, cur = None, start
-            while True:
-                a, b = nbrs[cur]
-                nxt = b if a == prev else a
-                if nxt == start:
-                    break
-                if nxt in cycle:
-                    raise ValidationError("two-face %r cycle is not simple" % (sub,))
-                cycle.append(nxt)
-                prev, cur = cur, nxt
-            if len(cycle) != len(mset):
-                raise ValidationError("two-face %r is not a single cycle" % (sub,))
-            faces.append(TwoFace(sub, tuple(cycle)))
-        return faces
+        # the k-th (n-2)-subset of v omits v[i] and v[j], (i, j) the k-th pair from the end
+        free = list(itertools.combinations(range(n), 2))[::-1]
+        cycles = {}
+        traced = 0
+        for start, v in enumerate(self.vertices):
+            for sub, (i, j) in zip(itertools.combinations(v, n - 2), free):
+                if sub in cycles:
+                    continue
+                (a, ea), (b, eb) = steps[start][v[i]], steps[start][v[j]]
+                cur, leave, back = (a, v[j], ea) if a < b else (b, v[i], eb)
+                cycle = [start]
+                while cur != start:
+                    cycle.append(cur)
+                    cur, entered = steps[cur][leave]
+                    leave, back = back, entered
+                cycles[sub] = tuple(cycle)
+                traced += len(cycle)
+        if traced != len(self.vertices) * n * (n - 1) // 2:
+            members = collections.Counter(
+                sub for v in self.vertices for sub in itertools.combinations(v, n - 2))
+            sub = next(s for s in sorted(cycles) if len(cycles[s]) != members[s])
+            raise ValidationError("two-face %r is not a single cycle" % (sub,))
+        return [TwoFace(sub, cycles[sub]) for sub in sorted(cycles)]
 
     def require_valid(self):
         report = self.validate()

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from qtoric.cli import generate_pair, main
+from qtoric.cli import build_parser, generate_pair, main
+from qtoric.cohomology import DEFAULT_SEED
 
 PY = [sys.executable, "-m", "qtoric"]
 
@@ -288,3 +289,69 @@ def test_main_callable_in_process(capsys):
     assert main(["alpha", "--max-rank", "2", "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "G2" in out
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; nothing a call parses may leak
+    # into the next one
+    path = tmp_path / "s2xs2.json"
+    path.write_text(json.dumps(generate_pair("s2xs2").to_json_dict()))
+    genus = ["genus", "--kind", "witten", "--manifold", str(path)]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def payload(argv):
+        code, out, _ = run(argv)
+        assert code == 0
+        return json.loads(out)
+
+    assert build_parser() is build_parser()
+    assert payload(genus + ["--q-order", "2"])["q_order"] == 2
+    assert payload(genus)["q_order"] == 4
+    assert payload(["--q-order", "2"] + genus)["q_order"] == 2
+    assert payload(genus)["q_order"] == 4
+    assert payload(genus + ["--seed", "3"])["seed"] == 3
+    assert payload(genus)["seed"] == DEFAULT_SEED
+    code, text, _ = run(genus + ["--format", "text"])
+    assert code == 0 and text.count("\n") == 1
+    code, out, _ = run(genus)
+    assert code == 0 and out.startswith("{\n") and json.loads(out)["genus"] == "witten"
+    # a usage error, then a valid call
+    with pytest.raises(SystemExit) as exc:
+        main(["genus", "--kind", "bogus", "--manifold", str(path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert payload(genus)["q_order"] == 4
+    # a validation error, then a valid call
+    code, out, err = run(["chi", "--manifold", str(tmp_path / "missing.json")])
+    assert code == 2 and out == "" and err.startswith("error: ")
+    code, out, _ = run(["chi", "--manifold", str(path), "--format", "text"])
+    assert code == 0 and out == "4\n"
+
+
+SPLIT_FACE = {
+    "name": "split-face", "dim": 3,
+    "vertices": [[0, 1, 5], [0, 1, 6], [0, 5, 9], [0, 6, 10], [0, 9, 10], [1, 2, 6],
+                 [1, 2, 10], [1, 5, 10], [2, 3, 7], [2, 3, 10], [2, 6, 7], [3, 4, 8],
+                 [3, 4, 10], [3, 7, 8], [4, 5, 9], [4, 5, 10], [4, 8, 9], [6, 7, 10],
+                 [7, 8, 10], [8, 9, 10]],
+}
+
+
+def test_two_face_of_several_cycles_exits_2(tmp_path):
+    # an icosahedron's dual with antipodal vertices identified: its two-face
+    # of facet 10 is two pentagons
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(SPLIT_FACE))
+    detail = "two-face (10,) is not a single cycle"
+    code, out, err = run_cli(["validate", "--manifold", str(path)])
+    assert code == 2 and "Traceback" not in err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["two-faces-polygonal"]
+    assert checks[-1]["detail"] == detail
+    code, out, err = run_cli(["analyze", "--manifold", str(path)])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and detail in err

@@ -1,6 +1,10 @@
 import itertools
+import random
 
 import pytest
+from test_charpair import vertex_cuts
+
+from qtoric.charpair import cp_pair, cube_pair
 
 from qtoric.errors import (
     BudgetExceededError,
@@ -11,6 +15,7 @@ from qtoric.errors import (
 from qtoric.polytope import (
     FacetColoring,
     SimplePolytope,
+    TwoFace,
     cube,
     facet_chromatic,
     greedy_coloring,
@@ -93,6 +98,120 @@ def test_edge_count_consistency():
     for p in corpus():
         p.require_valid()
         assert 2 * len(p.edges) == p.dim * len(p.vertices), p.name
+
+
+# ----------------------------------------------------------------------
+# the two-face walk against the old neighbour-filtering route
+
+
+def reference_adjacency(p):
+    """Ascending vertex-adjacency lists from the ridge map of vertex ids."""
+    ridge_map = {}
+    for vid, v in enumerate(p.vertices):
+        for sub in itertools.combinations(v, p.dim - 1):
+            ridge_map.setdefault(sub, []).append(vid)
+    adj = [[] for _ in p.vertices]
+    for a, b in ridge_map.values():
+        adj[a].append(b)
+        adj[b].append(a)
+    return tuple(tuple(sorted(ns)) for ns in adj)
+
+
+def reference_two_faces(p, adj):
+    """The old `_trace_two_faces`: each face's members, their neighbours
+    filtered to the face, and a walk from the lowest member."""
+    n = p.dim
+    if n < 2:
+        return []
+    face_vertices = {}
+    for vid, v in enumerate(p.vertices):
+        for sub in itertools.combinations(v, n - 2):
+            face_vertices.setdefault(sub, []).append(vid)
+    faces = []
+    for sub in sorted(face_vertices):
+        members = face_vertices[sub]
+        if len(members) < 3:
+            raise ValidationError("two-face %r has only %d vertices" % (sub, len(members)))
+        mset = set(members)
+        nbrs = {v: [w for w in adj[v] if w in mset] for v in members}
+        if any(len(ns) != 2 for ns in nbrs.values()):
+            raise ValidationError("two-face %r is not 2-regular" % (sub,))
+        start = min(members)
+        cycle = [start]
+        prev, cur = None, start
+        while True:
+            a, b = nbrs[cur]
+            nxt = b if a == prev else a
+            if nxt == start:
+                break
+            if nxt in cycle:
+                raise ValidationError("two-face %r cycle is not simple" % (sub,))
+            cycle.append(nxt)
+            prev, cur = cur, nxt
+        if len(cycle) != len(mset):
+            raise ValidationError("two-face %r is not a single cycle" % (sub,))
+        faces.append(TwoFace(sub, tuple(cycle)))
+    return faces
+
+
+def relabelled(p, seed):
+    """p with its facets permuted by a seeded non-identity permutation."""
+    rng = random.Random(seed)
+    perm = list(range(p.facet_count))
+    while perm == sorted(perm):
+        perm = rng.sample(range(p.facet_count), p.facet_count)
+    return SimplePolytope(p.dim, [[perm[i] for i in v] for v in p.vertices],
+                          facet_count=p.facet_count, name="%s relabelled" % p.name)
+
+
+WALK_CASES = (
+    [("cube:%d" % n, lambda n=n: cube(n)) for n in range(1, 10)]
+    + [("simplex:%d" % n, lambda n=n: simplex(n)) for n in range(1, 8)]
+    + [("polygon:%d" % k, lambda k=k: polygon(k)) for k in range(3, 9)]
+    + [("prism:5", lambda: prism(5)),
+       ("cube:3*polygon:5", lambda: cube(3).product(polygon(5))),
+       ("polygon:6*polygon:4", lambda: polygon(6).product(polygon(4))),
+       ("cp:4 with 3 vertex cuts", lambda: vertex_cuts(cp_pair(4), 3, 4).polytope),
+       ("cube:5 with 24 vertex cuts", lambda: vertex_cuts(cube_pair(5), 24, 5).polytope),
+       ("cube:6 relabelled", lambda: relabelled(cube(6), 1)),
+       ("cube:3*polygon:5 relabelled", lambda: relabelled(cube(3).product(polygon(5)), 2)),
+       ("cube:5 with 24 vertex cuts relabelled",
+        lambda: relabelled(vertex_cuts(cube_pair(5), 24, 5).polytope, 3))]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in WALK_CASES],
+                         ids=[name for name, _ in WALK_CASES])
+def test_two_face_walk_matches_neighbour_filtering(make):
+    p = make()
+    adj = reference_adjacency(p)
+    assert p.vertex_adjacency() == adj
+    assert p.two_faces == tuple(reference_two_faces(p, adj))
+
+
+# The dual of an icosahedron with two antipodal vertices identified (facets 0
+# and 10 swapped): edge-regular, connected and 2-regular on every two-face,
+# but the two-face of facet 10 is two disjoint pentagons.
+SPLIT_FACE = [[0, 1, 5], [0, 1, 6], [0, 5, 9], [0, 6, 10], [0, 9, 10], [1, 2, 6],
+              [1, 2, 10], [1, 5, 10], [2, 3, 7], [2, 3, 10], [2, 6, 7], [3, 4, 8],
+              [3, 4, 10], [3, 7, 8], [4, 5, 9], [4, 5, 10], [4, 8, 9], [6, 7, 10],
+              [7, 8, 10], [8, 9, 10]]
+
+
+def test_two_face_of_several_cycles_fails():
+    p = SimplePolytope(3, SPLIT_FACE)
+    assert p.validate().as_dict() == {"ok": False, "checks": [
+        {"name": "simplicity", "passed": True, "detail": ""},
+        {"name": "edge-regularity", "passed": True, "detail": ""},
+        {"name": "edge-graph-connected", "passed": True, "detail": ""},
+        {"name": "facet-coverage", "passed": True, "detail": ""},
+        {"name": "two-faces-polygonal", "passed": False,
+         "detail": "two-face (10,) is not a single cycle"}]}
+    # the old route names the same face
+    with pytest.raises(ValidationError, match=r"^two-face \(10,\) is not a single cycle$"):
+        reference_two_faces(p, reference_adjacency(p))
+    with pytest.raises(ValidationError, match="two-faces-polygonal"):
+        p.require_valid()
 
 
 # ----------------------------------------------------------------------
