@@ -296,6 +296,8 @@ def cmd_symmetry_report(args):
 
 
 def cmd_alpha(args):
+    if args.max_rank < 1:
+        raise StructureError("--max-rank must be at least 1, got %d" % args.max_rank)
     rows = []
     for l in range(1, args.max_rank + 1):
         value, witnesses = alpha(l)

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .polynomial import GradedPolynomial, monomials_of_degree
 from .polytope import int_vector
-from .qseries import series_product
 
 _POINT_LO = 10 ** 3
 _POINT_HI = 10 ** 6
@@ -179,7 +178,7 @@ class IndexModel:
     def _weights(self, part: GradedPolynomial):
         """A homogeneous class at every point, over one integer denominator.
 
-        Per point set: (points, support, {point: part(point) * D / den}, D),
+        Per point set: (points, {point: part(point) * D / den}, D),
         with D the points' common denominator times that of part's
         coefficients, so <part * w, [M]> is the sum of weight * w(point)
         over the points supporting w, divided by D.
@@ -193,13 +192,13 @@ class IndexModel:
                 for p in _points_containing(support, mon, len(pts)):
                     acc[p] = acc.get(p, 0) + c * _monomial_value(mon, pts[p][0])
             weights = {p: v * (common // pts[p][1]) for p, v in acc.items() if v}
-            out.append((pts, support, weights, common * scale))
+            out.append((pts, weights, common * scale))
         return out
 
     def pair_top(self, poly: GradedPolynomial) -> Fraction:
         """<poly, [M]>: only the degree-n part contributes."""
         values = [Fraction(sum(weights.values()), common)
-                  for _, _, weights, common in self._weights(poly.homogeneous_part(self.n))]
+                  for _, weights, common in self._weights(poly.homogeneous_part(self.n))]
         return _agree(values, "pairing of %r", poly)
 
     def pair_monomial(self, mon) -> Fraction:
@@ -215,7 +214,7 @@ class IndexModel:
         parameters (Davis-Januszkiewicz; Buchstaber-Panov, Toric Topology,
         ch. 3), and products, connected sums and the point inherit this.
         So only those u_S are tried, in sorted order per degree; u_S is
-        nonzero only at the points whose support contains S.  Both point
+        nonzero only at the points that _faces lists with S.  Both point
         sets must list the same faces and give each the same pairing.
         """
         n = self.n
@@ -224,16 +223,15 @@ class IndexModel:
                 continue  # beyond top degree: zero automatically
             part = poly.homogeneous_part(d)
             weighted = self._weights(part)
-            faces = [_faces(pts, n - d) for pts, _, _, _ in weighted]
-            if faces[0] != faces[1]:
+            faces = [_faces(pts, n - d) for pts, _, _ in weighted]
+            if faces[0].keys() != faces[1].keys():
                 raise InternalConsistencyError(
                     "faces of size %d differ between generic points" % (n - d))
             for S in sorted(faces[0]):
                 (a, den_a), (b, den_b) = [
                     (sum(weights[p] * _monomial_value(S, pts[p][0])
-                         for p in _points_containing(support, S, len(pts))
-                         if p in weights), common)
-                    for pts, support, weights, common in weighted]
+                         for p in at[S] if p in weights), common)
+                    for (pts, weights, common), at in zip(weighted, faces)]
                 if a * den_b != b * den_a:
                     raise InternalConsistencyError(
                         "pairing of %r with u_%r disagrees between generic points: %s vs %s"
@@ -251,17 +249,18 @@ class IndexModel:
         """Top-degree pairing of prod over groups of prod_{x in roots} F(x), per q^j.
 
         groups: (table, roots) with table = (xpow, c, L) from
-        qseries.log_table(..., q_order, n), so F(x) = x^xpow c(q)
-        exp(sum_k L_k(q) x^k), and roots linear classes.  At a point every
-        root is a number x, and with power sums p_k = sum x^k per group
+        qseries.log_table(..., q_order, n), so F(x) = x^xpow c exp(sum_k
+        L_k(q) x^k) with c a number, and roots linear classes.  At a point
+        every root is a number x, and with power sums p_k = sum x^k per group
 
-            prod F(s x) = s^X prod x^xpow * C(q) * exp(sum_k s^k E_k(q)),
+            prod F(s x) = s^X prod x^xpow * C * exp(sum_k s^k E_k(q)),
             E_k = sum_groups L_k p_k,   C = prod_groups c^#roots,
 
         X the total x-power.  The pairing is [s^n]: the coefficient of
-        s^(n - X) in one truncated exponential per point.  C is the same at
-        every point, so it multiplies the sum once.  Scaling s by the common
-        denominator delta of the L_k keeps the exponential in integers.
+        s^(n - X) in one truncated exponential per point.  The number C is
+        the same at every point, so it joins the final scale once.  Scaling s
+        by the common denominator delta of the L_k keeps the exponential in
+        integers.
         """
         groups = [(table, [_linear_items(r) for r in roots])
                   for table, roots in groups if roots]
@@ -293,13 +292,9 @@ class IndexModel:
                     pref *= common // den
                     total = [t + pref * g for t, g in zip(total, _exp_numerator(E, top))]
             values.append([Fraction(t, common) for t in total])
-        series = _agree(values, "series coefficients")
-        scale = Fraction(1, math.factorial(top) * delta ** top)
-        series = [x * scale for x in series]
-        for (_, c, _), roots in groups:
-            for _ in roots:
-                series = series_product(series, c)
-        return series
+        scale = Fraction(math.prod(c ** len(roots) for (_, c, _), roots in groups),
+                         math.factorial(top) * delta ** top)
+        return [x * scale for x in _agree(values, "series coefficients")]
 
     def p1_poly(self) -> GradedPolynomial:
         out = GradedPolynomial.zero()
@@ -342,9 +337,12 @@ def _points_containing(support, mon, count):
 
 
 def _faces(pts, k):
-    """The k-element faces: sets of k generators that are all nonzero at some point."""
-    return set(itertools.chain.from_iterable(
-        itertools.combinations(sorted(vals), k) for vals, _ in pts))
+    """The k-element faces (k generators all nonzero at some point) -> their points."""
+    out = {}
+    for p, (vals, _) in enumerate(pts):
+        for S in itertools.combinations(sorted(vals), k):
+            out.setdefault(S, []).append(p)
+    return out
 
 
 def _monomial_value(mon, vals):

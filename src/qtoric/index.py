@@ -7,7 +7,7 @@ phi_c(M; V, W) is evaluated cohomologically: the top-degree pairing of
 
 per power of q, all over exact rationals.  The integrand is never expanded
 into monomials: each per-root factor is a cached one-variable table
-(qseries.log_table) in the form x^xpow c(q) exp(sum_k L_k(q) x^k), and the
+(qseries.log_table) in the form x^xpow c exp(sum_k L_k(q) x^k), and the
 model's fixed-point engine (IndexModel.pair_series) evaluates the product
 at every fixed point through power sums of the root values and one
 truncated exponential per point.  Special cases: the Witten genus is the
@@ -19,6 +19,7 @@ formulas be verified numerically coefficient by coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -103,16 +104,11 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
 
     groups = [(log_table(("Q1", "AHAT"), q_order, n), model.tangent_roots)]
     if V.dim == 0:
-        if c1c is None:
-            c1c_poly = GradedPolynomial.zero()
-            if not model.is_even_vector(model.c1_vector):
-                warnings.append(
-                    "c1(M) is not even: no Spin structure, c1^c = 0 is a formal choice")
-        elif isinstance(c1c, GradedPolynomial):
-            c1c_poly = c1c
-        else:
-            c1c_poly = GradedPolynomial.linear(list(c1c))
-        groups.append((log_table(("EXPHALF",), q_order, n), [c1c_poly]))
+        if c1c is None and not model.is_even_vector(model.c1_vector):
+            warnings.append(
+                "c1(M) is not even: no Spin structure, c1^c = 0 is a formal choice")
+        groups.append((log_table(("EXPHALF",), q_order, n),
+                       [GradedPolynomial.linear(admissibility.c1c_vector)]))
     elif via_q2:
         groups.append((log_table(("EXPHALF", "Q2"), q_order, n), V.classes))
     else:
@@ -184,11 +180,26 @@ def colored_classes(model: QuasitoricModel, coloring: FacetColoring, signs=None)
         signs = [1] * model.gen_count
     if len(signs) != model.gen_count or any(s not in (-1, 1) for s in signs):
         raise StructureError("signs must be a +-1 vector of length m")
-    classes = []
-    for facets in coloring.color_classes():
-        classes.append(GradedPolynomial.linear(
-            {i: signs[i] for i in facets}))
-    return classes
+    return [GradedPolynomial.linear({i: signs[i] for i in facets})
+            for facets in coloring.color_classes()]
+
+
+def _vertex_terms(model: QuasitoricModel, coloring: FacetColoring):
+    """(eps_v prod_{i in v} sigma_i, bitmask of v) per vertex v, for a proper
+    coloring with exactly n colors (see colored_index)."""
+    verify_coloring(model.polytope, coloring)
+    if coloring.color_count != model.n:
+        raise HypothesisUnmetError(
+            "coloring uses %d colors, need exactly n=%d"
+            % (coloring.color_count, model.n))
+    sigma = model.pair.signs
+    return [(eps * math.prod(sigma[i] for i in v), sum(1 << i for i in v))
+            for v, eps in zip(model.polytope.vertices, model.pair.orientation_signs)]
+
+
+def _colored_pairing(terms, negative: int) -> int:
+    """sum_v eps_v prod_{i in v} s_i sigma_i, with s_i = -1 at the bits of negative."""
+    return sum(-e if (mask & negative).bit_count() & 1 else e for e, mask in terms)
 
 
 def colored_index(model: QuasitoricModel, coloring: FacetColoring, signs=None,
@@ -197,20 +208,16 @@ def colored_index(model: QuasitoricModel, coloring: FacetColoring, signs=None,
 
     Needs a proper coloring with exactly n colors.  The series is constant in
     q with value <prod of color classes, [M]>; both are computed and returned
-    so the identity can be checked externally.
+    so the identity can be checked externally.  The n facets at a vertex v
+    carry the n colors, so there the classes restrict to s_i sigma_i x_i
+    (i in v, sigma the pair's signs), and localization makes the pairing
+    sum_v eps_v prod_{i in v} s_i sigma_i (eps the orientation signs).
     """
-    verify_coloring(model.polytope, coloring)
-    if coloring.color_count != model.n:
-        raise HypothesisUnmetError(
-            "coloring uses %d colors, need exactly n=%d"
-            % (coloring.color_count, model.n))
+    terms = _vertex_terms(model, coloring)
     classes = colored_classes(model, coloring, signs)
-    V = BundleSpec(classes, model.gen_count)
-    result = phi_c(model, V, None, q_order=q_order)
-    prod = GradedPolynomial.one()
-    for c in classes:
-        prod = prod.mul(c, model.n)
-    result.meta["predicted_constant"] = model.pair_top(prod)
+    result = phi_c(model, BundleSpec(classes, model.gen_count), None, q_order=q_order)
+    negative = sum(1 << i for i, s in enumerate(signs or ()) if s < 0)
+    result.meta["predicted_constant"] = Fraction(_colored_pairing(terms, negative))
     result.meta["genus"] = "colored"
     return result
 
@@ -219,27 +226,18 @@ def exists_nonvanishing_signs(model: QuasitoricModel, coloring: FacetColoring):
     """Search sign vectors for a nonzero colored pairing; one exists when d = n.
 
     Flipping all signs within one color class only negates the value, so the
-    first facet of each class is pinned to +1.  Exhausting the search space
-    contradicts the coloring lemma and is flagged as an implementation fault.
+    first facet of each class is pinned to +1.  Each pairing is the vertex sum
+    of colored_index.  Exhausting the search space contradicts the coloring
+    lemma and is flagged as an implementation fault.
     """
-    verify_coloring(model.polytope, coloring)
-    if coloring.color_count != model.n:
-        raise HypothesisUnmetError(
-            "coloring uses %d colors, need exactly n=%d"
-            % (coloring.color_count, model.n))
-    classes = coloring.color_classes()
-    pinned = {facets[0] for facets in classes}
+    terms = _vertex_terms(model, coloring)
+    pinned = {facets[0] for facets in coloring.color_classes()}
     rest = [i for i in range(model.gen_count) if i not in pinned]
     for mask in range(2 ** len(rest)):
-        signs = [1] * model.gen_count
-        for b, i in enumerate(rest):
-            if (mask >> b) & 1:
-                signs[i] = -1
-        prod = GradedPolynomial.one()
-        for cls in colored_classes(model, coloring, signs):
-            prod = prod.mul(cls, model.n)
-        if model.pair_top(prod) != 0:
-            return True, tuple(signs)
+        negative = sum(1 << i for b, i in enumerate(rest) if (mask >> b) & 1)
+        if _colored_pairing(terms, negative):
+            return True, tuple(-1 if (negative >> i) & 1 else 1
+                               for i in range(model.gen_count))
     raise InternalConsistencyError(
         "no sign vector gives a nonzero colored pairing; contradicts the "
         "coloring lemma, implementation fault")

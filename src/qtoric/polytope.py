@@ -414,8 +414,12 @@ DEFAULT_NODE_BUDGET = 10 ** 6
 
 def greedy_coloring(p: SimplePolytope):
     """Greedy upper-bound coloring, facets in descending-degree order."""
-    adj = p.facet_adjacency()
-    order = sorted(range(p.facet_count), key=lambda i: (-len(adj[i]), i))
+    return _greedy(p.facet_adjacency())[0]
+
+
+def _greedy(adj):
+    """greedy_coloring on the facet adjacency sets, and the order it used."""
+    order = sorted(range(len(adj)), key=lambda i: (-len(adj[i]), i))
     colors = {}
     for i in order:
         used = {colors[j] for j in adj[i] if j in colors}
@@ -423,7 +427,7 @@ def greedy_coloring(p: SimplePolytope):
         while c in used:
             c += 1
         colors[i] = c
-    return FacetColoring(colors, max(colors.values()))
+    return FacetColoring(colors, max(colors.values())), order
 
 
 def _k_coloring(adj, order, k, budget):
@@ -470,11 +474,10 @@ def facet_chromatic(p: SimplePolytope, max_colors=None,
     n = p.dim
     if max_colors is not None and max_colors < n:
         raise ValueError("max_colors must be >= dim; every vertex is an n-clique")
-    greedy = greedy_coloring(p)
+    adj = p.facet_adjacency()
+    greedy, order = _greedy(adj)
     if greedy.color_count == n:
         return n, greedy
-    adj = p.facet_adjacency()
-    order = sorted(range(p.facet_count), key=lambda i: (-len(adj[i]), i))
     cap = greedy.color_count if max_colors is None else min(greedy.color_count, max_colors)
     for d in range(n, cap + 1):
         found = _k_coloring(adj, order, d, node_budget)

@@ -6,7 +6,7 @@ exact).  Everything is exact rational arithmetic: the characteristic factors
 are built from Taylor expansions of e^{+-x} and (x/2)/sinh(x/2) composed with
 nilpotent degree-1 classes, and from finite q-products inverted recursively.
 log_table turns a product of factors of one root into the power-sum form
-x^a c(q) exp(sum_k L_k(q) x^k) that the fixed-point engine consumes.
+x^a c exp(sum_k L_k(q) x^k), c a number, that the fixed-point engine consumes.
 """
 
 from __future__ import annotations
@@ -283,13 +283,15 @@ def series_product(a, b):
 def log_table(kinds: tuple, q_order: int, trunc: int, euler: bool = False):
     """Power-sum form of one root's factor F(x) = [x *] prod_K root_factor(K, x).
 
-    Returns (xpow, c, L) with F(x) = x^xpow * c(q) * exp(sum_k L[k-1](q) x^k)
-    through x^trunc and q^q_order; c and each L[k-1] are tuples of q
-    coefficients.  A factor that vanishes at x = 0 (Q2, or the Euler-class
-    x when euler is set) has that power of x split off into xpow, which
-    leaves L known through x^(trunc - xpow): all that the top degree needs
-    once the x's are split off.  A factor that vanishes through x^trunc
-    gets xpow = trunc + 1 and empty c and L.
+    Returns (xpow, c, L) with F(x) = x^xpow * c * exp(sum_k L[k-1](q) x^k)
+    through x^trunc and q^q_order; each L[k-1] is a tuple of q coefficients.
+    c is a number (1, or 2 for Q3): at x = 0 each q-product of root_factor
+    cancels its (1 -+ q^k)^2 normalisation; a c that depends on q raises.
+    A factor that vanishes at x = 0 (Q2, or the Euler-class x when euler is
+    set) has that power of x split off into xpow, which leaves L known
+    through x^(trunc - xpow): all that the top degree needs once the x's are
+    split off.  A factor that vanishes through x^trunc gets xpow = trunc + 1,
+    c = 0 and empty L.
 
     The table is read off root_factor on a single generator, so the closed
     forms in root_factor stay its only source.
@@ -304,23 +306,20 @@ def log_table(kinds: tuple, q_order: int, trunc: int, euler: bool = False):
     while xpow <= trunc and not any(a[xpow]):
         xpow += 1
     if xpow > trunc:
-        return xpow, (), ()
+        return xpow, _ZERO, ()
     a = a[xpow:]
-    c = a[0]
-    if not c[0]:
-        raise StructureError("root factor %r has no invertible x-constant term" % (kinds,))
+    c = a[0][0]
+    if not c or any(a[0][1:]):
+        raise StructureError("root factor %r: x-constant term is not a nonzero number" % (kinds,))
     # h = F / (x^xpow c) has h_0 = 1; its log L satisfies d L_d = d h_d - sum_i i L_i h_{d-i}
-    c_inv = [Fraction(1) / c[0]]
-    for j in range(1, q_order + 1):
-        c_inv.append(-sum(c[i] * c_inv[j - i] for i in range(1, j + 1)) * c_inv[0])
-    h = [series_product(row, c_inv) for row in a]
+    h = [[x / c for x in row] for row in a]
     L = [None]
     for d in range(1, len(h)):
         acc = [d * x for x in h[d]]
         for i in range(1, d):
             acc = [x - y for x, y in zip(acc, series_product([i * v for v in L[i]], h[d - i]))]
         L.append([x / d for x in acc])
-    return xpow, tuple(c), tuple(tuple(l) for l in L[1:])
+    return xpow, c, tuple(tuple(l) for l in L[1:])
 
 
 def bundle_series(kind: str, roots, q_order: int, trunc: int) -> QSeries:

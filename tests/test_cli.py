@@ -265,6 +265,14 @@ def test_alpha_dump():
     assert rows[4]["witnesses"] == []
 
 
+@pytest.mark.parametrize("rank", ["0", "-3"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_alpha_max_rank_below_one_exits_2(rank, fmt):
+    # alpha(l) needs l >= 1, so an empty table is no answer
+    code, out, err = run_cli(["alpha", "--max-rank", rank, "--format", fmt])
+    assert code == 2 and out == "" and "max-rank" in err
+
+
 def test_determinism_byte_identical():
     _, pair, _ = run_cli(["generate", "hirzebruch:1"])
     outs = set()

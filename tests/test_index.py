@@ -16,7 +16,10 @@ from qtoric.errors import HypothesisUnmetError, StructureError
 from qtoric.index import (
     ConnectedSumModel,
     ProductModel,
+    _colored_pairing,
+    _vertex_terms,
     admissible_splits,
+    colored_classes,
     colored_index,
     elliptic_genus,
     exists_nonvanishing_signs,
@@ -31,6 +34,7 @@ from qtoric.index import (
 from qtoric.polynomial import GradedPolynomial as GP
 from qtoric.polynomial import monomials_of_degree
 from qtoric.polytope import facet_chromatic
+from test_charpair import dense_rebased
 
 S2 = sphere_pair().to_index_model()
 CP2 = cp_pair(2).to_index_model()
@@ -212,6 +216,69 @@ def test_exists_nonvanishing_signs():
     assert ok
     r = colored_index(hexm, coloring_of(hexm), list(signs))
     assert r.series[0] != 0
+
+
+# The route the vertex sum replaced, kept as the reference: the product of
+# the n color classes expanded into monomials and paired by pair_top at the
+# model's generic points, and the sign search over it.
+
+
+def reference_colored_pairing(model, coloring, signs):
+    prod = GP.one()
+    for cls in colored_classes(model, coloring, signs):
+        prod = prod.mul(cls, model.n)
+    return model.pair_top(prod)
+
+
+def reference_nonvanishing_signs(model, coloring):
+    pinned = {facets[0] for facets in coloring.color_classes()}
+    rest = [i for i in range(model.gen_count) if i not in pinned]
+    for mask in range(2 ** len(rest)):
+        signs = [1] * model.gen_count
+        for b, i in enumerate(rest):
+            if (mask >> b) & 1:
+                signs[i] = -1
+        if reference_colored_pairing(model, coloring, signs) != 0:
+            return True, tuple(signs)
+    return None
+
+
+def _colored_corpus():
+    pairs = ([cube_pair(n) for n in range(2, 6)]
+             + [hirzebruch_pair(k) for k in range(4)]
+             + [polygon_pair(k) for k in (4, 6, 8)]
+             + [s2xs2_pair(), cube_pair(2).product_pair(polygon_pair(6)),
+                dense_rebased(cube_pair(4), 4)])
+    rng = random.Random(2024)
+    omni = [p.with_signs([rng.choice((1, -1)) for _ in range(p.m)]) for p in pairs]
+    return [(p.name + ("" if p is q else " omni"), q)
+            for p, q in zip(pairs + pairs, pairs + omni)]
+
+
+COLORED_CORPUS = _colored_corpus()
+
+
+@pytest.mark.parametrize("name,pair", COLORED_CORPUS, ids=[name for name, _ in COLORED_CORPUS])
+def test_colored_vertex_sum_matches_reference(name, pair):
+    model = pair.to_index_model()
+    coloring = coloring_of(model)
+    m = model.gen_count
+    if m <= 8:
+        sign_vectors = [[1 - 2 * ((mask >> b) & 1) for b in range(m)] for mask in range(2 ** m)]
+    else:
+        rng = random.Random(m)
+        sign_vectors = [[rng.choice((1, -1)) for _ in range(m)] for _ in range(24)]
+    terms = _vertex_terms(model, coloring)
+    for signs in sign_vectors:
+        negative = sum(1 << i for i, s in enumerate(signs) if s < 0)
+        assert (_colored_pairing(terms, negative)
+                == reference_colored_pairing(model, coloring, signs)), (name, signs)
+    for signs in sign_vectors[:3]:
+        r = colored_index(model, coloring, signs, q_order=0)
+        assert r.meta["predicted_constant"] == reference_colored_pairing(model, coloring, signs)
+        assert r.series[0] == r.meta["predicted_constant"], (name, signs)
+    assert exists_nonvanishing_signs(model, coloring) == \
+        reference_nonvanishing_signs(model, coloring), name
 
 
 # ----------------------------------------------------------------------

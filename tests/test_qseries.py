@@ -12,6 +12,7 @@ from qtoric.qseries import (
     bundle_series,
     exp_coeffs,
     inv_ahat_coeffs,
+    log_table,
     root_factor,
 )
 
@@ -209,6 +210,24 @@ def test_root_factor_rejects_nonlinear():
         root_factor("Q1", GP.generator(0).mul(GP.generator(0)), 2, 2)
     with pytest.raises(StructureError):
         root_factor("NOPE", GP.generator(0), 2, 2)
+
+
+def test_log_table_prefactor_is_a_number():
+    # every q-product of root_factor is 1 at x = 0, so c is 1 (2 for Q3)
+    for kinds, euler in [(("Q1", "AHAT"), False), (("EXPHALF",), False),
+                         (("EXPHALF", "Q2"), False), (("Q2PRIME",), True), (("Q3",), False)]:
+        xpow, c, L = log_table(kinds, 3, 3, euler)
+        assert c == (2 if kinds == ("Q3",) else 1), kinds
+        assert xpow == (1 if euler or "Q2" in kinds else 0), kinds
+        assert all(len(row) == 4 for row in L)
+
+
+def test_log_table_rejects_q_dependent_prefactor(monkeypatch):
+    import qtoric.qseries as qseries
+    monkeypatch.setattr(qseries, "root_factor",
+                        lambda kind, x, q_order, trunc: qs([1, 1], trunc))
+    with pytest.raises(StructureError):
+        qseries.log_table.__wrapped__(("AHAT",), 1, 2)
 
 
 def test_format_prints_exact_rationals():
