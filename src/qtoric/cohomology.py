@@ -20,7 +20,9 @@ returned): pair_top and is_zero_class evaluate a class once per point
 (is_zero_class then pairs it only against the square-free monomials u_S over
 the faces S of complementary degree, which span that degree of H*(M; Q)),
 and pair_series evaluates a whole product of per-root factors there, where the
-roots are numbers, through their power sums and one truncated exponential.
+roots are numbers, through their power sums and one truncated exponential;
+it evaluates only the roots supported at a point, and drops a point at
+which a root of an Euler-class group vanishes.
 
 The mod-2 test of a quasitoric model needs no elimination: a class is even
 iff it is a relation lambda mu mod 2, and the dual basis at one vertex,
@@ -215,7 +217,9 @@ class IndexModel:
         ch. 3), and products, connected sums and the point inherit this.
         So only those u_S are tried, in sorted order per degree; u_S is
         nonzero only at the points that _faces lists with S.  Both point
-        sets must list the same faces and give each the same pairing.
+        sets must list the same faces and give each the same pairing.  A
+        part that is zero at every point of both sets pairs to zero with
+        every face, so no face is tried for it.
         """
         n = self.n
         for d in poly.degrees_present():
@@ -223,6 +227,8 @@ class IndexModel:
                 continue  # beyond top degree: zero automatically
             part = poly.homogeneous_part(d)
             weighted = self._weights(part)
+            if not any(weights for _, weights, _ in weighted):
+                continue
             faces = [_faces(pts, n - d) for pts, _, _ in weighted]
             if faces[0].keys() != faces[1].keys():
                 raise InternalConsistencyError(
@@ -261,6 +267,13 @@ class IndexModel:
         the same at every point, so it joins the final scale once.  Scaling s
         by the common denominator delta of the L_k keeps the exponential in
         integers.
+
+        Only the roots supported at a point are evaluated there: each group
+        is indexed by generator, and the point's own nonzero generators are
+        walked through that index.  A root that is zero at the point adds
+        nothing to the power sums.  In a group with xpow > 0 (an Euler
+        class) such a root makes the whole point zero, so those groups are
+        evaluated first and the point is dropped before any other group.
         """
         groups = [(table, [_linear_items(r) for r in roots])
                   for table, roots in groups if roots]
@@ -269,17 +282,31 @@ class IndexModel:
             return [_ZERO] * (q_order + 1)
         delta = math.lcm(*(x.denominator for (_, _, L), _ in groups
                            for row in L[:top] for x in row))
-        scaled = [[[int(x * delta ** k) for x in row] for k, row in enumerate(L[:top], 1)]
-                  for (_, _, L), _ in groups]
+        indexed = []
+        for (xpow, _, L), roots in sorted(groups, key=lambda g: g[0][0] == 0):
+            by_gen = {}
+            for r, root in enumerate(roots):
+                for i, a in root:
+                    by_gen.setdefault(i, []).append((r, a))
+            indexed.append((xpow, len(roots), by_gen,
+                            [[int(x * delta ** k) for x in row]
+                             for k, row in enumerate(L[:top], 1)]))
         values = []
         for pts, _, common in self._indexed_points():
             total = [0] * (q_order + 1)
             for vals, den in pts:
                 pref = 1
                 E = [[0] * (q_order + 1) for _ in range(top + 1)]
-                for ((xpow, _, _), roots), L in zip(groups, scaled):
-                    xs = [sum(a * vals.get(i, 0) for i, a in root) for root in roots]
+                for xpow, count, by_gen, L in indexed:
+                    acc = {}
+                    for i, v in vals.items():
+                        for r, a in by_gen.get(i, ()):
+                            acc[r] = acc.get(r, 0) + a * v
+                    xs = [x for x in acc.values() if x]
                     if xpow:
+                        if len(xs) < count:
+                            pref = 0
+                            break
                         for x in xs:
                             pref *= x ** xpow
                     powers = xs

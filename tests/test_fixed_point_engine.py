@@ -1,32 +1,54 @@
-"""The fixed-point engine against the monomial route it replaced.
+"""The fixed-point engine against the routes it replaced.
 
-The oracle below is the route the engine superseded, written out here so
-that it no longer lives in the library: the integrand is expanded into
+The first oracle below is the route the engine superseded, written out here
+so that it no longer lives in the library: the integrand is expanded into
 monomials by the multivariate bundle_series product, and each top-degree
 monomial is localized on its own, summed over the vertices containing its
 support at a generic point drawn here (not the model's).  Product and
 connected-sum pairings split a monomial the way those models used to.
 Every series coefficient, pairing and zero test must agree exactly.
+
+The second, reference_pair_series, is the engine's dense point loop, which
+evaluated every root of every group at every point; the library now
+evaluates only the roots supported at a point, and must give the same
+series on every call.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from qtoric import cohomology
 from qtoric.charpair import cp_pair, cube_pair, hirzebruch_pair, polygon_pair, s2xs2_pair
 from qtoric.cohomology import (
+    _ZERO,
     DEFAULT_SEED,
+    AdmissibilityReport,
     BundleSpec,
     PointModel,
     QuasitoricModel,
+    _agree,
+    _exp_numerator,
+    _linear_items,
     check_admissible,
 )
 from qtoric.errors import InternalConsistencyError
-from qtoric.index import ConnectedSumModel, ProductModel, elliptic_genus, phi_c, witten_genus
+from qtoric.index import (
+    ConnectedSumModel,
+    ProductModel,
+    colored_index,
+    elliptic_genus,
+    phi_c,
+    verify_exhaustive_split_vanishing,
+    witten_genus,
+)
 from qtoric.polynomial import GradedPolynomial as GP
+from qtoric.polytope import facet_chromatic
 from qtoric.qseries import bundle_series, root_factor
+from test_charpair import vertex_cuts
 
 Q_ORDER = 2
 
@@ -152,6 +174,49 @@ def old_phi_c(model, V=(), W=(), c1c=None, via_q2=False, q_order=Q_ORDER):
 
 
 # ----------------------------------------------------------------------
+# the dense point loop
+
+
+def reference_pair_series(model, groups, q_order):
+    """IndexModel.pair_series as it was: every root of every group is
+    evaluated at every point, and an Euler-class root that is zero there
+    zeroes the point through the product of x^xpow."""
+    groups = [(table, [_linear_items(r) for r in roots])
+              for table, roots in groups if roots]
+    top = model.n - sum(table[0] * len(roots) for table, roots in groups)
+    if top < 0:
+        return [_ZERO] * (q_order + 1)
+    delta = math.lcm(*(x.denominator for (_, _, L), _ in groups
+                       for row in L[:top] for x in row))
+    scaled = [[[int(x * delta ** k) for x in row] for k, row in enumerate(L[:top], 1)]
+              for (_, _, L), _ in groups]
+    values = []
+    for pts, _, common in model._indexed_points():
+        total = [0] * (q_order + 1)
+        for vals, den in pts:
+            pref = 1
+            E = [[0] * (q_order + 1) for _ in range(top + 1)]
+            for ((xpow, _, _), roots), L in zip(groups, scaled):
+                xs = [sum(a * vals.get(i, 0) for i, a in root) for root in roots]
+                if xpow:
+                    for x in xs:
+                        pref *= x ** xpow
+                powers = xs
+                for k in range(1, top + 1):
+                    pk = sum(powers)
+                    if pk:
+                        E[k] = [e + pk * l for e, l in zip(E[k], L[k - 1])]
+                    powers = [y * x for y, x in zip(powers, xs)]
+            if pref:
+                pref *= common // den
+                total = [t + pref * g for t, g in zip(total, _exp_numerator(E, top))]
+        values.append([Fraction(t, common) for t in total])
+    scale = Fraction(math.prod(c ** len(roots) for (_, c, _), roots in groups),
+                     math.factorial(top) * delta ** top)
+    return [x * scale for x in _agree(values, "series coefficients")]
+
+
+# ----------------------------------------------------------------------
 # series
 
 
@@ -197,6 +262,60 @@ def test_euler_route_beyond_top_degree_is_zero():
 def test_point_model_series():
     point = MODELS["point"]
     assert phi_c(point, None, None, q_order=3, c1c=[]).series == [1, 0, 0, 0]
+
+
+def _sparse_models():
+    out = dict(MODELS)
+    out["cube:3 x cp:2"] = ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2"))
+    out["cube:3 # cube:3"] = ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cube:3"), 1)
+    out["cube:4 with 3 vertex cuts"] = QuasitoricModel(vertex_cuts(cube_pair(4), 3, 4))
+    return out
+
+
+SPARSE_MODELS = _sparse_models()
+
+
+@pytest.mark.parametrize("name", list(SPARSE_MODELS))
+def test_pair_series_matches_dense_point_loop(name, monkeypatch):
+    """Every pair_series call of the index routes gives the dense loop's series.
+
+    On a product or a connected sum the other side's generators are absent
+    at a point; V and W span several generators; a linear relation as V is
+    zero in cohomology, so its Euler class and the series vanish.
+    """
+    model = SPARSE_MODELS[name]
+    engine = model.pair_series
+    calls = []
+
+    def checked(groups, q_order):
+        series = engine(groups, q_order)
+        assert series == reference_pair_series(model, groups, q_order), (name, groups)
+        calls.append(q_order)
+        return series
+
+    monkeypatch.setattr(model, "pair_series", checked)
+    m = model.gen_count
+    spin = model.is_even_vector(model.c1_vector)
+    relations = [BundleSpec([r], m) for r in _relations(model)]
+    for q_order in range(4):
+        witten_genus(model, q_order)
+        phi_c(model, None, model.tangent_bundle(), q_order=q_order)
+        if spin:
+            elliptic_genus(model, q_order)
+        if not m:
+            continue
+        spread = [[1 if i in (0, 3 % m) else 0 for i in range(m)]]
+        V = spread + _unit(model, m - 1)
+        W = [[1 if i in (1 % m, m - 1) else 0 for i in range(m)]]
+        for via_q2 in (False, True):
+            phi_c(model, V, W, q_order=q_order, via_q2=via_q2)
+            phi_c(model, spread, None, q_order=q_order, via_q2=via_q2)
+            for relation in relations:
+                series = phi_c(model, relation, W, q_order=q_order, via_q2=via_q2).series
+                assert series == [0] * (q_order + 1), (name, relation.classes)
+        verify_exhaustive_split_vanishing(model, range(0, m, 2), q_order)
+        verify_exhaustive_split_vanishing(model, [m - 1], q_order)
+    assert set(calls) == {0, 1, 2, 3}
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +399,20 @@ def test_p1_witness():
     assert "p1_witness" not in report.as_dict()
 
 
+def test_part_zero_at_every_point_tries_no_face(monkeypatch):
+    """The p1 test of a colouring twist: p1(V) - p1(TM) is a sum of cross
+    terms u_i u_j of same-coloured facets, which share no vertex."""
+    model = _quasitoric("cube:6")
+    _, coloring = facet_chromatic(model.polytope)
+    faces = cohomology._faces
+    sizes = []
+    monkeypatch.setattr(cohomology, "_faces", lambda pts, k: sizes.append(k) or faces(pts, k))
+    result = colored_index(model, coloring, q_order=1)
+    assert sizes == []
+    assert result.admissibility == AdmissibilityReport(
+        spin_c_exists=True, w_is_spin=True, p1_zero=True, c1c_vector=(1,) * 12)
+
+
 # ----------------------------------------------------------------------
 # generic points
 
@@ -315,3 +448,8 @@ def test_disagreeing_faces_raise():
     model._draw_fixed_points = lambda: (first, second[:-1])
     with pytest.raises(InternalConsistencyError):
         model.is_zero_class(GP.one())  # the vertices, as faces of size n
+    # a class that is zero at every point of one set only
+    model = _quasitoric("cp:2")
+    model._draw_fixed_points = lambda: (first, [({}, den) for _, den in second])
+    with pytest.raises(InternalConsistencyError):
+        model.is_zero_class(GP.generator(0))

@@ -23,7 +23,14 @@ from qtoric.charpair import (
 )
 from qtoric.cohomology import BundleSpec, QuasitoricModel, check_admissible, is_even_class
 from qtoric.errors import StructureError
-from qtoric.index import ConnectedSumModel, ProductModel, phi_c
+from qtoric.index import (
+    ConnectedSumModel,
+    ProductModel,
+    elliptic_genus,
+    phi_c,
+    verify_exhaustive_split_vanishing,
+    witten_genus,
+)
 from qtoric.polynomial import GradedPolynomial as GP
 from test_charpair import dense_rebased, vertex_cuts
 
@@ -179,6 +186,41 @@ def test_mod2_and_admissibility_invariant_under_rebasing(pair):
                 W = BundleSpec.from_vectors(
                     [[rng.randint(-1, 1) for _ in range(m)] for _ in range(rng.randint(0, 2))], m)
             assert check_admissible(twin, V, W) == check_admissible(original, V, W)
+
+
+SERIES_PAIRS = ([cube_pair(n) for n in (3, 4, 5)]
+                + [hirzebruch_pair(2), polygon_pair(6), cp_pair(4),
+                   vertex_cuts(cube_pair(3), 2, 3)])
+
+
+@pytest.mark.parametrize("pair", SERIES_PAIRS, ids=lambda p: p.name)
+def test_index_series_invariant_under_rebasing(pair):
+    """lambda A, A in GL_n(Z), keeps the facets, the signs and the base
+    vertex, so every index series of the twin equals the original's."""
+    m = pair.m
+    rng = random.Random(pair.name)
+    # e(V) of the base vertex's facet bundles pairs to +-1, so some series is nonzero
+    vertex = [[int(i == j) for j in range(m)] for i in pair.polytope.vertices[0]]
+    twists = [(vertex, None)] + [
+        ([[rng.randint(-1, 1) for _ in range(m)] for _ in range(k)],
+         [[rng.randint(-1, 1) for _ in range(m)]])
+        for k in (1, 2)]
+    subsets = [[i for i in range(m) if rng.random() < 0.5] for _ in range(2)]
+
+    def series(model):
+        out = [witten_genus(model, 2).series]
+        if model.is_even_vector(model.c1_vector):
+            out.append(elliptic_genus(model, 1).series)
+        out += [phi_c(model, V, W, q_order=1).series for V, W in twists]
+        out += [verify_exhaustive_split_vanishing(model, S, 1)["series"] for S in subsets]
+        return out
+
+    expected = series(QuasitoricModel(pair))
+    assert any(c != 0 for s in expected for c in s)
+    for seed in range(2):
+        twin = rebased(pair, 300 + seed)
+        assert twin.lam != pair.lam
+        assert series(QuasitoricModel(twin)) == expected
 
 
 # ----------------------------------------------------------------------
