@@ -5,7 +5,9 @@ manifold whose rational cohomology is generated in degree two: the
 half-dimension n, labeled degree-2 generators, the stable tangent roots, a
 mod-2 test for degree-2 integral classes, and its fixed-point data.
 
-The fixed-point data are two independently drawn generic point sets.  At
+The fixed-point data are two independently drawn generic point sets, which
+share one support pattern (the same points with the same nonzero
+generators, checked once when they are drawn); only the values differ.  At
 each point every generator u_i is a number (0 off its support) and there is
 a denominator, so that <f, [M]> = sum over the points of f / denominator for
 every class f of degree n.  For a quasitoric model the points are the
@@ -18,7 +20,8 @@ Every pairing runs on that one engine, at both point sets, which must agree
 exactly (the sum is a constant; a disagreement is reported as a bug, never
 returned): pair_top and is_zero_class evaluate a class once per point
 (is_zero_class then pairs it only against the square-free monomials u_S over
-the faces S of complementary degree, which span that degree of H*(M; Q)),
+the faces S of complementary degree, which span that degree of H*(M; Q) and
+are built once per degree from the shared support pattern),
 and pair_series evaluates a whole product of per-root factors there, where the
 roots are numbers, through their power sums and one truncated exponential;
 it evaluates only the roots supported at a point, and drops a point at
@@ -167,14 +170,21 @@ class IndexModel:
         <f, [M]> = sum over the points of f(values) / denominator for any
         class f of degree n.
         """
-        return tuple(pts for pts, _, _ in self._indexed_points())
+        return tuple(pts for pts, _ in self._indexed_points())
 
     def _indexed_points(self):
-        """Per point set: (points, generator -> supporting points, common denominator)."""
+        """Per point set: (points, common denominator), drawn once and kept.
+
+        Both sets must list the same points with the same nonzero generators
+        (only the values differ); that one support pattern is checked here.
+        """
         if self._point_sets is None:
-            self._point_sets = tuple(
-                (pts, _support_index(pts), math.lcm(*(den for _, den in pts)))
-                for pts in self._draw_fixed_points())
+            first, second = self._draw_fixed_points()
+            if [vals.keys() for vals, _ in first] != [vals.keys() for vals, _ in second]:
+                raise InternalConsistencyError(
+                    "the generic point sets differ in their points or supports")
+            self._point_sets = tuple((pts, math.lcm(*(den for _, den in pts)))
+                                     for pts in (first, second))
         return self._point_sets
 
     def _weights(self, part: GradedPolynomial):
@@ -183,17 +193,26 @@ class IndexModel:
         Per point set: (points, {point: part(point) * D / den}, D),
         with D the points' common denominator times that of part's
         coefficients, so <part * w, [M]> is the sum of weight * w(point)
-        over the points supporting w, divided by D.
+        over the points supporting w, divided by D.  Each point walks its own
+        generators through part's terms indexed by their first generator.
         """
         scale = math.lcm(*(c.denominator for c in part.terms.values()))
-        terms = [(mon, int(c * scale)) for mon, c in part.terms.items()]
+        constant, by_first = int(part.terms.get((), 0) * scale), {}
+        for mon, c in part.terms.items():
+            if mon:
+                by_first.setdefault(mon[0], []).append((mon[1:], int(c * scale)))
         out = []
-        for pts, support, common in self._indexed_points():
-            acc = {}
-            for mon, c in terms:
-                for p in _points_containing(support, mon, len(pts)):
-                    acc[p] = acc.get(p, 0) + c * _monomial_value(mon, pts[p][0])
-            weights = {p: v * (common // pts[p][1]) for p, v in acc.items() if v}
+        for pts, common in self._indexed_points():
+            weights = {}
+            for p, (vals, den) in enumerate(pts):
+                v = constant
+                for i, x in vals.items():
+                    for rest, c in by_first.get(i, ()):
+                        for j in rest:
+                            c *= vals.get(j, 0)
+                        v += c * x
+                if v:
+                    weights[p] = v * (common // den)
             out.append((pts, weights, common * scale))
         return out
 
@@ -216,10 +235,11 @@ class IndexModel:
         parameters (Davis-Januszkiewicz; Buchstaber-Panov, Toric Topology,
         ch. 3), and products, connected sums and the point inherit this.
         So only those u_S are tried, in sorted order per degree; u_S is
-        nonzero only at the points that _faces lists with S.  Both point
-        sets must list the same faces and give each the same pairing.  A
-        part that is zero at every point of both sets pairs to zero with
-        every face, so no face is tried for it.
+        nonzero only at the points that _faces lists with S, built once per
+        degree: both point sets share one support pattern (_indexed_points),
+        and each face must pair the same at both.  A part that is zero at
+        every point of both sets pairs to zero with every face, so no face
+        is tried for it.
         """
         n = self.n
         for d in poly.degrees_present():
@@ -229,15 +249,12 @@ class IndexModel:
             weighted = self._weights(part)
             if not any(weights for _, weights, _ in weighted):
                 continue
-            faces = [_faces(pts, n - d) for pts, _, _ in weighted]
-            if faces[0].keys() != faces[1].keys():
-                raise InternalConsistencyError(
-                    "faces of size %d differ between generic points" % (n - d))
-            for S in sorted(faces[0]):
+            faces = _faces(weighted[0][0], n - d)
+            for S in sorted(faces):
                 (a, den_a), (b, den_b) = [
                     (sum(weights[p] * _monomial_value(S, pts[p][0])
-                         for p in at[S] if p in weights), common)
-                    for (pts, weights, common), at in zip(weighted, faces)]
+                         for p in faces[S] if p in weights), common)
+                    for pts, weights, common in weighted]
                 if a * den_b != b * den_a:
                     raise InternalConsistencyError(
                         "pairing of %r with u_%r disagrees between generic points: %s vs %s"
@@ -292,7 +309,7 @@ class IndexModel:
                             [[int(x * delta ** k) for x in row]
                              for k, row in enumerate(L[:top], 1)]))
         values = []
-        for pts, _, common in self._indexed_points():
+        for pts, common in self._indexed_points():
             total = [0] * (q_order + 1)
             for vals, den in pts:
                 pref = 1
@@ -324,10 +341,7 @@ class IndexModel:
         return [x * scale for x in _agree(values, "series coefficients")]
 
     def p1_poly(self) -> GradedPolynomial:
-        out = GradedPolynomial.zero()
-        for r in self.tangent_roots:
-            out = out + r.mul(r)
-        return out
+        return self.tangent_bundle().p1()
 
     def tangent_bundle(self) -> BundleSpec:
         return BundleSpec(list(self.tangent_roots), self.gen_count)
@@ -345,22 +359,6 @@ def _agree(values, what, *args):
             "%s disagrees between generic points: %s vs %s"
             % (what % args, first, second))
     return first
-
-
-def _support_index(pts):
-    """generator -> frozenset of the points where it is nonzero."""
-    index = {}
-    for p, (vals, _) in enumerate(pts):
-        for i in vals:
-            index.setdefault(i, set()).add(p)
-    return {i: frozenset(ps) for i, ps in index.items()}
-
-
-def _points_containing(support, mon, count):
-    """The points at which every generator of mon is nonzero."""
-    if not mon:
-        return range(count)
-    return frozenset.intersection(*(support.get(i, frozenset()) for i in set(mon)))
 
 
 def _faces(pts, k):

@@ -12,6 +12,12 @@ The second, reference_pair_series, is the engine's dense point loop, which
 evaluated every root of every group at every point; the library now
 evaluates only the roots supported at a point, and must give the same
 series on every call.
+
+The third, reference_nonzero_face, is the zero test as it was: each point
+set read a class through its own frozenset support index and built its own
+face table, and the two tables had to list the same faces.  The library
+checks once that both sets share one support pattern and builds each face
+table once; it must return the same face (or None) and the same pairing.
 """
 
 import math
@@ -32,7 +38,9 @@ from qtoric.cohomology import (
     QuasitoricModel,
     _agree,
     _exp_numerator,
+    _faces,
     _linear_items,
+    _monomial_value,
     check_admissible,
 )
 from qtoric.errors import InternalConsistencyError
@@ -48,7 +56,7 @@ from qtoric.index import (
 from qtoric.polynomial import GradedPolynomial as GP
 from qtoric.polytope import facet_chromatic
 from qtoric.qseries import bundle_series, root_factor
-from test_charpair import vertex_cuts
+from test_charpair import dense_rebased, vertex_cuts
 
 Q_ORDER = 2
 
@@ -191,7 +199,7 @@ def reference_pair_series(model, groups, q_order):
     scaled = [[[int(x * delta ** k) for x in row] for k, row in enumerate(L[:top], 1)]
               for (_, _, L), _ in groups]
     values = []
-    for pts, _, common in model._indexed_points():
+    for pts, common in model._indexed_points():
         total = [0] * (q_order + 1)
         for vals, den in pts:
             pref = 1
@@ -214,6 +222,72 @@ def reference_pair_series(model, groups, q_order):
     scale = Fraction(math.prod(c ** len(roots) for (_, c, _), roots in groups),
                      math.factorial(top) * delta ** top)
     return [x * scale for x in _agree(values, "series coefficients")]
+
+
+# ----------------------------------------------------------------------
+# the zero test with a support index and a face table per point set
+
+
+def _reference_weights(model, part):
+    """IndexModel._weights as it was: each term is evaluated at the points
+    that a frozenset support index lists for all of its generators."""
+    scale = math.lcm(*(c.denominator for c in part.terms.values()))
+    terms = [(mon, int(c * scale)) for mon, c in part.terms.items()]
+    out = []
+    for pts, common in model._indexed_points():
+        support = {}
+        for p, (vals, _) in enumerate(pts):
+            for i in vals:
+                support.setdefault(i, set()).add(p)
+        support = {i: frozenset(ps) for i, ps in support.items()}
+        acc = {}
+        for mon, c in terms:
+            at = (frozenset.intersection(*(support.get(i, frozenset()) for i in set(mon)))
+                  if mon else range(len(pts)))
+            for p in at:
+                acc[p] = acc.get(p, 0) + c * _monomial_value(mon, pts[p][0])
+        weights = {p: v * (common // pts[p][1]) for p, v in acc.items() if v}
+        out.append((pts, weights, common * scale))
+    return out
+
+
+def reference_pair_top(model, poly):
+    values = [Fraction(sum(weights.values()), common) for _, weights, common
+              in _reference_weights(model, poly.homogeneous_part(model.n))]
+    return _agree(values, "pairing of %r", poly)
+
+
+def reference_nonzero_face(model, poly):
+    """IndexModel.nonzero_face as it was: a face table per point set, the
+    two tables compared, then the sorted faces tried up to the first one
+    that pairs nonzero."""
+    n = model.n
+    for d in poly.degrees_present():
+        if d > n:
+            continue
+        part = poly.homogeneous_part(d)
+        weighted = _reference_weights(model, part)
+        if not any(weights for _, weights, _ in weighted):
+            continue
+        faces = [_faces(pts, n - d) for pts, _, _ in weighted]
+        if faces[0].keys() != faces[1].keys():
+            raise InternalConsistencyError(
+                "faces of size %d differ between generic points" % (n - d))
+        for S in sorted(faces[0]):
+            (a, den_a), (b, den_b) = [
+                (sum(weights[p] * _monomial_value(S, pts[p][0])
+                     for p in at[S] if p in weights), common)
+                for (pts, weights, common), at in zip(weighted, faces)]
+            if a * den_b != b * den_a:
+                raise InternalConsistencyError("pairing of %r with u_%r disagrees" % (part, S))
+            if a:
+                return S
+    return None
+
+
+def _assert_zero_test_matches_reference(model, poly, face):
+    assert face == reference_nonzero_face(model, poly), poly
+    assert model.pair_top(poly) == reference_pair_top(model, poly), poly
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +459,63 @@ def test_is_zero_class_matches_complement_loop(name):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("name", list(ZERO_TEST_MODELS))
+def test_nonzero_face_matches_reference_on_seeded_classes(name):
+    """The seeded classes of test_is_zero_class_matches_complement_loop."""
+    model = ZERO_TEST_MODELS[name]
+    rng = random.Random(2024)
+    for trial in range(ZERO_TRIALS):
+        poly = _random_class(model, rng, zero=trial % 2 == 0)
+        _assert_zero_test_matches_reference(model, poly, model.nonzero_face(poly))
+
+
+ZERO_TEST_TWIST_MODELS = {**SPARSE_MODELS,
+                          "dense cube:4": QuasitoricModel(dense_rebased(cube_pair(4), 4))}
+
+
+@pytest.mark.parametrize("name", list(ZERO_TEST_TWIST_MODELS))
+def test_nonzero_face_matches_reference_on_twists(name, monkeypatch):
+    """Every p1(V + W - TM) that the twists of
+    test_pair_series_matches_dense_point_loop send to the zero test."""
+    model = ZERO_TEST_TWIST_MODELS[name]
+    engine = model.nonzero_face
+    classes = []
+
+    def checked(poly):
+        face = engine(poly)
+        _assert_zero_test_matches_reference(model, poly, face)
+        classes.append(poly)
+        return face
+
+    monkeypatch.setattr(model, "nonzero_face", checked)
+    m = model.gen_count
+    witten_genus(model, 0)
+    phi_c(model, None, model.tangent_bundle(), q_order=0)
+    if model.is_even_vector(model.c1_vector):
+        elliptic_genus(model, 0)
+    if m:
+        spread = [[1 if i in (0, 3 % m) else 0 for i in range(m)]]
+        V = spread + _unit(model, m - 1)
+        W = [[1 if i in (1 % m, m - 1) else 0 for i in range(m)]]
+        phi_c(model, V, W, q_order=0)
+        phi_c(model, spread, None, q_order=0)
+        for relation in _relations(model):
+            phi_c(model, BundleSpec([relation], m), W, q_order=0)
+        verify_exhaustive_split_vanishing(model, range(0, m, 2), 0)
+        verify_exhaustive_split_vanishing(model, [m - 1], 0)
+    assert classes
+
+
+def test_faces_built_once_per_degree(monkeypatch):
+    """p1 of cube:5 is zero, so every face of size 3 is tried, from one table."""
+    model = _quasitoric("cube:5")
+    faces = cohomology._faces
+    sizes = []
+    monkeypatch.setattr(cohomology, "_faces", lambda pts, k: sizes.append(k) or faces(pts, k))
+    assert model.is_zero_class(model.p1_poly())
+    assert sizes == [3]
+
+
 def test_p1_witness():
     empty = BundleSpec.empty
     cube = _quasitoric("cube:7")
@@ -453,3 +584,28 @@ def test_disagreeing_faces_raise():
     model._draw_fixed_points = lambda: (first, [({}, den) for _, den in second])
     with pytest.raises(InternalConsistencyError):
         model.is_zero_class(GP.generator(0))
+
+
+def _moved_generator(model):
+    """The second point set with one generator of one point moved to another."""
+    first, second = model._draw_fixed_points()
+    vals, den = second[0]
+    (_, x), *rest = vals.items()
+    j = next(j for j in range(model.gen_count) if j not in vals)
+    return first, [({**dict(rest), j: x}, den)] + second[1:]
+
+
+@pytest.mark.parametrize("call", [
+    lambda model: model.pair_top(GP.generator(0).mul(GP.generator(1)).mul(GP.generator(2))),
+    lambda model: model.is_zero_class(model.p1_poly()),
+    lambda model: witten_genus(model, 1),
+], ids=["pair_top", "is_zero_class", "witten_genus"])
+def test_moved_support_raises(call):
+    """Same length, one generator moved at one point: the shared support
+    pattern is broken, whatever asks for the points first."""
+    model = _quasitoric("cp:3")
+    sets = _moved_generator(model)
+    assert len(sets[0]) == len(sets[1])
+    model._draw_fixed_points = lambda: sets
+    with pytest.raises(InternalConsistencyError, match="supports"):
+        call(model)
