@@ -22,10 +22,10 @@ returned): pair_top and is_zero_class evaluate a class once per point
 (is_zero_class then pairs it only against the square-free monomials u_S over
 the faces S of complementary degree, which span that degree of H*(M; Q) and
 are built once per degree from the shared support pattern),
-and pair_series evaluates a whole product of per-root factors there, where the
-roots are numbers, through their power sums and one truncated exponential;
-it evaluates only the roots supported at a point, and drops a point at
-which a root of an Euler-class group vanishes.
+and pair_series reads a whole product of per-root factors there only as
+q-free characteristic numbers, products of the roots' power sums, and builds
+the q-series once from them; it evaluates only the roots supported at a
+point, and drops a point at which a root of an Euler-class group vanishes.
 
 The mod-2 test of a quasitoric model needs no elimination: a class is even
 iff it is a relation lambda mu mod 2, and the dual basis at one vertex,
@@ -35,6 +35,7 @@ face-ring reduction oracle cross-checks the pairing at small half-dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -49,6 +50,7 @@ from .errors import (
 )
 from .polynomial import GradedPolynomial, monomials_of_degree
 from .polytope import int_vector
+from .qseries import series_product
 
 _POINT_LO = 10 ** 3
 _POINT_HI = 10 ** 6
@@ -273,48 +275,42 @@ class IndexModel:
 
         groups: (table, roots) with table = (xpow, c, L) from
         qseries.log_table(..., q_order, n), so F(x) = x^xpow c exp(sum_k
-        L_k(q) x^k) with c a number, and roots linear classes.  At a point
-        every root is a number x, and with power sums p_k = sum x^k per group
-
-            prod F(s x) = s^X prod x^xpow * C * exp(sum_k s^k E_k(q)),
-            E_k = sum_groups L_k p_k,   C = prod_groups c^#roots,
-
-        X the total x-power.  The pairing is [s^n]: the coefficient of
-        s^(n - X) in one truncated exponential per point.  The number C is
-        the same at every point, so it joins the final scale once.  Scaling s
-        by the common denominator delta of the L_k keeps the exponential in
-        integers.
+        L_k(q) x^k) with c a number, and roots linear classes.  With p_gk the
+        k-th power sum of group g's roots, e = prod x^xpow, C = prod c^#roots,
+        the product is e C exp(sum L^g_k p_gk), and its pairing is C times
+        sum_mu <e p^mu, [M]> prod (L^g_k)^mu_gk / mu_gk!, mu over the exponent
+        vectors of weight sum k mu_gk = n - deg e in the variables (g, k) with
+        L^g_k nonzero and a nonzero root in g.  So the points give only these
+        q-free characteristic numbers, and the series is assembled once.
 
         Only the roots supported at a point are evaluated there: each group
         is indexed by generator, and the point's own nonzero generators are
-        walked through that index.  A root that is zero at the point adds
-        nothing to the power sums.  In a group with xpow > 0 (an Euler
-        class) such a root makes the whole point zero, so those groups are
-        evaluated first and the point is dropped before any other group.
+        walked through that index.  In a group with xpow > 0 (an Euler
+        class) a root that is zero at the point makes e zero, so those
+        groups are evaluated first and the point is dropped before any
+        other group.
         """
         groups = [(table, [_linear_items(r) for r in roots])
                   for table, roots in groups if roots]
         top = self.n - sum(table[0] * len(roots) for table, roots in groups)
-        if top < 0:
-            return [_ZERO] * (q_order + 1)
-        delta = math.lcm(*(x.denominator for (_, _, L), _ in groups
-                           for row in L[:top] for x in row))
-        indexed = []
+        indexed, rows = [], []
         for (xpow, _, L), roots in sorted(groups, key=lambda g: g[0][0] == 0):
             by_gen = {}
             for r, root in enumerate(roots):
                 for i, a in root:
                     by_gen.setdefault(i, []).append((r, a))
-            indexed.append((xpow, len(roots), by_gen,
-                            [[int(x * delta ** k) for x in row]
-                             for k, row in enumerate(L[:top], 1)]))
-        values = []
+            ks = [k for k in range(1, top + 1) if by_gen and any(L[k - 1])]
+            indexed.append((xpow, len(roots), by_gen, ks))
+            rows += [(k, L[k - 1]) for k in ks]
+        monomials = _exponent_vectors([k for k, _ in rows], top)
+        if not monomials:  # top < 0, or an odd top with only even k
+            return [_ZERO] * (q_order + 1)
+        numbers = []
         for pts, common in self._indexed_points():
-            total = [0] * (q_order + 1)
+            sums = [0] * len(monomials)
             for vals, den in pts:
-                pref = 1
-                E = [[0] * (q_order + 1) for _ in range(top + 1)]
-                for xpow, count, by_gen, L in indexed:
+                pref, p = 1, []
+                for xpow, count, by_gen, ks in indexed:
                     acc = {}
                     for i, v in vals.items():
                         for r, a in by_gen.get(i, ()):
@@ -326,19 +322,22 @@ class IndexModel:
                             break
                         for x in xs:
                             pref *= x ** xpow
-                    powers = xs
-                    for k in range(1, top + 1):
-                        pk = sum(powers)
-                        if pk:
-                            E[k] = [e + pk * l for e, l in zip(E[k], L[k - 1])]
-                        powers = [y * x for y, x in zip(powers, xs)]
+                    p += [sum(x ** k for x in xs) for k in ks]
                 if pref:
                     pref *= common // den
-                    total = [t + pref * g for t, g in zip(total, _exp_numerator(E, top))]
-            values.append([Fraction(t, common) for t in total])
-        scale = Fraction(math.prod(c ** len(roots) for (_, c, _), roots in groups),
-                         math.factorial(top) * delta ** top)
-        return [x * scale for x in _agree(values, "series coefficients")]
+                    for j, mu in enumerate(monomials):
+                        sums[j] += pref * math.prod(p[v] ** e for v, e in mu)
+            numbers.append([Fraction(s, common) for s in sums])
+        C = math.prod(c ** len(roots) for (_, c, _), roots in groups)
+        series = [_ZERO] * (q_order + 1)
+        for number, mu in zip(_agree(numbers, "characteristic numbers"), monomials):
+            if number:
+                factors = [rows[v][1] for v, e in mu for _ in range(e)]
+                term = (functools.reduce(series_product, factors) if factors
+                        else [1] + [0] * q_order)
+                number *= C / math.prod(math.factorial(e) for _, e in mu)
+                series = [s + number * t for s, t in zip(series, term)]
+        return series
 
     def p1_poly(self) -> GradedPolynomial:
         return self.tangent_bundle().p1()
@@ -385,32 +384,14 @@ def _linear_items(root):
             for mon, c in root.terms.items()]
 
 
-def _exp_numerator(E, top):
-    """top! * [s^top] of exp(sum_{k=1..top} E[k](q) s^k), E[k] lists of q coefficients.
-
-    F = exp(sum E_k s^k) obeys k F_k = sum_{i=1..k} i E_i F_{k-i}, so
-    g_k = k! F_k obeys g_k = sum_i i (k-1)!/(k-i)! E_i g_{k-i}: integer
-    arithmetic for integer E, products truncated in q.
-    """
-    N = len(E[0]) - 1
-    nonzero = {i for i in range(1, top + 1) if any(E[i])}
-    g = [[1] + [0] * N]
-    for k in range(1, top + 1):
-        acc = [0] * (N + 1)
-        falling = 1  # (k-1)! / (k-i)!
-        for i in range(1, k + 1):
-            if i > 1:
-                falling *= k - i + 1
-            if i not in nonzero:
-                continue
-            f = g[k - i]
-            for a, e in enumerate(E[i]):
-                if e:
-                    e *= i * falling
-                    for b in range(N + 1 - a):
-                        acc[a + b] += e * f[b]
-        g.append(acc)
-    return g[top]
+def _exponent_vectors(weights, total, start=0):
+    """The exponent vectors mu with sum_v weights[v] mu_v = total over the
+    variables v >= start, each as its pairs (v, mu_v) with mu_v > 0."""
+    if total == 0:
+        return [()]
+    return [((v, e),) + rest for v in range(start, len(weights))
+            for e in range(1, total // weights[v] + 1)
+            for rest in _exponent_vectors(weights, total - e * weights[v], v + 1)]
 
 
 class PointModel(IndexModel):

@@ -6,13 +6,13 @@ phi_c(M; V, W) is evaluated cohomologically: the top-degree pairing of
     e^{c1c/2}    * Q1(TM) * Q3(W) * Ahat(TM)           (V = 0)
 
 per power of q, all over exact rationals.  The integrand is never expanded
-into monomials: each per-root factor is a cached one-variable table
-(qseries.log_table) in the form x^xpow c exp(sum_k L_k(q) x^k), and the
-model's fixed-point engine (IndexModel.pair_series) evaluates the product
-at every fixed point through power sums of the root values and one
-truncated exponential per point.  Special cases: the Witten genus is the
-V = W = 0 index with c1c = 0, and the elliptic genus twists by the stable
-tangent roots (with the trivial-summand doubling divided back out).
+into monomials: each per-root factor is a cached closed-form table
+(qseries.log_table) x^xpow c exp(sum_k L_k(q) x^k), and the model's
+fixed-point engine (IndexModel.pair_series) pairs only q-free
+characteristic numbers, products of power sums of the root values, at the
+fixed points and assembles the q-series once.  Special cases: the Witten
+genus is the V = W = 0 index with c1c = 0, and the elliptic genus twists by
+the stable tangent roots (with the trivial-summand doubling divided back out).
 Product and connected-sum models let the multiplicativity and additivity
 formulas be verified numerically coefficient by coefficient.
 """
@@ -30,12 +30,17 @@ from .cohomology import (
     QuasitoricModel,
     check_admissible,
 )
-from .errors import HypothesisUnmetError, InternalConsistencyError, StructureError
+from .errors import (BudgetExceededError, HypothesisUnmetError, InternalConsistencyError,
+                     StructureError)
 from .polynomial import GradedPolynomial
 from .polytope import FacetColoring, verify_coloring
 from .qseries import log_table, series_product
 
 DEFAULT_Q_ORDER = 4
+
+# The most pairing work phi_c takes on: 1.6e6 for Witten at q^400 on CP^2; an
+# index with W takes 3.7e8 on cube:14 at q^4, and about a minute at 9.7e8 (CP^6, q^860).
+PAIRING_BUDGET = 10 ** 9
 
 
 @dataclass
@@ -90,7 +95,7 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     is used (integral classes only); via_q2=True switches to the
     e^{c1(V)/2}*Q2(V) form, which must agree when c1c = c1(V).  With V = 0
     the class c1c (default 0, the Witten-genus convention) enters through
-    e^{c1c/2} alone.
+    e^{c1c/2} alone.  Work estimated past PAIRING_BUDGET raises BudgetExceededError.
     """
     check_q_order(q_order)
     V = _as_bundle(model, V)
@@ -101,6 +106,16 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
 
     if V.dim and c1c is not None:
         raise StructureError("c1c is determined by V when V is nonzero")
+    # pair_series forms each monomial at every point, then multiplies up to n q-rows for
+    # it; counting every (group, k <= n) as a variable needs no table, never undercounts
+    counts = [1] + [0] * n  # exponent vectors by weight
+    for k in [k for k in range(1, n + 1) for _ in range(3 if W.dim else 2)]:
+        for w in range(k, n + 1):
+            counts[w] += counts[w - k]
+    work = counts[n] * (len(model.fixed_points()[0]) + n * (q_order + 1) ** 2)
+    if work > PAIRING_BUDGET:
+        raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
+                                  "budget of %d" % (q_order, work, PAIRING_BUDGET))
 
     groups = [(log_table(("Q1", "AHAT"), q_order, n), model.tangent_roots)]
     if V.dim == 0:

@@ -5,12 +5,13 @@ the ambient model; classes beyond the top degree vanish, so dropping them is
 exact).  Everything is exact rational arithmetic: the characteristic factors
 are built from Taylor expansions of e^{+-x} and (x/2)/sinh(x/2) composed with
 nilpotent degree-1 classes, and from finite q-products inverted recursively.
-log_table turns a product of factors of one root into the power-sum form
-x^a c exp(sum_k L_k(q) x^k), c a number, that the fixed-point engine consumes.
+log_table gives one root's factors in the power-sum form x^a c exp(sum_k
+L_k(q) x^k), c a number, in closed form for the fixed-point engine.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -285,41 +286,43 @@ def log_table(kinds: tuple, q_order: int, trunc: int, euler: bool = False):
 
     Returns (xpow, c, L) with F(x) = x^xpow * c * exp(sum_k L[k-1](q) x^k)
     through x^trunc and q^q_order; each L[k-1] is a tuple of q coefficients.
-    c is a number (1, or 2 for Q3): at x = 0 each q-product of root_factor
-    cancels its (1 -+ q^k)^2 normalisation; a c that depends on q raises.
-    A factor that vanishes at x = 0 (Q2, or the Euler-class x when euler is
-    set) has that power of x split off into xpow, which leaves L known
-    through x^(trunc - xpow): all that the top degree needs once the x's are
-    split off.  A factor that vanishes through x^trunc gets xpow = trunc + 1,
-    c = 0 and empty L.
+    xpow counts the Euler-class x (euler set) and the Q2 factors, which are
+    x e^{-x/2} times Q2PRIME; L is known through x^(trunc - xpow), all that
+    the top degree needs.  c is 2 per Q3 factor.  A factor that vanishes
+    through x^trunc gets xpow = trunc + 1, c = 0 and empty L.
 
-    The table is read off root_factor on a single generator, so the closed
-    forms in root_factor stay its only source.
+    The L_k add over the kinds, in closed form (Zagier, LNM 1326, 1988;
+    Hirzebruch et al., Manifolds and Modular Forms).  For even k, with B_k the
+    Bernoulli numbers: AHAT -B_k/(k k!); Q1 2/k! sum_{j | N} j^(k-1) at q^N;
+    Q3 (2^k - 1) B_k/(k k!) and 2/k! sum_{j | N} (-1)^(j+1) j^(k-1) at q^N;
+    Q2PRIME and Q2 -(AHAT + Q1).  L_1 is 1/2 per EXPHALF, -1/2 per Q2; other
+    odd L_k vanish.  The divisor sums are a sieve over multiples, O(N log N).
     """
-    u = GradedPolynomial.generator(0)
-    f = QSeries.from_poly(u if euler else GradedPolynomial.one(), q_order, trunc)
-    for kind in kinds:
-        f = f * root_factor(kind, u, q_order, trunc)
-    # a[d][j]: the coefficient of x^d q^j
-    a = [[c.terms.get((0,) * d, _ZERO) for c in f.coeffs] for d in range(trunc + 1)]
-    xpow = 0
-    while xpow <= trunc and not any(a[xpow]):
-        xpow += 1
+    if not set(kinds) <= set(ROOT_KINDS):
+        raise StructureError("unknown root factor kind in %r" % (kinds,))
+    xpow = euler + kinds.count("Q2")
     if xpow > trunc:
-        return xpow, _ZERO, ()
-    a = a[xpow:]
-    c = a[0][0]
-    if not c or any(a[0][1:]):
-        raise StructureError("root factor %r: x-constant term is not a nonzero number" % (kinds,))
-    # h = F / (x^xpow c) has h_0 = 1; its log L satisfies d L_d = d h_d - sum_i i L_i h_{d-i}
-    h = [[x / c for x in row] for row in a]
-    L = [None]
-    for d in range(1, len(h)):
-        acc = [d * x for x in h[d]]
-        for i in range(1, d):
-            acc = [x - y for x, y in zip(acc, series_product([i * v for v in L[i]], h[d - i]))]
-        L.append([x / d for x in acc])
-    return xpow, c, tuple(tuple(l) for l in L[1:])
+        return trunc + 1, _ZERO, ()
+    bernoulli = [Fraction(1)]  # sum_{j <= m} C(m + 1, j) B_j = 0
+    for m in range(1, trunc + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bernoulli)) / (m + 1))
+    L = [[_ZERO] * (q_order + 1) for _ in range(trunc - xpow)]
+    if L:
+        L[0][0] = Fraction(kinds.count("EXPHALF") - kinds.count("Q2"), 2)
+    for k in range(2, trunc - xpow + 1, 2):
+        b = bernoulli[k] / (k * math.factorial(k))
+        for kind in kinds:
+            # (q^0 term, sign of the divisor sum, whether its terms alternate)
+            const, sign, alternating = {
+                "AHAT": (-b, 0, 0), "Q1": (0, 1, 0), "Q2": (b, -1, 0), "Q2PRIME": (b, -1, 0),
+                "Q3": ((2 ** k - 1) * b, 1, 1), "EXPHALF": (0, 0, 0)}[kind]
+            L[k - 1][0] += const
+            for j in range(1, q_order + 1) if sign else ():
+                t = Fraction(2 * sign * (-1 if alternating and j % 2 == 0 else 1) * j ** (k - 1),
+                             math.factorial(k))
+                for N in range(j, q_order + 1, j):
+                    L[k - 1][N] += t
+    return xpow, Fraction(2 ** kinds.count("Q3")), tuple(tuple(row) for row in L)
 
 
 def bundle_series(kind: str, roots, q_order: int, trunc: int) -> QSeries:

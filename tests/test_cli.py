@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -181,6 +182,22 @@ def test_negative_q_order_exits_2(capsys):
     # rejected before any subcommand runs, even one that never builds a series
     assert main(["alpha", "--q-order", "-1"]) == 2
     assert "q_order" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_huge_q_order_exits_3_before_any_series():
+    """The pairing budget refuses --q-order 10^9 before any table is built.
+    The run has 1 GiB of address space, so it could not allocate a list of
+    10^9 + 1 entries (8 GB) and still exit 3."""
+    _, pair, _ = run_cli(["generate", "cp:2"])
+    proc = subprocess.run(PY + ["genus", "--kind", "witten", "--q-order", "1000000000"],
+                          input=pair, capture_output=True, text=True, timeout=30,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert "budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_genus_elliptic_refusal_exit_3():

@@ -90,8 +90,8 @@ def _arguments(data, m):
         ("validate", "chi", "analyze", "index", "genus", "color-index", "verify",
          "symmetry-report")), label="command")
     argv = [command]
-    q_order = data.draw(st.sampled_from(("0", "1", "2", "0", "1", "2", "-1", "1.5")),
-                        label="q-order")
+    q_order = data.draw(st.sampled_from(
+        ("0", "1", "2", "0", "1", "2", "-1", "1.5", "40", "1000000000")), label="q-order")
     argv += ["--q-order", q_order, "--seed", str(data.draw(st.integers(-5, 10 ** 6)))]
     if command == "index":
         for flag in ("--V", "--W"):

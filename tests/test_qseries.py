@@ -14,6 +14,7 @@ from qtoric.qseries import (
     inv_ahat_coeffs,
     log_table,
     root_factor,
+    series_product,
 )
 
 
@@ -222,12 +223,57 @@ def test_log_table_prefactor_is_a_number():
         assert all(len(row) == 4 for row in L)
 
 
-def test_log_table_rejects_q_dependent_prefactor(monkeypatch):
-    import qtoric.qseries as qseries
-    monkeypatch.setattr(qseries, "root_factor",
-                        lambda kind, x, q_order, trunc: qs([1, 1], trunc))
+def reference_log_table(kinds, q_order, trunc, euler=False):
+    """log_table read off root_factor on a single generator.
+
+    The product of the factors is expanded as a QSeries; the x-powers that
+    vanish at every q are split off into xpow, the next x-coefficient must
+    be a number c, and the logarithm L of h = F / (x^xpow c), with h_0 = 1,
+    follows from d L_d = d h_d - sum_i i L_i h_{d-i}.
+    """
+    u = GP.generator(0)
+    f = QSeries.from_poly(u if euler else GP.one(), q_order, trunc)
+    for kind in kinds:
+        f = f * root_factor(kind, u, q_order, trunc)
+    # a[d][j]: the coefficient of x^d q^j
+    a = [[c.terms.get((0,) * d, Fraction(0)) for c in f.coeffs] for d in range(trunc + 1)]
+    xpow = 0
+    while xpow <= trunc and not any(a[xpow]):
+        xpow += 1
+    if xpow > trunc:
+        return xpow, Fraction(0), ()
+    a = a[xpow:]
+    c = a[0][0]
+    assert c and not any(a[0][1:]), kinds
+    h = [[x / c for x in row] for row in a]
+    L = [None]
+    for d in range(1, len(h)):
+        acc = [d * x for x in h[d]]
+        for i in range(1, d):
+            acc = [x - y for x, y in zip(acc, series_product([i * v for v in L[i]], h[d - i]))]
+        L.append([x / d for x in acc])
+    return xpow, c, tuple(tuple(row) for row in L[1:])
+
+
+TABLE_KINDS = [(("Q1", "AHAT"), False), (("EXPHALF",), False), (("EXPHALF", "Q2"), False),
+               (("Q2PRIME",), True), (("Q3",), False)]
+
+
+@pytest.mark.parametrize("kinds, euler", TABLE_KINDS)
+def test_log_table_matches_root_factor_expansion(kinds, euler):
+    """The closed-form tables against root_factor's expansion, entry by
+    entry, with the same row lengths."""
+    for N in range(13):
+        for n in range(11):
+            expected = reference_log_table(kinds, N, n, euler)
+            xpow, c, L = log_table(kinds, N, n, euler)
+            assert (xpow, c, L) == expected, (kinds, N, n)
+            assert [len(row) for row in L] == [N + 1] * len(expected[2]), (kinds, N, n)
+
+
+def test_log_table_rejects_unknown_kind():
     with pytest.raises(StructureError):
-        qseries.log_table.__wrapped__(("AHAT",), 1, 2)
+        log_table(("NOPE",), 1, 2)
 
 
 def test_format_prints_exact_rationals():
