@@ -18,14 +18,21 @@ single point ({}, 1).
 
 Every pairing runs on that one engine, at both point sets, which must agree
 exactly (the sum is a constant; a disagreement is reported as a bug, never
-returned): pair_top and is_zero_class evaluate a class once per point
-(is_zero_class then pairs it only against the square-free monomials u_S over
-the faces S of complementary degree, which span that degree of H*(M; Q) and
-are built once per degree from the shared support pattern),
-and pair_series reads a whole product of per-root factors there only as
-q-free characteristic numbers, products of the roots' power sums, and builds
-the q-series once from them; it evaluates only the roots supported at a
-point, and drops a point at which a root of an Euler-class group vanishes.
+returned): pair_top evaluates a class once per point; is_zero_class pairs it
+only against a basis of the complementary degree of H*(M; Q), the monomials
+u_R over the restriction faces R of one greedy shelling of the support
+pattern (polytope.shelling), and evaluates the class only at the points
+those faces need.  The shelling is built once per model and certified
+combinatorially: each R(v) lies in no earlier point and each v - R(v) in no
+later one, so the pairings <u_R(w) u_{v - R(v)}, [M]> form a triangular
+matrix with the vertex monomials on its diagonal, and the basis faces, h_k
+of them in size k, are independent.  Without a certified shelling (a
+connected sum's support pattern is two disjoint spheres) every face of
+complementary size is tried.  pair_series reads a whole product of
+per-root factors there only as q-free characteristic numbers, products of
+the roots' power sums, and builds the q-series once from them; it evaluates
+only the roots supported at a point, and drops a point at which a root of
+an Euler-class group vanishes.
 
 The mod-2 test of a quasitoric model needs no elimination: a class is even
 iff it is a relation lambda mu mod 2, and the dual basis at one vertex,
@@ -49,7 +56,7 @@ from .errors import (
     StructureError,
 )
 from .polynomial import GradedPolynomial, monomials_of_degree
-from .polytope import int_vector
+from .polytope import int_vector, shelling
 from .qseries import series_product
 
 _POINT_LO = 10 ** 3
@@ -117,10 +124,7 @@ class BundleSpec:
         return self.c1().integer_vector(self.gen_count)
 
     def p1(self) -> GradedPolynomial:
-        out = GradedPolynomial.zero()
-        for c in self.classes:
-            out = out + c.mul(c)
-        return out
+        return GradedPolynomial(_p1_terms(self.classes, ()))
 
     def to_vectors(self):
         return [list(c.integer_vector(self.gen_count)) for c in self.classes]
@@ -150,6 +154,9 @@ class IndexModel:
     name: str
 
     _point_sets = None
+    _masks = None  # generator -> bitset of the points supporting it
+    _shelling = None  # the certified shelling of the support pattern, if any
+    _face_lists = None  # face size -> [(face, its points)], the faces the zero test tries
 
     @property
     def gen_count(self) -> int:
@@ -198,21 +205,12 @@ class IndexModel:
         over the points supporting w, divided by D.  Each point walks its own
         generators through part's terms indexed by their first generator.
         """
-        scale = math.lcm(*(c.denominator for c in part.terms.values()))
-        constant, by_first = int(part.terms.get((), 0) * scale), {}
-        for mon, c in part.terms.items():
-            if mon:
-                by_first.setdefault(mon[0], []).append((mon[1:], int(c * scale)))
+        scale, constant, by_first = _indexed_terms(part.terms)
         out = []
         for pts, common in self._indexed_points():
             weights = {}
             for p, (vals, den) in enumerate(pts):
-                v = constant
-                for i, x in vals.items():
-                    for rest, c in by_first.get(i, ()):
-                        for j in rest:
-                            c *= vals.get(j, 0)
-                        v += c * x
+                v = _evaluate(vals, constant, by_first)
                 if v:
                     weights[p] = v * (common // den)
             out.append((pts, weights, common * scale))
@@ -228,46 +226,103 @@ class IndexModel:
         return self.pair_top(GradedPolynomial({tuple(sorted(mon)): Fraction(1)}))
 
     def nonzero_face(self, poly: GradedPolynomial):
-        """The first face S whose monomial u_S pairs nonzero with poly, or None.
+        """The first basis face S whose monomial u_S pairs nonzero with poly, or None.
 
         By Poincare duality a class of degree d <= n is zero in H*(M; Q)
-        exactly when it pairs to zero with all of H^{2(n-d)}.  That space is
-        spanned by the square-free monomials u_S over the faces S with
-        |S| = n - d: H*(M; Q) is the face ring modulo a linear system of
-        parameters (Davis-Januszkiewicz; Buchstaber-Panov, Toric Topology,
-        ch. 3), and products, connected sums and the point inherit this.
-        So only those u_S are tried, in sorted order per degree; u_S is
-        nonzero only at the points that _faces lists with S, built once per
-        degree: both point sets share one support pattern (_indexed_points),
-        and each face must pair the same at both.  A part that is zero at
-        every point of both sets pairs to zero with every face, so no face
-        is tried for it.
+        exactly when it pairs to zero with all of H^{2(n-d)}.  Only a basis
+        of that space is tried (_face_list): the u_R over the restriction
+        faces R of size n - d of the model's certified shelling, in shelling
+        order, or, without one, the u_S over every face S of size n - d in
+        sorted order (they span: H*(M; Q) is the face ring modulo a linear
+        system of parameters; Davis-Januszkiewicz; Buchstaber-Panov, Toric
+        Topology, ch. 3).  u_S is nonzero only at the points containing S,
+        and the class is evaluated only there, once per point; both point
+        sets share one support pattern (_indexed_points), and each face must
+        pair the same at both.  Terms whose generators share no point vanish
+        at every point and are dropped first, so a part made only of them
+        tries no face.
         """
         n = self.n
-        for d in poly.degrees_present():
-            if d > n:
-                continue  # beyond top degree: zero automatically
-            part = poly.homogeneous_part(d)
-            weighted = self._weights(part)
-            if not any(weights for _, weights, _ in weighted):
-                continue
-            faces = _faces(weighted[0][0], n - d)
-            for S in sorted(faces):
-                (a, den_a), (b, den_b) = [
-                    (sum(weights[p] * _monomial_value(S, pts[p][0])
-                         for p in faces[S] if p in weights), common)
-                    for pts, weights, common in weighted]
-                if a * den_b != b * den_a:
-                    raise InternalConsistencyError(
-                        "pairing of %r with u_%r disagrees between generic points: %s vs %s"
-                        % (part, S, Fraction(a, den_a), Fraction(b, den_b)))
-                if a:
-                    return S
+        parts = {}
+        for mon, c in poly.terms.items():
+            if len(mon) <= n:  # beyond top degree: zero automatically
+                parts.setdefault(len(mon), {})[mon] = c
+        for d in sorted(parts):
+            face = self._first_nonzero_face(parts[d], n - d)
+            if face is not None:
+                return face
         return None
 
+    def _first_nonzero_face(self, terms, k):
+        """nonzero_face for one homogeneous part, given as {monomial: coefficient}."""
+        point_sets = self._indexed_points()
+        masks = self._support_masks()
+        full = (1 << len(point_sets[0][0])) - 1
+        scale, constant, by_first = _indexed_terms(
+            {mon: c for mon, c in terms.items() if _containing(mon, masks, full)})
+        if not constant and not by_first:
+            return None
+        values = [{}, {}]  # per point set: point -> the part there, times scale
+        for S, points in self._face_list(k):
+            sums = []
+            for (pts, _), cache in zip(point_sets, values):
+                dens = [pts[p][1] for p in points]
+                common = math.lcm(*dens)
+                total = 0
+                for p, den in zip(points, dens):
+                    vals = pts[p][0]
+                    v = cache.get(p)
+                    if v is None:
+                        v = cache[p] = _evaluate(vals, constant, by_first)
+                    if v:
+                        total += v * _monomial_value(S, vals) * (common // den)
+                sums.append((total, common))
+            (a, den_a), (b, den_b) = sums
+            if a * den_b != b * den_a:
+                raise InternalConsistencyError(
+                    "pairing of %r with u_%r disagrees between generic points: %s vs %s"
+                    % (GradedPolynomial(terms), S, Fraction(a, den_a * scale),
+                       Fraction(b, den_b * scale)))
+            if a:
+                return S
+        return None
+
+    def _support_masks(self):
+        """Per generator, the bitset of the points supporting it; built once."""
+        if self._masks is None:
+            self._masks = {}
+            for p, (vals, _) in enumerate(self._indexed_points()[0][0]):
+                for i in vals:
+                    self._masks[i] = self._masks.get(i, 0) | 1 << p
+        return self._masks
+
+    def _face_list(self, k):
+        """The faces of size k that the zero test tries, each with the points
+        containing it: the restriction faces of size k of the support
+        pattern's shelling, if it is certified (_certify), or else every face
+        of size k.  The shelling is built once per model, each list once per
+        size."""
+        pts = self._indexed_points()[0][0]
+        masks = self._support_masks()
+        if self._face_lists is None:
+            supports = [tuple(sorted(vals)) for vals, _ in pts]
+            order = shelling(supports)
+            if order is not None and _certify(supports, order, masks, self.n):
+                self._shelling = order
+            self._face_lists = {}
+        if k not in self._face_lists:
+            if self._shelling is None:
+                faces = sorted(_faces(pts, k).items())
+            else:
+                full = (1 << len(pts)) - 1
+                faces = [(R, _bits(_containing(R, masks, full)))
+                         for _, R in self._shelling if len(R) == k]
+            self._face_lists[k] = faces
+        return self._face_lists[k]
+
     def is_zero_class(self, poly: GradedPolynomial) -> bool:
-        """Rational zero test: poly pairs to zero against every square-free
-        face monomial of complementary degree (see nonzero_face)."""
+        """Rational zero test: poly pairs to zero against a basis of face
+        monomials of complementary degree (see nonzero_face)."""
         return self.nonzero_face(poly) is None
 
     def pair_series(self, groups, q_order: int) -> list:
@@ -358,6 +413,88 @@ def _agree(values, what, *args):
             "%s disagrees between generic points: %s vs %s"
             % (what % args, first, second))
     return first
+
+
+def _certify(supports, order, masks, n):
+    """True iff the order lists every point once, each with R(v) a subset of
+    v, all n-sets, with R(v) in no earlier point (forward) and v - R(v) in
+    no later point (reverse).
+
+    Then <u_R(w) u_{v - R(v)}, [M]> = 0 for v before w: a point containing
+    both sets would come no earlier than w and no later than v.  At v = w
+    the monomial is u_v, nonzero at v alone.  So the u_R(v) are independent,
+    and being as many as the points (dim H*(M; Q) for a torus manifold with
+    isolated fixed points) they are a basis in each degree.
+    """
+    if sorted(v for v, _ in order) != list(range(len(supports))):
+        return False
+    full = (1 << len(supports)) - 1
+    before = 0
+    for v, R in order:
+        face = supports[v]
+        if len(face) != n or not set(R) <= set(face):
+            return False
+        rest = tuple(i for i in face if i not in R)
+        after = full & ~before & ~(1 << v)
+        if _containing(R, masks, full) & before or _containing(rest, masks, full) & after:
+            return False
+        before |= 1 << v
+    return True
+
+
+def _containing(face, masks, full):
+    """The bitset of the points whose support contains the face."""
+    for i in face:
+        full &= masks.get(i, 0)
+    return full
+
+
+def _bits(mask):
+    """The positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _indexed_terms(terms):
+    """A class {monomial: coefficient} times the lcm of its denominators, as
+    that lcm, its constant and its other terms indexed by first generator."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    constant, by_first = int(terms.get((), 0) * scale), {}
+    for mon, c in terms.items():
+        if mon:
+            by_first.setdefault(mon[0], []).append((mon[1:], int(c * scale)))
+    return scale, constant, by_first
+
+
+def _evaluate(vals, constant, by_first):
+    """A class at a point (see _indexed_terms): each of the point's own
+    generators walked through the terms that start with it."""
+    v = constant
+    for i, x in vals.items():
+        for rest, c in by_first.get(i, ()):
+            for j in rest:
+                c *= vals.get(j, 0)
+            v += c * x
+    return v
+
+
+def _p1_terms(plus, minus):
+    """p1 of the sum of the line bundles plus minus those of minus, as
+    {monomial: coefficient}: the square of each first Chern class, summed."""
+    out = {}
+    for sign, classes in ((1, plus), (-1, minus)):
+        for c in classes:
+            items = _linear_items(c)
+            for a, (i, x) in enumerate(items):
+                out[(i, i)] = out.get((i, i), 0) + sign * x * x
+                for j, y in items[a + 1:]:
+                    mon = (i, j) if i < j else (j, i)
+                    out[mon] = out.get(mon, 0) + 2 * sign * x * y
+    return out
 
 
 def _faces(pts, k):
@@ -611,8 +748,9 @@ def is_even_class(model: IndexModel, cls) -> bool:
 @dataclass
 class AdmissibilityReport:
     """The index-theorem hypotheses.  p1_witness names (by generator labels)
-    a face S whose monomial u_S pairs nonzero with p1(V + W - TM), or is
-    None when p1 vanishes; as_dict leaves it out."""
+    the first basis face S (IndexModel.nonzero_face) whose monomial u_S
+    pairs nonzero with p1(V + W - TM), or is None when p1 vanishes; as_dict
+    leaves it out."""
 
     spin_c_exists: bool
     w_is_spin: bool
@@ -639,7 +777,8 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
 
     c1(V) must reduce to w_2(M) mod 2 (so a Spin^c structure with
     c1^c = c1(V) exists), W must be Spin, and p1(V + W - TM) must vanish
-    rationally.
+    rationally.  p1(V + W - TM) is built in one pass from the first Chern
+    classes of the line bundles, as an integer quadratic form.
     """
     if V.dim:
         c1c_vec = V.c1_vector()
@@ -650,7 +789,8 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     diff = [a - b for a, b in zip(c1c_vec, model.c1_vector)]
     spin_c = model.is_even_vector(diff)
     w_spin = model.is_even_vector(W.c1_vector() if W.dim else (0,) * model.gen_count)
-    face = model.nonzero_face(V.p1() + W.p1() - model.p1_poly())
+    p1 = GradedPolynomial(_p1_terms(V.classes + W.classes, model.tangent_roots))
+    face = model.nonzero_face(p1)
     witness = None if face is None else tuple(model.gen_labels[i] for i in face)
     return AdmissibilityReport(spin_c, w_spin, face is None, tuple(c1c_vec), witness)
 

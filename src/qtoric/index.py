@@ -38,9 +38,10 @@ from .qseries import log_table, series_product
 
 DEFAULT_Q_ORDER = 4
 
-# The most pairing work phi_c takes on: 1.6e6 for Witten at q^400 on CP^2; an
-# index with W takes 3.7e8 on cube:14 at q^4, and about a minute at 9.7e8 (CP^6, q^860).
-PAIRING_BUDGET = 10 ** 9
+# The most pairing work phi_c takes on (_pairing_work): 3.2e5 for Witten at q^400
+# on CP^2 and 1.8e6 for an index with W on cube:14 at q^4; on CP^6 with W = u_1 and
+# c1c = u_0, 1.7e7 at q^400 runs 11 s, and 8.0e7 at q^860 about a minute.
+PAIRING_BUDGET = 10 ** 7
 
 
 @dataclass
@@ -106,30 +107,24 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
 
     if V.dim and c1c is not None:
         raise StructureError("c1c is determined by V when V is nonzero")
-    # pair_series forms each monomial at every point, then multiplies up to n q-rows for
-    # it; counting every (group, k <= n) as a variable needs no table, never undercounts
-    counts = [1] + [0] * n  # exponent vectors by weight
-    for k in [k for k in range(1, n + 1) for _ in range(3 if W.dim else 2)]:
-        for w in range(k, n + 1):
-            counts[w] += counts[w - k]
-    work = counts[n] * (len(model.fixed_points()[0]) + n * (q_order + 1) ** 2)
-    if work > PAIRING_BUDGET:
-        raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
-                                  "budget of %d" % (q_order, work, PAIRING_BUDGET))
-
-    groups = [(log_table(("Q1", "AHAT"), q_order, n), model.tangent_roots)]
+    plan = [(("Q1", "AHAT"), model.tangent_roots, False)]
     if V.dim == 0:
         if c1c is None and not model.is_even_vector(model.c1_vector):
             warnings.append(
                 "c1(M) is not even: no Spin structure, c1^c = 0 is a formal choice")
-        groups.append((log_table(("EXPHALF",), q_order, n),
-                       [GradedPolynomial.linear(admissibility.c1c_vector)]))
+        plan.append((("EXPHALF",), [GradedPolynomial.linear(admissibility.c1c_vector)], False))
     elif via_q2:
-        groups.append((log_table(("EXPHALF", "Q2"), q_order, n), V.classes))
+        plan.append((("EXPHALF", "Q2"), V.classes, False))
     else:
-        groups.append((log_table(("Q2PRIME",), q_order, n, euler=True), V.classes))
+        plan.append((("Q2PRIME",), V.classes, True))
     if W.dim:
-        groups.append((log_table(("Q3",), q_order, n), W.classes))
+        plan.append((("Q3",), W.classes, False))
+    work = _pairing_work(model, plan, q_order)
+    if work > PAIRING_BUDGET:
+        raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
+                                  "budget of %d" % (q_order, work, PAIRING_BUDGET))
+    groups = [(log_table(kinds, q_order, n, euler=euler), roots)
+              for kinds, roots, euler in plan]
 
     if not admissibility.met:
         warnings.append("hypotheses unmet: " + ", ".join(
@@ -148,6 +143,32 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     if seed is not None:
         meta["seed"] = seed
     return IndexResult(series, admissibility, warnings, meta)
+
+
+def _pairing_work(model: IndexModel, plan, q_order: int) -> int:
+    """About the steps of model.pair_series on the groups of the plan.
+
+    pair_series forms each exponent vector over its rows (group, k) at every
+    point, then multiplies up to n q-rows for it.  A row is formed only for
+    a group with a nonzero root, k no more than the degree left after the
+    Euler classes, and L_k not identically zero.  Each L_k is a constant
+    plus multiples of two divisor sums (log_table), which agree at q^1 and
+    differ at q^2, so it vanishes through q^N iff it does through
+    q^min(N, 2): the rows are read off tables that small.
+    """
+    n = model.n
+    probe = [(log_table(kinds, min(q_order, 2), n, euler=euler), roots)
+             for kinds, roots, euler in plan if roots]
+    top = n - sum(table[0] * len(roots) for table, roots in probe)
+    if top < 0:
+        return 0
+    counts = [1] + [0] * top  # exponent vectors by weight
+    for (_, _, L), roots in probe:
+        if any(root.terms for root in roots):
+            for k in [k for k in range(1, top + 1) if any(L[k - 1])]:
+                for w in range(k, top + 1):
+                    counts[w] += counts[w - k]
+    return counts[top] * (len(model.fixed_points()[0]) + n * (q_order + 1) ** 2)
 
 
 # ----------------------------------------------------------------------

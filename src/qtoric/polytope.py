@@ -13,6 +13,7 @@ can only fail by falling apart into several cycles.
 from __future__ import annotations
 
 import collections
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -50,15 +51,32 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-@dataclass(frozen=True)
 class TwoFace:
-    """A two-dimensional face: the n-2 facets containing it and its vertex cycle."""
+    """A two-dimensional face: the n-2 facets containing it and its vertex cycle.
 
-    facet_complement: tuple
-    cycle: tuple
+    A slotted class rather than a frozen dataclass: validation builds one per
+    two-face, and a frozen __init__ sets each field through object.__setattr__.
+    """
+
+    __slots__ = ("facet_complement", "cycle")
+
+    def __init__(self, facet_complement, cycle):
+        self.facet_complement = facet_complement
+        self.cycle = cycle
 
     def __len__(self):
         return len(self.cycle)
+
+    def __eq__(self, other):
+        if type(other) is not TwoFace:
+            return NotImplemented
+        return self.facet_complement == other.facet_complement and self.cycle == other.cycle
+
+    def __hash__(self):
+        return hash((self.facet_complement, self.cycle))
+
+    def __repr__(self):
+        return "TwoFace(facet_complement=%r, cycle=%r)" % (self.facet_complement, self.cycle)
 
 
 @dataclass(frozen=True)
@@ -329,8 +347,35 @@ class SimplePolytope:
         return True
 
     def f_vector(self):
-        """f_k = number of k-dimensional faces, k = 0..n (f_n = 1 for P itself)."""
+        """f_i = number of i-dimensional faces, i = 0..n (f_n = 1 for P itself).
+
+        f_i = sum_k C(k, i) h_k, the inverse of the relation in h_vector.
+        """
+        h = self.h_vector()
+        return tuple(sum(_binomial(k, i) * hk for k, hk in enumerate(h))
+                     for i in range(self.dim + 1))
+
+    def h_vector(self):
+        """h-vector; h_k = dim of degree-2k rational cohomology.
+
+        Simple-polytope convention: sum_k h_k t^k = sum_i f_i (t-1)^i.  Read
+        off a shelling of the vertices (see `shelling`): its restriction
+        faces cut the faces into the intervals [R(v), v], so that
+        f_i = sum_v C(n - |R(v)|, i) and h_k counts the vertices with
+        |R(v)| = n - k.  Without a shelling the faces are enumerated.
+        """
         self.require_valid()
+        n = self.dim
+        order = shelling(self.vertices)
+        if order is None:
+            return _h_from_f(self._enumerated_f_vector())
+        h = [0] * (n + 1)
+        for _, restriction in order:
+            h[n - len(restriction)] += 1
+        return tuple(h)
+
+    def _enumerated_f_vector(self):
+        """The f-vector from every k-subset of every vertex, about V * 2^n tuples."""
         n = self.dim
         fv = []
         for codim in range(n, 0, -1):
@@ -340,19 +385,6 @@ class SimplePolytope:
             fv.append(len(subs))
         fv.append(1)
         return tuple(fv)
-
-    def h_vector(self):
-        """h-vector from the f-vector; h_k = dim of degree-2k rational cohomology.
-
-        Simple-polytope convention: sum_k h_k t^k = sum_i f_i (t-1)^i.
-        """
-        n = self.dim
-        fv = self.f_vector()
-        coeffs = [0] * (n + 1)  # coefficient of t^j
-        for i in range(n + 1):
-            for j in range(i + 1):
-                coeffs[j] += fv[i] * _binomial(i, j) * ((-1) ** (i - j))
-        return tuple(coeffs)
 
     # ------------------------------------------------------------------
 
@@ -395,6 +427,78 @@ class SimplePolytope:
         return cls(dim, vertices,
                    facet_count=len(facets) if facets else None,
                    facet_names=facets, name=data.get("name") or None)
+
+
+def _h_from_f(fv):
+    """sum_k h_k t^k = sum_i f_i (t-1)^i."""
+    coeffs = [0] * len(fv)  # coefficient of t^j
+    for i, f in enumerate(fv):
+        for j in range(i + 1):
+            coeffs[j] += f * _binomial(i, j) * ((-1) ** (i - j))
+    return tuple(coeffs)
+
+
+def shelling(supports):
+    """A shelling of the simplicial complex whose facets are the supports.
+
+    supports: one sorted tuple of generators (facets of P) per point, all of
+    one size n.  Returns [(point, R(point))] in shelling order, R(v) the
+    restriction face: the generators i of v whose ridge v - {i} lies in an
+    earlier point.  So the faces of v in no earlier point are exactly those
+    containing R(v), provided R(v) lies in no earlier point itself.  Returns
+    None when a ridge does not lie in exactly two points, or when the greedy
+    stalls (the complex is then not a single shellable sphere, say a
+    connected sum's two spheres side by side).
+
+    The greedy is incremental: placing a point covers one ridge of each of
+    its unplaced neighbours, which is pushed onto a heap keyed by its number
+    of covered ridges, smallest first, ties by point index.  A candidate
+    whose R(v) lies in an earlier point (per-generator bitsets over the
+    placed points) is deferred until another of its ridges is covered.
+    """
+    if not supports:
+        return None
+    n = len(supports[0])
+    ridges = {}
+    for v, face in enumerate(supports):
+        if len(face) != n:
+            return None
+        # the k-th (n-1)-subset of face omits face[n-1-k]
+        for ridge, i in zip(itertools.combinations(face, n - 1) if n else (), reversed(face)):
+            ridges.setdefault(ridge, []).append((v, i))
+    across = [[] for _ in supports]  # (i, w, j): ridge v - {i} is ridge w - {j}
+    for ends in ridges.values():
+        if len(ends) != 2:
+            return None
+        (a, i), (b, j) = ends
+        across[a].append((i, b, j))
+        across[b].append((j, a, i))
+    del ridges
+    covered = [[] for _ in supports]
+    placed = [False] * len(supports)
+    inside = collections.defaultdict(int)  # generator -> bitset of placed points
+    order = []
+    heap = [(0, 0)]
+    while heap:
+        count, v = heapq.heappop(heap)
+        restriction = covered[v]
+        if placed[v] or count != len(restriction):
+            continue  # placed already, or a stale entry
+        earlier = -1 if restriction else 0
+        for i in restriction:
+            earlier &= inside[i]
+        if earlier:
+            continue  # R(v) lies in an earlier point
+        placed[v] = True
+        order.append((v, tuple(sorted(restriction))))
+        bit = 1 << v
+        for i in supports[v]:
+            inside[i] |= bit
+        for i, w, j in across[v]:
+            if not placed[w]:
+                covered[w].append(j)
+                heapq.heappush(heap, (len(covered[w]), w))
+    return order if len(order) == len(supports) else None
 
 
 def _binomial(n, k):

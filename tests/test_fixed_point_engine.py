@@ -17,9 +17,10 @@ once; it must give the same series on every call.
 
 The third, reference_nonzero_face, is the zero test as it was: each point
 set read a class through its own frozenset support index and built its own
-face table, and the two tables had to list the same faces.  The library
-checks once that both sets share one support pattern and builds each face
-table once; it must return the same face (or None) and the same pairing.
+face table of every face of complementary size, and the two tables had to
+list the same faces.  The library tries only the restriction faces of a
+certified shelling, a basis, so it may name another face; it must give the
+same zero/nonzero answer, and a face it names must pair nonzero.
 """
 
 import math
@@ -317,7 +318,9 @@ def reference_nonzero_face(model, poly):
 
 
 def _assert_zero_test_matches_reference(model, poly, face):
-    assert face == reference_nonzero_face(model, poly), poly
+    assert (face is None) == (reference_nonzero_face(model, poly) is None), poly
+    if face is not None:
+        assert model.pair_top(poly.mul(GP({face: Fraction(1)}))) != 0, (poly, face)
     assert model.pair_top(poly) == reference_pair_top(model, poly), poly
 
 
@@ -537,14 +540,104 @@ def test_nonzero_face_matches_reference_on_twists(name, monkeypatch):
     assert classes
 
 
-def test_faces_built_once_per_degree(monkeypatch):
-    """p1 of cube:5 is zero, so every face of size 3 is tried, from one table."""
+def _counting(monkeypatch, name):
+    """Record the calls of cohomology.<name>, which still does its work."""
+    fn = getattr(cohomology, name)
+    calls = []
+    monkeypatch.setattr(cohomology, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_shelling_built_once_per_model(monkeypatch):
+    """p1 of cube:5 is zero, so every basis face of size 3 is tried; the
+    shelling and each size's face list are built once, and no table of
+    every face is."""
+    shellings, tables = _counting(monkeypatch, "shelling"), _counting(monkeypatch, "_faces")
     model = _quasitoric("cube:5")
-    faces = cohomology._faces
-    sizes = []
-    monkeypatch.setattr(cohomology, "_faces", lambda pts, k: sizes.append(k) or faces(pts, k))
-    assert model.is_zero_class(model.p1_poly())
-    assert sizes == [3]
+    for _ in range(2):
+        assert model.is_zero_class(model.p1_poly())
+        assert not model.is_zero_class(GP.generator(0).mul(GP.generator(1)).mul(GP.generator(2)))
+        check_admissible(model, BundleSpec.empty(10), BundleSpec.empty(10))
+    assert len(shellings) == 1 and tables == []
+    assert {k: len(faces) for k, faces in model._face_lists.items()} == {3: 10, 2: 10}
+    assert model._face_list(3) is model._face_list(3)
+
+
+def _shelling_sizes(model):
+    """Restriction-face sizes per size, from the model's certified shelling."""
+    model._face_list(0)
+    sizes = [0] * (model.n + 1)
+    for _, R in model._shelling:
+        sizes[len(R)] += 1
+    return tuple(sizes)
+
+
+@pytest.mark.parametrize("name", ["cp:4", "cube:5", "cube:3 x cp:2", "cube:4 with 3 vertex cuts",
+                                  "dense cube:4"])
+def test_basis_faces_count_the_betti_numbers(name):
+    """The shelling certifies on quasitoric and product models, and its
+    restriction faces number h_k in size k."""
+    model = {**ZERO_TEST_MODELS, **ZERO_TEST_TWIST_MODELS}[name]
+    if isinstance(model, QuasitoricModel):
+        h = model.polytope.h_vector()
+    else:
+        h = tuple(sum(a * b for i, a in enumerate(model.left.polytope.h_vector())
+                      for j, b in enumerate(model.right.polytope.h_vector()) if i + j == k)
+                  for k in range(model.n + 1))
+    assert _shelling_sizes(model) == h
+
+
+def _bad_order(make_restriction):
+    """A stand-in for cohomology.shelling: every point in order, with the
+    restriction face that make_restriction gives its support."""
+    return lambda supports: [(v, make_restriction(face)) for v, face in enumerate(supports)]
+
+
+def _failed_checks(supports, order):
+    """(forward, reverse) of the certificate, by set inclusion: whether some
+    R(v) lies in an earlier point, whether some v - R(v) lies in a later one."""
+    sets = [(set(supports[v]), set(R)) for v, R in order]
+    return (any(R <= u for t, (_, R) in enumerate(sets) for u, _ in sets[:t]),
+            any(v - R <= u for t, (v, R) in enumerate(sets) for u, _ in sets[t + 1:]))
+
+
+@pytest.mark.parametrize("make_restriction,failed", [
+    (lambda face: (), (True, False)),  # the empty R(v) lies in every earlier point
+    (lambda face: face, (False, True)),  # the empty v - R(v) lies in every later point
+], ids=["forward", "reverse"])
+def test_uncertified_order_falls_back_to_all_faces(make_restriction, failed, monkeypatch):
+    """A hand-made order that fails one check of the certificate is dropped,
+    and the zero test tries every face, as the reference does."""
+    model = _quasitoric("cube:4")
+    supports = [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
+    order = _bad_order(make_restriction)(supports)
+    assert _failed_checks(supports, order) == failed
+    assert not cohomology._certify(supports, order, model._support_masks(), model.n)
+
+    model = _quasitoric("cube:4")
+    monkeypatch.setattr(cohomology, "shelling", _bad_order(make_restriction))
+    tables = _counting(monkeypatch, "_faces")
+    rng = random.Random(7)
+    for trial in range(10):
+        poly = _random_class(model, rng, zero=trial % 2 == 0)
+        face = model.nonzero_face(poly)
+        assert face == reference_nonzero_face(model, poly), poly
+    assert model._face_lists and model._shelling is None
+    assert tables
+
+
+@pytest.mark.parametrize("name", ["cp:2 # cp:2", "cp:2 # -cp:2", "cube:3 # cube:3"])
+def test_connected_sums_fall_back_to_all_faces(name):
+    """Two disjoint spheres: the greedy stalls, and every face is tried, as
+    the reference does, so the same face is named."""
+    model = ZERO_TEST_MODELS[name]
+    supports = [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
+    assert cohomology.shelling(supports) is None
+    rng = random.Random(11)
+    for trial in range(10):
+        poly = _random_class(model, rng, zero=trial % 2 == 0)
+        assert model.nonzero_face(poly) == reference_nonzero_face(model, poly), poly
+    assert model._face_lists and model._shelling is None
 
 
 def test_p1_witness():
@@ -563,14 +656,13 @@ def test_p1_witness():
 
 def test_part_zero_at_every_point_tries_no_face(monkeypatch):
     """The p1 test of a colouring twist: p1(V) - p1(TM) is a sum of cross
-    terms u_i u_j of same-coloured facets, which share no vertex."""
+    terms u_i u_j of same-coloured facets, which share no vertex, so no
+    shelling and no face table is built."""
     model = _quasitoric("cube:6")
     _, coloring = facet_chromatic(model.polytope)
-    faces = cohomology._faces
-    sizes = []
-    monkeypatch.setattr(cohomology, "_faces", lambda pts, k: sizes.append(k) or faces(pts, k))
+    shellings, tables = _counting(monkeypatch, "shelling"), _counting(monkeypatch, "_faces")
     result = colored_index(model, coloring, q_order=1)
-    assert sizes == []
+    assert shellings == [] and tables == [] and model._face_lists is None
     assert result.admissibility == AdmissibilityReport(
         spin_c_exists=True, w_is_spin=True, p1_zero=True, c1c_vector=(1,) * 12)
 

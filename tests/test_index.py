@@ -12,7 +12,7 @@ from qtoric.charpair import (
     sphere_pair,
 )
 from qtoric.cohomology import BundleSpec, PointModel
-from qtoric.errors import HypothesisUnmetError, StructureError
+from qtoric.errors import BudgetExceededError, HypothesisUnmetError, StructureError
 from qtoric.index import (
     ConnectedSumModel,
     ProductModel,
@@ -94,6 +94,63 @@ def test_phi_c_rejects_bad_q_order(q_order):
 def test_phi_c_rejects_c1c_with_nonzero_v():
     with pytest.raises(StructureError):
         phi_c(S2, [[1, 1]], None, c1c=[0, 0])
+
+
+# ----------------------------------------------------------------------
+# the pairing budget
+
+
+def _stub_pairing(model, monkeypatch):
+    """Replace model.pair_series by a zero series, recording its q-orders."""
+    calls = []
+    monkeypatch.setattr(model, "pair_series",
+                        lambda groups, q_order: calls.append(q_order) or [Fraction(0)] * (q_order + 1))
+    return calls
+
+
+CP6_TWIST = {"W": [[0, 1, 0, 0, 0, 0, 0]], "c1c": [1, 0, 0, 0, 0, 0, 0]}
+
+
+def test_pairing_budget_admits_cp6_twist_through_q303(monkeypatch):
+    """CP^6 with W = u_1 and c1c = u_0 needs 9,981,054 steps at q^303."""
+    model = cp_pair(6).to_index_model()
+    calls = _stub_pairing(model, monkeypatch)
+    phi_c(model, None, CP6_TWIST["W"], q_order=303, c1c=CP6_TWIST["c1c"])
+    assert calls == [303]
+
+
+@pytest.mark.parametrize("q_order", [304, 860])
+def test_pairing_budget_refuses_cp6_twist_from_q304(q_order, monkeypatch):
+    """10,046,826 steps at q^304; q^860 ran about a minute under the old budget."""
+    model = cp_pair(6).to_index_model()
+    calls = _stub_pairing(model, monkeypatch)
+    with pytest.raises(BudgetExceededError, match="over the budget of 10000000"):
+        phi_c(model, None, CP6_TWIST["W"], q_order=q_order, c1c=CP6_TWIST["c1c"])
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", [CP3, CUBE3, S2S2, ProductModel(CP2, S2)],
+                         ids=["cp:3", "cube:3", "s2xs2", "cp:2 x s2"])
+def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
+    """The budget's estimate is the number of exponent vectors pair_series
+    forms, times its per-vector steps, on every route of phi_c."""
+    from qtoric import cohomology, index
+    estimates, formed = [], []
+    work, vectors = index._pairing_work, cohomology._exponent_vectors
+    monkeypatch.setattr(index, "_pairing_work", lambda *args: estimates.append(
+        (work(*args), args[2])) or estimates[-1][0])
+    monkeypatch.setattr(cohomology, "_exponent_vectors", lambda weights, total, start=0: (
+        vectors(weights, total, start) if start
+        else formed.append(len(vectors(weights, total))) or vectors(weights, total)))
+    m, n, points = model.gen_count, model.n, len(model.fixed_points()[0])
+    line = [[1] + [0] * (m - 1)]
+    for q_order in range(4):
+        witten_genus(model, q_order)
+        phi_c(model, None, line, q_order=q_order, c1c=line[0])
+        phi_c(model, line, line, q_order=q_order)
+        phi_c(model, line + line, None, q_order=q_order, via_q2=True)
+    assert any(formed)
+    assert [w // (points + n * (q + 1) ** 2) for w, q in estimates] == formed
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
-from test_charpair import vertex_cuts
+from test_charpair import rp2_dual_pair, vertex_cuts
 
 from qtoric.charpair import cp_pair, cube_pair
 
@@ -22,6 +23,7 @@ from qtoric.polytope import (
     interval,
     polygon,
     prism,
+    shelling,
     simplex,
     verify_coloring,
 )
@@ -365,6 +367,73 @@ def test_product_commutative_up_to_relabeling():
 
 # ----------------------------------------------------------------------
 # f- and h-vectors
+
+
+def reference_f_vector(p):
+    """f_i by enumeration: the (n - i)-subsets of every vertex, i = 0..n."""
+    n = p.dim
+    return tuple(len({sub for v in p.vertices for sub in itertools.combinations(v, n - i)})
+                 for i in range(n + 1))
+
+
+def reference_h_vector(p):
+    """sum_k h_k t^k = sum_i f_i (t - 1)^i."""
+    f = reference_f_vector(p)
+    return tuple(sum(fi * math.comb(i, k) * (-1) ** (i - k) for i, fi in enumerate(f))
+                 for k in range(p.dim + 1))
+
+
+SHELLING_CASES = (
+    [("cube:%d" % n, lambda n=n: cube(n)) for n in range(3, 10)]
+    + [("simplex:%d" % n, lambda n=n: simplex(n)) for n in range(1, 7)]
+    + [("polygon:6^3", lambda: polygon(6).product(polygon(6)).product(polygon(6))),
+       ("cube:3*polygon:5", lambda: cube(3).product(polygon(5))),
+       ("prism:5*simplex:3", lambda: prism(5).product(simplex(3))),
+       ("cp:4 with 3 vertex cuts", lambda: vertex_cuts(cp_pair(4), 3, 4).polytope),
+       ("cube:5 with 60 vertex cuts", lambda: vertex_cuts(cube_pair(5), 60, 5).polytope),
+       ("cp:5 with 50 vertex cuts", lambda: vertex_cuts(cp_pair(5), 50, 5).polytope),
+       ("cube:6 relabelled", lambda: relabelled(cube(6), 1))]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in SHELLING_CASES],
+                         ids=[name for name, _ in SHELLING_CASES])
+def test_shelling_vectors_match_enumeration(make):
+    """The greedy shells every case, each restriction face starts a new
+    interval of faces, and the h- and f-vectors read off it are the
+    enumerated ones."""
+    p = make()
+    p.require_valid()
+    order = shelling(p.vertices)
+    assert sorted(v for v, _ in order) == list(range(len(p.vertices)))
+    earlier = []
+    for v, R in order:
+        face = set(p.vertices[v])
+        assert set(R) <= face
+        assert all(set(R) - set(u) for u in earlier)
+        assert all(any(face - {i} <= set(u) for u in earlier) for i in R)
+        earlier.append(p.vertices[v])
+    assert p.h_vector() == reference_h_vector(p)
+    assert p.f_vector() == reference_f_vector(p)
+
+
+def test_unshellable_incidences_fall_back_to_enumeration():
+    """The dual of the 6-vertex RP^2 passes validation, but no shelling
+    exists (a shellable pseudomanifold is a sphere): the faces are counted."""
+    p = rp2_dual_pair().polytope
+    p.require_valid()
+    assert shelling(p.vertices) is None
+    assert p.h_vector() == reference_h_vector(p) == (0, 6, 3, 1)
+    assert p.f_vector() == reference_f_vector(p) == (10, 15, 6, 1)
+
+
+def test_two_face_fields_equality_and_repr():
+    a, b = TwoFace((0,), (0, 1, 3)), TwoFace((0,), (0, 1, 3))
+    assert a == b and hash(a) == hash(b) and len(a) == 3
+    assert a != TwoFace((1,), (0, 1, 3)) and a != ((0,), (0, 1, 3))
+    assert repr(a) == "TwoFace(facet_complement=(0,), cycle=(0, 1, 3))"
+    with pytest.raises(AttributeError):
+        a.extra = 1
 
 
 def test_h_vectors():
