@@ -38,9 +38,10 @@ from .qseries import log_table, series_product
 
 DEFAULT_Q_ORDER = 4
 
-# The most pairing work phi_c takes on (_pairing_work): 3.2e5 for Witten at q^400
-# on CP^2 and 1.8e6 for an index with W on cube:14 at q^4; on CP^6 with W = u_1 and
-# c1c = u_0, 1.7e7 at q^400 runs 11 s, and 8.0e7 at q^860 about a minute.
+# The most work phi_c takes on (_table_work + _pairing_work): 3.4e5 for Witten at
+# q^400 on CP^2 and 1.8e6 for an index with W on cube:14 at q^4; on CP^6 with
+# W = u_1 and c1c = u_0, 1.7e7 at q^400 runs 11 s, and 8.0e7 at q^860 about a minute.
+# Witten on cube:3 forms no exponent vector; its tables take 2.9 s at q^90000 (9.2e6).
 PAIRING_BUDGET = 10 ** 7
 
 
@@ -119,7 +120,7 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
         plan.append((("Q2PRIME",), V.classes, True))
     if W.dim:
         plan.append((("Q3",), W.classes, False))
-    work = _pairing_work(model, plan, q_order)
+    work = _table_work(plan, n, q_order) + _pairing_work(model, plan, q_order)
     if work > PAIRING_BUDGET:
         raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
                                   "budget of %d" % (q_order, work, PAIRING_BUDGET))
@@ -143,6 +144,17 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     if seed is not None:
         meta["seed"] = seed
     return IndexResult(series, admissibility, warnings, meta)
+
+
+def _table_work(plan, n: int, q_order: int) -> int:
+    """About the steps of log_table on the groups of the plan.
+
+    Each group has up to n rows of q_order + 1 coefficients, and a divisor
+    sum sieves a row in about (q_order + 1) * ln(q_order) steps.  Counted
+    even where pair_series forms no exponent vector, as for the Witten genus
+    in odd n, so that a huge q_order is refused before any table is built.
+    """
+    return len(plan) * n * (q_order + 1) * (q_order + 1).bit_length()
 
 
 def _pairing_work(model: IndexModel, plan, q_order: int) -> int:

@@ -51,32 +51,19 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class TwoFace:
     """A two-dimensional face: the n-2 facets containing it and its vertex cycle.
 
-    A slotted class rather than a frozen dataclass: validation builds one per
-    two-face, and a frozen __init__ sets each field through object.__setattr__.
+    Not frozen: validation builds one per two-face, and a frozen __init__
+    sets each field through object.__setattr__.
     """
 
-    __slots__ = ("facet_complement", "cycle")
-
-    def __init__(self, facet_complement, cycle):
-        self.facet_complement = facet_complement
-        self.cycle = cycle
+    facet_complement: tuple
+    cycle: tuple
 
     def __len__(self):
         return len(self.cycle)
-
-    def __eq__(self, other):
-        if type(other) is not TwoFace:
-            return NotImplemented
-        return self.facet_complement == other.facet_complement and self.cycle == other.cycle
-
-    def __hash__(self):
-        return hash((self.facet_complement, self.cycle))
-
-    def __repr__(self):
-        return "TwoFace(facet_complement=%r, cycle=%r)" % (self.facet_complement, self.cycle)
 
 
 @dataclass(frozen=True)
@@ -347,35 +334,8 @@ class SimplePolytope:
         return True
 
     def f_vector(self):
-        """f_i = number of i-dimensional faces, i = 0..n (f_n = 1 for P itself).
-
-        f_i = sum_k C(k, i) h_k, the inverse of the relation in h_vector.
-        """
-        h = self.h_vector()
-        return tuple(sum(_binomial(k, i) * hk for k, hk in enumerate(h))
-                     for i in range(self.dim + 1))
-
-    def h_vector(self):
-        """h-vector; h_k = dim of degree-2k rational cohomology.
-
-        Simple-polytope convention: sum_k h_k t^k = sum_i f_i (t-1)^i.  Read
-        off a shelling of the vertices (see `shelling`): its restriction
-        faces cut the faces into the intervals [R(v), v], so that
-        f_i = sum_v C(n - |R(v)|, i) and h_k counts the vertices with
-        |R(v)| = n - k.  Without a shelling the faces are enumerated.
-        """
+        """f_k = number of k-dimensional faces, k = 0..n (f_n = 1 for P itself)."""
         self.require_valid()
-        n = self.dim
-        order = shelling(self.vertices)
-        if order is None:
-            return _h_from_f(self._enumerated_f_vector())
-        h = [0] * (n + 1)
-        for _, restriction in order:
-            h[n - len(restriction)] += 1
-        return tuple(h)
-
-    def _enumerated_f_vector(self):
-        """The f-vector from every k-subset of every vertex, about V * 2^n tuples."""
         n = self.dim
         fv = []
         for codim in range(n, 0, -1):
@@ -385,6 +345,19 @@ class SimplePolytope:
             fv.append(len(subs))
         fv.append(1)
         return tuple(fv)
+
+    def h_vector(self):
+        """h-vector from the f-vector; h_k = dim of degree-2k rational cohomology.
+
+        Simple-polytope convention: sum_k h_k t^k = sum_i f_i (t-1)^i.
+        """
+        n = self.dim
+        fv = self.f_vector()
+        coeffs = [0] * (n + 1)  # coefficient of t^j
+        for i in range(n + 1):
+            for j in range(i + 1):
+                coeffs[j] += fv[i] * _binomial(i, j) * ((-1) ** (i - j))
+        return tuple(coeffs)
 
     # ------------------------------------------------------------------
 
@@ -427,15 +400,6 @@ class SimplePolytope:
         return cls(dim, vertices,
                    facet_count=len(facets) if facets else None,
                    facet_names=facets, name=data.get("name") or None)
-
-
-def _h_from_f(fv):
-    """sum_k h_k t^k = sum_i f_i (t-1)^i."""
-    coeffs = [0] * len(fv)  # coefficient of t^j
-    for i, f in enumerate(fv):
-        for j in range(i + 1):
-            coeffs[j] += f * _binomial(i, j) * ((-1) ** (i - j))
-    return tuple(coeffs)
 
 
 def shelling(supports):

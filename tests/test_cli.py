@@ -188,16 +188,33 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
-def test_huge_q_order_exits_3_before_any_series():
-    """The pairing budget refuses --q-order 10^9 before any table is built.
-    The run has 1 GiB of address space, so it could not allocate a list of
-    10^9 + 1 entries (8 GB) and still exit 3."""
-    _, pair, _ = run_cli(["generate", "cp:2"])
-    proc = subprocess.run(PY + ["genus", "--kind", "witten", "--q-order", "1000000000"],
+def _run_huge_q_order(family, args):
+    _, pair, _ = run_cli(["generate", family])
+    proc = subprocess.run(PY + args + ["--q-order", "1000000000"],
                           input=pair, capture_output=True, text=True, timeout=30,
                           preexec_fn=_limit_address_space)
     assert proc.returncode == 3 and proc.stdout == "", proc.stderr
     assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_huge_q_order_exits_3_before_any_series():
+    """The pairing budget refuses --q-order 10^9 before any table is built.
+    The run has 1 GiB of address space, so it could not allocate a list of
+    10^9 + 1 entries (8 GB) and still exit 3."""
+    _run_huge_q_order("cp:2", ["genus", "--kind", "witten"])
+
+
+@pytest.mark.parametrize("family,args", [
+    # odd n: every L_k that fits is identically zero
+    ("cube:3", ["genus", "--kind", "witten"]),
+    ("cube:3", ["genus", "--kind", "elliptic"]),
+    # more Euler classes than n
+    ("cp:2", ["index", "--V", "[[1,0,0],[1,0,0],[1,0,0]]"]),
+], ids=["witten cube:3", "elliptic cube:3", "index cp:2 3 V rows"])
+def test_huge_q_order_exits_3_where_no_exponent_vector_is_formed(family, args):
+    """pair_series would form no exponent vector here, so only the table work
+    makes the budget refuse --q-order 10^9."""
+    _run_huge_q_order(family, args)
 
 
 def test_genus_elliptic_refusal_exit_3():

@@ -111,22 +111,46 @@ def _stub_pairing(model, monkeypatch):
 CP6_TWIST = {"W": [[0, 1, 0, 0, 0, 0, 0]], "c1c": [1, 0, 0, 0, 0, 0, 0]}
 
 
-def test_pairing_budget_admits_cp6_twist_through_q303(monkeypatch):
-    """CP^6 with W = u_1 and c1c = u_0 needs 9,981,054 steps at q^303."""
+def test_pairing_budget_admits_cp6_twist_through_q302(monkeypatch):
+    """CP^6 with W = u_1 and c1c = u_0 needs 9,964,584 steps at q^302
+    (49,086 of them for the tables)."""
     model = cp_pair(6).to_index_model()
     calls = _stub_pairing(model, monkeypatch)
-    phi_c(model, None, CP6_TWIST["W"], q_order=303, c1c=CP6_TWIST["c1c"])
-    assert calls == [303]
+    phi_c(model, None, CP6_TWIST["W"], q_order=302, c1c=CP6_TWIST["c1c"])
+    assert calls == [302]
 
 
-@pytest.mark.parametrize("q_order", [304, 860])
-def test_pairing_budget_refuses_cp6_twist_from_q304(q_order, monkeypatch):
-    """10,046,826 steps at q^304; q^860 ran about a minute under the old budget."""
+@pytest.mark.parametrize("q_order", [303, 860])
+def test_pairing_budget_refuses_cp6_twist_from_q303(q_order, monkeypatch):
+    """10,030,302 steps at q^303; q^860 ran about a minute under the old budget."""
     model = cp_pair(6).to_index_model()
     calls = _stub_pairing(model, monkeypatch)
     with pytest.raises(BudgetExceededError, match="over the budget of 10000000"):
         phi_c(model, None, CP6_TWIST["W"], q_order=q_order, c1c=CP6_TWIST["c1c"])
     assert calls == []
+
+
+@pytest.mark.parametrize("genus", [witten_genus, elliptic_genus])
+def test_budget_counts_tables_where_no_exponent_vector_is_formed(genus, monkeypatch):
+    """On cube:3 every L_k of the Witten and elliptic genus that fits in odd
+    degree 3 vanishes, so pair_series forms no exponent vector; the tables
+    alone are then refused past the budget, and admitted below it."""
+    from qtoric import index
+    assert index._pairing_work(CUBE3, [(("Q1", "AHAT"), CUBE3.tangent_roots, False)], 10 ** 9) == 0
+    calls = _stub_pairing(CUBE3, monkeypatch)
+    with pytest.raises(BudgetExceededError, match="over the budget"):
+        genus(CUBE3, q_order=10 ** 9)
+    assert calls == []
+    assert genus(CUBE3, q_order=1000).is_zero() and calls == [1000]
+
+
+def test_budget_counts_tables_with_more_euler_classes_than_n(monkeypatch):
+    """Four Euler classes on CP^2 leave no degree for any row."""
+    calls = _stub_pairing(CP2, monkeypatch)
+    with pytest.raises(BudgetExceededError, match="over the budget"):
+        phi_c(CP2, [[1, 0, 0]] * 4, None, q_order=10 ** 9)
+    assert calls == []
+    assert phi_c(CP2, [[1, 0, 0]] * 4, None, q_order=100).is_zero() and calls == [100]
 
 
 @pytest.mark.parametrize("model", [CP3, CUBE3, S2S2, ProductModel(CP2, S2)],
