@@ -18,21 +18,21 @@ single point ({}, 1).
 
 Every pairing runs on that one engine, at both point sets, which must agree
 exactly (the sum is a constant; a disagreement is reported as a bug, never
-returned): pair_top evaluates a class once per point; is_zero_class pairs it
-only against a basis of the complementary degree of H*(M; Q), the monomials
-u_R over the restriction faces R of one greedy shelling of the support
-pattern (polytope.shelling), and evaluates the class only at the points
-those faces need.  The shelling is built once per model and certified
-combinatorially: each R(v) lies in no earlier point and each v - R(v) in no
-later one, so the pairings <u_R(w) u_{v - R(v)}, [M]> form a triangular
-matrix with the vertex monomials on its diagonal, and the basis faces, h_k
-of them in size k, are independent.  Without a certified shelling (a
-connected sum's support pattern is two disjoint spheres) every face of
-complementary size is tried.  pair_series reads a whole product of
-per-root factors there only as q-free characteristic numbers, products of
-the roots' power sums, and builds the q-series once from them; it evaluates
-only the roots supported at a point, and drops a point at which a root of
-an Euler-class group vanishes.
+returned).  A class pairs with the monomial u_S of a face S at the points
+containing S only.  pair_top is the pairing with the empty face, u_() = 1;
+is_zero_class pairs a class only against a basis of the complementary
+degree of H*(M; Q), the monomials u_R over the restriction faces R of one
+greedy shelling of the support pattern (polytope.shelling).  The shelling
+is built once per model and certified combinatorially: each R(v) lies in
+no earlier point and each v - R(v) in no later one, so the pairings
+<u_R(w) u_{v - R(v)}, [M]> form a triangular matrix with the vertex
+monomials on its diagonal, and the basis faces, h_k of them in size k, are
+independent.  Without a certified shelling (a connected sum's support
+pattern is two disjoint spheres) every face of complementary size is tried.
+pair_series reads a whole product of per-root factors at the points only as
+q-free characteristic numbers, products of the roots' power sums, and builds
+the q-series once from them; it evaluates only the roots supported at a
+point, and drops a point at which a root of an Euler-class group vanishes.
 
 The mod-2 test of a quasitoric model needs no elimination: a class is even
 iff it is a relation lambda mu mod 2, and the dual basis at one vertex,
@@ -196,31 +196,12 @@ class IndexModel:
                                      for pts in (first, second))
         return self._point_sets
 
-    def _weights(self, part: GradedPolynomial):
-        """A homogeneous class at every point, over one integer denominator.
-
-        Per point set: (points, {point: part(point) * D / den}, D),
-        with D the points' common denominator times that of part's
-        coefficients, so <part * w, [M]> is the sum of weight * w(point)
-        over the points supporting w, divided by D.  Each point walks its own
-        generators through part's terms indexed by their first generator.
-        """
-        scale, constant, by_first = _indexed_terms(part.terms)
-        out = []
-        for pts, common in self._indexed_points():
-            weights = {}
-            for p, (vals, den) in enumerate(pts):
-                v = _evaluate(vals, constant, by_first)
-                if v:
-                    weights[p] = v * (common // den)
-            out.append((pts, weights, common * scale))
-        return out
-
     def pair_top(self, poly: GradedPolynomial) -> Fraction:
-        """<poly, [M]>: only the degree-n part contributes."""
-        values = [Fraction(sum(weights.values()), common)
-                  for _, weights, common in self._weights(poly.homogeneous_part(self.n))]
-        return _agree(values, "pairing of %r", poly)
+        """<poly, [M]>: its degree-n part's pairing with u_() = 1, the one
+        face of size 0, which every point contains (_face_pairings)."""
+        for _, a, den in self._face_pairings(poly.homogeneous_part(self.n).terms, 0):
+            return Fraction(a, den)
+        return _ZERO
 
     def pair_monomial(self, mon) -> Fraction:
         return self.pair_top(GradedPolynomial({tuple(sorted(mon)): Fraction(1)}))
@@ -236,11 +217,10 @@ class IndexModel:
         sorted order (they span: H*(M; Q) is the face ring modulo a linear
         system of parameters; Davis-Januszkiewicz; Buchstaber-Panov, Toric
         Topology, ch. 3).  u_S is nonzero only at the points containing S,
-        and the class is evaluated only there, once per point; both point
-        sets share one support pattern (_indexed_points), and each face must
-        pair the same at both.  Terms whose generators share no point vanish
-        at every point and are dropped first, so a part made only of them
-        tries no face.
+        and the class is evaluated only there, once per point
+        (_face_pairings); each face must pair the same at both point sets.
+        Terms whose generators share no point vanish at every point and are
+        dropped first, so a part made only of them tries no face.
         """
         n = self.n
         parts = {}
@@ -248,20 +228,21 @@ class IndexModel:
             if len(mon) <= n:  # beyond top degree: zero automatically
                 parts.setdefault(len(mon), {})[mon] = c
         for d in sorted(parts):
-            face = self._first_nonzero_face(parts[d], n - d)
-            if face is not None:
-                return face
+            for S, numerator, _ in self._face_pairings(parts[d], n - d):
+                if numerator:
+                    return S
         return None
 
-    def _first_nonzero_face(self, terms, k):
-        """nonzero_face for one homogeneous part, given as {monomial: coefficient}."""
+    def _face_pairings(self, terms, k):
+        """One (S, numerator, denominator) per face S of size k in _face_list,
+        lazily: the pairing of u_S with a homogeneous {monomial: coefficient}."""
         point_sets = self._indexed_points()
         masks = self._support_masks()
         full = (1 << len(point_sets[0][0])) - 1
         scale, constant, by_first = _indexed_terms(
             {mon: c for mon, c in terms.items() if _containing(mon, masks, full)})
         if not constant and not by_first:
-            return None
+            return
         values = [{}, {}]  # per point set: point -> the part there, times scale
         for S, points in self._face_list(k):
             sums = []
@@ -283,9 +264,7 @@ class IndexModel:
                     "pairing of %r with u_%r disagrees between generic points: %s vs %s"
                     % (GradedPolynomial(terms), S, Fraction(a, den_a * scale),
                        Fraction(b, den_b * scale)))
-            if a:
-                return S
-        return None
+            yield S, a, den_a * scale
 
     def _support_masks(self):
         """Per generator, the bitset of the points supporting it; built once."""

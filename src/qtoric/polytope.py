@@ -172,26 +172,14 @@ class SimplePolytope:
 
         adj = steps = None
         if simple:
-            # The k-th (n-1)-subset of v omits v[n-1-k], the facet its edge leaves.
-            ridge_map = {}
-            for vid, v in enumerate(self.vertices):
-                for sub, left in zip(itertools.combinations(v, n - 1), reversed(v)):
-                    ridge_map.setdefault(sub, []).append((vid, left))
-            if all(len(es) == 2 for es in ridge_map.values()):
-                # steps[v][f] = (w, e): the edge of v that leaves f enters e at w
-                steps = [{} for _ in self.vertices]
-                for a, b in ridge_map.values():
-                    steps[a[0]][a[1]] = b
-                    steps[b[0]][b[1]] = a
+            steps, bad = _steps(self.vertices, n)
+            if steps is not None:
                 adj = tuple(tuple(sorted(w for w, _ in s.values())) for s in steps)
                 checks.append(ValidationCheck("edge-regularity", True))
             else:
-                bad_sub = next(s for s, es in ridge_map.items() if len(es) != 2)
                 checks.append(ValidationCheck(
                     "edge-regularity", False,
-                    "facet set %r lies in %d vertices, expected 2"
-                    % (bad_sub, len(ridge_map[bad_sub]))))
-            del ridge_map
+                    "facet set %r lies in %d vertices, expected 2" % bad))
 
         connected = False
         if adj is not None:
@@ -415,29 +403,17 @@ def shelling(supports):
     connected sum's two spheres side by side).
 
     The greedy is incremental: placing a point covers one ridge of each of
-    its unplaced neighbours, which is pushed onto a heap keyed by its number
-    of covered ridges, smallest first, ties by point index.  A candidate
-    whose R(v) lies in an earlier point (per-generator bitsets over the
-    placed points) is deferred until another of its ridges is covered.
+    its unplaced neighbours (paired by _steps, as validation pairs them),
+    which is pushed onto a heap keyed by its number of covered ridges,
+    smallest first, ties by point index.  A candidate whose R(v) lies in an
+    earlier point (per-generator bitsets over the placed points) is deferred
+    until another of its ridges is covered.
     """
-    if not supports:
+    if not supports or any(len(face) != len(supports[0]) for face in supports):
         return None
-    n = len(supports[0])
-    ridges = {}
-    for v, face in enumerate(supports):
-        if len(face) != n:
-            return None
-        # the k-th (n-1)-subset of face omits face[n-1-k]
-        for ridge, i in zip(itertools.combinations(face, n - 1) if n else (), reversed(face)):
-            ridges.setdefault(ridge, []).append((v, i))
-    across = [[] for _ in supports]  # (i, w, j): ridge v - {i} is ridge w - {j}
-    for ends in ridges.values():
-        if len(ends) != 2:
-            return None
-        (a, i), (b, j) = ends
-        across[a].append((i, b, j))
-        across[b].append((j, a, i))
-    del ridges
+    across = _steps(supports, len(supports[0]))[0]
+    if across is None:
+        return None
     covered = [[] for _ in supports]
     placed = [False] * len(supports)
     inside = collections.defaultdict(int)  # generator -> bitset of placed points
@@ -458,11 +434,31 @@ def shelling(supports):
         bit = 1 << v
         for i in supports[v]:
             inside[i] |= bit
-        for i, w, j in across[v]:
+        for w, j in across[v].values():
             if not placed[w]:
                 covered[w].append(j)
                 heapq.heappush(heap, (len(covered[w]), w))
     return order if len(order) == len(supports) else None
+
+
+def _steps(faces, n):
+    """The ridges of faces (sorted n-tuples) paired: (steps, None), with
+    steps[v][i] = (w, j) when the ridge v - {i} is w - {j} (at a vertex v,
+    the edge that leaves facet i enters facet j at w), or (None, (ridge,
+    count)) for the first ridge listed that does not lie in exactly two."""
+    ridges = {}
+    for v, face in enumerate(faces):
+        # the k-th (n-1)-subset of face omits face[n-1-k]
+        for ridge, i in zip(itertools.combinations(face, n - 1) if n else (), reversed(face)):
+            ridges.setdefault(ridge, []).append((v, i))
+    steps = [{} for _ in faces]
+    for ridge, ends in ridges.items():
+        if len(ends) != 2:
+            return None, (ridge, len(ends))
+        a, b = ends
+        steps[a[0]][a[1]] = b
+        steps[b[0]][b[1]] = a
+    return steps, None
 
 
 def _binomial(n, k):
