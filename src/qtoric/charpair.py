@@ -314,9 +314,10 @@ class CharacteristicPair:
 
 def cp_pair(n: int) -> CharacteristicPair:
     """Complex projective n-space: simplex with rows e_1..e_n, -(1,..,1)."""
+    poly = simplex(n)
     lam = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     lam.append(tuple(-1 for _ in range(n)))
-    return CharacteristicPair(simplex(n), lam, name="cp:%d" % n)
+    return CharacteristicPair(poly, lam, name="cp:%d" % n)
 
 
 def sphere_pair() -> CharacteristicPair:
@@ -326,9 +327,10 @@ def sphere_pair() -> CharacteristicPair:
 
 def cube_pair(n: int) -> CharacteristicPair:
     """Product of n standard 2-spheres over the n-cube: rows e_j and -e_j."""
+    poly = cube(n)
     lam = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     lam += [tuple(-1 if i == j else 0 for i in range(n)) for j in range(n)]
-    return CharacteristicPair(cube(n), lam, name="cube:%d" % n)
+    return CharacteristicPair(poly, lam, name="cube:%d" % n)
 
 
 def s2xs2_pair() -> CharacteristicPair:
@@ -345,10 +347,11 @@ def hirzebruch_pair(k: int) -> CharacteristicPair:
 
 def polygon_pair(k: int) -> CharacteristicPair:
     """Quasitoric surface over a k-gon: alternating e_1, e_2 rows, last (1,1) if k odd."""
+    poly = polygon(k)
     lam = []
     for i in range(k):
         if k % 2 == 1 and i == k - 1:
             lam.append((1, 1))
         else:
             lam.append((1, 0) if i % 2 == 0 else (0, 1))
-    return CharacteristicPair(polygon(k), lam, name="polygon:%d" % k)
+    return CharacteristicPair(poly, lam, name="polygon:%d" % k)

@@ -38,7 +38,7 @@ from .index import (
     verify_product_formula,
     witten_genus,
 )
-from .symmetry import alpha, symmetry_report
+from .symmetry import alpha_table, symmetry_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -298,14 +298,8 @@ def cmd_symmetry_report(args):
 def cmd_alpha(args):
     if args.max_rank < 1:
         raise StructureError("--max-rank must be at least 1, got %d" % args.max_rank)
-    rows = []
-    for l in range(1, args.max_rank + 1):
-        value, witnesses = alpha(l)
-        rows.append({
-            "l": l,
-            "alpha": str(value),
-            "witnesses": [g.name for g in witnesses],
-        })
+    rows = [{"l": l, "alpha": str(value), "witnesses": [g.name for g in witnesses]}
+            for l, (value, witnesses) in enumerate(alpha_table(args.max_rank), 1)]
     _emit(args, {"alpha": rows},
           ["l=%2d  alpha=%4s  witnesses: %s" %
            (r["l"], r["alpha"], ", ".join(r["witnesses"]) or "none") for r in rows])

@@ -26,6 +26,15 @@ from .errors import (
 )
 
 
+# The most work validation takes on (_check_validation_work): per vertex, the
+# n * C(n, 2) tuple entries of its n ridges (n - 1 facets each) and its C(n, 2)
+# two-face keys (n - 2 each), plus 128 for its own tuple, steps and lists (about
+# 1 KB).  cube:14 needs 2.3e7 (`generate` 2.7 s, 184 MB) and cube:15 5.6e7 (7.7 s,
+# 387 MB); cube:16 needs 1.3e8, the 160-simplex 3.3e8 and polygon:1000000 1.3e8
+# (`validate` 7 s, 971 MB).
+VALIDATION_BUDGET = 6 * 10 ** 7
+
+
 @dataclass
 class ValidationCheck:
     name: str
@@ -113,8 +122,9 @@ class SimplePolytope:
             vertex_sets.append(v)
         if not vertex_sets:
             raise StructureError("polytope needs at least one vertex")
-        if len(set(vertex_sets)) != len(vertex_sets):
-            dup = [v for v in vertex_sets if vertex_sets.count(v) > 1][0]
+        counts = collections.Counter(vertex_sets)
+        if len(counts) != len(vertex_sets):
+            dup = next(v for v in vertex_sets if counts[v] > 1)
             raise StructureError("duplicate vertex %r" % (dup,))
         max_idx = max((max(v) for v in vertex_sets if v), default=-1)
         if facet_count is None:
@@ -158,7 +168,8 @@ class SimplePolytope:
         vertices), connectivity, facet coverage and that each two-face is a
         single cycle; if all pass, cache the edge graph and the two-faces.
         Edge regularity implies that every two-face is 2-regular (see
-        `_walk_two_faces`), so that is not checked separately."""
+        `_walk_two_faces`), so that is not checked separately.  Work past
+        VALIDATION_BUDGET raises BudgetExceededError."""
         if self._report is not None:
             return self._report
         checks = []
@@ -172,6 +183,7 @@ class SimplePolytope:
 
         adj = steps = None
         if simple:
+            _check_validation_work(len(self.vertices), n)
             steps, bad = _steps(self.vertices, n)
             if steps is not None:
                 adj = tuple(tuple(sorted(w for w, _ in s.values())) for s in steps)
@@ -353,6 +365,7 @@ class SimplePolytope:
         """Product polytope; facets are the disjoint union, indices of other shifted."""
         self.require_valid()
         other.require_valid()
+        _check_validation_work(len(self.vertices) * len(other.vertices), self.dim + other.dim)
         m1 = self.facet_count
         verts = []
         for v1 in self.vertices:
@@ -459,6 +472,16 @@ def _steps(faces, n):
         steps[a[0]][a[1]] = b
         steps[b[0]][b[1]] = a
     return steps, None
+
+
+def _check_validation_work(vertex_count, n):
+    """Raise BudgetExceededError when validating that many vertices of a
+    simple n-polytope takes more work than VALIDATION_BUDGET."""
+    work = vertex_count * (n * _binomial(n, 2) + 128)
+    if work > VALIDATION_BUDGET:
+        raise BudgetExceededError(
+            "%d vertices in dimension %d: validation needs about %d steps, over the "
+            "budget of %d" % (vertex_count, n, work, VALIDATION_BUDGET))
 
 
 def _binomial(n, k):
@@ -579,6 +602,7 @@ def cube(n: int) -> SimplePolytope:
     """Combinatorial n-cube; facets j and j+n are opposite."""
     if n < 1:
         raise StructureError("cube dimension must be >= 1")
+    _check_validation_work(2 ** min(n, 64), n)  # 2^64 vertices are over any budget
     verts = []
     for bits in itertools.product((0, 1), repeat=n):
         verts.append(tuple(j + n * b for j, b in enumerate(bits)))
@@ -590,6 +614,7 @@ def cube(n: int) -> SimplePolytope:
 def simplex(n: int) -> SimplePolytope:
     if n < 1:
         raise StructureError("simplex dimension must be >= 1")
+    _check_validation_work(n + 1, n)
     verts = [tuple(j for j in range(n + 1) if j != i) for i in range(n + 1)]
     return SimplePolytope(n, verts, facet_count=n + 1, name="simplex:%d" % n)
 
@@ -597,6 +622,7 @@ def simplex(n: int) -> SimplePolytope:
 def polygon(k: int) -> SimplePolytope:
     if k < 3:
         raise StructureError("polygon needs at least 3 edges")
+    _check_validation_work(k, 2)
     verts = [tuple(sorted((i, (i + 1) % k))) for i in range(k)]
     return SimplePolytope(2, verts, facet_count=k, name="polygon:%d" % k)
 

@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .errors import StructureError
+from .errors import BudgetExceededError, StructureError
+
+# The highest rank the alpha table takes on.  The Weyl orders are factorials, so
+# building the records outgrows linear time: rank 1,000 takes 0.06 s, 4,000 2.6 s.
+ALPHA_MAX_RANK = 1000
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,25 @@ def simple_groups(max_rank: int):
 
 def alpha(l: int):
     """Max of dim/rank over simple groups of rank <= l, with the rank-l witnesses."""
-    if l < 1:
+    return alpha_table(l)[-1]
+
+
+def alpha_table(max_rank: int):
+    """alpha(l) for l = 1..max_rank, from one pass over simple_groups(max_rank).
+    A table past ALPHA_MAX_RANK raises BudgetExceededError."""
+    if max_rank < 1:
         raise StructureError("alpha needs l >= 1")
-    groups = simple_groups(l)
-    value = max(g.dim_per_rank() for g in groups)
-    witnesses = [g for g in groups if g.rank == l and g.dim_per_rank() == value]
-    return value, witnesses
+    if max_rank > ALPHA_MAX_RANK:
+        raise BudgetExceededError("the alpha table through rank %d is over the budget of "
+                                  "rank %d" % (max_rank, ALPHA_MAX_RANK))
+    by_rank = [[] for _ in range(max_rank + 1)]
+    for g in simple_groups(max_rank):
+        by_rank[g.rank].append(g)
+    rows, value = [], 0
+    for groups in by_rank[1:]:
+        value = max([value] + [g.dim_per_rank() for g in groups])
+        rows.append((value, [g for g in groups if g.dim_per_rank() == value]))
+    return rows
 
 
 def divisibility_candidates(chi: int, max_rank: int):

@@ -188,13 +188,20 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
-def _run_huge_q_order(family, args):
-    _, pair, _ = run_cli(["generate", family])
-    proc = subprocess.run(PY + args + ["--q-order", "1000000000"],
-                          input=pair, capture_output=True, text=True, timeout=30,
+def _run_limited(args, stdin=None):
+    """The CLI with 1 GiB of address space; it must end within 30 s."""
+    return subprocess.run(PY + args, input=stdin, capture_output=True, text=True, timeout=30,
                           preexec_fn=_limit_address_space)
+
+
+def _assert_over_budget(proc):
     assert proc.returncode == 3 and proc.stdout == "", proc.stderr
     assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _run_huge_q_order(family, args):
+    _, pair, _ = run_cli(["generate", family])
+    _assert_over_budget(_run_limited(args + ["--q-order", "1000000000"], pair))
 
 
 def test_huge_q_order_exits_3_before_any_series():
@@ -215,6 +222,33 @@ def test_huge_q_order_exits_3_where_no_exponent_vector_is_formed(family, args):
     """pair_series would form no exponent vector here, so only the table work
     makes the budget refuse --q-order 10^9."""
     _run_huge_q_order(family, args)
+
+
+def _simplex_json(n):
+    return json.dumps({"dim": n, "vertices": [[j for j in range(n + 1) if j != i]
+                                              for i in range(n + 1)]})
+
+
+@pytest.mark.parametrize("args,stdin", [
+    (["generate", "cube:40"], None),
+    (["generate", "polygon:100000000"], None),
+    (["generate", "cp:100000"], None),
+    (["validate"], _simplex_json(160)),
+    (["alpha", "--max-rank", "1000000"], None),
+], ids=["generate cube:40", "generate polygon:10^8", "generate cp:100000",
+        "validate 160-simplex", "alpha --max-rank 10^6"])
+def test_oversize_inputs_exit_3(args, stdin):
+    """Refused on a budget before the work starts: without one, each fills
+    or overruns 1 GiB of address space, or does not finish in 30 s."""
+    _assert_over_budget(_run_limited(args, stdin))
+
+
+def test_duplicate_vertex_in_a_large_polygon_exits_2():
+    vertices = [[i, (i + 1) % 20000] for i in range(20000)]
+    vertices.append(vertices[-1])
+    proc = _run_limited(["validate"], json.dumps({"dim": 2, "vertices": vertices}))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: duplicate vertex (0, 19999)\n"
 
 
 def test_genus_elliptic_refusal_exit_3():

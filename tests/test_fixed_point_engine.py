@@ -540,6 +540,39 @@ def test_nonzero_face_matches_reference_on_twists(name, monkeypatch):
     assert classes
 
 
+def _monomial_on_no_point(model):
+    """A top-degree monomial whose generators share no point, or None."""
+    supports = [set(vals) for vals, _ in model.fixed_points()[0]]
+    return next((mon for mon in combinations_with_replacement(range(model.gen_count), model.n)
+                 if not any(set(mon) <= support for support in supports)), None)
+
+
+@pytest.mark.parametrize("name", list(SPARSE_MODELS))
+def test_pair_top_matches_reference(name):
+    """pair_top reads the zero test's pairing with the empty face, which
+    every point contains; it gives the old sum over all points on seeded
+    classes, on classes whose top part is zero, and on terms that share no
+    point."""
+    model = SPARSE_MODELS[name]
+    assert model._face_list(0) == [((), list(range(len(model.fixed_points()[0]))))]
+    if model.gen_count:
+        rng = random.Random(5)
+        classes = [_random_class(model, rng, zero=trial % 2 == 0) for trial in range(10)]
+        classes.append(GP.one() + GP.generator(0))  # n >= 2: no top part
+    else:
+        classes = [GP.one(), GP({(): Fraction(-3, 2)})]
+    classes.append(GP.zero())
+    mon = _monomial_on_no_point(model)
+    if mon is not None:
+        lone = GP({mon: Fraction(5, 3)})
+        vertex = GP({tuple(sorted(model.fixed_points()[0][0][0])): Fraction(1)})
+        assert model.pair_top(lone) == 0
+        assert model.pair_top(lone + vertex) == model.pair_top(vertex) != 0
+        classes += [lone, lone + vertex]
+    for poly in classes:
+        assert model.pair_top(poly) == reference_pair_top(model, poly), poly
+
+
 def _counting(monkeypatch, name):
     """Record the calls of cohomology.<name>, which still does its work."""
     fn = getattr(cohomology, name)

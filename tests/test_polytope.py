@@ -1,4 +1,5 @@
 import collections
+import heapq
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from qtoric.errors import (
     ValidationError,
 )
 from qtoric.polytope import (
+    VALIDATION_BUDGET,
     FacetColoring,
     SimplePolytope,
     TwoFace,
@@ -26,6 +28,7 @@ from qtoric.polytope import (
     shelling,
     simplex,
     verify_coloring,
+    _check_validation_work,
 )
 
 
@@ -88,6 +91,49 @@ def test_structural_errors():
         SimplePolytope(2, [(0, 1), (0, 1)])  # duplicate vertex
     with pytest.raises(StructureError):
         SimplePolytope(2, [(0, 5)], facet_count=3)  # out of range
+
+
+def test_duplicate_vertex_names_the_first_repeated_in_input_order():
+    # [A, B, B, A]: B is the first to repeat, but A is the first listed that repeats
+    with pytest.raises(StructureError, match=r"^duplicate vertex \(1, 2\)$"):
+        SimplePolytope(2, [(2, 1), (0, 1), (1, 0), (1, 2)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cube(16),
+    lambda: simplex(160),
+    lambda: polygon(10 ** 8),
+    lambda: cube(40),
+    lambda: cube(10 ** 21),
+    lambda: cube(8).product(cube(8)),
+    lambda: SimplePolytope(160, [[j for j in range(161) if j != i]
+                                 for i in range(161)]).validate(),
+], ids=["cube:16", "simplex:160", "polygon:10^8", "cube:40", "cube:10^21", "cube:8*cube:8",
+        "160-simplex validate"])
+def test_oversize_polytopes_exceed_the_validation_budget(make):
+    """Refused from the vertex count before any vertex is built, or by
+    validate before the ridges are paired."""
+    with pytest.raises(BudgetExceededError, match="over the budget of %d" % VALIDATION_BUDGET):
+        make()
+
+
+def test_validation_budget_admits_cube_15_and_polygon_461538():
+    _check_validation_work(2 ** 15, 15)
+    _check_validation_work(461538, 2)
+    with pytest.raises(BudgetExceededError):
+        _check_validation_work(461539, 2)
+
+
+@pytest.mark.parametrize("vertices,detail", [
+    # cube:3 without its vertex (0, 1, 2): the ridge (0, 1) lies in one vertex
+    (cube(3).vertices[1:], "facet set (0, 1) lies in 1 vertices, expected 2"),
+    # cube:3 with a vertex (0, 1, 6) more: the ridge (0, 1) lies in three
+    (cube(3).vertices + ((0, 1, 6),), "facet set (0, 1) lies in 3 vertices, expected 2"),
+], ids=["one vertex", "three vertices"])
+def test_edge_regularity_names_the_first_ridge_not_in_two_vertices(vertices, detail):
+    report = SimplePolytope(3, vertices).validate()
+    assert not report.ok
+    assert [(c.name, c.detail) for c in report.failures()][0] == ("edge-regularity", detail)
 
 
 def test_unused_facet_detected():
@@ -400,6 +446,83 @@ def test_shelling_restriction_sizes_count_the_h_vector(make):
         earlier.append(p.vertices[v])
     sizes = collections.Counter(p.dim - len(R) for _, R in order)
     assert tuple(sizes[k] for k in range(p.dim + 1)) == p.h_vector()
+
+
+def reference_shelling(supports):
+    """polytope.shelling as it was, pairing the ridges itself."""
+    if not supports:
+        return None
+    n = len(supports[0])
+    ridges = {}
+    for v, face in enumerate(supports):
+        if len(face) != n:
+            return None
+        for ridge, i in zip(itertools.combinations(face, n - 1) if n else (), reversed(face)):
+            ridges.setdefault(ridge, []).append((v, i))
+    across = [[] for _ in supports]
+    for ends in ridges.values():
+        if len(ends) != 2:
+            return None
+        (a, i), (b, j) = ends
+        across[a].append((i, b, j))
+        across[b].append((j, a, i))
+    covered = [[] for _ in supports]
+    placed = [False] * len(supports)
+    inside = collections.defaultdict(int)
+    order = []
+    heap = [(0, 0)]
+    while heap:
+        count, v = heapq.heappop(heap)
+        restriction = covered[v]
+        if placed[v] or count != len(restriction):
+            continue
+        earlier = -1 if restriction else 0
+        for i in restriction:
+            earlier &= inside[i]
+        if earlier:
+            continue
+        placed[v] = True
+        order.append((v, tuple(sorted(restriction))))
+        bit = 1 << v
+        for i in supports[v]:
+            inside[i] |= bit
+        for i, w, j in across[v]:
+            if not placed[w]:
+                covered[w].append(j)
+                heapq.heappush(heap, (len(covered[w]), w))
+    return order if len(order) == len(supports) else None
+
+
+def _connected_sum_supports():
+    from qtoric.index import ConnectedSumModel
+    model = ConnectedSumModel(cube_pair(3).to_index_model(), cube_pair(3).to_index_model(), 1)
+    return [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
+
+
+SHELLING_ORDER_CASES = (
+    [("cube:%d" % n, lambda n=n: cube(n).vertices) for n in (3, 6, 9, 10)]
+    + [("cp:5", lambda: simplex(5).vertices),
+       ("polygon:6^3", lambda: polygon(6).product(polygon(6)).product(polygon(6)).vertices),
+       ("cube:3*polygon:5", lambda: cube(3).product(polygon(5)).vertices),
+       ("prism:5*simplex:3", lambda: prism(5).product(simplex(3)).vertices),
+       ("polygon:6*polygon:4", lambda: polygon(6).product(polygon(4)).vertices),
+       ("simplex:2*cube:4", lambda: simplex(2).product(cube(4)).vertices),
+       ("cube:5 with 60 vertex cuts", lambda: vertex_cuts(cube_pair(5), 60, 5).polytope.vertices),
+       ("cube:6 relabelled", lambda: relabelled(cube(6), 1).vertices),
+       ("cube:3*polygon:5 relabelled",
+        lambda: relabelled(cube(3).product(polygon(5)), 2).vertices),
+       ("cube:3 # cube:3", _connected_sum_supports),
+       ("point", lambda: [()])]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in SHELLING_ORDER_CASES],
+                         ids=[name for name, _ in SHELLING_ORDER_CASES])
+def test_shelling_order_matches_reference(make):
+    """The shared ridge pairing leaves the greedy's order, and so the basis
+    faces and p1_witness, as they were."""
+    supports = make()
+    assert shelling(supports) == reference_shelling(supports)
 
 
 def test_unshellable_incidences_do_not_shell():

@@ -4,10 +4,12 @@ from math import factorial
 import pytest
 
 from qtoric.charpair import cp_pair, cube_pair
-from qtoric.errors import StructureError
+from qtoric.errors import BudgetExceededError, StructureError
 from qtoric.symmetry import (
+    ALPHA_MAX_RANK,
     GroupRecord,
     alpha,
+    alpha_table,
     divisibility_candidates,
     kmss_bound,
     semisimple_products,
@@ -97,6 +99,27 @@ def test_alpha_consistency_with_records():
         value, _ = alpha(l)
         for g in simple_groups(l):
             assert g.dim_per_rank() <= value
+
+
+def reference_alpha(l):
+    """symmetry.alpha as it was: simple_groups(l) rebuilt for each l."""
+    groups = simple_groups(l)
+    value = max(g.dim_per_rank() for g in groups)
+    return value, [g for g in groups if g.rank == l and g.dim_per_rank() == value]
+
+
+def test_alpha_table_matches_one_pass_per_rank():
+    assert alpha_table(60) == [reference_alpha(l) for l in range(1, 61)]
+    assert [alpha(l) for l in (1, 7, 60)] == [reference_alpha(l) for l in (1, 7, 60)]
+
+
+def test_alpha_table_past_its_budget_is_refused():
+    assert len(alpha_table(ALPHA_MAX_RANK)) == ALPHA_MAX_RANK
+    for call in (alpha_table, alpha):
+        with pytest.raises(BudgetExceededError, match="budget"):
+            call(ALPHA_MAX_RANK + 1)
+    with pytest.raises(StructureError):
+        alpha_table(0)
 
 
 def test_divisibility_examples():
