@@ -14,6 +14,7 @@ from qtoric.errors import (
     UnsatisfiableError,
     ValidationError,
 )
+from qtoric.index import ConnectedSumModel
 from qtoric.polytope import (
     VALIDATION_BUDGET,
     FacetColoring,
@@ -494,7 +495,6 @@ def reference_shelling(supports):
 
 
 def _connected_sum_supports():
-    from qtoric.index import ConnectedSumModel
     model = ConnectedSumModel(cube_pair(3).to_index_model(), cube_pair(3).to_index_model(), 1)
     return [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
 
