@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import StructureError, ValidationError
+from .errors import StructureError
 from .polytope import (
     SimplePolytope, ValidationCheck, ValidationReport,
     cube, int_vector, interval, polygon, simplex,
@@ -132,19 +132,11 @@ class CharacteristicPair:
             "polytope-valid", base.ok,
             "" if base.ok else "; ".join(c.name for c in base.failures())))
 
-        prim_ok = True
-        for i, row in enumerate(self.lam):
-            g = 0
-            for x in row:
-                g = gcd(g, abs(x))
-            if g != 1:
-                prim_ok = False
-                checks.append(ValidationCheck(
-                    "primitive-rows", False,
-                    "lambda row %d = %r is not primitive" % (i, row)))
-                break
-        if prim_ok:
-            checks.append(ValidationCheck("primitive-rows", True))
+        bad = next((i for i, row in enumerate(self.lam) if gcd(*row) != 1), None)
+        prim_ok = bad is None
+        checks.append(ValidationCheck(
+            "primitive-rows", prim_ok,
+            "" if prim_ok else "lambda row %d = %r is not primitive" % (bad, self.lam[bad])))
 
         ok = False
         if base.ok:
@@ -243,13 +235,7 @@ class CharacteristicPair:
         return weights, tuple(eps), clash
 
     def require_valid(self):
-        report = self.validate()
-        if not report.ok:
-            raise ValidationError(
-                "invalid characteristic pair %s: %s" % (
-                    self.name or "?",
-                    "; ".join("%s: %s" % (c.name, c.detail) for c in report.failures())),
-                report)
+        self.validate().require("characteristic pair", self.name)
         return self
 
     @property

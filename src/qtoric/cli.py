@@ -102,10 +102,11 @@ def load_pair(path: str) -> cp.CharacteristicPair:
     return cp.CharacteristicPair.from_json_dict(_read_json(path))
 
 
-def load_polytope(path: str) -> pt.SimplePolytope:
+def load_manifold(path: str):
+    """The pair if the JSON has a 'lambda' matrix, else the bare polytope."""
     data = _read_json(path)
     if "lambda" in data:
-        return cp.CharacteristicPair.from_json_dict(data).polytope
+        return cp.CharacteristicPair.from_json_dict(data)
     return pt.SimplePolytope.from_json_dict(data)
 
 
@@ -161,20 +162,16 @@ def cmd_generate(args):
 
 
 def cmd_validate(args):
-    data = _read_json(args.manifold)
-    if "lambda" in data:
-        pair = cp.CharacteristicPair.from_json_dict(data)
-        report = pair.validate()
-    else:
-        report = pt.SimplePolytope.from_json_dict(data).validate()
+    report = load_manifold(args.manifold).validate()
     _emit(args, report.as_dict(),
-          ["%s: %s %s" %ize for ize in
-           ((c.name, "ok" if c.passed else "FAIL", c.detail) for c in report.checks)])
+          ["%s: %s %s" % (c.name, "ok" if c.passed else "FAIL", c.detail)
+           for c in report.checks])
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 def cmd_analyze(args):
-    poly = load_polytope(args.manifold).require_valid()
+    manifold = load_manifold(args.manifold)
+    poly = getattr(manifold, "polytope", manifold).require_valid()
     even = poly.is_even()
     bip = poly.is_vertex_graph_bipartite()
     d_min, coloring = pt.facet_chromatic(poly)

@@ -198,7 +198,9 @@ class IndexModel:
 
     def pair_top(self, poly: GradedPolynomial) -> Fraction:
         """<poly, [M]>: its degree-n part's pairing with u_() = 1, the one
-        face of size 0, which every point contains (_face_pairings)."""
+        face of size 0, which every point contains (_face_pairings).  That
+        face's list needs no shelling (_face_list), so a model that only
+        pairs top-degree classes never builds one."""
         for _, a, den in self._face_pairings(poly.homogeneous_part(self.n).terms, 0):
             return Fraction(a, den)
         return _ZERO
@@ -279,9 +281,12 @@ class IndexModel:
         """The faces of size k that the zero test tries, each with the points
         containing it: the restriction faces of size k of the support
         pattern's shelling, if it is certified (_certify), or else every face
-        of size k.  The shelling is built once per model, each list once per
-        size."""
+        of size k.  Both give the empty face with every point for k = 0,
+        which is returned before any shelling work.  The shelling is built
+        once per model, each list once per size."""
         pts = self._indexed_points()[0][0]
+        if k == 0:
+            return [((), list(range(len(pts))))]
         masks = self._support_masks()
         if self._face_lists is None:
             supports = [tuple(sorted(vals)) for vals, _ in pts]

@@ -270,25 +270,47 @@ def colored_index(model: QuasitoricModel, coloring: FacetColoring, signs=None,
     return result
 
 
+def _has_nonzero_coefficient(terms, negative: int, free: int) -> bool:
+    """Whether the vertex sum of _colored_pairing, a multilinear polynomial
+    in the signs at the bits of free (the others fixed, -1 at the bits of
+    negative), has a nonzero coefficient: exactly when some choice of those
+    signs makes the sum nonzero."""
+    coefficients = {}
+    for e, mask in terms:
+        key = mask & free
+        coefficients[key] = coefficients.get(key, 0) + (
+            -e if (mask & negative).bit_count() & 1 else e)
+    return any(coefficients.values())
+
+
 def exists_nonvanishing_signs(model: QuasitoricModel, coloring: FacetColoring):
-    """Search sign vectors for a nonzero colored pairing; one exists when d = n.
+    """The least sign vector with a nonzero colored pairing; one exists when d = n.
 
     Flipping all signs within one color class only negates the value, so the
-    first facet of each class is pinned to +1.  Each pairing is the vertex sum
-    of colored_index.  Exhausting the search space contradicts the coloring
-    lemma and is flagged as an implementation fault.
+    first facet of each class is pinned to +1; the others are the bits of a
+    mask, the last facet highest.  If mask 0 gives a zero vertex sum
+    (colored_index), the signs are fixed one at a time from the highest: a
+    sign stays +1 while the sum, the lower signs free, keeps a nonzero
+    coefficient, so the least nonzero mask costs O(m V), not one sum per
+    mask.  A sum that is identically zero contradicts the coloring lemma
+    and is flagged as an implementation fault.
     """
     terms = _vertex_terms(model, coloring)
     pinned = {facets[0] for facets in coloring.color_classes()}
     rest = [i for i in range(model.gen_count) if i not in pinned]
-    for mask in range(2 ** len(rest)):
-        negative = sum(1 << i for b, i in enumerate(rest) if (mask >> b) & 1)
-        if _colored_pairing(terms, negative):
-            return True, tuple(-1 if (negative >> i) & 1 else 1
-                               for i in range(model.gen_count))
-    raise InternalConsistencyError(
-        "no sign vector gives a nonzero colored pairing; contradicts the "
-        "coloring lemma, implementation fault")
+    negative, free = 0, sum(1 << i for i in rest)
+    if not _colored_pairing(terms, negative):
+        if not _has_nonzero_coefficient(terms, negative, free):
+            raise InternalConsistencyError(
+                "no sign vector gives a nonzero colored pairing; contradicts the "
+                "coloring lemma, implementation fault")
+        for i in reversed(rest):
+            free ^= 1 << i
+            if not _has_nonzero_coefficient(terms, negative, free):
+                negative |= 1 << i
+                if _colored_pairing(terms, negative):  # only a flip can make it nonzero
+                    break
+    return True, tuple(-1 if (negative >> i) & 1 else 1 for i in range(model.gen_count))
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import collections
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -58,6 +59,13 @@ class ValidationReport:
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
+
+    def require(self, what, name):
+        """Raise ValidationError naming the invalid `what` and each failed check."""
+        if not self.ok:
+            raise ValidationError("invalid %s %s: %s" % (
+                what, name or "?",
+                "; ".join("%s: %s" % (c.name, c.detail) for c in self.failures())), self)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -175,11 +183,11 @@ class SimplePolytope:
         checks = []
         n = self.dim
 
-        simple = all(len(v) == n for v in self.vertices)
-        bad = [v for v in self.vertices if len(v) != n]
+        bad = next((v for v in self.vertices if len(v) != n), None)
+        simple = bad is None
         checks.append(ValidationCheck(
             "simplicity", simple,
-            "" if simple else "vertex %r has %d facets, expected %d" % (bad[0], len(bad[0]), n)))
+            "" if simple else "vertex %r has %d facets, expected %d" % (bad, len(bad), n)))
 
         adj = steps = None
         if simple:
@@ -275,13 +283,7 @@ class SimplePolytope:
         return [TwoFace(sub, cycles[sub]) for sub in sorted(cycles)]
 
     def require_valid(self):
-        report = self.validate()
-        if not report.ok:
-            raise ValidationError(
-                "invalid polytope %s: %s" % (
-                    self.name or "?",
-                    "; ".join("%s: %s" % (c.name, c.detail) for c in report.failures())),
-                report)
+        self.validate().require("polytope", self.name)
         return self
 
     # ------------------------------------------------------------------
@@ -356,7 +358,7 @@ class SimplePolytope:
         coeffs = [0] * (n + 1)  # coefficient of t^j
         for i in range(n + 1):
             for j in range(i + 1):
-                coeffs[j] += fv[i] * _binomial(i, j) * ((-1) ** (i - j))
+                coeffs[j] += fv[i] * math.comb(i, j) * ((-1) ** (i - j))
         return tuple(coeffs)
 
     # ------------------------------------------------------------------
@@ -477,20 +479,11 @@ def _steps(faces, n):
 def _check_validation_work(vertex_count, n):
     """Raise BudgetExceededError when validating that many vertices of a
     simple n-polytope takes more work than VALIDATION_BUDGET."""
-    work = vertex_count * (n * _binomial(n, 2) + 128)
+    work = vertex_count * (n * math.comb(n, 2) + 128)
     if work > VALIDATION_BUDGET:
         raise BudgetExceededError(
             "%d vertices in dimension %d: validation needs about %d steps, over the "
             "budget of %d" % (vertex_count, n, work, VALIDATION_BUDGET))
-
-
-def _binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,24 @@ def test_non_primitive_row_rejected():
     assert any("primitive" in c.detail for c in report.checks if not c.passed)
 
 
+def test_non_primitive_row_report_and_message():
+    """The first row whose gcd is not 1 is named, in one failed check."""
+    pair = CharacteristicPair(polygon(4), [(1, 0), (0, 1), (-2, 0), (0, -3)], name="sq")
+    report = pair.validate()
+    assert report.as_dict() == {"ok": False, "checks": [
+        {"name": "polytope-valid", "passed": True, "detail": ""},
+        {"name": "primitive-rows", "passed": False,
+         "detail": "lambda row 2 = (-2, 0) is not primitive"},
+        {"name": "vertex-unimodular", "passed": False,
+         "detail": "vertex (0, 3) has det -3, expected +-1"}]}
+    with pytest.raises(ValidationError) as exc:
+        pair.require_valid()
+    assert str(exc.value) == (
+        "invalid characteristic pair sq: primitive-rows: lambda row 2 = (-2, 0) is not "
+        "primitive; vertex-unimodular: vertex (0, 3) has det -3, expected +-1")
+    assert exc.value.report is report
+
+
 def test_structural_checks():
     with pytest.raises(StructureError):
         CharacteristicPair(polygon(4), [(1, 0), (0, 1)])  # wrong row count

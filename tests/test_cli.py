@@ -150,6 +150,40 @@ def test_validate_names_the_orientation_clash(tmp_path, capsys):
     assert [c["name"] for c in checks] == ["polytope-valid", "primitive-rows", "vertex-unimodular"]
 
 
+# validate on a pair with a non-primitive row and on a bare non-simple
+# polytope: the report's checks, as JSON and as text lines
+VALIDATE_REPORTS = [
+    ("non-primitive pair", _cp2(**{"lambda": [[2, 0], [0, 1], [-1, -1]]}), [
+        ("polytope-valid", True, ""),
+        ("primitive-rows", False, "lambda row 0 = (2, 0) is not primitive"),
+        ("vertex-unimodular", False, "vertex (0, 1) has det 2, expected +-1")],
+     "polytope-valid: ok \n"
+     "primitive-rows: FAIL lambda row 0 = (2, 0) is not primitive\n"
+     "vertex-unimodular: FAIL vertex (0, 1) has det 2, expected +-1\n"),
+    ("non-simple polytope", {"dim": 2, "vertices": [[0, 1, 2], [0, 1], [1, 2]]}, [
+        ("simplicity", False, "vertex (0, 1, 2) has 3 facets, expected 2"),
+        ("edge-graph-connected", False, "edge graph is disconnected or undefined"),
+        ("facet-coverage", True, "")],
+     "simplicity: FAIL vertex (0, 1, 2) has 3 facets, expected 2\n"
+     "edge-graph-connected: FAIL edge graph is disconnected or undefined\n"
+     "facet-coverage: ok \n"),
+]
+
+
+@pytest.mark.parametrize("data,checks,text", [r[1:] for r in VALIDATE_REPORTS],
+                         ids=[r[0] for r in VALIDATE_REPORTS])
+def test_validate_report_output(tmp_path, capsys, data, checks, text):
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--manifold", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and out == json.dumps({"ok": False, "checks": [
+        {"name": name, "passed": passed, "detail": detail} for name, passed, detail in checks]},
+        sort_keys=True, indent=2) + "\n"
+    assert main(["validate", "--format", "text", "--manifold", str(path)]) == 2
+    assert capsys.readouterr() == (text, "")
+
+
 def test_analyze_joswig_fields():
     _, pair, _ = run_cli(["generate", "cube:3"])
     code, out, _ = run_cli(["analyze"], stdin=pair)
@@ -249,6 +283,15 @@ def test_duplicate_vertex_in_a_large_polygon_exits_2():
     proc = _run_limited(["validate"], json.dumps({"dim": 2, "vertices": vertices}))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: duplicate vertex (0, 19999)\n"
+
+
+def test_symmetry_report_on_four_decagons():
+    """The least nonzero sign mask of polygon:10^4 is 50,529,027; the sign
+    search fixes one sign at a time instead of trying every smaller mask."""
+    _, pair, _ = run_cli(["generate", "polygon:10*polygon:10*polygon:10*polygon:10"])
+    proc = _run_limited(["symmetry-report"], pair)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["index_nonvanishing"] is True
 
 
 def test_genus_elliptic_refusal_exit_3():

@@ -596,9 +596,21 @@ def test_shelling_built_once_per_model(monkeypatch):
     assert model._face_list(3) is model._face_list(3)
 
 
+def test_pair_top_builds_no_shelling(monkeypatch):
+    """pair_top pairs with the empty face, which every point contains, so a
+    fresh model builds neither a shelling nor a face table for it."""
+    shellings, tables = _counting(monkeypatch, "shelling"), _counting(monkeypatch, "_faces")
+    model = _quasitoric("cube:5")
+    vertex = GP({tuple(sorted(model.fixed_points()[0][0][0])): Fraction(1)})
+    for poly in (vertex, model.p1_poly().mul(model.p1_poly()).mul(GP.generator(0))):
+        assert model.pair_top(poly) == reference_pair_top(model, poly)
+    assert model.pair_top(vertex) != 0
+    assert shellings == [] and tables == [] and model._face_lists is None
+
+
 def _shelling_sizes(model):
     """Restriction-face sizes per size, from the model's certified shelling."""
-    model._face_list(0)
+    model._face_list(1)
     sizes = [0] * (model.n + 1)
     for _, R in model._shelling:
         sizes[len(R)] += 1

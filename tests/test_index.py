@@ -12,7 +12,12 @@ from qtoric.charpair import (
     sphere_pair,
 )
 from qtoric.cohomology import BundleSpec, PointModel
-from qtoric.errors import BudgetExceededError, HypothesisUnmetError, StructureError
+from qtoric.errors import (
+    BudgetExceededError,
+    HypothesisUnmetError,
+    InternalConsistencyError,
+    StructureError,
+)
 from qtoric.index import (
     ConnectedSumModel,
     ProductModel,
@@ -299,6 +304,15 @@ def test_exists_nonvanishing_signs():
     assert r.series[0] != 0
 
 
+def test_identically_zero_vertex_sum_is_an_internal_fault(monkeypatch):
+    """Two vertices with one monomial and opposite signs cancel at every sign
+    vector, which the coloring lemma rules out."""
+    from qtoric import index
+    monkeypatch.setattr(index, "_vertex_terms", lambda model, coloring: [(1, 0b1010), (-1, 0b1010)])
+    with pytest.raises(InternalConsistencyError, match="coloring lemma"):
+        exists_nonvanishing_signs(CUBE2, coloring_of(CUBE2))
+
+
 # The route the vertex sum replaced, kept as the reference: the product of
 # the n color classes expanded into monomials and paired by pair_top at the
 # model's generic points, and the sign search over it.
@@ -329,7 +343,11 @@ def _colored_corpus():
              + [hirzebruch_pair(k) for k in range(4)]
              + [polygon_pair(k) for k in (4, 6, 8)]
              + [s2xs2_pair(), cube_pair(2).product_pair(polygon_pair(6)),
-                dense_rebased(cube_pair(4), 4)])
+                dense_rebased(cube_pair(4), 4)]
+             # products whose least nonzero sign mask comes late: 51, 15 and 12
+             + [polygon_pair(6).product_pair(polygon_pair(6)),
+                polygon_pair(4).product_pair(polygon_pair(6)).product_pair(cube_pair(2)),
+                s2xs2_pair().product_pair(polygon_pair(6)).product_pair(cube_pair(1))])
     rng = random.Random(2024)
     omni = [p.with_signs([rng.choice((1, -1)) for _ in range(p.m)]) for p in pairs]
     return [(p.name + ("" if p is q else " omni"), q)

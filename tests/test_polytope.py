@@ -81,8 +81,12 @@ def test_simplicity_violation_reported():
     report = p.validate()
     assert not report.ok
     assert any(c.name == "simplicity" and not c.passed for c in report.checks)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         p.require_valid()
+    assert str(exc.value) == (
+        "invalid polytope ?: simplicity: vertex (0, 1, 2) has 3 facets, expected 2; "
+        "edge-graph-connected: edge graph is disconnected or undefined")
+    assert exc.value.report is report
 
 
 def test_structural_errors():
