@@ -22,9 +22,12 @@ from .polytope import (
 DEFAULT_SEED = 20250810
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexWeightData:
-    """Dual covector basis at a vertex: <weights[k], lambda[facets[l]]> = delta_kl."""
+    """Dual covector basis at a vertex: <weights[k], lambda[facets[l]]> = delta_kl.
+
+    Slotted: a validated pair keeps one per vertex.
+    """
 
     vertex_id: int
     facets: tuple
@@ -177,12 +180,14 @@ class CharacteristicPair:
 
         Only the first vertex's block is inverted.  Every other vertex is
         reached along an edge a -> b of the (connected) edge graph, where
-        facet `out` leaves and facet `enter` enters.  With c = <w_out,
-        lambda_enter>, Cramer gives det(b) = +-c det(a), so b is unimodular
-        exactly when c = +-1, and then its dual basis is a rank-one update:
-        w'_enter = c w_out and w'_k = w_k - <w_k, lambda_enter> w'_enter.
-        The tangent weights along the edge are w_out at a and w'_enter at b,
-        so the orientation signs obey eps_b = -c eps_a, with eps = +1 at the
+        facet `out` leaves and facet `enter` enters; both are read off the
+        polytope's ridge pairing, which validation kept, and a's edges are
+        taken in ascending order of b.  With c = <w_out, lambda_enter>,
+        Cramer gives det(b) = +-c det(a), so b is unimodular exactly when
+        c = +-1, and then its dual basis is a rank-one update: w'_enter =
+        c w_out and w'_k = w_k - <w_k, lambda_enter> w'_enter.  The
+        tangent weights along the edge are w_out at a and w'_enter at b, so
+        the orientation signs obey eps_b = -c eps_a, with eps = +1 at the
         base vertex.  Every edge is checked once, from the endpoint the walk
         leaves first.  A quasitoric manifold is orientable, so a pair on
         which the signs clash describes none.
@@ -194,21 +199,18 @@ class CharacteristicPair:
             return None
         bases = {0: dict(zip(verts[0], first))}
         eps = [1] + [0] * (len(verts) - 1)
-        done = set()
+        done = [False] * len(verts)
         clash = None
-        adjacency = self.polytope.vertex_adjacency()
+        neighbours, entered = self.polytope.ridge_pairing()
         stack = [0]
         while stack:
             a = stack.pop()
-            done.add(a)
-            va = set(verts[a])
-            for b in adjacency[a]:
-                if b in done:
+            done[a] = True
+            basis_a = bases[a]
+            for b, out, enter in sorted(zip(neighbours[a], verts[a], entered[a])):
+                if done[b]:
                     continue
-                vb = set(verts[b])
-                (enter,) = vb - va
-                (out,) = va - vb
-                w_out = bases[a][out]
+                w_out = basis_a[out]
                 if b in bases:
                     # both blocks are unimodular, so w'_enter = c w_out with
                     # c = +-1, and eps_b = -c eps_a asks c = 1 iff eps_b != eps_a
@@ -217,11 +219,14 @@ class CharacteristicPair:
                     continue
                 row = lam[enter]
                 c = sum(x * y for x, y in zip(w_out, row))
-                if c not in (-1, 1):
+                if c == 1:
+                    w_enter = w_out
+                elif c == -1:
+                    w_enter = tuple(-x for x in w_out)
+                else:
                     return None
-                basis = dict(bases[a])
+                basis = dict(basis_a)
                 del basis[out]
-                w_enter = tuple(c * x for x in w_out)
                 for k, w in basis.items():
                     t = sum(x * y for x, y in zip(w, row))
                     if t:

@@ -22,9 +22,11 @@ returned).  A class pairs with the monomial u_S of a face S at the points
 containing S only.  pair_top is the pairing with the empty face, u_() = 1;
 is_zero_class pairs a class only against a basis of the complementary
 degree of H*(M; Q), the monomials u_R over the restriction faces R of one
-greedy shelling of the support pattern (polytope.shelling).  The shelling
-is built once per model and certified combinatorially: each R(v) lies in
-no earlier point and each v - R(v) in no later one, so the pairings
+greedy shelling of the support pattern (polytope.shelling; a quasitoric
+model's shelling reads the ridge pairing its polytope's validation kept,
+other models pair their supports' ridges).  The shelling is built once
+per model and certified combinatorially: each R(v) lies in no earlier
+point and each v - R(v) in no later one, so the pairings
 <u_R(w) u_{v - R(v)}, [M]> form a triangular matrix with the vertex
 monomials on its diagonal, and the basis faces, h_k of them in size k, are
 independent.  Without a certified shelling (a connected sum's support
@@ -172,6 +174,12 @@ class IndexModel:
     def is_even_vector(self, vec) -> bool:
         raise NotImplementedError
 
+    def _ridge_pairing(self):
+        """The support pattern's ridge pairing, if the model already has it
+        (see polytope.shelling), else None: the shelling then pairs the
+        ridges itself."""
+        return None
+
     def fixed_points(self):
         """The two generic point sets (drawn once and kept).
 
@@ -290,7 +298,7 @@ class IndexModel:
         masks = self._support_masks()
         if self._face_lists is None:
             supports = [tuple(sorted(vals)) for vals, _ in pts]
-            order = shelling(supports)
+            order = shelling(supports, self._ridge_pairing())
             if order is not None and _certify(supports, order, masks, self.n):
                 self._shelling = order
             self._face_lists = {}
@@ -602,6 +610,11 @@ class QuasitoricModel(IndexModel):
         while t2 == t1:
             t2, second = self._draw_point_data(rng)
         return first, second
+
+    def _ridge_pairing(self):
+        """The polytope's, which validation kept: the points are its vertices,
+        in order, each supported on its facets."""
+        return self.polytope.ridge_pairing()
 
     def is_even_vector(self, vec) -> bool:
         """True iff sum a_i u_i vanishes in mod-2 cohomology.

@@ -180,6 +180,8 @@ def _pairing_work(model: IndexModel, plan, q_order: int) -> int:
             for k in [k for k in range(1, top + 1) if any(L[k - 1])]:
                 for w in range(k, top + 1):
                     counts[w] += counts[w - k]
+    if not counts[top]:  # nothing to pair: no generic points are drawn for it
+        return 0
     return counts[top] * (len(model.fixed_points()[0]) + n * (q_order + 1) ** 2)
 
 

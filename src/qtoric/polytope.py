@@ -4,7 +4,10 @@ A polytope is given purely combinatorially: the facets are indexed
 0..m-1 and each vertex is the set of the n facets through it.  Convex
 realizability is never checked; validation covers the necessary
 combinatorial conditions (simplicity, edge regularity, connectivity,
-facet coverage, polygonal two-faces) and caches the derived face data.
+facet coverage, polygonal two-faces).  A valid polytope keeps what
+validation found: the ridge pairing (per vertex, the neighbour across each
+facet and the facet entered there) and each two-face's vertex cycle; the
+sorted edge graph and the TwoFace objects are built from them on request.
 Edge regularity already gives each vertex of a two-face exactly two
 neighbours in it, so 2-regularity needs no test of its own: a two-face
 can only fail by falling apart into several cycles.
@@ -29,10 +32,10 @@ from .errors import (
 
 # The most work validation takes on (_check_validation_work): per vertex, the
 # n * C(n, 2) tuple entries of its n ridges (n - 1 facets each) and its C(n, 2)
-# two-face keys (n - 2 each), plus 128 for its own tuple, steps and lists (about
-# 1 KB).  cube:14 needs 2.3e7 (`generate` 2.7 s, 184 MB) and cube:15 5.6e7 (7.7 s,
-# 387 MB); cube:16 needs 1.3e8, the 160-simplex 3.3e8 and polygon:1000000 1.3e8
-# (`validate` 7 s, 971 MB).
+# two-face keys (n - 2 each), plus 128 for its own tuple, steps and kept ridge
+# pairing (about 1 KB).  cube:14 needs 2.3e7 (`generate` 3.0 s, 173 MB on a 2 vCPU
+# Xeon, Python 3.11.7) and cube:15 5.6e7 (7.3 s, 359 MB); cube:16 needs 1.3e8, the
+# 160-simplex 3.3e8 and polygon:1000000 1.3e8 (`validate` 7 s, 971 MB).
 VALIDATION_BUDGET = 6 * 10 ** 7
 
 
@@ -72,8 +75,8 @@ class ValidationReport:
 class TwoFace:
     """A two-dimensional face: the n-2 facets containing it and its vertex cycle.
 
-    Not frozen: validation builds one per two-face, and a frozen __init__
-    sets each field through object.__setattr__.
+    Not frozen: SimplePolytope.two_faces builds one per two-face, and a
+    frozen __init__ sets each field through object.__setattr__.
     """
 
     facet_complement: tuple
@@ -151,8 +154,9 @@ class SimplePolytope:
             raise StructureError("facet_names length must equal facet_count")
         self.facet_names = list(facet_names)
         self._report = None
-        self._adjacency = None
-        self._two_faces = None
+        self._across = None  # (neighbours, entered): per vertex, aligned with its facets
+        self._cycles = None  # facet complement -> vertex cycle of each two-face
+        self._adjacency = None  # sorted on the first vertex_adjacency() call
 
     # ------------------------------------------------------------------
 
@@ -174,8 +178,8 @@ class SimplePolytope:
     def validate(self) -> ValidationReport:
         """Check simplicity, edge regularity (each ridge lies in exactly two
         vertices), connectivity, facet coverage and that each two-face is a
-        single cycle; if all pass, cache the edge graph and the two-faces.
-        Edge regularity implies that every two-face is 2-regular (see
+        single cycle; if all pass, keep the ridge pairing and the two-face
+        cycles.  Edge regularity implies that every two-face is 2-regular (see
         `_walk_two_faces`), so that is not checked separately.  Work past
         VALIDATION_BUDGET raises BudgetExceededError."""
         if self._report is not None:
@@ -189,12 +193,11 @@ class SimplePolytope:
             "simplicity", simple,
             "" if simple else "vertex %r has %d facets, expected %d" % (bad, len(bad), n)))
 
-        adj = steps = None
+        steps = None
         if simple:
             _check_validation_work(len(self.vertices), n)
             steps, bad = _steps(self.vertices, n)
             if steps is not None:
-                adj = tuple(tuple(sorted(w for w, _ in s.values())) for s in steps)
                 checks.append(ValidationCheck("edge-regularity", True))
             else:
                 checks.append(ValidationCheck(
@@ -202,11 +205,11 @@ class SimplePolytope:
                     "facet set %r lies in %d vertices, expected 2" % bad))
 
         connected = False
-        if adj is not None:
+        if steps is not None:
             seen = {0}
             stack = [0]
             while stack:
-                for w in adj[stack.pop()]:
+                for w in steps[0][stack.pop()]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -223,56 +226,59 @@ class SimplePolytope:
             "facet-coverage", coverage,
             "" if coverage else "unused facets %r" % sorted(set(range(self.facet_count)) - used)))
 
-        two_faces = None
-        faces_ok = False
+        cycles = None
         if connected:
             try:
-                two_faces = self._walk_two_faces(steps)
-                faces_ok = True
+                cycles = self._walk_two_faces(steps)
                 checks.append(ValidationCheck("two-faces-polygonal", True))
             except ValidationError as exc:
                 checks.append(ValidationCheck("two-faces-polygonal", False, str(exc)))
 
-        ok = connected and coverage and faces_ok
+        ok = connected and coverage and cycles is not None
         report = ValidationReport(ok, checks)
         if ok:
-            self._adjacency = adj
-            self._two_faces = tuple(two_faces)
+            self._across = tuple(tuple(map(tuple, half)) for half in steps)
+            self._cycles = cycles
         self._report = report
         return report
 
     def _walk_two_faces(self, steps):
-        """The two-faces in sorted order, each cycle traced from its lowest
-        vertex towards the lower of that vertex's two neighbours in the face.
+        """The two-faces as {facet complement: vertex cycle}, each cycle
+        traced from its lowest vertex towards the lower of that vertex's two
+        neighbours in the face.
 
-        steps[v] maps each facet f of vertex v to (w, e): the edge of v that
-        leaves f ends at w and enters facet e there.  At a vertex of a
-        two-face, its two free facets (those outside the facet complement)
-        name the vertex's two edges in the face, and edge regularity makes
-        their ends distinct.  So every two-face is 2-regular, a union of
-        simple cycles of length >= 3, and a walk that leaves the free facet
-        it did not just enter goes once round one of them.  The one way to
-        fail is a face of several cycles: then the traced lengths fall short
-        of V * C(n, 2), the number of (vertex, two-face) incidences.
+        steps = (neighbours, entered), from _steps: the edge of vertex v
+        that leaves facet v[k] ends at neighbours[v][k] and enters facet
+        entered[v][k] there.  At a vertex of a two-face, its two free facets
+        (those outside the facet complement) name the vertex's two edges in
+        the face, and edge regularity makes their ends distinct.  So every
+        two-face is 2-regular, a union of simple cycles of length >= 3, and
+        a walk that leaves the free facet it did not just enter goes once
+        round one of them.  The one way to fail is a face of several cycles:
+        then the traced lengths fall short of V * C(n, 2), the number of
+        (vertex, two-face) incidences.
         """
         n = self.dim
         if n < 2:
-            return []
+            return {}
         # the k-th (n-2)-subset of v omits v[i] and v[j], (i, j) the k-th pair from the end
         free = list(itertools.combinations(range(n), 2))[::-1]
+        verts = self.vertices
+        neighbours, entered = steps
         cycles = {}
         traced = 0
-        for start, v in enumerate(self.vertices):
+        for start, v in enumerate(verts):
+            ns, es = neighbours[start], entered[start]
             for sub, (i, j) in zip(itertools.combinations(v, n - 2), free):
                 if sub in cycles:
                     continue
-                (a, ea), (b, eb) = steps[start][v[i]], steps[start][v[j]]
-                cur, leave, back = (a, v[j], ea) if a < b else (b, v[i], eb)
+                a, b = ns[i], ns[j]
+                cur, leave, back = (a, v[j], es[i]) if a < b else (b, v[i], es[j])
                 cycle = [start]
                 while cur != start:
                     cycle.append(cur)
-                    cur, entered = steps[cur][leave]
-                    leave, back = back, entered
+                    k = verts[cur].index(leave)
+                    cur, leave, back = neighbours[cur][k], back, entered[cur][k]
                 cycles[sub] = tuple(cycle)
                 traced += len(cycle)
         if traced != len(self.vertices) * n * (n - 1) // 2:
@@ -280,7 +286,7 @@ class SimplePolytope:
                 sub for v in self.vertices for sub in itertools.combinations(v, n - 2))
             sub = next(s for s in sorted(cycles) if len(cycles[s]) != members[s])
             raise ValidationError("two-face %r is not a single cycle" % (sub,))
-        return [TwoFace(sub, cycles[sub]) for sub in sorted(cycles)]
+        return cycles
 
     def require_valid(self):
         self.validate().require("polytope", self.name)
@@ -296,8 +302,9 @@ class SimplePolytope:
 
     @property
     def two_faces(self):
+        """The two-faces in sorted order, built from validation's cycles."""
         self.require_valid()
-        return self._two_faces
+        return tuple(TwoFace(sub, self._cycles[sub]) for sub in sorted(self._cycles))
 
     def facet_adjacency(self):
         """Adjacency sets of the facet graph: i ~ j iff some vertex contains both."""
@@ -309,16 +316,27 @@ class SimplePolytope:
                 adj[j].add(i)
         return adj
 
-    def vertex_adjacency(self):
-        """The neighbours of each vertex in the edge graph, ascending: the
-        lists validation builds and traces the two-faces along, kept as a
-        tuple of tuples."""
+    def ridge_pairing(self):
+        """Validation's ridge pairing (neighbours, entered): per vertex v,
+        two tuples aligned with v's sorted facets.  The edge of v that
+        leaves facet v[k] ends at vertex neighbours[v][k] and enters facet
+        entered[v][k] there."""
         self.require_valid()
+        return self._across
+
+    def vertex_adjacency(self):
+        """The neighbours of each vertex in the edge graph, ascending, as a
+        tuple of tuples: the ridge pairing's neighbours, sorted on the first
+        call."""
+        self.require_valid()
+        if self._adjacency is None:
+            self._adjacency = tuple(tuple(sorted(ns)) for ns in self._across[0])
         return self._adjacency
 
     def is_even(self) -> bool:
         """True iff every two-face has an even number of vertices (vacuous for n=1)."""
-        return all(len(f) % 2 == 0 for f in self.two_faces)
+        self.require_valid()
+        return all(len(cycle) % 2 == 0 for cycle in self._cycles.values())
 
     def is_vertex_graph_bipartite(self) -> bool:
         """Two-colour the edge graph from vertex 0; validation made it connected."""
@@ -405,7 +423,7 @@ class SimplePolytope:
                    facet_names=facets, name=data.get("name") or None)
 
 
-def shelling(supports):
+def shelling(supports, across=None):
     """A shelling of the simplicial complex whose facets are the supports.
 
     supports: one sorted tuple of generators (facets of P) per point, all of
@@ -417,18 +435,24 @@ def shelling(supports):
     stalls (the complex is then not a single shellable sphere, say a
     connected sum's two spheres side by side).
 
+    across: the supports' ridge pairing in the form of
+    SimplePolytope.ridge_pairing, when they are a valid polytope's vertices
+    in order and so were paired by its validation; without it the ridges
+    are paired here, as validation pairs them (_steps).
+
     The greedy is incremental: placing a point covers one ridge of each of
-    its unplaced neighbours (paired by _steps, as validation pairs them),
-    which is pushed onto a heap keyed by its number of covered ridges,
-    smallest first, ties by point index.  A candidate whose R(v) lies in an
-    earlier point (per-generator bitsets over the placed points) is deferred
-    until another of its ridges is covered.
+    its unplaced neighbours, which is pushed onto a heap keyed by its number
+    of covered ridges, smallest first, ties by point index.  A candidate
+    whose R(v) lies in an earlier point (per-generator bitsets over the
+    placed points) is deferred until another of its ridges is covered.
     """
     if not supports or any(len(face) != len(supports[0]) for face in supports):
         return None
-    across = _steps(supports, len(supports[0]))[0]
     if across is None:
-        return None
+        across = _steps(supports, len(supports[0]))[0]
+        if across is None:
+            return None
+    neighbours, entered = across
     covered = [[] for _ in supports]
     placed = [False] * len(supports)
     inside = collections.defaultdict(int)  # generator -> bitset of placed points
@@ -449,7 +473,7 @@ def shelling(supports):
         bit = 1 << v
         for i in supports[v]:
             inside[i] |= bit
-        for w, j in across[v].values():
+        for w, j in zip(neighbours[v], entered[v]):
             if not placed[w]:
                 covered[w].append(j)
                 heapq.heappush(heap, (len(covered[w]), w))
@@ -457,23 +481,27 @@ def shelling(supports):
 
 
 def _steps(faces, n):
-    """The ridges of faces (sorted n-tuples) paired: (steps, None), with
-    steps[v][i] = (w, j) when the ridge v - {i} is w - {j} (at a vertex v,
-    the edge that leaves facet i enters facet j at w), or (None, (ridge,
-    count)) for the first ridge listed that does not lie in exactly two."""
+    """The ridges of faces (sorted n-tuples) paired: ((neighbours, entered),
+    None), or (None, (ridge, count)) for the first ridge listed that does
+    not lie in exactly two faces.  neighbours[v] and entered[v] are lists
+    aligned with face v: its ridge without v[k] is also a ridge of face
+    neighbours[v][k], which has facet entered[v][k] in place of v[k] (at a
+    vertex, the edge that leaves its k-th facet enters that facet there)."""
     ridges = {}
     for v, face in enumerate(faces):
         # the k-th (n-1)-subset of face omits face[n-1-k]
-        for ridge, i in zip(itertools.combinations(face, n - 1) if n else (), reversed(face)):
+        for ridge, i in zip(itertools.combinations(face, n - 1) if n else (),
+                            range(n - 1, -1, -1)):
             ridges.setdefault(ridge, []).append((v, i))
-    steps = [{} for _ in faces]
+    neighbours = [[0] * n for _ in faces]
+    entered = [[0] * n for _ in faces]
     for ridge, ends in ridges.items():
         if len(ends) != 2:
             return None, (ridge, len(ends))
-        a, b = ends
-        steps[a[0]][a[1]] = b
-        steps[b[0]][b[1]] = a
-    return steps, None
+        (a, i), (b, j) = ends
+        neighbours[a][i], entered[a][i] = b, faces[b][j]
+        neighbours[b][j], entered[b][j] = a, faces[a][i]
+    return (neighbours, entered), None
 
 
 def _check_validation_work(vertex_count, n):

@@ -12,7 +12,7 @@ import pytest
 
 try:
     from hypothesis.configuration import set_hypothesis_home_dir
-except ImportError:  # only tests/test_cli_fuzz.py needs Hypothesis
+except ImportError:  # only test_cli_fuzz.py and test_ridge_pairing.py need Hypothesis
     set_hypothesis_home_dir = None
 
 _STORAGE = pytest.StashKey[tempfile.TemporaryDirectory]()

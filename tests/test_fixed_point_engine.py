@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from qtoric import cohomology
+from qtoric import cohomology, polytope
 from qtoric.charpair import cp_pair, cube_pair, hirzebruch_pair, polygon_pair, s2xs2_pair
 from qtoric.cohomology import (
     _ZERO,
@@ -608,6 +608,25 @@ def test_pair_top_builds_no_shelling(monkeypatch):
     assert shellings == [] and tables == [] and model._face_lists is None
 
 
+def test_quasitoric_shelling_reads_the_kept_ridge_pairing(monkeypatch):
+    """A quasitoric model's points are its polytope's vertices, so its
+    shelling reads the ridge pairing validation kept and pairs no ridge
+    itself; a product model pairs its own supports.  Both shell as the
+    reference does."""
+    from test_polytope import reference_shelling
+    steps = polytope._steps
+    calls = []
+    monkeypatch.setattr(polytope, "_steps", lambda *args: calls.append(args) or steps(*args))
+    for make, pairs in ((lambda: _quasitoric("cube:5"), 0),
+                        (lambda: ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2")), 1)):
+        model = make()
+        supports = [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
+        del calls[:]
+        model._face_list(1)
+        assert len(calls) == pairs
+        assert model._shelling == reference_shelling(supports) is not None
+
+
 def _shelling_sizes(model):
     """Restriction-face sizes per size, from the model's certified shelling."""
     model._face_list(1)
@@ -635,7 +654,8 @@ def test_basis_faces_count_the_betti_numbers(name):
 def _bad_order(make_restriction):
     """A stand-in for cohomology.shelling: every point in order, with the
     restriction face that make_restriction gives its support."""
-    return lambda supports: [(v, make_restriction(face)) for v, face in enumerate(supports)]
+    return lambda supports, across=None: [(v, make_restriction(face))
+                                          for v, face in enumerate(supports)]
 
 
 def _failed_checks(supports, order):

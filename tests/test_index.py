@@ -149,6 +149,19 @@ def test_budget_counts_tables_where_no_exponent_vector_is_formed(genus, monkeypa
     assert genus(CUBE3, q_order=1000).is_zero() and calls == [1000]
 
 
+def test_zero_pairing_draws_no_generic_points():
+    """The elliptic genus in odd n forms no exponent vector, so it pairs
+    nothing: the budget and the pairing return before any point is drawn."""
+    model = cp_pair(5).to_index_model()
+
+    def refuse():
+        raise AssertionError("generic points drawn")
+
+    model._draw_fixed_points = refuse
+    result = elliptic_genus(model, q_order=3)
+    assert result.series == [0] * 4
+
+
 def test_budget_counts_tables_with_more_euler_classes_than_n(monkeypatch):
     """Four Euler classes on CP^2 leave no degree for any row."""
     calls = _stub_pairing(CP2, monkeypatch)

@@ -529,6 +529,15 @@ def test_shelling_order_matches_reference(make):
     assert shelling(supports) == reference_shelling(supports)
 
 
+@pytest.mark.parametrize("make", [m for _, m in SHELLING_CASES],
+                         ids=[name for name, _ in SHELLING_CASES])
+def test_kept_ridge_pairing_shells_as_the_reference(make):
+    """The pairing validation kept gives the greedy the order it finds when
+    it pairs the ridges itself."""
+    p = make()
+    assert shelling(p.vertices, p.ridge_pairing()) == reference_shelling(p.vertices)
+
+
 def test_unshellable_incidences_do_not_shell():
     """The dual of the 6-vertex RP^2 passes validation, but no shelling
     exists (a shellable pseudomanifold is a sphere; its h-vector is not
