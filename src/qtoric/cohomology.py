@@ -35,6 +35,11 @@ pair_series reads a whole product of per-root factors at the points only as
 q-free characteristic numbers, products of the roots' power sums, and builds
 the q-series once from them; it evaluates only the roots supported at a
 point, and drops a point at which a root of an Euler-class group vanishes.
+The model keeps those numbers for one root list only, its own tangent
+roots, when they are the only nonzero roots and carry no Euler class: the
+numbers <p^mu(TM), [M]> of the Witten genus, the elliptic genus and
+phi_c(M; 0, TM) are then paired at the points once per model, in either
+order.  Twisted root lists are paired afresh on every call and not kept.
 
 The mod-2 test of a quasitoric model needs no elimination: a class is even
 iff it is a relation lambda mu mod 2, and the dual basis at one vertex,
@@ -159,6 +164,7 @@ class IndexModel:
     _masks = None  # generator -> bitset of the points supporting it
     _shelling = None  # the certified shelling of the support pattern, if any
     _face_lists = None  # face size -> [(face, its points)], the faces the zero test tries
+    _tangent_numbers = None  # the k rows formed -> pair_series' numbers of the tangent roots
 
     @property
     def gen_count(self) -> int:
@@ -336,22 +342,57 @@ class IndexModel:
         class) a root that is zero at the point makes e zero, so those
         groups are evaluated first and the point is dropped before any
         other group.
+
+        The numbers (_characteristic_numbers, agreed at both point sets) are
+        split from the series assembly.  When the model's tangent roots are
+        the only group with a nonzero root and no group has xpow > 0, the
+        numbers are <p^mu(TM), [M]>, whatever the kinds: they are kept per
+        tuple of k rows formed, and a later call forming the same rows
+        (the Witten genus after the elliptic genus, or the other way round)
+        reads them without evaluating a point.  Its exponent vectors are
+        still formed, for the assembly.
         """
-        groups = [(table, [_linear_items(r) for r in roots])
-                  for table, roots in groups if roots]
+        groups = sorted(((table, roots) for table, roots in groups if roots),
+                        key=lambda g: g[0][0] == 0)
         top = self.n - sum(table[0] * len(roots) for table, roots in groups)
-        indexed, rows = [], []
-        for (xpow, _, L), roots in sorted(groups, key=lambda g: g[0][0] == 0):
+        indexed, rows, live = [], [], []
+        for (xpow, _, L), roots in groups:
             by_gen = {}
             for r, root in enumerate(roots):
-                for i, a in root:
+                for i, a in _linear_items(root):
                     by_gen.setdefault(i, []).append((r, a))
             ks = [k for k in range(1, top + 1) if by_gen and any(L[k - 1])]
             indexed.append((xpow, len(roots), by_gen, ks))
             rows += [(k, L[k - 1]) for k in ks]
+            if by_gen:
+                live.append(list(roots))
         monomials = _exponent_vectors([k for k, _ in rows], top)
         if not monomials:  # top < 0, or an odd top with only even k
             return [_ZERO] * (q_order + 1)
+        if top == self.n and live == [self.tangent_roots]:
+            if self._tangent_numbers is None:
+                self._tangent_numbers = {}
+            key = tuple(k for k, _ in rows)
+            if key not in self._tangent_numbers:
+                self._tangent_numbers[key] = self._characteristic_numbers(indexed, monomials)
+            numbers = self._tangent_numbers[key]
+        else:
+            numbers = self._characteristic_numbers(indexed, monomials)
+        C = math.prod(c ** len(roots) for (_, c, _), roots in groups)
+        series = [_ZERO] * (q_order + 1)
+        for number, mu in zip(numbers, monomials):
+            if number:
+                factors = [rows[v][1] for v, e in mu for _ in range(e)]
+                term = (functools.reduce(series_product, factors) if factors
+                        else [1] + [0] * q_order)
+                number *= C / math.prod(math.factorial(e) for _, e in mu)
+                series = [s + number * t for s, t in zip(series, term)]
+        return series
+
+    def _characteristic_numbers(self, indexed, monomials):
+        """The q-free numbers <e p^mu, [M]> of pair_series, one per exponent
+        vector mu, from the groups as pair_series indexes them; both point
+        sets must agree."""
         numbers = []
         for pts, common in self._indexed_points():
             sums = [0] * len(monomials)
@@ -375,16 +416,7 @@ class IndexModel:
                     for j, mu in enumerate(monomials):
                         sums[j] += pref * math.prod(p[v] ** e for v, e in mu)
             numbers.append([Fraction(s, common) for s in sums])
-        C = math.prod(c ** len(roots) for (_, c, _), roots in groups)
-        series = [_ZERO] * (q_order + 1)
-        for number, mu in zip(_agree(numbers, "characteristic numbers"), monomials):
-            if number:
-                factors = [rows[v][1] for v, e in mu for _ in range(e)]
-                term = (functools.reduce(series_product, factors) if factors
-                        else [1] + [0] * q_order)
-                number *= C / math.prod(math.factorial(e) for _, e in mu)
-                series = [s + number * t for s, t in zip(series, term)]
-        return series
+        return _agree(numbers, "characteristic numbers")
 
     def p1_poly(self) -> GradedPolynomial:
         return self.tangent_bundle().p1()

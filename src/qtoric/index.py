@@ -10,9 +10,17 @@ into monomials: each per-root factor is a cached closed-form table
 (qseries.log_table) x^xpow c exp(sum_k L_k(q) x^k), and the model's
 fixed-point engine (IndexModel.pair_series) pairs only q-free
 characteristic numbers, products of power sums of the root values, at the
-fixed points and assembles the q-series once.  Special cases: the Witten
-genus is the V = W = 0 index with c1c = 0, and the elliptic genus twists by
-the stable tangent roots (with the trivial-summand doubling divided back out).
+fixed points and assembles the q-series once.  Plan entries over one root
+list with no Euler class are paired as one group, their kinds concatenated
+(the L_k add): the elliptic genus pairs ("Q1", "AHAT", "Q3") over the
+tangent roots, not two groups.  Special cases: the Witten genus is the
+V = W = 0 index with c1c = 0, and the elliptic genus twists by the stable
+tangent roots (with the trivial-summand doubling divided back out).  In
+both the tangent roots are the only nonzero roots, whose characteristic
+numbers the model keeps, so a model asked for both pairs its points once.  In even n, the q^0
+coefficient of phi_c(M; 0, TM) with c1c = 0 is checked against the
+signature, 2^(#roots - n) sum_v sign(den_v) at both point sets, a route
+that needs no pairing; a mismatch raises InternalConsistencyError.
 Product and connected-sum models let the multiplicativity and additivity
 formulas be verified numerically coefficient by coefficient.
 """
@@ -120,6 +128,7 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
         plan.append((("Q2PRIME",), V.classes, True))
     if W.dim:
         plan.append((("Q3",), W.classes, False))
+    plan = _merged(plan)
     work = _table_work(plan, n, q_order) + _pairing_work(model, plan, q_order)
     if work > PAIRING_BUDGET:
         raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
@@ -133,6 +142,9 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
             if k != "hypotheses_met" and not v))
 
     series = model.pair_series(groups, q_order)
+    if (n % 2 == 0 and V.dim == 0 and not any(admissibility.c1c_vector)
+            and W.classes == model.tangent_roots):
+        _check_signature(model, series[0])
 
     meta = {
         "model": model.name,
@@ -144,6 +156,42 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     if seed is not None:
         meta["seed"] = seed
     return IndexResult(series, admissibility, warnings, meta)
+
+
+def _merged(plan):
+    """The plan with the entries that share a root list and carry no Euler
+    class merged into one, their kinds concatenated: the L_k of a root add
+    over its kinds and the c multiply (log_table), so the merged group's
+    factor is the product of theirs, with half the rows for the elliptic
+    genus's ("Q1", "AHAT") and ("Q3",) over the tangent roots."""
+    out = []
+    for kinds, roots, euler in plan:
+        for j, (kept, kept_roots, kept_euler) in enumerate(out):
+            if not euler and not kept_euler and kept_roots == roots:
+                out[j] = (kept + kinds, kept_roots, False)
+                break
+        else:
+            out.append((kinds, roots, euler))
+    return out
+
+
+def _check_signature(model: IndexModel, constant) -> None:
+    """Check the q^0 coefficient of phi_c(M; 0, TM) with c1c = 0 against the
+    signature, a route that needs no pairing.
+
+    At q^0 each tangent root contributes Q3 Ahat = x / tanh(x/2), so the
+    coefficient is 2^(#roots - n) sigma(M).  Scaling t to s t, each localized
+    factor 1 / tanh(s x/2) tends to sign(x), and the equivariant signature
+    is constant in s, so sigma(M) = sum_v sign(den_v) at each point set
+    (Buchstaber-Panov, Toric Topology; Panov, Izv. Math. 65, 2001).
+    """
+    scale = Fraction(2) ** (len(model.tangent_roots) - model.n)
+    for pts in model.fixed_points():
+        sigma = sum(1 if den > 0 else -1 for _, den in pts)
+        if constant != scale * sigma:
+            raise InternalConsistencyError(
+                "q^0 of the tangent twist is %s, but the vertex signs sum to %d: "
+                "expected %s" % (constant, sigma, scale * sigma))
 
 
 def _table_work(plan, n: int, q_order: int) -> int:

@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from qtoric import cohomology, polytope
+from qtoric import cohomology, index, polytope
 from qtoric.charpair import cp_pair, cube_pair, hirzebruch_pair, polygon_pair, s2xs2_pair
 from qtoric.cohomology import (
     _ZERO,
@@ -57,7 +57,7 @@ from qtoric.index import (
 )
 from qtoric.polynomial import GradedPolynomial as GP
 from qtoric.polytope import facet_chromatic
-from qtoric.qseries import bundle_series, root_factor
+from qtoric.qseries import bundle_series, log_table, root_factor
 from test_charpair import dense_rebased, vertex_cuts
 
 Q_ORDER = 2
@@ -424,6 +424,111 @@ def test_pair_series_matches_dense_point_loop(name, monkeypatch):
         verify_exhaustive_split_vanishing(model, range(0, m, 2), q_order)
         verify_exhaustive_split_vanishing(model, [m - 1], q_order)
     assert set(calls) == set(range(7))
+
+
+# ----------------------------------------------------------------------
+# the merged tangent group and the kept tangent numbers
+
+
+def _route_models():
+    """Builders of fresh models, so that each test starts with no kept numbers."""
+    out = {spec: (lambda spec=spec: _quasitoric(spec))
+           for spec in ("cp:2", "cp:3", "cp:4", "cube:2", "cube:3", "cube:4", "s2xs2",
+                        "hirzebruch:1", "hirzebruch:2")}
+    out["cp:3 rebased"] = lambda: QuasitoricModel(dense_rebased(cp_pair(3), 5), seed=11)
+    out["cube:4 rebased"] = lambda: QuasitoricModel(dense_rebased(cube_pair(4), 6), seed=12)
+    out["cp:2 with 2 vertex cuts"] = lambda: QuasitoricModel(vertex_cuts(cp_pair(2), 2, 7),
+                                                             seed=13)
+    out["cube:3 with 3 vertex cuts"] = lambda: QuasitoricModel(vertex_cuts(cube_pair(3), 3, 8),
+                                                               seed=14)
+    out["cube:2 x cp:2"] = lambda: ProductModel(_quasitoric("cube:2"), _quasitoric("cp:2", 15))
+    out["cube:2 # -cp:2"] = lambda: ConnectedSumModel(_quasitoric("cube:2"),
+                                                      _quasitoric("cp:2", 16), -1)
+    return out
+
+
+ROUTE_MODELS = _route_models()
+
+
+def _tangent_twist(model, q_order):
+    """The elliptic genus of a Spin model, else phi_c(M; 0, TM): both pair
+    the one merged group over the tangent roots."""
+    if model.is_even_vector(model.c1_vector):
+        return elliptic_genus(model, q_order).series
+    return phi_c(model, None, model.tangent_bundle(), q_order=q_order).series
+
+
+@pytest.mark.parametrize("name", list(ROUTE_MODELS))
+def test_merged_tangent_group_matches_the_unmerged_groups(name):
+    """phi_c(M; 0, TM) pairs ("Q1", "AHAT", "Q3") over the tangent roots as
+    one group; pair_series on the two groups it replaces, and the monomial
+    route, give the same series."""
+    model = ROUTE_MODELS[name]()
+    n, roots = model.n, model.tangent_roots
+    plan = [(("Q1", "AHAT"), roots, False), (("EXPHALF",), [GP.zero()], False),
+            (("Q3",), list(roots), False)]
+    assert index._merged(plan) == [(("Q1", "AHAT", "Q3"), roots, False),
+                                   (("EXPHALF",), [GP.zero()], False)]
+    euler = [(("Q1", "AHAT"), roots, False), (("Q2PRIME",), roots, True)]
+    assert index._merged(euler) == euler
+    merged = phi_c(model, None, model.tangent_bundle(), q_order=Q_ORDER).series
+    unmerged = model.pair_series([(log_table(("Q1", "AHAT"), Q_ORDER, n), roots),
+                                  (log_table(("Q3",), Q_ORDER, n), roots)], Q_ORDER)
+    tangent = [r.integer_vector(model.gen_count) for r in roots]
+    assert merged == unmerged == old_phi_c(model, W=tangent)
+
+
+@pytest.mark.parametrize("name", list(ROUTE_MODELS))
+def test_witten_and_tangent_twist_agree_in_either_order(name):
+    """The Witten genus and the tangent twist share the kept numbers; the
+    order in which a model is asked for them changes no coefficient."""
+    witten_first, twist_first = ROUTE_MODELS[name](), ROUTE_MODELS[name]()
+    witten = witten_genus(witten_first, 2).series
+    twist = _tangent_twist(witten_first, 1)
+    assert _tangent_twist(twist_first, 1) == twist
+    assert witten_genus(twist_first, 2).series == witten
+    assert witten_first._tangent_numbers == twist_first._tangent_numbers
+    # other kinds form other k rows, so they key other numbers: L_1 alone
+    exphalf = [(log_table(("EXPHALF",), 2, witten_first.n), witten_first.tangent_roots)]
+    assert witten_first.pair_series(exphalf, 2) == ROUTE_MODELS[name]().pair_series(exphalf, 2)
+
+
+@pytest.mark.parametrize("name", list(ROUTE_MODELS))
+def test_kept_tangent_numbers_evaluate_no_point(name, monkeypatch):
+    """After the first tangent pairing, the Witten genus and the tangent
+    twist at any q-order read the kept numbers: the point loop runs once
+    (never in odd n, where no exponent vector is formed)."""
+    model, reference = ROUTE_MODELS[name](), ROUTE_MODELS[name]()
+    loop = model._characteristic_numbers
+    runs, once = [], [1] if model.n % 2 == 0 else []
+    monkeypatch.setattr(model, "_characteristic_numbers",
+                        lambda *args: runs.append(1) or loop(*args))
+    witten_genus(model, 2)
+    assert runs == once
+    for q_order in (1, 3):
+        assert _tangent_twist(model, q_order) == _tangent_twist(reference, q_order)
+        assert witten_genus(model, q_order).series == witten_genus(reference, q_order).series
+    assert runs == once
+
+
+@pytest.mark.parametrize("name", list(ROUTE_MODELS))
+def test_twisted_root_lists_are_not_kept(name):
+    """Only the tangent roots alone are kept: a twist W other than TM, a
+    nonzero c1c, an Euler class (of a zero class too, which leaves the
+    tangent roots the only nonzero ones) and a split add no entry."""
+    model = ROUTE_MODELS[name]()
+    m = model.gen_count
+    tangent = [r.integer_vector(m) for r in model.tangent_roots]
+    phi_c(model, None, _unit(model, 1), q_order=Q_ORDER)
+    phi_c(model, None, tangent[:-1], q_order=Q_ORDER)
+    phi_c(model, None, tangent, q_order=Q_ORDER, c1c=list(model.c1_vector))
+    phi_c(model, _unit(model, 0) + _unit(model, m - 1), None, q_order=Q_ORDER)
+    phi_c(model, tangent, None, q_order=Q_ORDER)
+    assert phi_c(model, [[0] * m], None, q_order=Q_ORDER).is_zero()
+    verify_exhaustive_split_vanishing(model, [m - 1], Q_ORDER)
+    assert not model._tangent_numbers
+    witten_genus(model, Q_ORDER)
+    assert len(model._tangent_numbers or ()) == (model.n % 2 == 0)
 
 
 # ----------------------------------------------------------------------

@@ -175,7 +175,9 @@ def test_budget_counts_tables_with_more_euler_classes_than_n(monkeypatch):
                          ids=["cp:3", "cube:3", "s2xs2", "cp:2 x s2"])
 def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
     """The budget's estimate is the number of exponent vectors pair_series
-    forms, times its per-vector steps, on every route of phi_c."""
+    forms, times its per-vector steps, on every route of phi_c: the merged
+    tangent group of the elliptic genus and of phi_c(M; 0, TM) too, and on
+    a call that reads the kept tangent numbers."""
     from qtoric import cohomology, index
     estimates, formed = [], []
     work, vectors = index._pairing_work, cohomology._exponent_vectors
@@ -191,8 +193,49 @@ def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
         phi_c(model, None, line, q_order=q_order, c1c=line[0])
         phi_c(model, line, line, q_order=q_order)
         phi_c(model, line + line, None, q_order=q_order, via_q2=True)
+        if model.is_even_vector(model.c1_vector):
+            elliptic_genus(model, q_order)
+        phi_c(model, None, model.tangent_bundle(), q_order=q_order)
     assert any(formed)
     assert [w // (points + n * (q + 1) ** 2) for w, q in estimates] == formed
+
+
+# ----------------------------------------------------------------------
+# the signature check
+
+
+@pytest.mark.parametrize("model, signature", [
+    (CP2, 1), (S2S2, 0), (CUBE2, 0), (cp_pair(4).to_index_model(), 1),
+    (hirzebruch_pair(1).to_index_model(), 0), (ProductModel(CP2, CP2), 1),
+    (ConnectedSumModel(CP2, CP2, 1), 2), (ConnectedSumModel(CP2, CP2, -1), 0),
+    (PointModel(), 1)], ids=["cp:2", "s2xs2", "cube:2", "cp:4", "hirzebruch:1",
+                             "cp:2 x cp:2", "cp:2 # cp:2", "cp:2 # -cp:2", "point"])
+def test_tangent_twist_constant_is_the_signature(model, signature):
+    """phi_c(M; 0, TM) at q^0 is 2^(#roots - n) sigma(M), and the vertex
+    signs sum to sigma(M) at both point sets."""
+    extras = len(model.tangent_roots) - model.n
+    series = phi_c(model, None, model.tangent_bundle(), q_order=1).series
+    assert series[0] == 2 ** extras * signature
+    assert [sum(1 if den > 0 else -1 for _, den in pts)
+            for pts in model.fixed_points()] == [signature] * 2
+
+
+def test_signature_check_refuses_a_wrong_constant(monkeypatch):
+    """A q^0 that is not 2^(#roots - n) sum_v sign(den_v) is a bug, whether
+    the numbers were just paired or read from the kept ones."""
+    model = s2xs2_pair().to_index_model()
+    pair = model.pair_series
+    monkeypatch.setattr(model, "pair_series", lambda groups, q_order: [
+        c + 1 for c in pair(groups, q_order)])
+    with pytest.raises(InternalConsistencyError, match="vertex signs sum to 0"):
+        elliptic_genus(model, q_order=1)
+    monkeypatch.undo()
+    witten_genus(model, q_order=1)
+    assert elliptic_genus(model, q_order=1).is_zero()
+    ((key, numbers),) = model._tangent_numbers.items()
+    model._tangent_numbers[key] = [c + 1 for c in numbers]
+    with pytest.raises(InternalConsistencyError, match="vertex signs sum to 0"):
+        elliptic_genus(model, q_order=1)
 
 
 # ----------------------------------------------------------------------
