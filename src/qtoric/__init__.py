@@ -51,7 +51,6 @@ from .polynomial import GradedPolynomial, monomials_of_degree
 from .polytope import (
     FacetColoring,
     SimplePolytope,
-    TwoFace,
     ValidationReport,
     cube,
     facet_chromatic,

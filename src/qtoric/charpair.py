@@ -9,7 +9,6 @@ vertices, which drive the localization pairing downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import StructureError
@@ -20,18 +19,6 @@ from .polytope import (
 
 # the seed of the generic points at which an index model localizes
 DEFAULT_SEED = 20250810
-
-
-@dataclass(frozen=True, slots=True)
-class VertexWeightData:
-    """Dual covector basis at a vertex: <weights[k], lambda[facets[l]]> = delta_kl.
-
-    Slotted: a validated pair keeps one per vertex.
-    """
-
-    vertex_id: int
-    facets: tuple
-    weights: tuple  # n integer covectors, rows of the inverse transpose of the block
 
 
 def _eliminate(rows):
@@ -173,10 +160,10 @@ class CharacteristicPair:
     def _dual_bases(self):
         """One walk of the edge graph: the dual bases and the orientation signs.
 
-        None if some block is not unimodular, else (VertexWeightData for
-        every vertex, the orientation sign eps_v of every vertex, the first
-        vertex at which the signs close inconsistently around a cycle or
-        None).
+        None if some block is not unimodular, else (the dual basis of every
+        vertex as in vertex_weights, the orientation sign eps_v of every
+        vertex, the first vertex at which the signs close inconsistently
+        around a cycle or None).
 
         Only the first vertex's block is inverted.  Every other vertex is
         reached along an edge a -> b of the (connected) edge graph, where
@@ -235,8 +222,7 @@ class CharacteristicPair:
                 bases[b] = basis
                 eps[b] = -c * eps[a]
                 stack.append(b)
-        weights = {vid: VertexWeightData(vid, v, tuple(bases[vid][i] for i in v))
-                   for vid, v in enumerate(verts)}
+        weights = tuple(tuple(bases[vid][i] for i in v) for vid, v in enumerate(verts))
         return weights, tuple(eps), clash
 
     def require_valid(self):
@@ -245,6 +231,10 @@ class CharacteristicPair:
 
     @property
     def vertex_weights(self):
+        """The dual basis at every vertex, read off the validation walk: per
+        vertex v, n integer covectors aligned with polytope.vertices[v], with
+        <vertex_weights[v][k], lambda[polytope.vertices[v][l]]> = delta_kl
+        (the rows of the inverse transpose of v's lambda block)."""
         self.require_valid()
         return self._vertex_weights
 

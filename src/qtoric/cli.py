@@ -182,7 +182,7 @@ def cmd_analyze(args):
         "facets": poly.facet_count,
         "vertices": len(poly.vertices),
         "edges": len(poly.edges),
-        "two_faces": [len(f) for f in poly.two_faces],
+        "two_faces": [len(cycle) for _, cycle in poly.two_faces],
         "is_even": even,
         "vertex_graph_bipartite": bip,
         "facet_chromatic": d_min,
@@ -285,7 +285,7 @@ def cmd_symmetry_report(args):
             d_min, coloring = pt.facet_chromatic(pair.polytope)
             if d_min == pair.n:
                 nonzero, _ = exists_nonvanishing_signs(model, coloring)
-        except (UnsatisfiableError, BudgetExceededError):
+        except BudgetExceededError:
             nonzero = False
     report = symmetry_report(model, index_nonvanishing=nonzero)
     _emit(args, report.as_dict())

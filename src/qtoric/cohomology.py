@@ -187,27 +187,21 @@ class IndexModel:
         return None
 
     def fixed_points(self):
-        """The two generic point sets (drawn once and kept).
+        """The two generic point sets, drawn once and kept.
 
-        At each point a generator u_i takes the value values.get(i, 0), and
-        <f, [M]> = sum over the points of f(values) / denominator for any
-        class f of degree n.
-        """
-        return tuple(pts for pts, _ in self._indexed_points())
-
-    def _indexed_points(self):
-        """Per point set: (points, common denominator), drawn once and kept.
-
-        Both sets must list the same points with the same nonzero generators
-        (only the values differ); that one support pattern is checked here.
+        Each is a list of (values {generator: x}, denominator): at a point a
+        generator u_i takes the value values.get(i, 0), and <f, [M]> = sum
+        over the points of f(values) / denominator for any class f of
+        degree n.  Both sets must list the same points with the same nonzero
+        generators (only the values differ); that one support pattern is
+        checked here, when they are drawn.
         """
         if self._point_sets is None:
             first, second = self._draw_fixed_points()
             if [vals.keys() for vals, _ in first] != [vals.keys() for vals, _ in second]:
                 raise InternalConsistencyError(
                     "the generic point sets differ in their points or supports")
-            self._point_sets = tuple((pts, math.lcm(*(den for _, den in pts)))
-                                     for pts in (first, second))
+            self._point_sets = (first, second)
         return self._point_sets
 
     def pair_top(self, poly: GradedPolynomial) -> Fraction:
@@ -252,9 +246,9 @@ class IndexModel:
     def _face_pairings(self, terms, k):
         """One (S, numerator, denominator) per face S of size k in _face_list,
         lazily: the pairing of u_S with a homogeneous {monomial: coefficient}."""
-        point_sets = self._indexed_points()
+        point_sets = self.fixed_points()
         masks = self._support_masks()
-        full = (1 << len(point_sets[0][0])) - 1
+        full = (1 << len(point_sets[0])) - 1
         scale, constant, by_first = _indexed_terms(
             {mon: c for mon, c in terms.items() if _containing(mon, masks, full)})
         if not constant and not by_first:
@@ -262,7 +256,7 @@ class IndexModel:
         values = [{}, {}]  # per point set: point -> the part there, times scale
         for S, points in self._face_list(k):
             sums = []
-            for (pts, _), cache in zip(point_sets, values):
+            for pts, cache in zip(point_sets, values):
                 dens = [pts[p][1] for p in points]
                 common = math.lcm(*dens)
                 total = 0
@@ -286,7 +280,7 @@ class IndexModel:
         """Per generator, the bitset of the points supporting it; built once."""
         if self._masks is None:
             self._masks = {}
-            for p, (vals, _) in enumerate(self._indexed_points()[0][0]):
+            for p, (vals, _) in enumerate(self.fixed_points()[0]):
                 for i in vals:
                     self._masks[i] = self._masks.get(i, 0) | 1 << p
         return self._masks
@@ -298,7 +292,7 @@ class IndexModel:
         of size k.  Both give the empty face with every point for k = 0,
         which is returned before any shelling work.  The shelling is built
         once per model, each list once per size."""
-        pts = self._indexed_points()[0][0]
+        pts = self.fixed_points()[0]
         if k == 0:
             return [((), list(range(len(pts))))]
         masks = self._support_masks()
@@ -354,14 +348,13 @@ class IndexModel:
         """
         groups = sorted(((table, roots) for table, roots in groups if roots),
                         key=lambda g: g[0][0] == 0)
-        top = self.n - sum(table[0] * len(roots) for table, roots in groups)
+        top, plan = _row_plan(groups, self.n)
         indexed, rows, live = [], [], []
-        for (xpow, _, L), roots in groups:
+        for ((xpow, _, L), roots), ks in zip(groups, plan):
             by_gen = {}
             for r, root in enumerate(roots):
                 for i, a in _linear_items(root):
                     by_gen.setdefault(i, []).append((r, a))
-            ks = [k for k in range(1, top + 1) if by_gen and any(L[k - 1])]
             indexed.append((xpow, len(roots), by_gen, ks))
             rows += [(k, L[k - 1]) for k in ks]
             if by_gen:
@@ -392,9 +385,10 @@ class IndexModel:
     def _characteristic_numbers(self, indexed, monomials):
         """The q-free numbers <e p^mu, [M]> of pair_series, one per exponent
         vector mu, from the groups as pair_series indexes them; both point
-        sets must agree."""
+        sets must agree.  Each set is summed over the lcm of its denominators."""
         numbers = []
-        for pts, common in self._indexed_points():
+        for pts in self.fixed_points():
+            common = math.lcm(*(den for _, den in pts))
             sums = [0] * len(monomials)
             for vals, den in pts:
                 pref, p = 1, []
@@ -427,6 +421,17 @@ class IndexModel:
     def __repr__(self):
         return "%s(%s, n=%d, m=%d)" % (
             type(self).__name__, self.name or "?", self.n, self.gen_count)
+
+
+def _row_plan(groups, n):
+    """The rows that pair_series forms for groups of (table, roots), table
+    = (xpow, c, L): the degree left after the Euler classes, top = n - sum
+    xpow * #roots, and per group the k in 1..top with L_k not identically
+    zero, none for a group without a nonzero root (none at all if top < 0)."""
+    top = n - sum(xpow * len(roots) for (xpow, _, _), roots in groups)
+    return top, [[k for k in range(1, top + 1) if any(L[k - 1])]
+                 if any(root.terms for root in roots) else []
+                 for (_, _, L), roots in groups]
 
 
 def _agree(values, what, *args):
@@ -617,11 +622,9 @@ class QuasitoricModel(IndexModel):
             t = tuple(rng.randint(_POINT_LO, _POINT_HI) for _ in range(self.n))
             data = []
             ok = True
-            for vid, v in enumerate(self.polytope.vertices):
-                wd = self.pair.vertex_weights[vid]
+            for v, weights, den in zip(self.polytope.vertices, self.pair.vertex_weights, eps):
                 vals = {}
-                den = eps[vid]
-                for facet, w in zip(wd.facets, wd.weights):
+                for facet, w in zip(v, weights):
                     x = sum(a * b for a, b in zip(w, t))
                     if x == 0:
                         ok = False
@@ -659,9 +662,8 @@ class QuasitoricModel(IndexModel):
         """
         if len(vec) != self.gen_count:
             raise StructureError("vector length %d, expected %d" % (len(vec), self.gen_count))
-        base = self.pair.vertex_weights[0]
         mu = [0] * self.n
-        for i, w in zip(base.facets, base.weights):
+        for i, w in zip(self.polytope.vertices[0], self.pair.vertex_weights[0]):
             if vec[i] % 2:
                 mu = [x + y for x, y in zip(mu, w)]
         return all((sum(x * y for x, y in zip(row, mu)) - a) % 2 == 0

@@ -36,6 +36,7 @@ from .cohomology import (
     BundleSpec,
     IndexModel,
     QuasitoricModel,
+    _row_plan,
     check_admissible,
 )
 from .errors import (BudgetExceededError, HypothesisUnmetError, InternalConsistencyError,
@@ -209,25 +210,22 @@ def _pairing_work(model: IndexModel, plan, q_order: int) -> int:
     """About the steps of model.pair_series on the groups of the plan.
 
     pair_series forms each exponent vector over its rows (group, k) at every
-    point, then multiplies up to n q-rows for it.  A row is formed only for
-    a group with a nonzero root, k no more than the degree left after the
-    Euler classes, and L_k not identically zero.  Each L_k is a constant
-    plus multiples of two divisor sums (log_table), which agree at q^1 and
-    differ at q^2, so it vanishes through q^N iff it does through
-    q^min(N, 2): the rows are read off tables that small.
+    point, then multiplies up to n q-rows for it; the rows are those of
+    _row_plan, as in pair_series.  Each L_k is a constant plus multiples of
+    two divisor sums (log_table), which agree at q^1 and differ at q^2, so
+    it vanishes through q^N iff it does through q^min(N, 2): the rows are
+    read off tables that small.
     """
     n = model.n
-    probe = [(log_table(kinds, min(q_order, 2), n, euler=euler), roots)
-             for kinds, roots, euler in plan if roots]
-    top = n - sum(table[0] * len(roots) for table, roots in probe)
+    top, rows = _row_plan([(log_table(kinds, min(q_order, 2), n, euler=euler), roots)
+                           for kinds, roots, euler in plan if roots], n)
     if top < 0:
         return 0
     counts = [1] + [0] * top  # exponent vectors by weight
-    for (_, _, L), roots in probe:
-        if any(root.terms for root in roots):
-            for k in [k for k in range(1, top + 1) if any(L[k - 1])]:
-                for w in range(k, top + 1):
-                    counts[w] += counts[w - k]
+    for ks in rows:
+        for k in ks:
+            for w in range(k, top + 1):
+                counts[w] += counts[w - k]
     if not counts[top]:  # nothing to pair: no generic points are drawn for it
         return 0
     return counts[top] * (len(model.fixed_points()[0]) + n * (q_order + 1) ** 2)

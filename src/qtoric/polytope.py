@@ -7,7 +7,7 @@ combinatorial conditions (simplicity, edge regularity, connectivity,
 facet coverage, polygonal two-faces).  A valid polytope keeps what
 validation found: the ridge pairing (per vertex, the neighbour across each
 facet and the facet entered there) and each two-face's vertex cycle; the
-sorted edge graph and the TwoFace objects are built from them on request.
+sorted edge graph and the sorted two-faces are built from them on request.
 Edge regularity already gives each vertex of a two-face exactly two
 neighbours in it, so 2-regularity needs no test of its own: a two-face
 can only fail by falling apart into several cycles.
@@ -69,21 +69,6 @@ class ValidationReport:
             raise ValidationError("invalid %s %s: %s" % (
                 what, name or "?",
                 "; ".join("%s: %s" % (c.name, c.detail) for c in self.failures())), self)
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class TwoFace:
-    """A two-dimensional face: the n-2 facets containing it and its vertex cycle.
-
-    Not frozen: SimplePolytope.two_faces builds one per two-face, and a
-    frozen __init__ sets each field through object.__setattr__.
-    """
-
-    facet_complement: tuple
-    cycle: tuple
-
-    def __len__(self):
-        return len(self.cycle)
 
 
 @dataclass(frozen=True)
@@ -156,7 +141,6 @@ class SimplePolytope:
         self._report = None
         self._across = None  # (neighbours, entered): per vertex, aligned with its facets
         self._cycles = None  # facet complement -> vertex cycle of each two-face
-        self._adjacency = None  # sorted on the first vertex_adjacency() call
 
     # ------------------------------------------------------------------
 
@@ -302,9 +286,10 @@ class SimplePolytope:
 
     @property
     def two_faces(self):
-        """The two-faces in sorted order, built from validation's cycles."""
+        """The two-faces as sorted (facet complement, vertex cycle) pairs:
+        the n - 2 facets containing each and validation's cycle of it."""
         self.require_valid()
-        return tuple(TwoFace(sub, self._cycles[sub]) for sub in sorted(self._cycles))
+        return tuple(sorted(self._cycles.items()))
 
     def facet_adjacency(self):
         """Adjacency sets of the facet graph: i ~ j iff some vertex contains both."""
@@ -326,12 +311,9 @@ class SimplePolytope:
 
     def vertex_adjacency(self):
         """The neighbours of each vertex in the edge graph, ascending, as a
-        tuple of tuples: the ridge pairing's neighbours, sorted on the first
-        call."""
+        tuple of tuples: the ridge pairing's neighbours, sorted on each call."""
         self.require_valid()
-        if self._adjacency is None:
-            self._adjacency = tuple(tuple(sorted(ns)) for ns in self._across[0])
-        return self._adjacency
+        return tuple(tuple(sorted(ns)) for ns in self._across[0])
 
     def is_even(self) -> bool:
         """True iff every two-face has an even number of vertices (vacuous for n=1)."""
@@ -339,8 +321,9 @@ class SimplePolytope:
         return all(len(cycle) % 2 == 0 for cycle in self._cycles.values())
 
     def is_vertex_graph_bipartite(self) -> bool:
-        """Two-colour the edge graph from vertex 0; validation made it connected."""
-        adj = self.vertex_adjacency()
+        """Two-colour the edge graph from vertex 0; validation made it connected.
+        The ridge pairing's neighbours are walked in facet order, unsorted."""
+        adj = self.ridge_pairing()[0]
         color = {0: 0}
         stack = [0]
         while stack:

@@ -204,16 +204,14 @@ class QSeries:
 
 
 @lru_cache(maxsize=None)
-def _scalar_product(q_order: int, sign: int, squared: bool = True):
-    """prod_{k=1..N} (1 + sign*q^k)^e as a scalar QSeries (e = 2 or 1)."""
+def _scalar_product(q_order: int, sign: int):
+    """prod_{k=1..N} (1 + sign*q^k)^2 as a scalar QSeries."""
     out = QSeries.one(q_order, 0)
-    e = 2 if squared else 1
     for k in range(1, q_order + 1):
         coeffs = [GradedPolynomial.one()] + [GradedPolynomial.zero()] * q_order
         coeffs[k] = GradedPolynomial.constant(sign)
         factor = QSeries(coeffs, 0)
-        for _ in range(e):
-            out = out * factor
+        out = out * factor * factor
     return out
 
 

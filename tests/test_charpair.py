@@ -5,7 +5,6 @@ import pytest
 
 from qtoric.charpair import (
     CharacteristicPair,
-    VertexWeightData,
     _bareiss,
     _eliminate,
     cp_pair,
@@ -78,9 +77,9 @@ def test_weight_duality():
     # the dual covectors satisfy <w_k, lambda_{i_l}> = delta_kl exactly
     for pair in [cp_pair(3), cube_pair(3), hirzebruch_pair(2), polygon_pair(6)]:
         pair.require_valid()
-        for wd in pair.vertex_weights.values():
-            for k, w in enumerate(wd.weights):
-                for l, facet in enumerate(wd.facets):
+        for v, weights in zip(pair.polytope.vertices, pair.vertex_weights):
+            for k, w in enumerate(weights):
+                for l, facet in enumerate(v):
                     dot = sum(a * b for a, b in zip(w, pair.lam[facet]))
                     assert dot == (1 if k == l else 0)
 
@@ -180,12 +179,12 @@ def fraction_inverse_transpose(rows):
 
 
 def reference_weights(pair):
-    out = {}
-    for vid, v in enumerate(pair.polytope.vertices):
+    out = []
+    for v in pair.polytope.vertices:
         block = [list(pair.lam[i]) for i in v]
         assert laplace_det(block) in (-1, 1)
-        out[vid] = VertexWeightData(vid, v, fraction_inverse_transpose(block))
-    return out
+        out.append(fraction_inverse_transpose(block))
+    return tuple(out)
 
 
 def dense_rebased(pair, seed):
@@ -390,8 +389,7 @@ def reference_orientation_signs(pair):
     weights = reference_weights(pair)
 
     def edge_weight(vid, facet):
-        data = weights[vid]
-        return data.weights[data.facets.index(facet)]
+        return weights[vid][verts[vid].index(facet)]
 
     eps = {0: 1}
     adj = {}

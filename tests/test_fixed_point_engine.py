@@ -96,13 +96,11 @@ class OldPairing:
         self.memo = {}
         if isinstance(model, QuasitoricModel):
             rng = random.Random(seed)
-            data = [model.pair.vertex_weights[vid]
-                    for vid in range(len(model.polytope.vertices))]
+            data = list(zip(model.polytope.vertices, model.pair.vertex_weights))
             while True:
                 t = [rng.randint(-50, 50) for _ in range(model.n)]
-                weights = [dict(zip(wd.facets, (sum(a * b for a, b in zip(w, t))
-                                                for w in wd.weights)))
-                           for wd in data]
+                weights = [dict(zip(v, (sum(a * b for a, b in zip(w, t)) for w in ws)))
+                           for v, ws in data]
                 if all(all(x.values()) for x in weights):
                     break
             self.weights = weights
@@ -231,7 +229,8 @@ def reference_pair_series(model, groups, q_order):
     scaled = [[[int(x * delta ** k) for x in row] for k, row in enumerate(L[:top], 1)]
               for (_, _, L), _ in groups]
     values = []
-    for pts, common in model._indexed_points():
+    for pts in model.fixed_points():
+        common = math.lcm(*(den for _, den in pts))
         total = [0] * (q_order + 1)
         for vals, den in pts:
             pref = 1
@@ -266,7 +265,8 @@ def _reference_weights(model, part):
     scale = math.lcm(*(c.denominator for c in part.terms.values()))
     terms = [(mon, int(c * scale)) for mon, c in part.terms.items()]
     out = []
-    for pts, common in model._indexed_points():
+    for pts in model.fixed_points():
+        common = math.lcm(*(den for _, den in pts))
         support = {}
         for p, (vals, _) in enumerate(pts):
             for i in vals:
@@ -879,6 +879,17 @@ def test_disagreeing_faces_raise():
         model.is_zero_class(GP.generator(0))
 
 
+def test_fixed_points_are_drawn_once():
+    """Two fixed_points calls return the same kept tuple of both sets."""
+    model = _quasitoric("cp:3")
+    draws = []
+    draw = model._draw_fixed_points
+    model._draw_fixed_points = lambda: draws.append(1) or draw()
+    points = model.fixed_points()
+    assert model.fixed_points() is points and draws == [1]
+    assert len(points) == 2 and points == draw()
+
+
 def _moved_generator(model):
     """The second point set with one generator of one point moved to another."""
     first, second = model._draw_fixed_points()
@@ -892,10 +903,12 @@ def _moved_generator(model):
     lambda model: model.pair_top(GP.generator(0).mul(GP.generator(1)).mul(GP.generator(2))),
     lambda model: model.is_zero_class(model.p1_poly()),
     lambda model: witten_genus(model, 1),
-], ids=["pair_top", "is_zero_class", "witten_genus"])
+    lambda model: model.fixed_points(),
+], ids=["pair_top", "is_zero_class", "witten_genus", "fixed_points"])
 def test_moved_support_raises(call):
     """Same length, one generator moved at one point: the shared support
-    pattern is broken, whatever asks for the points first."""
+    pattern is broken, whatever asks for the points first, fixed_points
+    itself included."""
     model = _quasitoric("cp:3")
     sets = _moved_generator(model)
     assert len(sets[0]) == len(sets[1])

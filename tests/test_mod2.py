@@ -165,7 +165,7 @@ def test_mod2_and_admissibility_invariant_under_rebasing(pair):
         twin = QuasitoricModel(rebased(pair, 100 + seed))
         base = twin.pair.vertex_weights[0]
         # the rebased base block is not the identity, so its dual basis is not
-        assert any(sorted(map(abs, w)) != [0] * (pair.n - 1) + [1] for w in base.weights)
+        assert any(sorted(map(abs, w)) != [0] * (pair.n - 1) + [1] for w in base)
         seen = set()
         for trial in range(100):
             vec = _random_vector(relation_matrix(original), rng, even=trial % 2 == 0)

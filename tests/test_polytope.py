@@ -19,7 +19,6 @@ from qtoric.polytope import (
     VALIDATION_BUDGET,
     FacetColoring,
     SimplePolytope,
-    TwoFace,
     cube,
     facet_chromatic,
     greedy_coloring,
@@ -64,15 +63,14 @@ def test_cube3_counts():
     assert p.facet_count == 6
     assert len(p.edges) == 12
     assert len(p.two_faces) == 6
-    assert all(len(f) == 4 for f in p.two_faces)
+    assert all(len(cycle) == 4 for _, cycle in p.two_faces)
 
 
 def test_triangle_counts():
     p = simplex(2)
     assert p.validate().ok
     assert len(p.edges) == 3
-    assert len(p.two_faces) == 1
-    assert len(p.two_faces[0]) == 3
+    assert p.two_faces == (((), (0, 1, 2)),)
 
 
 def test_simplicity_violation_reported():
@@ -203,7 +201,7 @@ def reference_two_faces(p, adj):
             prev, cur = cur, nxt
         if len(cycle) != len(mset):
             raise ValidationError("two-face %r is not a single cycle" % (sub,))
-        faces.append(TwoFace(sub, tuple(cycle)))
+        faces.append((sub, tuple(cycle)))
     return faces
 
 
@@ -546,15 +544,6 @@ def test_unshellable_incidences_do_not_shell():
     p.require_valid()
     assert shelling(p.vertices) is None
     assert p.h_vector() == (0, 6, 3, 1)
-
-
-def test_two_face_fields_equality_and_repr():
-    a, b = TwoFace((0,), (0, 1, 3)), TwoFace((0,), (0, 1, 3))
-    assert a == b and hash(a) == hash(b) and len(a) == 3
-    assert a != TwoFace((1,), (0, 1, 3)) and a != ((0,), (0, 1, 3))
-    assert repr(a) == "TwoFace(facet_complement=(0,), cycle=(0, 1, 3))"
-    with pytest.raises(AttributeError):
-        a.extra = 1
 
 
 def test_h_vectors():
