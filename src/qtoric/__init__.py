@@ -19,7 +19,6 @@ from .cohomology import (
     QuasitoricModel,
     check_admissible,
     is_even_class,
-    rank_of_pairing,
 )
 from .errors import (
     BudgetExceededError,

@@ -28,8 +28,8 @@ def _eliminate(rows):
     pivot columns); each pivot column ends up as d times a unit vector, and
     a column without a pivot is skipped.  Every entry stays a minor of the
     input, so each division is exact.  The package's one elimination loop:
-    _bareiss and _dual_basis run it on [A | I], cohomology.rank_of_pairing
-    counts its pivots and the face-ring oracle reads its kernel off it.
+    _bareiss and _dual_basis run it on [A | I] and the face-ring oracle
+    reads its kernel off it.
     """
     rows = [list(r) for r in rows]
     sign, prev, pivots = 1, 1, []
@@ -128,7 +128,6 @@ class CharacteristicPair:
             "primitive-rows", prim_ok,
             "" if prim_ok else "lambda row %d = %r is not primitive" % (bad, self.lam[bad])))
 
-        ok = False
         if base.ok:
             walk = self._dual_bases()
             if walk is None:
@@ -149,11 +148,10 @@ class CharacteristicPair:
                         "orientation-consistent", False,
                         "orientation signs inconsistent around a cycle at %r"
                         % (self.polytope.vertices[clash],)))
-                ok = prim_ok and clash is None
-                if ok:
+                if prim_ok and clash is None:
                     self._vertex_weights, self._orientation_signs = weights, signs
 
-        report = ValidationReport(ok, checks)
+        report = ValidationReport(checks)
         self._report = report
         return report
 

@@ -207,7 +207,7 @@ def cmd_index(args):
     pair = load_pair(args.manifold)
     model = pair.to_index_model(seed=args.seed)
     result = phi_c(model, _parse_bundle(args.V), _parse_bundle(args.W),
-                   q_order=args.q_order, via_q2=args.via_q2)
+                   q_order=args.q_order)
     _emit(args, result.as_dict(),
           ["phi_c(%s) = %s" % (model.name,
                                " + ".join("%s q^%d" % (c, j)
@@ -349,8 +349,6 @@ def build_parser():
     p = with_manifold("index", help="twisted index phi_c(M;V,W)")
     p.add_argument("--V", help="bundle spec JSON, e.g. [[1,0,1,0]]")
     p.add_argument("--W", help="bundle spec JSON")
-    p.add_argument("--via-q2", action="store_true", dest="via_q2",
-                   help="use the e^{c1/2} Q2 route instead of e(V) Q2'")
     p.set_defaults(func=cmd_index)
 
     p = with_manifold("genus", help="Witten or elliptic genus")

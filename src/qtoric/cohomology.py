@@ -819,17 +819,9 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
         c1c_vec = (0,) * model.gen_count
     diff = [a - b for a, b in zip(c1c_vec, model.c1_vector)]
     spin_c = model.is_even_vector(diff)
-    w_spin = model.is_even_vector(W.c1_vector() if W.dim else (0,) * model.gen_count)
+    w_spin = model.is_even_vector(W.c1_vector())
     p1 = GradedPolynomial(_p1_terms(V.classes + W.classes, model.tangent_roots))
     face = model.nonzero_face(p1)
     witness = None if face is None else tuple(model.gen_labels[i] for i in face)
     return AdmissibilityReport(spin_c, w_spin, face is None, tuple(c1c_vec), witness)
 
-
-def rank_of_pairing(model: IndexModel, k: int) -> int:
-    """Rank of the pairing between degree-k and degree-(n-k) monomial spans."""
-    rows = []
-    right = list(monomials_of_degree(model.gen_count, model.n - k))
-    for w1 in monomials_of_degree(model.gen_count, k):
-        rows.append([model.pair_monomial(tuple(sorted(w1 + w2))) for w2 in right])
-    return len(_eliminate(_integer_rows(rows))[3])

@@ -79,6 +79,7 @@ class IndexResult:
             "q_order": self.q_order,
             "admissibility": self.admissibility.as_dict(),
             "warnings": list(self.warnings),
+            "constant_in_q": self.constant_in_q(),
         }
         out.update(self.meta)
         return out
@@ -99,32 +100,31 @@ def check_q_order(q_order) -> None:
 
 
 def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
-          c1c=None, via_q2: bool = False) -> IndexResult:
+          c1c=None) -> IndexResult:
     """Twisted Dirac index over any model, per power of q.
 
     With V a nonzero sum of line bundles the Euler-class route e(V)*Q2'(V)
-    is used (integral classes only); via_q2=True switches to the
-    e^{c1(V)/2}*Q2(V) form, which must agree when c1c = c1(V).  With V = 0
-    the class c1c (default 0, the Witten-genus convention) enters through
-    e^{c1c/2} alone.  Work estimated past PAIRING_BUDGET raises BudgetExceededError.
+    is used (integral classes only); the e^{c1(V)/2}*Q2(V) form has the same
+    log_table, so it is not a route of its own.  With V = 0 the class c1c
+    (default 0, the Witten-genus convention) enters through e^{c1c/2} alone,
+    and a c1c given with a nonzero V is refused before any pairing.  Work
+    estimated past PAIRING_BUDGET raises BudgetExceededError.
     """
     check_q_order(q_order)
     V = _as_bundle(model, V)
     W = _as_bundle(model, W)
+    if V.dim and c1c is not None:
+        raise StructureError("c1c is determined by V when V is nonzero")
     n = model.n
     warnings = []
     admissibility = check_admissible(model, V, W, c1c=c1c)
 
-    if V.dim and c1c is not None:
-        raise StructureError("c1c is determined by V when V is nonzero")
     plan = [(("Q1", "AHAT"), model.tangent_roots, False)]
     if V.dim == 0:
-        if c1c is None and not model.is_even_vector(model.c1_vector):
+        if c1c is None and not admissibility.spin_c_exists:
             warnings.append(
                 "c1(M) is not even: no Spin structure, c1^c = 0 is a formal choice")
         plan.append((("EXPHALF",), [GradedPolynomial.linear(admissibility.c1c_vector)], False))
-    elif via_q2:
-        plan.append((("EXPHALF", "Q2"), V.classes, False))
     else:
         plan.append((("Q2PRIME",), V.classes, True))
     if W.dim:
@@ -147,12 +147,7 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
             and W.classes == model.tangent_roots):
         _check_signature(model, series[0])
 
-    meta = {
-        "model": model.name,
-        "V": V.to_vectors(),
-        "W": W.to_vectors(),
-        "constant_in_q": all(c == 0 for c in series[1:]),
-    }
+    meta = {"model": model.name, "V": V.to_vectors(), "W": W.to_vectors()}
     seed = getattr(model, "seed", None)
     if seed is not None:
         meta["seed"] = seed

@@ -6,8 +6,10 @@ realizability is never checked; validation covers the necessary
 combinatorial conditions (simplicity, edge regularity, connectivity,
 facet coverage, polygonal two-faces).  A valid polytope keeps what
 validation found: the ridge pairing (per vertex, the neighbour across each
-facet and the facet entered there) and each two-face's vertex cycle; the
-sorted edge graph and the sorted two-faces are built from them on request.
+facet and the facet entered there), each two-face's vertex cycle and
+whether the edge graph is bipartite, which the connectivity walk
+two-colours as it goes; the sorted edge graph and the sorted two-faces are
+built from them on request.
 Edge regularity already gives each vertex of a two-face exactly two
 neighbours in it, so 2-regularity needs no test of its own: a two-face
 can only fail by falling apart into several cycles.
@@ -48,8 +50,12 @@ class ValidationCheck:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     checks: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        """Every check passed."""
+        return all(c.passed for c in self.checks)
 
     def as_dict(self):
         return {
@@ -141,6 +147,7 @@ class SimplePolytope:
         self._report = None
         self._across = None  # (neighbours, entered): per vertex, aligned with its facets
         self._cycles = None  # facet complement -> vertex cycle of each two-face
+        self._bipartite = None  # whether validation's walk two-coloured the edge graph
 
     # ------------------------------------------------------------------
 
@@ -162,8 +169,9 @@ class SimplePolytope:
     def validate(self) -> ValidationReport:
         """Check simplicity, edge regularity (each ridge lies in exactly two
         vertices), connectivity, facet coverage and that each two-face is a
-        single cycle; if all pass, keep the ridge pairing and the two-face
-        cycles.  Edge regularity implies that every two-face is 2-regular (see
+        single cycle; if all pass, keep the ridge pairing, the two-face
+        cycles and whether the connectivity walk two-coloured the edge
+        graph.  Edge regularity implies that every two-face is 2-regular (see
         `_walk_two_faces`), so that is not checked separately.  Work past
         VALIDATION_BUDGET raises BudgetExceededError."""
         if self._report is not None:
@@ -188,16 +196,20 @@ class SimplePolytope:
                     "edge-regularity", False,
                     "facet set %r lies in %d vertices, expected 2" % bad))
 
-        connected = False
+        connected = bipartite = False
         if steps is not None:
-            seen = {0}
+            side = {0: 0}  # the walk two-colours the edge graph from vertex 0
             stack = [0]
+            bipartite = True
             while stack:
-                for w in steps[0][stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
+                v = stack.pop()
+                for w in steps[0][v]:
+                    if w not in side:
+                        side[w] = 1 - side[v]
                         stack.append(w)
-            connected = len(seen) == len(self.vertices)
+                    elif side[w] == side[v]:
+                        bipartite = False
+            connected = len(side) == len(self.vertices)
         checks.append(ValidationCheck(
             "edge-graph-connected", connected,
             "" if connected else "edge graph is disconnected or undefined"))
@@ -218,11 +230,11 @@ class SimplePolytope:
             except ValidationError as exc:
                 checks.append(ValidationCheck("two-faces-polygonal", False, str(exc)))
 
-        ok = connected and coverage and cycles is not None
-        report = ValidationReport(ok, checks)
-        if ok:
+        report = ValidationReport(checks)
+        if report.ok:
             self._across = tuple(tuple(map(tuple, half)) for half in steps)
             self._cycles = cycles
+            self._bipartite = bipartite
         self._report = report
         return report
 
@@ -321,20 +333,10 @@ class SimplePolytope:
         return all(len(cycle) % 2 == 0 for cycle in self._cycles.values())
 
     def is_vertex_graph_bipartite(self) -> bool:
-        """Two-colour the edge graph from vertex 0; validation made it connected.
-        The ridge pairing's neighbours are walked in facet order, unsorted."""
-        adj = self.ridge_pairing()[0]
-        color = {0: 0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-        return True
+        """Whether the edge graph is bipartite, as validation's connectivity
+        walk found when it two-coloured the graph from vertex 0."""
+        self.require_valid()
+        return self._bipartite
 
     def f_vector(self):
         """f_k = number of k-dimensional faces, k = 0..n (f_n = 1 for P itself)."""

@@ -149,9 +149,6 @@ class QSeries:
     def scale(self, c) -> "QSeries":
         return QSeries([p.scale(c) for p in self.coeffs], self.trunc)
 
-    def shift_generators(self, offset: int) -> "QSeries":
-        return QSeries([p.shift_generators(offset) for p in self.coeffs], self.trunc)
-
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the q^0 coefficient needs a nonzero constant term."""
         c0 = self.coeffs[0]

@@ -157,7 +157,7 @@ def semisimple_products(chi: int, n: int):
     if chi == 0:
         raise StructureError("semisimple candidate search needs chi != 0")
     chi = abs(chi)
-    pool = [g for g in simple_groups(max(n, 1)) if chi % g.weyl_order == 0]
+    pool = divisibility_candidates(chi, max(n, 1))
     results = []
 
     def rec(start, chosen, rank, dim, weyl):

@@ -98,8 +98,6 @@ def _arguments(data, m):
             value = data.draw(_bundle(m), label=flag)
             if value is not None:
                 argv += [flag, value]
-        if data.draw(st.booleans(), label="via-q2"):
-            argv.append("--via-q2")
     elif command == "genus":
         argv += ["--kind", data.draw(st.sampled_from(("witten", "elliptic")))]
     elif command == "color-index":

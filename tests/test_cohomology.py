@@ -6,6 +6,7 @@ import pytest
 
 from qtoric.charpair import (
     CharacteristicPair,
+    _eliminate,
     cp_pair,
     cube_pair,
     hirzebruch_pair,
@@ -17,9 +18,9 @@ from qtoric.cohomology import (
     BundleSpec,
     PointModel,
     QuasitoricModel,
+    _integer_rows,
     check_admissible,
     is_even_class,
-    rank_of_pairing,
 )
 from qtoric.errors import OracleUnavailableError
 from qtoric.polynomial import GradedPolynomial as GP
@@ -93,6 +94,15 @@ def test_free_function_oracles():
     pair = cp_pair(2)
     assert pair.to_index_model().pair_monomial((0, 1)) == 1
     assert pair.to_index_model().ring_reduction_pairing((0, 0)) == 1
+
+
+def rank_of_pairing(model, k):
+    """Rank of the pairing between degree-k and degree-(n-k) monomial spans
+    (exponential in m: a reference for small models only)."""
+    right = list(monomials_of_degree(model.gen_count, model.n - k))
+    rows = [[model.pair_monomial(tuple(sorted(w1 + w2))) for w2 in right]
+            for w1 in monomials_of_degree(model.gen_count, k)]
+    return len(_eliminate(_integer_rows(rows))[3])
 
 
 def test_poincare_duality_ranks_match_h_vector():

@@ -350,9 +350,9 @@ def test_twisted_phi_c_matches_monomial_route(name):
     m = model.gen_count
     V = _unit(model, 0) + _unit(model, m - 1)
     W = _unit(model, 1)
-    for via_q2 in (False, True):
-        expected = old_phi_c(model, V=V, via_q2=via_q2)
-        assert phi_c(model, V, None, q_order=Q_ORDER, via_q2=via_q2).series == expected
+    expected = old_phi_c(model, V=V)
+    assert old_phi_c(model, V=V, via_q2=True) == expected
+    assert phi_c(model, V, None, q_order=Q_ORDER).series == expected
     assert phi_c(model, V, W, q_order=Q_ORDER).series == old_phi_c(model, V=V, W=W)
     c1c = list(model.c1_vector)
     assert (phi_c(model, None, W, q_order=Q_ORDER, c1c=c1c).series
@@ -362,9 +362,9 @@ def test_twisted_phi_c_matches_monomial_route(name):
 def test_euler_route_beyond_top_degree_is_zero():
     model = MODELS["cp:2"]
     V = _unit(model, 0, 1, 2)  # e(V) has degree 3 > n
-    for via_q2 in (False, True):
-        series = phi_c(model, V, None, q_order=Q_ORDER, via_q2=via_q2).series
-        assert series == old_phi_c(model, V=V, via_q2=via_q2) == [0] * (Q_ORDER + 1)
+    series = phi_c(model, V, None, q_order=Q_ORDER).series
+    assert series == old_phi_c(model, V=V) == [0] * (Q_ORDER + 1)
+    assert old_phi_c(model, V=V, via_q2=True) == series
 
 
 def test_point_model_series():
@@ -415,12 +415,11 @@ def test_pair_series_matches_dense_point_loop(name, monkeypatch):
         spread = [[1 if i in (0, 3 % m) else 0 for i in range(m)]]
         V = spread + _unit(model, m - 1)
         W = [[1 if i in (1 % m, m - 1) else 0 for i in range(m)]]
-        for via_q2 in (False, True):
-            phi_c(model, V, W, q_order=q_order, via_q2=via_q2)
-            phi_c(model, spread, None, q_order=q_order, via_q2=via_q2)
-            for relation in relations:
-                series = phi_c(model, relation, W, q_order=q_order, via_q2=via_q2).series
-                assert series == [0] * (q_order + 1), (name, relation.classes)
+        phi_c(model, V, W, q_order=q_order)
+        phi_c(model, spread, None, q_order=q_order)
+        for relation in relations:
+            series = phi_c(model, relation, W, q_order=q_order).series
+            assert series == [0] * (q_order + 1), (name, relation.classes)
         verify_exhaustive_split_vanishing(model, range(0, m, 2), q_order)
         verify_exhaustive_split_vanishing(model, [m - 1], q_order)
     assert set(calls) == set(range(7))

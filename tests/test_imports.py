@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in it.
+"""Every name a library module imports is used in it, and every private
+function, method or class of the package is read somewhere in it.
 
-No linter runs on this code, so this stdlib check stands in for the
-unused-import rule.  The package's __init__ is exempt: it imports names to
-re-export them.
+No linter runs on this code, so these stdlib checks stand in for the
+unused-import and dead-code rules.  The package's __init__ is exempt from
+the first: it imports names to re-export them.
 """
 
 import ast
@@ -12,7 +13,8 @@ import pytest
 
 import qtoric
 
-MODULES = sorted(p for p in Path(qtoric.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(qtoric.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -38,3 +40,39 @@ def test_no_unused_imports(path):
 def test_unused_imports_are_found():
     source = "import itertools\nimport os.path\nfrom math import gcd, lcm as l\nprint(gcd)\n"
     assert unused_imports(source) == [(1, "itertools"), (2, "os"), (3, "l")]
+
+
+def unread_private_definitions(sources):
+    """(module, line, name) of each function, method or class whose name
+    starts with one underscore and that no expression in any of the sources
+    {module: source} reads, by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in read)
+
+
+def test_no_unread_private_definitions():
+    assert unread_private_definitions({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_unread_private_definitions_are_found():
+    source = ("def _called():\n    pass\n"
+              "def _unread():\n    pass\n"
+              "class _Kept:\n"
+              "    def _method(self):\n        _called()\n"
+              "    def _unread_method(self):\n        return self._method\n"
+              "    def __init__(self):\n        self._unread = 1\n"
+              "x = _Kept\n")
+    assert unread_private_definitions({"m.py": source}) == [
+        ("m.py", 3, "_unread"), ("m.py", 8, "_unread_method")]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from qtoric.index import (
 from qtoric.polynomial import GradedPolynomial as GP
 from qtoric.polynomial import monomials_of_degree
 from qtoric.polytope import facet_chromatic
+from qtoric.qseries import log_table
 from test_charpair import dense_rebased
 
 S2 = sphere_pair().to_index_model()
@@ -78,18 +80,6 @@ def test_phi_c_flags_unmet_hypotheses_but_computes():
     assert r.warnings
 
 
-def test_phi_c_q2_route_agrees():
-    cases = [
-        (CUBE2, [[1, 0, 1, 0], [0, 1, 0, 1]], None),
-        (CP3, [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]),
-        (S2S2, [[1, 0, 1, 0], [0, 1, 0, 1]], None),
-    ]
-    for model, V, W in cases:
-        a = phi_c(model, V, W)
-        b = phi_c(model, V, W, via_q2=True)
-        assert a.series == b.series, model.name
-
-
 @pytest.mark.parametrize("q_order", [-1, True, 2.0, "3"])
 def test_phi_c_rejects_bad_q_order(q_order):
     with pytest.raises(StructureError):
@@ -99,6 +89,19 @@ def test_phi_c_rejects_bad_q_order(q_order):
 def test_phi_c_rejects_c1c_with_nonzero_v():
     with pytest.raises(StructureError):
         phi_c(S2, [[1, 1]], None, c1c=[0, 0])
+    model = cp_pair(2).to_index_model()  # fresh: no points drawn yet
+    with pytest.raises(StructureError, match="c1c is determined by V"):
+        phi_c(model, [[1, 0, 0]], None, c1c=[1, 0, 0])
+    assert model._point_sets is None  # refused before the zero test drew any point
+
+
+def test_q2_spelling_has_the_q2prime_table():
+    """e^{c1/2} Q2 and e(V) Q2' build one table per root: xpow 1, L_1 = 0,
+    the same even L_k and c = 1, so phi_c has one route for a nonzero V."""
+    for q_order in range(7):
+        for n in range(9):
+            assert (log_table(("EXPHALF", "Q2"), q_order, n)
+                    == log_table(("Q2PRIME",), q_order, n, euler=True)), (q_order, n)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +195,6 @@ def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
         witten_genus(model, q_order)
         phi_c(model, None, line, q_order=q_order, c1c=line[0])
         phi_c(model, line, line, q_order=q_order)
-        phi_c(model, line + line, None, q_order=q_order, via_q2=True)
         if model.is_even_vector(model.c1_vector):
             elliptic_genus(model, q_order)
         phi_c(model, None, model.tangent_bundle(), q_order=q_order)
@@ -572,6 +574,33 @@ def test_connected_sum_both_zero():
 def test_splits_cp3():
     rep = verify_exhaustive_split_vanishing(CP3, [0, 1])
     assert rep["hypotheses_met"] and rep["is_zero"]
+
+
+SPLIT_CASES = (
+    [("cp:%d" % n, lambda n=n: cp_pair(n)) for n in range(2, 5)]
+    + [("cube:%d" % n, lambda n=n: cube_pair(n)) for n in range(2, 5)]
+    + [("hirzebruch:%d" % k, lambda k=k: hirzebruch_pair(k)) for k in (1, 2)]
+    + [("s2xs2", s2xs2_pair)]
+    + [("polygon:%d" % k, lambda k=k: polygon_pair(k)) for k in range(5, 8)]
+    + [("cube:2*cp:2", lambda: cube_pair(2).product_pair(cp_pair(2))),
+       ("polygon:5*cp:2", lambda: polygon_pair(5).product_pair(cp_pair(2))),
+       ("cube:3 mixed signs", lambda: cube_pair(3).with_signs([1, -1, -1, 1, 1, -1])),
+       ("dense cp:3", lambda: dense_rebased(cp_pair(3), 3))])
+
+
+@pytest.mark.parametrize("build", [b for _, b in SPLIT_CASES], ids=[k for k, _ in SPLIT_CASES])
+def test_admissible_splits_are_the_complements_of_lambda_mu(build):
+    """For an exhaustive split p1(V + W - TM) vanishes identically, and both
+    mod-2 hypotheses say that the complement's indicator is lambda mu mod 2
+    for some mu in GF(2)^n; lambda mod 2 has rank n, so there are 2^n splits."""
+    pair = build()
+    expected = set()
+    for mu in itertools.product((0, 1), repeat=pair.n):
+        odd = [sum(a * b for a, b in zip(row, mu)) % 2 for row in pair.lam]
+        expected.add(tuple(i for i in range(pair.m) if not odd[i]))
+    splits = admissible_splits(pair.to_index_model())
+    assert len(splits) == 2 ** pair.n == len(expected)
+    assert sorted(splits) == sorted(expected)
 
 
 def test_splits_s2xs2_all_admissible():
