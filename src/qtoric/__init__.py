@@ -27,7 +27,6 @@ from .errors import (
     OracleUnavailableError,
     QtoricError,
     StructureError,
-    UnsatisfiableError,
     ValidationError,
 )
 from .index import (

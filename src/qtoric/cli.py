@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import charpair as cp
@@ -24,7 +25,6 @@ from .errors import (
     InternalConsistencyError,
     QtoricError,
     StructureError,
-    UnsatisfiableError,
     ValidationError,
 )
 from .index import (
@@ -110,12 +110,24 @@ def load_manifold(path: str):
     return pt.SimplePolytope.from_json_dict(data)
 
 
+def _write(text):
+    """Print text and flush it.  A reader that has closed stdout gets nothing
+    more: stdout then points at os.devnull, and the command carries on to
+    its own exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, payload, text_lines=None):
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _write(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in (text_lines or [json.dumps(payload, sort_keys=True)]):
-            print(line)
+        _write("\n".join(text_lines or [json.dumps(payload, sort_keys=True)]))
 
 
 def _parse_bundle(arg):
@@ -157,7 +169,7 @@ def _parse_signs(arg, m):
 def cmd_generate(args):
     pair = generate_pair(args.family)
     pair.require_valid()
-    print(json.dumps(pair.to_json_dict(), sort_keys=True, indent=2))
+    _write(json.dumps(pair.to_json_dict(), sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -393,7 +405,7 @@ def main(argv=None) -> int:
     except (StructureError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except (HypothesisUnmetError, UnsatisfiableError, BudgetExceededError) as exc:
+    except (HypothesisUnmetError, BudgetExceededError) as exc:
         print("hypothesis unmet: %s" % exc, file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (InternalConsistencyError, QtoricError) as exc:

@@ -41,10 +41,10 @@ numbers <p^mu(TM), [M]> of the Witten genus, the elliptic genus and
 phi_c(M; 0, TM) are then paired at the points once per model, in either
 order.  Twisted root lists are paired afresh on every call and not kept.
 
-The mod-2 test of a quasitoric model needs no elimination: a class is even
-iff it is a relation lambda mu mod 2, and the dual basis at one vertex,
-cached by validation, determines mu (QuasitoricModel.is_even_vector).  A
-face-ring reduction oracle cross-checks the pairing at small half-dimension.
+The mod-2 test needs no elimination: each model keeps one basis of its even
+degree-2 classes mod 2 (IndexModel.is_even_vector), a quasitoric model's
+read off the dual basis at one vertex, cached by validation.  A face-ring
+reduction oracle cross-checks the pairing at small half-dimension.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ class IndexModel:
     """Interface shared by quasitoric, product, connected-sum and point models.
 
     Concrete subclasses set: n, gen_labels, tangent_roots (linear classes),
-    c1_vector (integers), euler, name, and implement _draw_fixed_points and
-    is_even_vector.  Every pairing goes through the fixed-point engine
+    c1_vector (integers), euler, name, even_basis, and implement
+    _draw_fixed_points.  Every pairing goes through the fixed-point engine
     below, evaluated at both generic point sets, which must agree exactly.
     """
 
@@ -159,6 +159,7 @@ class IndexModel:
     c1_vector: tuple
     euler: int
     name: str
+    even_basis: tuple  # see is_even_vector
 
     _point_sets = None
     _masks = None  # generator -> bitset of the points supporting it
@@ -178,7 +179,20 @@ class IndexModel:
         raise NotImplementedError
 
     def is_even_vector(self, vec) -> bool:
-        raise NotImplementedError
+        """True iff sum a_i u_i vanishes in mod-2 cohomology.
+
+        even_basis spans the even degree-2 classes mod 2, as (own generator,
+        bitmask over the generators) pairs, each class the only one that
+        contains its own generator.  Adding the classes whose own generator
+        is odd in a clears a there, so a is even iff nothing is left.
+        """
+        if len(vec) != self.gen_count:
+            raise StructureError("vector length %d, expected %d" % (len(vec), self.gen_count))
+        rest = sum(1 << i for i, a in enumerate(vec) if a % 2)
+        for g, mask in self.even_basis:
+            if vec[g] % 2:
+                rest ^= mask
+        return not rest
 
     def _ridge_pairing(self):
         """The support pattern's ridge pairing, if the model already has it
@@ -563,6 +577,8 @@ def _exponent_vectors(weights, total, start=0):
 class PointModel(IndexModel):
     """The one-point model: n = 0, pairing of the empty monomial is 1."""
 
+    even_basis = ()
+
     def __init__(self):
         self.n = 0
         self.gen_labels = []
@@ -573,9 +589,6 @@ class PointModel(IndexModel):
 
     def _draw_fixed_points(self):
         return [({}, 1)], [({}, 1)]
-
-    def is_even_vector(self, vec) -> bool:
-        return True
 
 
 # ----------------------------------------------------------------------
@@ -651,23 +664,16 @@ class QuasitoricModel(IndexModel):
         in order, each supported on its facets."""
         return self.polytope.ridge_pairing()
 
-    def is_even_vector(self, vec) -> bool:
-        """True iff sum a_i u_i vanishes in mod-2 cohomology.
-
-        H^2(M; Z) = Z^m / lambda Z^n (Davis-Januszkiewicz), so the class is
-        even iff a = lambda mu (mod 2) for some mu.  The base vertex's block
-        is unimodular, so its rows alone force mu = sum_k a_{v_k} w_k (mod 2),
-        w_k the block's cached dual basis; the class is even iff that mu
-        satisfies every row of lambda mod 2.
-        """
-        if len(vec) != self.gen_count:
-            raise StructureError("vector length %d, expected %d" % (len(vec), self.gen_count))
-        mu = [0] * self.n
-        for i, w in zip(self.polytope.vertices[0], self.pair.vertex_weights[0]):
-            if vec[i] % 2:
-                mu = [x + y for x, y in zip(mu, w)]
-        return all((sum(x * y for x, y in zip(row, mu)) - a) % 2 == 0
-                   for row, a in zip(self.pair.lam, vec))
+    @functools.cached_property
+    def even_basis(self) -> tuple:
+        """lambda w_k mod 2 for each facet v_k of the base vertex, w_k the
+        dual basis validation kept there: odd at v_k, even at its other
+        facets.  They span the lambda mu mod 2, the even classes, since
+        H^2(M; Z) = Z^m / lambda Z^n (Davis-Januszkiewicz)."""
+        return tuple(
+            (k, sum(1 << i for i, row in enumerate(self.pair.lam)
+                    if sum(x * y for x, y in zip(row, w)) % 2))
+            for k, w in zip(self.polytope.vertices[0], self.pair.vertex_weights[0]))
 
     # -- independent face-ring oracle --------------------------------------
 

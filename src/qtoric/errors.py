@@ -21,10 +21,6 @@ class HypothesisUnmetError(QtoricError):
     """A theorem's hypothesis is not satisfied by the given data."""
 
 
-class UnsatisfiableError(QtoricError):
-    """The requested certificate provably does not exist within the given limits."""
-
-
 class BudgetExceededError(QtoricError):
     """A search exceeded its node budget; the answer is inconclusive, never wrong."""
 

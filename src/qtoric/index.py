@@ -27,6 +27,7 @@ formulas be verified numerically coefficient by coefficient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +52,8 @@ DEFAULT_Q_ORDER = 4
 # q^400 on CP^2 and 1.8e6 for an index with W on cube:14 at q^4; on CP^6 with
 # W = u_1 and c1c = u_0, 1.7e7 at q^400 runs 11 s, and 8.0e7 at q^860 about a minute.
 # Witten on cube:3 forms no exponent vector; its tables take 2.9 s at q^90000 (9.2e6).
+# It also caps admissible_splits' list at m * 2^r entries: cp:18 has 19 * 2^18
+# (5.0e6) and is listed, cp:19 has 20 * 2^19 (1.05e7) and is refused.
 PAIRING_BUDGET = 10 ** 7
 
 
@@ -375,10 +378,12 @@ class _PairedModel(IndexModel):
                                  for r in right.tangent_roots])
         self.c1_vector = tuple(left.c1_vector) + tuple(right.c1_vector)
 
-    def is_even_vector(self, vec) -> bool:
+    @functools.cached_property
+    def even_basis(self) -> tuple:
         # H^2 is the direct sum of the two sides', for a connected sum too (n >= 2)
-        return (self.left.is_even_vector(vec[:self.offset])
-                and self.right.is_even_vector(vec[self.offset:]))
+        off = self.offset
+        return self.left.even_basis + tuple(
+            (g + off, mask << off) for g, mask in self.right.even_basis)
 
 
 class ProductModel(_PairedModel):
@@ -556,15 +561,23 @@ def verify_exhaustive_split_vanishing(model: IndexModel, subset,
 
 
 def admissible_splits(model: IndexModel):
-    """All subsets S for which the exhaustive split (V_S, W_S) meets the hypotheses."""
-    from itertools import combinations
+    """The subsets S whose exhaustive split (V_S, W_S) meets the hypotheses,
+    by size, then lexicographically.
+
+    V_S + W_S is the tangent root list, the +-u_i, so the p1 form cancels
+    term by term and c1(V) - c1(M) = -c1(W): S is admissible iff its
+    complement is even, so the splits are the complements of the 2^r sums of
+    model.even_basis.  Over PAIRING_BUDGET entries (m * 2^r) it raises
+    BudgetExceededError.
+    """
     m = len(model.tangent_roots)
-    out = []
-    for size in range(m + 1):
-        for S in combinations(range(m), size):
-            V = BundleSpec([model.tangent_roots[i] for i in S], model.gen_count)
-            W = BundleSpec([model.tangent_roots[i] for i in range(m) if i not in S],
-                           model.gen_count)
-            if check_admissible(model, V, W).met:
-                out.append(S)
-    return out
+    basis = model.even_basis
+    if m << len(basis) > PAIRING_BUDGET:
+        raise BudgetExceededError(
+            "%d admissible splits of %d line bundles: %d entries, over the budget of %d"
+            % (1 << len(basis), m, m << len(basis), PAIRING_BUDGET))
+    sums = [0]
+    for _, mask in basis:
+        sums += [s ^ mask for s in sums]
+    return sorted((tuple(i for i in range(m) if not s >> i & 1) for s in sums),
+                  key=lambda S: (len(S), S))

@@ -27,7 +27,6 @@ from .errors import (
     BudgetExceededError,
     InternalConsistencyError,
     StructureError,
-    UnsatisfiableError,
     ValidationError,
 )
 
@@ -555,33 +554,26 @@ def _k_coloring(adj, order, k, budget):
     return dict(colors) if rec(0) else None
 
 
-def facet_chromatic(p: SimplePolytope, max_colors=None,
-                    node_budget=DEFAULT_NODE_BUDGET):
+def facet_chromatic(p: SimplePolytope):
     """Exact facet chromatic number with a witnessing coloring.
 
     The n facets at any vertex are pairwise adjacent, so n is a clique lower
-    bound; a greedy run seeds the upper bound.  Raises UnsatisfiableError when
-    d_min would exceed max_colors.
+    bound; a greedy run seeds the upper bound.  A search past
+    DEFAULT_NODE_BUDGET nodes raises BudgetExceededError (inconclusive).
     """
     p.require_valid()
     n = p.dim
-    if max_colors is not None and max_colors < n:
-        raise ValueError("max_colors must be >= dim; every vertex is an n-clique")
     adj = p.facet_adjacency()
     greedy, order = _greedy(adj)
     if greedy.color_count == n:
         return n, greedy
-    cap = greedy.color_count if max_colors is None else min(greedy.color_count, max_colors)
-    for d in range(n, cap + 1):
-        found = _k_coloring(adj, order, d, node_budget)
+    for d in range(n, greedy.color_count + 1):
+        found = _k_coloring(adj, order, d, DEFAULT_NODE_BUDGET)
         if found is not None:
             coloring = FacetColoring(found, d)
             verify_coloring(p, coloring)
             return d, coloring
-    if max_colors is not None and max_colors < greedy.color_count:
-        raise UnsatisfiableError(
-            "no proper facet coloring with <= %d colors" % max_colors)
-    # greedy witnesses cap colors, so the loop cannot fall through
+    # greedy witnesses its own count, so the loop cannot fall through
     raise InternalConsistencyError("chromatic search fell through")  # pragma: no cover
 
 

@@ -23,6 +23,21 @@ def test_generate_chi_pipe():
     assert code == 0 and out2.strip() == "8"
 
 
+def test_generate_into_a_closed_pipe_exits_0_quietly():
+    """A reader that stops after one byte sees no traceback, and generate
+    keeps its own exit code."""
+    proc = subprocess.Popen(PY + ["generate", "cube:12"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def test_generate_product_family():
     code, out, _ = run_cli(["generate", "cube:2*polygon:6"])
     assert code == 0

@@ -12,7 +12,7 @@ from qtoric.charpair import (
     s2xs2_pair,
     sphere_pair,
 )
-from qtoric.cohomology import BundleSpec, PointModel
+from qtoric.cohomology import BundleSpec, PointModel, check_admissible
 from qtoric.errors import (
     BudgetExceededError,
     HypothesisUnmetError,
@@ -588,19 +588,80 @@ SPLIT_CASES = (
        ("dense cp:3", lambda: dense_rebased(cp_pair(3), 3))])
 
 
+def lambda_mu_complements(pair):
+    """The complements of the supports of lambda mu mod 2, mu in GF(2)^n."""
+    expected = set()
+    for mu in itertools.product((0, 1), repeat=pair.n):
+        odd = [sum(a * b for a, b in zip(row, mu)) % 2 for row in pair.lam]
+        expected.add(tuple(i for i in range(pair.m) if not odd[i]))
+    return expected
+
+
+def reference_admissible_splits(model):
+    """admissible_splits as it was: check_admissible on all 2^m subsets."""
+    m = len(model.tangent_roots)
+    out = []
+    for size in range(m + 1):
+        for S in itertools.combinations(range(m), size):
+            V = BundleSpec([model.tangent_roots[i] for i in S], model.gen_count)
+            W = BundleSpec([model.tangent_roots[i] for i in range(m) if i not in S],
+                           model.gen_count)
+            if check_admissible(model, V, W).met:
+                out.append(S)
+    return out
+
+
 @pytest.mark.parametrize("build", [b for _, b in SPLIT_CASES], ids=[k for k, _ in SPLIT_CASES])
 def test_admissible_splits_are_the_complements_of_lambda_mu(build):
     """For an exhaustive split p1(V + W - TM) vanishes identically, and both
     mod-2 hypotheses say that the complement's indicator is lambda mu mod 2
     for some mu in GF(2)^n; lambda mod 2 has rank n, so there are 2^n splits."""
     pair = build()
-    expected = set()
-    for mu in itertools.product((0, 1), repeat=pair.n):
-        odd = [sum(a * b for a, b in zip(row, mu)) % 2 for row in pair.lam]
-        expected.add(tuple(i for i in range(pair.m) if not odd[i]))
+    expected = lambda_mu_complements(pair)
     splits = admissible_splits(pair.to_index_model())
     assert len(splits) == 2 ** pair.n == len(expected)
     assert sorted(splits) == sorted(expected)
+
+
+PAIRED_SPLIT_CASES = [
+    ("cp:2 x hirzebruch:1", lambda: ProductModel(CP2, hirzebruch_pair(1).to_index_model())),
+    ("cp:2 # cp:2", lambda: ConnectedSumModel(CP2, CP2)),
+    ("cube:3 # -cp:3", lambda: ConnectedSumModel(CUBE3, CP3, -1)),
+    ("point", PointModel),
+]
+
+
+@pytest.mark.parametrize(
+    "build", [lambda b=b: b().to_index_model() for _, b in SPLIT_CASES]
+    + [b for _, b in PAIRED_SPLIT_CASES],
+    ids=[k for k, _ in SPLIT_CASES] + [k for k, _ in PAIRED_SPLIT_CASES])
+def test_admissible_splits_match_the_reference_loop(build):
+    model = build()
+    assert admissible_splits(model) == reference_admissible_splits(model)
+
+
+def test_admissible_splits_check_no_hypothesis(monkeypatch):
+    """m = 16 at the parent meant 65,536 check_admissible calls."""
+    from qtoric import index
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return check_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(index, "check_admissible", spy)
+    pair = polygon_pair(6).product_pair(polygon_pair(6)).product_pair(polygon_pair(4))
+    splits = admissible_splits(pair.to_index_model())
+    assert calls == []
+    assert len(splits) == 64 and set(splits) == lambda_mu_complements(pair)
+
+
+def test_admissible_splits_budget():
+    """m * 2^r entries: cp:18 has 19 * 2^18 <= PAIRING_BUDGET, cp:19 20 * 2^19 > it."""
+    splits = admissible_splits(cp_pair(18).to_index_model())
+    assert len(splits) == 2 ** 18 and splits[-1] == tuple(range(19))
+    with pytest.raises(BudgetExceededError, match="budget"):
+        admissible_splits(cp_pair(19).to_index_model())
 
 
 def test_splits_s2xs2_all_admissible():

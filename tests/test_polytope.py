@@ -6,12 +6,12 @@ import random
 import pytest
 from test_charpair import rp2_dual_pair, vertex_cuts
 
+from qtoric import polytope
 from qtoric.charpair import cp_pair, cube_pair
 
 from qtoric.errors import (
     BudgetExceededError,
     StructureError,
-    UnsatisfiableError,
     ValidationError,
 )
 from qtoric.index import ConnectedSumModel
@@ -335,14 +335,10 @@ def test_coloring_deterministic():
     assert a.colors == b.colors
 
 
-def test_unsatisfiable_with_max_colors():
-    with pytest.raises(UnsatisfiableError):
-        facet_chromatic(simplex(3), max_colors=3)
-
-
-def test_budget_exceeded_is_inconclusive():
+def test_budget_exceeded_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(polytope, "DEFAULT_NODE_BUDGET", 1)
     with pytest.raises(BudgetExceededError):
-        facet_chromatic(polygon(5), node_budget=1)
+        facet_chromatic(polygon(5))
 
 
 def test_bad_coloring_rejected():
