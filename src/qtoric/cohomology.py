@@ -21,16 +21,16 @@ exactly (the sum is a constant; a disagreement is reported as a bug, never
 returned).  A class pairs with the monomial u_S of a face S at the points
 containing S only.  pair_top is the pairing with the empty face, u_() = 1;
 is_zero_class pairs a class only against a basis of the complementary
-degree of H*(M; Q), the monomials u_R over the restriction faces R of one
-greedy shelling of the support pattern (polytope.shelling; a quasitoric
-model's shelling reads the ridge pairing its polytope's validation kept,
-other models pair their supports' ridges).  The shelling is built once
-per model and certified combinatorially: each R(v) lies in no earlier
-point and each v - R(v) in no later one, so the pairings
-<u_R(w) u_{v - R(v)}, [M]> form a triangular matrix with the vertex
-monomials on its diagonal, and the basis faces, h_k of them in size k, are
-independent.  Without a certified shelling (a connected sum's support
-pattern is two disjoint spheres) every face of complementary size is tried.
+degree of H*(M; Q), face monomials u_S read off the model's structure
+(_basis).  A quasitoric model takes the restriction faces R of one greedy
+shelling of its polytope (polytope.shelling), built once per model and
+certified combinatorially: each R(v) lies in no earlier vertex and each
+v - R(v) in no later one, so the pairings <u_R(w) u_{v - R(v)}, [M]> form
+a triangular matrix with the vertex monomials on its diagonal, and the
+basis faces, h_k of them in size k, are independent; uncertified, every
+face of complementary size is tried.  A product multiplies its factors'
+basis faces (Kunneth), a connected sum joins its summands' (with one top
+face), and the point model has only the empty face.
 pair_series reads a whole product of per-root factors at the points only as
 q-free characteristic numbers, products of the roots' power sums, and builds
 the q-series once from them; it evaluates only the roots supported at a
@@ -149,8 +149,8 @@ class IndexModel:
 
     Concrete subclasses set: n, gen_labels, tangent_roots (linear classes),
     c1_vector (integers), euler, name, even_basis, and implement
-    _draw_fixed_points.  Every pairing goes through the fixed-point engine
-    below, evaluated at both generic point sets, which must agree exactly.
+    _draw_fixed_points and _basis.  Every pairing runs on the fixed-point
+    engine below, at both generic point sets, which must agree exactly.
     """
 
     n: int
@@ -163,7 +163,6 @@ class IndexModel:
 
     _point_sets = None
     _masks = None  # generator -> bitset of the points supporting it
-    _shelling = None  # the certified shelling of the support pattern, if any
     _face_lists = None  # face size -> [(face, its points)], the faces the zero test tries
     _tangent_numbers = None  # the k rows formed -> pair_series' numbers of the tangent roots
 
@@ -194,12 +193,6 @@ class IndexModel:
                 rest ^= mask
         return not rest
 
-    def _ridge_pairing(self):
-        """The support pattern's ridge pairing, if the model already has it
-        (see polytope.shelling), else None: the shelling then pairs the
-        ridges itself."""
-        return None
-
     def fixed_points(self):
         """The two generic point sets, drawn once and kept.
 
@@ -221,8 +214,8 @@ class IndexModel:
     def pair_top(self, poly: GradedPolynomial) -> Fraction:
         """<poly, [M]>: its degree-n part's pairing with u_() = 1, the one
         face of size 0, which every point contains (_face_pairings).  That
-        face's list needs no shelling (_face_list), so a model that only
-        pairs top-degree classes never builds one."""
+        face's list needs no basis work (_face_list), so a model that only
+        pairs top-degree classes never builds a basis."""
         for _, a, den in self._face_pairings(poly.homogeneous_part(self.n).terms, 0):
             return Fraction(a, den)
         return _ZERO
@@ -234,13 +227,11 @@ class IndexModel:
         """The first basis face S whose monomial u_S pairs nonzero with poly, or None.
 
         By Poincare duality a class of degree d <= n is zero in H*(M; Q)
-        exactly when it pairs to zero with all of H^{2(n-d)}.  Only a basis
-        of that space is tried (_face_list): the u_R over the restriction
-        faces R of size n - d of the model's certified shelling, in shelling
-        order, or, without one, the u_S over every face S of size n - d in
-        sorted order (they span: H*(M; Q) is the face ring modulo a linear
-        system of parameters; Davis-Januszkiewicz; Buchstaber-Panov, Toric
-        Topology, ch. 3).  u_S is nonzero only at the points containing S,
+        exactly when it pairs to zero with all of H^{2(n-d)}.  Only the
+        model's basis of that space is tried (_face_list), in its order
+        (the faces S of size n - d span: H*(M; Q) is the face ring modulo a
+        linear system of parameters; Davis-Januszkiewicz; Buchstaber-Panov,
+        Toric Topology, ch. 3).  u_S is nonzero only at the points containing S,
         and the class is evaluated only there, once per point
         (_face_pairings); each face must pair the same at both point sets.
         Terms whose generators share no point vanish at every point and are
@@ -301,29 +292,15 @@ class IndexModel:
 
     def _face_list(self, k):
         """The faces of size k that the zero test tries, each with the points
-        containing it: the restriction faces of size k of the support
-        pattern's shelling, if it is certified (_certify), or else every face
-        of size k.  Both give the empty face with every point for k = 0,
-        which is returned before any shelling work.  The shelling is built
-        once per model, each list once per size."""
-        pts = self.fixed_points()[0]
+        containing it, ascending: the empty face with every point for k = 0,
+        returned before any basis work, and for k > 0 the model's _basis(k),
+        faces whose monomials span H^2k(M; Q), built once per size."""
         if k == 0:
-            return [((), list(range(len(pts))))]
-        masks = self._support_masks()
+            return [((), list(range(len(self.fixed_points()[0]))))]
         if self._face_lists is None:
-            supports = [tuple(sorted(vals)) for vals, _ in pts]
-            order = shelling(supports, self._ridge_pairing())
-            if order is not None and _certify(supports, order, masks, self.n):
-                self._shelling = order
             self._face_lists = {}
         if k not in self._face_lists:
-            if self._shelling is None:
-                faces = sorted(_faces(pts, k).items())
-            else:
-                full = (1 << len(pts)) - 1
-                faces = [(R, _bits(_containing(R, masks, full)))
-                         for _, R in self._shelling if len(R) == k]
-            self._face_lists[k] = faces
+            self._face_lists[k] = self._basis(k)
         return self._face_lists[k]
 
     def is_zero_class(self, poly: GradedPolynomial) -> bool:
@@ -590,6 +567,9 @@ class PointModel(IndexModel):
     def _draw_fixed_points(self):
         return [({}, 1)], [({}, 1)]
 
+    def _basis(self, k):
+        return []  # no face of positive size
+
 
 # ----------------------------------------------------------------------
 # quasitoric models via localization
@@ -659,10 +639,24 @@ class QuasitoricModel(IndexModel):
             t2, second = self._draw_point_data(rng)
         return first, second
 
-    def _ridge_pairing(self):
-        """The polytope's, which validation kept: the points are its vertices,
-        in order, each supported on its facets."""
-        return self.polytope.ridge_pairing()
+    @functools.cached_property
+    def _shelling(self):
+        """The polytope's greedy shelling (polytope.shelling) if _certify
+        certifies it, else None; the points are the vertices, in order."""
+        order = shelling(self.polytope)
+        if order and _certify(self.polytope.vertices, order, self._support_masks(), self.n):
+            return order
+        return None
+
+    def _basis(self, k):
+        """The restriction faces of size k of the certified shelling, in
+        shelling order, or, without one (the greedy may stall), every face
+        of size k in sorted order."""
+        pts = self.fixed_points()[0]
+        if self._shelling is None:
+            return sorted(_faces(pts, k).items())
+        masks, full = self._support_masks(), (1 << len(pts)) - 1
+        return [(R, _bits(_containing(R, masks, full))) for _, R in self._shelling if len(R) == k]
 
     @functools.cached_property
     def even_basis(self) -> tuple:

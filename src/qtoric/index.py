@@ -389,8 +389,10 @@ class _PairedModel(IndexModel):
 class ProductModel(_PairedModel):
     """Model of a cartesian product: split pairings multiply.
 
-    Its fixed points are the pairs of the factors' points, with the values
-    concatenated and the denominators multiplied.
+    Its fixed points are the pairs (p, q) of the factors' points, point
+    p * width + q for width right points, with the values concatenated and
+    the denominators multiplied.  Its zero-test basis multiplies the
+    factors' basis faces (Kunneth: H^2k is the sum of H^2j (x) H^2(k-j)).
     """
 
     def __init__(self, left: IndexModel, right: IndexModel):
@@ -403,6 +405,13 @@ class ProductModel(_PairedModel):
         off = self.offset
         return [[({**lv, **_shifted(rv, off)}, ld * rd) for lv, ld in lp for rv, rd in rp]
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
+
+    def _basis(self, k):
+        off, width = self.offset, len(self.right.fixed_points()[0])
+        return [(L + tuple(i + off for i in R), [p * width + q for p in lp for q in rp])
+                for j in range(k + 1)
+                for L, lp in self.left._face_list(j)
+                for R, rp in self.right._face_list(k - j)]
 
 
 class ConnectedSumModel(_PairedModel):
@@ -433,6 +442,13 @@ class ConnectedSumModel(_PairedModel):
         off, sign = self.offset, self.sign
         return [lp + [(_shifted(rv, off), sign * rd) for rv, rd in rp]
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
+
+    def _basis(self, k):
+        # H^2k is the sum of the summands' for 0 < k < n; H^2n is one class
+        off, shift = self.offset, len(self.left.fixed_points()[0])
+        right = self.right._face_list(k) if k < self.n else []
+        return self.left._face_list(k) + [(tuple(i + off for i in R), [p + shift for p in rp])
+                                          for R, rp in right]
 
 
 def _shifted(vals, offset):

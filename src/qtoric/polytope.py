@@ -142,6 +142,9 @@ class SimplePolytope:
             facet_names = ["F%d" % i for i in range(facet_count)]
         if len(facet_names) != facet_count:
             raise StructureError("facet_names length must equal facet_count")
+        for s in facet_names:
+            if not isinstance(s, str):
+                raise StructureError("facet name %r is not a string" % (s,))
         self.facet_names = list(facet_names)
         self._report = None
         self._across = None  # (neighbours, entered): per vertex, aligned with its facets
@@ -407,39 +410,29 @@ class SimplePolytope:
                    facet_names=facets, name=data.get("name") or None)
 
 
-def shelling(supports, across=None):
-    """A shelling of the simplicial complex whose facets are the supports.
+def shelling(p):
+    """A shelling of the dual of a validated simple polytope p, the complex
+    whose facets are p's vertices, each the sorted tuple of its n facets.
 
-    supports: one sorted tuple of generators (facets of P) per point, all of
-    one size n.  Returns [(point, R(point))] in shelling order, R(v) the
-    restriction face: the generators i of v whose ridge v - {i} lies in an
-    earlier point.  So the faces of v in no earlier point are exactly those
-    containing R(v), provided R(v) lies in no earlier point itself.  Returns
-    None when a ridge does not lie in exactly two points, or when the greedy
-    stalls (the complex is then not a single shellable sphere, say a
-    connected sum's two spheres side by side).
+    Returns [(vertex, R(vertex))] in shelling order, R(v) the restriction
+    face: the facets i of v whose ridge v - {i} lies in an earlier vertex,
+    read off the ridge pairing p's validation kept.  So the faces of v in
+    no earlier vertex are exactly those containing R(v), provided R(v) lies
+    in no earlier vertex itself.  None when the greedy stalls, as it may: a
+    validated incidence need not be a sphere (the dual of the 6-vertex
+    RP^2), and not every sphere is extendably shellable.
 
-    across: the supports' ridge pairing in the form of
-    SimplePolytope.ridge_pairing, when they are a valid polytope's vertices
-    in order and so were paired by its validation; without it the ridges
-    are paired here, as validation pairs them (_steps).
-
-    The greedy is incremental: placing a point covers one ridge of each of
+    The greedy is incremental: placing a vertex covers one ridge of each of
     its unplaced neighbours, which is pushed onto a heap keyed by its number
-    of covered ridges, smallest first, ties by point index.  A candidate
-    whose R(v) lies in an earlier point (per-generator bitsets over the
-    placed points) is deferred until another of its ridges is covered.
+    of covered ridges, smallest first, ties by vertex index.  A candidate
+    whose R(v) lies in an earlier vertex (per-facet bitsets over the placed
+    vertices) is deferred until another of its ridges is covered.
     """
-    if not supports or any(len(face) != len(supports[0]) for face in supports):
-        return None
-    if across is None:
-        across = _steps(supports, len(supports[0]))[0]
-        if across is None:
-            return None
-    neighbours, entered = across
-    covered = [[] for _ in supports]
-    placed = [False] * len(supports)
-    inside = collections.defaultdict(int)  # generator -> bitset of placed points
+    vertices = p.vertices
+    neighbours, entered = p.ridge_pairing()
+    covered = [[] for _ in vertices]
+    placed = [False] * len(vertices)
+    inside = collections.defaultdict(int)  # facet -> bitset of placed vertices
     order = []
     heap = [(0, 0)]
     while heap:
@@ -451,17 +444,17 @@ def shelling(supports, across=None):
         for i in restriction:
             earlier &= inside[i]
         if earlier:
-            continue  # R(v) lies in an earlier point
+            continue  # R(v) lies in an earlier vertex
         placed[v] = True
         order.append((v, tuple(sorted(restriction))))
         bit = 1 << v
-        for i in supports[v]:
+        for i in vertices[v]:
             inside[i] |= bit
         for w, j in zip(neighbours[v], entered[v]):
             if not placed[w]:
                 covered[w].append(j)
                 heapq.heappush(heap, (len(covered[w]), w))
-    return order if len(order) == len(supports) else None
+    return order if len(order) == len(vertices) else None
 
 
 def _steps(faces, n):
@@ -525,33 +518,30 @@ def _greedy(adj):
 def _k_coloring(adj, order, k, budget):
     """Backtracking k-coloring; deterministic lowest-admissible-color order.
 
+    Depth first over the facets in order, with an explicit stack of each
+    placed facet's untried colors, so a long order needs no deep recursion.
     Returns a color dict or None; raises BudgetExceededError when the node
     budget runs out (inconclusive, never a wrong answer).
     """
     colors = {}
+    untried = []  # per placed facet, in order: its colors not yet tried, lowest last
     nodes = 0
-
-    def rec(pos):
-        nonlocal nodes
-        if pos == len(order):
-            return True
+    while len(untried) < len(order):
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
                 "coloring search inconclusive: node budget %d exceeded" % budget)
-        i = order[pos]
+        i = order[len(untried)]
         used = {colors[j] for j in adj[i] if j in colors}
         top = min(k, (max(colors.values()) if colors else 0) + 1)
-        for c in range(1, top + 1):
-            if c in used:
-                continue
-            colors[i] = c
-            if rec(pos + 1):
-                return True
-            del colors[i]
-        return False
-
-    return dict(colors) if rec(0) else None
+        untried.append([c for c in range(top, 0, -1) if c not in used])
+        while not untried[-1]:  # backtrack to the last facet with a color left
+            untried.pop()
+            if not untried:
+                return None
+            del colors[order[len(untried) - 1]]
+        colors[order[len(untried) - 1]] = untried[-1].pop()
+    return colors
 
 
 def facet_chromatic(p: SimplePolytope):

@@ -90,6 +90,7 @@ BAD_INPUTS = [
     ("vertices scalar", _cp2(vertices=5), []),
     ("dim true", {"dim": True, "vertices": [[0], [1]], "lambda": [[1], [-1]]}, []),
     ("facets scalar", _cp2(facets=5), []),
+    ("facet names integers", _cp2(facets=[1, 2, 3]), []),
     ("not an object", 5, []),
     ("--V string entry", _cp2(), ["--V", '[[1,"a",0]]']),
     ("--V 0.5", _cp2(), ["--V", "[[1,0.5,0]]"]),

@@ -18,9 +18,10 @@ once; it must give the same series on every call.
 The third, reference_nonzero_face, is the zero test as it was: each point
 set read a class through its own frozenset support index and built its own
 face table of every face of complementary size, and the two tables had to
-list the same faces.  The library tries only the restriction faces of a
-certified shelling, a basis, so it may name another face; it must give the
-same zero/nonzero answer, and a face it names must pair nonzero.
+list the same faces.  The library tries only a basis (the restriction faces
+of a certified shelling, or the factors' or summands' bases), so it may name
+another face; it must give the same zero/nonzero answer, and a face it
+names must pair nonzero.
 """
 
 import math
@@ -677,11 +678,11 @@ def test_pair_top_matches_reference(name):
         assert model.pair_top(poly) == reference_pair_top(model, poly), poly
 
 
-def _counting(monkeypatch, name):
-    """Record the calls of cohomology.<name>, which still does its work."""
-    fn = getattr(cohomology, name)
+def _counting(monkeypatch, name, module=cohomology):
+    """Record the calls of module.<name>, which still does its work."""
+    fn = getattr(module, name)
     calls = []
-    monkeypatch.setattr(cohomology, name, lambda *args: calls.append(args) or fn(*args))
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
     return calls
 
 
@@ -714,52 +715,61 @@ def test_pair_top_builds_no_shelling(monkeypatch):
 
 def test_quasitoric_shelling_reads_the_kept_ridge_pairing(monkeypatch):
     """A quasitoric model's points are its polytope's vertices, so its
-    shelling reads the ridge pairing validation kept and pairs no ridge
-    itself; a product model pairs its own supports.  Both shell as the
-    reference does."""
+    shelling reads the ridge pairing validation kept, pairs no ridge itself
+    and shells as the reference does.  A product's basis is its factors',
+    so it pairs no ridge either."""
     from test_polytope import reference_shelling
-    steps = polytope._steps
-    calls = []
-    monkeypatch.setattr(polytope, "_steps", lambda *args: calls.append(args) or steps(*args))
-    for make, pairs in ((lambda: _quasitoric("cube:5"), 0),
-                        (lambda: ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2")), 1)):
+    calls = _counting(monkeypatch, "_steps", polytope)
+    for make in (lambda: _quasitoric("cube:5"),
+                 lambda: ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2"))):
         model = make()
-        supports = [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
+        model.fixed_points()
         del calls[:]
         model._face_list(1)
-        assert len(calls) == pairs
-        assert model._shelling == reference_shelling(supports) is not None
+        assert calls == []
+        for factor in [model] if isinstance(model, QuasitoricModel) else [model.left, model.right]:
+            assert factor._shelling == reference_shelling(factor.polytope.vertices) is not None
 
 
-def _shelling_sizes(model):
-    """Restriction-face sizes per size, from the model's certified shelling."""
-    model._face_list(1)
-    sizes = [0] * (model.n + 1)
-    for _, R in model._shelling:
-        sizes[len(R)] += 1
-    return tuple(sizes)
+def _betti(model):
+    """The Betti numbers b_2k of the model, from its parts: the h-vector of
+    a quasitoric model's polytope, their convolution for a product, and 1,
+    their sums, 1 for a connected sum."""
+    if isinstance(model, QuasitoricModel):
+        return model.polytope.h_vector()
+    if isinstance(model, PointModel):
+        return (1,)
+    left, right = _betti(model.left), _betti(model.right)
+    if isinstance(model, ConnectedSumModel):
+        return (1,) + tuple(a + b for a, b in zip(left[1:-1], right[1:-1])) + (1,)
+    return tuple(sum(a * right[k - j] for j, a in enumerate(left) if 0 <= k - j < len(right))
+                 for k in range(model.n + 1))
+
+
+COMPOSED_MODELS = {
+    "cube:3 # -cp:3": ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cp:3"), -1),
+    "(cp:2 # cp:2) x cp:1": ProductModel(
+        ConnectedSumModel(_quasitoric("cp:2"), _quasitoric("cp:2"), 1), _quasitoric("cp:1")),
+    "point x cube:3": ProductModel(PointModel(), _quasitoric("cube:3")),
+}
+BASIS_MODELS = {**ZERO_TEST_MODELS, **ZERO_TEST_TWIST_MODELS, **COMPOSED_MODELS}
 
 
 @pytest.mark.parametrize("name", ["cp:4", "cube:5", "cube:3 x cp:2", "cube:4 with 3 vertex cuts",
-                                  "dense cube:4"])
+                                  "dense cube:4", "cp:2 # -cp:2", "cube:3 # -cp:3",
+                                  "(cp:2 # cp:2) x cp:1"])
 def test_basis_faces_count_the_betti_numbers(name):
-    """The shelling certifies on quasitoric and product models, and its
-    restriction faces number h_k in size k."""
-    model = {**ZERO_TEST_MODELS, **ZERO_TEST_TWIST_MODELS}[name]
-    if isinstance(model, QuasitoricModel):
-        h = model.polytope.h_vector()
-    else:
-        h = tuple(sum(a * b for i, a in enumerate(model.left.polytope.h_vector())
-                      for j, b in enumerate(model.right.polytope.h_vector()) if i + j == k)
-                  for k in range(model.n + 1))
-    assert _shelling_sizes(model) == h
+    """The zero test's face list of size k has b_2k faces: the restriction
+    faces of a certified shelling (h_k of them), the factors' faces
+    multiplied, or the summands' faces side by side with one top face."""
+    model = BASIS_MODELS[name]
+    assert tuple(len(model._face_list(k)) for k in range(model.n + 1)) == _betti(model)
 
 
 def _bad_order(make_restriction):
-    """A stand-in for cohomology.shelling: every point in order, with the
-    restriction face that make_restriction gives its support."""
-    return lambda supports, across=None: [(v, make_restriction(face))
-                                          for v, face in enumerate(supports)]
+    """A stand-in for cohomology.shelling: every vertex in order, with the
+    restriction face that make_restriction gives its facets."""
+    return lambda p: [(v, make_restriction(face)) for v, face in enumerate(p.vertices)]
 
 
 def _failed_checks(supports, order):
@@ -778,8 +788,8 @@ def test_uncertified_order_falls_back_to_all_faces(make_restriction, failed, mon
     """A hand-made order that fails one check of the certificate is dropped,
     and the zero test tries every face, as the reference does."""
     model = _quasitoric("cube:4")
-    supports = [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
-    order = _bad_order(make_restriction)(supports)
+    supports = model.polytope.vertices
+    order = _bad_order(make_restriction)(model.polytope)
     assert _failed_checks(supports, order) == failed
     assert not cohomology._certify(supports, order, model._support_masks(), model.n)
 
@@ -795,18 +805,43 @@ def test_uncertified_order_falls_back_to_all_faces(make_restriction, failed, mon
     assert tables
 
 
-@pytest.mark.parametrize("name", ["cp:2 # cp:2", "cp:2 # -cp:2", "cube:3 # cube:3"])
-def test_connected_sums_fall_back_to_all_faces(name):
-    """Two disjoint spheres: the greedy stalls, and every face is tried, as
-    the reference does, so the same face is named."""
-    model = ZERO_TEST_MODELS[name]
-    supports = [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
-    assert cohomology.shelling(supports) is None
+@pytest.mark.parametrize("name", [name for name, model in BASIS_MODELS.items()
+                                  if isinstance(model, (ProductModel, ConnectedSumModel))])
+def test_composed_bases_match_all_faces(name):
+    """A product's or connected sum's basis, composed from its parts,
+    decides zero-ness as every face of complementary size does; it may name
+    another face than the reference, but one that pairs nonzero."""
+    model = BASIS_MODELS[name]
     rng = random.Random(11)
-    for trial in range(10):
+    seen = set()
+    for trial in range(20):
         poly = _random_class(model, rng, zero=trial % 2 == 0)
-        assert model.nonzero_face(poly) == reference_nonzero_face(model, poly), poly
-    assert model._face_lists and model._shelling is None
+        face = model.nonzero_face(poly)
+        assert model.is_zero_class(poly) == (face is None)
+        _assert_zero_test_matches_reference(model, poly, face)
+        seen.add(face is None)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2")),
+    lambda: ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cp:3"), -1),
+], ids=["product", "connected sum"])
+def test_composed_bases_shell_only_the_factors(make, monkeypatch):
+    """Products and connected sums build no shelling of their own and no
+    table of every face: each quasitoric factor shells its polytope once,
+    and no ridge is paired."""
+    model = make()
+    model.fixed_points()
+    shellings, tables = _counting(monkeypatch, "shelling"), _counting(monkeypatch, "_faces")
+    calls = _counting(monkeypatch, "_steps", polytope)
+    for _ in range(2):
+        for k in range(model.n + 1):
+            model._face_list(k)
+        model.is_zero_class(model.p1_poly())
+    assert len(shellings) == 2
+    assert {p for (p,) in shellings} == {model.left.polytope, model.right.polytope}
+    assert tables == [] and calls == []
 
 
 def test_p1_witness():

@@ -14,7 +14,6 @@ from qtoric.errors import (
     StructureError,
     ValidationError,
 )
-from qtoric.index import ConnectedSumModel
 from qtoric.polytope import (
     VALIDATION_BUDGET,
     FacetColoring,
@@ -321,6 +320,15 @@ def test_chromatic_examples():
     assert facet_chromatic(prism(3))[0] == 4
 
 
+def test_chromatic_of_a_long_odd_polygon():
+    """The backtracking search keeps its own stack: the 1001-gon, whose
+    failed 2-colouring search goes 1001 facets deep, has chromatic number 3."""
+    p = polygon(1001)
+    d, coloring = facet_chromatic(p)
+    assert d == 3 == coloring.color_count
+    assert verify_coloring(p, coloring)
+
+
 def test_chromatic_against_brute_force():
     for p in [polygon(5), polygon(6), simplex(2), prism(3), cube(2)]:
         d, coloring = facet_chromatic(p)
@@ -434,7 +442,7 @@ def test_shelling_restriction_sizes_count_the_h_vector(make):
     interval of faces, and h_k counts the restriction faces of size n - k."""
     p = make()
     p.require_valid()
-    order = shelling(p.vertices)
+    order = shelling(p)
     assert sorted(v for v, _ in order) == list(range(len(p.vertices)))
     earlier = []
     for v, R in order:
@@ -492,44 +500,43 @@ def reference_shelling(supports):
     return order if len(order) == len(supports) else None
 
 
-def _connected_sum_supports():
-    model = ConnectedSumModel(cube_pair(3).to_index_model(), cube_pair(3).to_index_model(), 1)
-    return [tuple(sorted(vals)) for vals, _ in model.fixed_points()[0]]
-
-
 SHELLING_ORDER_CASES = (
-    [("cube:%d" % n, lambda n=n: cube(n).vertices) for n in (3, 6, 9, 10)]
-    + [("cp:5", lambda: simplex(5).vertices),
-       ("polygon:6^3", lambda: polygon(6).product(polygon(6)).product(polygon(6)).vertices),
-       ("cube:3*polygon:5", lambda: cube(3).product(polygon(5)).vertices),
-       ("prism:5*simplex:3", lambda: prism(5).product(simplex(3)).vertices),
-       ("polygon:6*polygon:4", lambda: polygon(6).product(polygon(4)).vertices),
-       ("simplex:2*cube:4", lambda: simplex(2).product(cube(4)).vertices),
-       ("cube:5 with 60 vertex cuts", lambda: vertex_cuts(cube_pair(5), 60, 5).polytope.vertices),
-       ("cube:6 relabelled", lambda: relabelled(cube(6), 1).vertices),
-       ("cube:3*polygon:5 relabelled",
-        lambda: relabelled(cube(3).product(polygon(5)), 2).vertices),
-       ("cube:3 # cube:3", _connected_sum_supports),
-       ("point", lambda: [()])]
+    [("cube:%d" % n, lambda n=n: cube(n)) for n in (3, 6, 9, 10)]
+    + [("cp:5", lambda: simplex(5)),
+       ("polygon:6^3", lambda: polygon(6).product(polygon(6)).product(polygon(6))),
+       ("cube:3*polygon:5", lambda: cube(3).product(polygon(5))),
+       ("prism:5*simplex:3", lambda: prism(5).product(simplex(3))),
+       ("polygon:6*polygon:4", lambda: polygon(6).product(polygon(4))),
+       ("simplex:2*cube:4", lambda: simplex(2).product(cube(4))),
+       ("cube:5 with 60 vertex cuts", lambda: vertex_cuts(cube_pair(5), 60, 5).polytope),
+       ("cube:6 relabelled", lambda: relabelled(cube(6), 1)),
+       ("cube:3*polygon:5 relabelled", lambda: relabelled(cube(3).product(polygon(5)), 2))]
 )
 
 
 @pytest.mark.parametrize("make", [m for _, m in SHELLING_ORDER_CASES],
                          ids=[name for name, _ in SHELLING_ORDER_CASES])
 def test_shelling_order_matches_reference(make):
-    """The shared ridge pairing leaves the greedy's order, and so the basis
-    faces and p1_witness, as they were."""
-    supports = make()
-    assert shelling(supports) == reference_shelling(supports)
+    """The greedy on the kept ridge pairing finds the order the reference
+    finds when it pairs the ridges itself, so the basis faces and
+    p1_witness stay as they were."""
+    p = make()
+    assert shelling(p) == reference_shelling(p.vertices)
 
 
 @pytest.mark.parametrize("make", [m for _, m in SHELLING_CASES],
                          ids=[name for name, _ in SHELLING_CASES])
-def test_kept_ridge_pairing_shells_as_the_reference(make):
-    """The pairing validation kept gives the greedy the order it finds when
-    it pairs the ridges itself."""
+def test_kept_ridge_pairing_shells_as_the_reference(make, monkeypatch):
+    """Once the polytope is validated, shelling reads the pairing validation
+    kept and pairs no ridge itself (polytope._steps), and the order is the
+    reference's."""
     p = make()
-    assert shelling(p.vertices, p.ridge_pairing()) == reference_shelling(p.vertices)
+    p.require_valid()
+    calls = []
+    steps = polytope._steps
+    monkeypatch.setattr(polytope, "_steps", lambda *args: calls.append(args) or steps(*args))
+    assert shelling(p) == reference_shelling(p.vertices)
+    assert calls == []
 
 
 def test_unshellable_incidences_do_not_shell():
@@ -538,7 +545,7 @@ def test_unshellable_incidences_do_not_shell():
     symmetric)."""
     p = rp2_dual_pair().polytope
     p.require_valid()
-    assert shelling(p.vertices) is None
+    assert shelling(p) is None
     assert p.h_vector() == (0, 6, 3, 1)
 
 

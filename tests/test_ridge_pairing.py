@@ -97,4 +97,4 @@ def test_kept_ridge_pairing_matches_the_reference_routes(case):
     faces = tuple(reference_two_faces(poly, adj))
     assert poly.two_faces == faces
     assert poly.is_even() == all(len(cycle) % 2 == 0 for _, cycle in faces)
-    assert shelling(poly.vertices, poly.ridge_pairing()) == reference_shelling(poly.vertices)
+    assert shelling(poly) == reference_shelling(poly.vertices)
