@@ -19,18 +19,16 @@ single point ({}, 1).
 Every pairing runs on that one engine, at both point sets, which must agree
 exactly (the sum is a constant; a disagreement is reported as a bug, never
 returned).  A class pairs with the monomial u_S of a face S at the points
-containing S only.  pair_top is the pairing with the empty face, u_() = 1;
-is_zero_class pairs a class only against a basis of the complementary
-degree of H*(M; Q), face monomials u_S read off the model's structure
-(_basis).  A quasitoric model takes the restriction faces R of one greedy
-shelling of its polytope (polytope.shelling), built once per model and
-certified combinatorially: each R(v) lies in no earlier vertex and each
-v - R(v) in no later one, so the pairings <u_R(w) u_{v - R(v)}, [M]> form
-a triangular matrix with the vertex monomials on its diagonal, and the
-basis faces, h_k of them in size k, are independent; uncertified, every
-face of complementary size is tried.  A product multiplies its factors'
-basis faces (Kunneth), a connected sum joins its summands' (with one top
-face), and the point model has only the empty face.
+containing S only, which only the engine finds (_face_list).  pair_top is
+the pairing with the empty face, u_() = 1; is_zero_class pairs a class
+only against a basis of the complementary degree of H*(M; Q), the
+monomials u_S of faces that each model reads off its structure (_basis).
+A quasitoric model takes the h_k restriction faces of size k of its
+polytope's certified shelling (polytope.shelling, built once per model),
+or without one every face of that size (polytope._faces).  A product
+multiplies its factors' basis faces (Kunneth), a connected sum joins its
+summands' (with one top face), and the point model has only the empty
+face.
 pair_series reads a whole product of per-root factors at the points only as
 q-free characteristic numbers, products of the roots' power sums, and builds
 the q-series once from them; it evaluates only the roots supported at a
@@ -63,7 +61,7 @@ from .errors import (
     StructureError,
 )
 from .polynomial import GradedPolynomial, monomials_of_degree
-from .polytope import int_vector, shelling
+from .polytope import _containing, _faces, int_vector, shelling
 from .qseries import series_product
 
 _POINT_LO = 10 ** 3
@@ -96,15 +94,15 @@ def _integer_rows(rows):
 
 
 class BundleSpec:
-    """A sum of line bundles, each given by its first Chern class (degree <= 1)."""
+    """A sum of line bundles, each given by its first Chern class, an
+    integral linear class in the gen_count generators, checked here."""
 
     def __init__(self, classes, gen_count: int):
         classes = list(classes)
         for c in classes:
             if not isinstance(c, GradedPolynomial):
                 raise StructureError("bundle classes must be GradedPolynomial")
-            if not c.is_linear():
-                raise StructureError("bundle class %r is not homogeneous of degree 1" % (c,))
+            c.integer_vector(gen_count)
         self.classes = classes
         self.gen_count = gen_count
 
@@ -149,8 +147,8 @@ class IndexModel:
 
     Concrete subclasses set: n, gen_labels, tangent_roots (linear classes),
     c1_vector (integers), euler, name, even_basis, and implement
-    _draw_fixed_points and _basis.  Every pairing runs on the fixed-point
-    engine below, at both generic point sets, which must agree exactly.
+    _draw_fixed_points and _basis (faces only).  Every pairing runs on the
+    fixed-point engine below, at both point sets, which must agree exactly.
     """
 
     n: int
@@ -292,15 +290,16 @@ class IndexModel:
 
     def _face_list(self, k):
         """The faces of size k that the zero test tries, each with the points
-        containing it, ascending: the empty face with every point for k = 0,
-        returned before any basis work, and for k > 0 the model's _basis(k),
-        faces whose monomials span H^2k(M; Q), built once per size."""
+        containing it, ascending, which only this method finds: the empty
+        face with every point for k = 0, before any basis work, and for k > 0
+        the model's _basis(k), whose monomials span H^2k(M; Q), built once."""
         if k == 0:
             return [((), list(range(len(self.fixed_points()[0]))))]
         if self._face_lists is None:
             self._face_lists = {}
         if k not in self._face_lists:
-            self._face_lists[k] = self._basis(k)
+            masks, full = self._support_masks(), (1 << len(self.fixed_points()[0])) - 1
+            self._face_lists[k] = [(S, _bits(_containing(S, masks, full))) for S in self._basis(k)]
         return self._face_lists[k]
 
     def is_zero_class(self, poly: GradedPolynomial) -> bool:
@@ -435,40 +434,6 @@ def _agree(values, what, *args):
     return first
 
 
-def _certify(supports, order, masks, n):
-    """True iff the order lists every point once, each with R(v) a subset of
-    v, all n-sets, with R(v) in no earlier point (forward) and v - R(v) in
-    no later point (reverse).
-
-    Then <u_R(w) u_{v - R(v)}, [M]> = 0 for v before w: a point containing
-    both sets would come no earlier than w and no later than v.  At v = w
-    the monomial is u_v, nonzero at v alone.  So the u_R(v) are independent,
-    and being as many as the points (dim H*(M; Q) for a torus manifold with
-    isolated fixed points) they are a basis in each degree.
-    """
-    if sorted(v for v, _ in order) != list(range(len(supports))):
-        return False
-    full = (1 << len(supports)) - 1
-    before = 0
-    for v, R in order:
-        face = supports[v]
-        if len(face) != n or not set(R) <= set(face):
-            return False
-        rest = tuple(i for i in face if i not in R)
-        after = full & ~before & ~(1 << v)
-        if _containing(R, masks, full) & before or _containing(rest, masks, full) & after:
-            return False
-        before |= 1 << v
-    return True
-
-
-def _containing(face, masks, full):
-    """The bitset of the points whose support contains the face."""
-    for i in face:
-        full &= masks.get(i, 0)
-    return full
-
-
 def _bits(mask):
     """The positions of the set bits, ascending."""
     out = []
@@ -517,15 +482,6 @@ def _p1_terms(plus, minus):
     return out
 
 
-def _faces(pts, k):
-    """The k-element faces (k generators all nonzero at some point) -> their points."""
-    out = {}
-    for p, (vals, _) in enumerate(pts):
-        for S in itertools.combinations(sorted(vals), k):
-            out.setdefault(S, []).append(p)
-    return out
-
-
 def _monomial_value(mon, vals):
     v = 1
     for i in mon:
@@ -534,11 +490,12 @@ def _monomial_value(mon, vals):
 
 
 def _linear_items(root):
-    """A linear class as (generator, coefficient) pairs, integers where integral."""
-    if not root.is_linear():
-        raise StructureError("root must be a degree-1 class, got %r" % (root,))
-    return [(mon[0], int(c) if c.denominator == 1 else c)
-            for mon, c in root.terms.items()]
+    """An integral linear class as (generator, integer coefficient) pairs."""
+    items = [(mon[0], c.numerator) for mon, c in root.terms.items()
+             if len(mon) == 1 and c.denominator == 1]
+    if len(items) != len(root.terms):
+        raise StructureError("root must be an integral degree-1 class, got %r" % (root,))
+    return items
 
 
 def _exponent_vectors(weights, total, start=0):
@@ -641,22 +598,16 @@ class QuasitoricModel(IndexModel):
 
     @functools.cached_property
     def _shelling(self):
-        """The polytope's greedy shelling (polytope.shelling) if _certify
-        certifies it, else None; the points are the vertices, in order."""
-        order = shelling(self.polytope)
-        if order and _certify(self.polytope.vertices, order, self._support_masks(), self.n):
-            return order
-        return None
+        """The polytope's certified shelling (polytope.shelling), or None."""
+        return shelling(self.polytope)
 
     def _basis(self, k):
         """The restriction faces of size k of the certified shelling, in
         shelling order, or, without one (the greedy may stall), every face
         of size k in sorted order."""
-        pts = self.fixed_points()[0]
         if self._shelling is None:
-            return sorted(_faces(pts, k).items())
-        masks, full = self._support_masks(), (1 << len(pts)) - 1
-        return [(R, _bits(_containing(R, masks, full))) for _, R in self._shelling if len(R) == k]
+            return _faces(self.polytope.vertices, k)
+        return [R for _, R in self._shelling if len(R) == k]
 
     @functools.cached_property
     def even_basis(self) -> tuple:

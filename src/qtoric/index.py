@@ -10,10 +10,10 @@ into monomials: each per-root factor is a cached closed-form table
 (qseries.log_table) x^xpow c exp(sum_k L_k(q) x^k), and the model's
 fixed-point engine (IndexModel.pair_series) pairs only q-free
 characteristic numbers, products of power sums of the root values, at the
-fixed points and assembles the q-series once.  Plan entries over one root
-list with no Euler class are paired as one group, their kinds concatenated
-(the L_k add): the elliptic genus pairs ("Q1", "AHAT", "Q3") over the
-tangent roots, not two groups.  Special cases: the Witten genus is the
+fixed points and assembles the q-series once.  A twist W by the tangent
+roots themselves joins their group, its kind concatenated (the L_k add):
+the elliptic genus pairs ("Q1", "AHAT", "Q3") over the tangent roots, not
+two groups.  Special cases: the Witten genus is the
 V = W = 0 index with c1c = 0, and the elliptic genus twists by the stable
 tangent roots (with the trivial-summand doubling divided back out).  In
 both the tangent roots are the only nonzero roots, whose characteristic
@@ -122,7 +122,9 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     warnings = []
     admissibility = check_admissible(model, V, W, c1c=c1c)
 
-    plan = [(("Q1", "AHAT"), model.tangent_roots, False)]
+    tangent_twist = W.classes == model.tangent_roots
+    plan = [(("Q1", "AHAT", "Q3") if tangent_twist else ("Q1", "AHAT"),
+             model.tangent_roots, False)]
     if V.dim == 0:
         if c1c is None and not admissibility.spin_c_exists:
             warnings.append(
@@ -130,9 +132,8 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
         plan.append((("EXPHALF",), [GradedPolynomial.linear(admissibility.c1c_vector)], False))
     else:
         plan.append((("Q2PRIME",), V.classes, True))
-    if W.dim:
+    if W.dim and not tangent_twist:
         plan.append((("Q3",), W.classes, False))
-    plan = _merged(plan)
     work = _table_work(plan, n, q_order) + _pairing_work(model, plan, q_order)
     if work > PAIRING_BUDGET:
         raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
@@ -146,8 +147,7 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
             if k != "hypotheses_met" and not v))
 
     series = model.pair_series(groups, q_order)
-    if (n % 2 == 0 and V.dim == 0 and not any(admissibility.c1c_vector)
-            and W.classes == model.tangent_roots):
+    if n % 2 == 0 and V.dim == 0 and not any(admissibility.c1c_vector) and tangent_twist:
         _check_signature(model, series[0])
 
     meta = {"model": model.name, "V": V.to_vectors(), "W": W.to_vectors()}
@@ -155,23 +155,6 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     if seed is not None:
         meta["seed"] = seed
     return IndexResult(series, admissibility, warnings, meta)
-
-
-def _merged(plan):
-    """The plan with the entries that share a root list and carry no Euler
-    class merged into one, their kinds concatenated: the L_k of a root add
-    over its kinds and the c multiply (log_table), so the merged group's
-    factor is the product of theirs, with half the rows for the elliptic
-    genus's ("Q1", "AHAT") and ("Q3",) over the tangent roots."""
-    out = []
-    for kinds, roots, euler in plan:
-        for j, (kept, kept_roots, kept_euler) in enumerate(out):
-            if not euler and not kept_euler and kept_roots == roots:
-                out[j] = (kept + kinds, kept_roots, False)
-                break
-        else:
-            out.append((kinds, roots, euler))
-    return out
 
 
 def _check_signature(model: IndexModel, constant) -> None:
@@ -407,11 +390,10 @@ class ProductModel(_PairedModel):
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
 
     def _basis(self, k):
-        off, width = self.offset, len(self.right.fixed_points()[0])
-        return [(L + tuple(i + off for i in R), [p * width + q for p in lp for q in rp])
+        return [L + tuple(i + self.offset for i in R)
                 for j in range(k + 1)
-                for L, lp in self.left._face_list(j)
-                for R, rp in self.right._face_list(k - j)]
+                for L, _ in self.left._face_list(j)
+                for R, _ in self.right._face_list(k - j)]
 
 
 class ConnectedSumModel(_PairedModel):
@@ -445,10 +427,9 @@ class ConnectedSumModel(_PairedModel):
 
     def _basis(self, k):
         # H^2k is the sum of the summands' for 0 < k < n; H^2n is one class
-        off, shift = self.offset, len(self.left.fixed_points()[0])
         right = self.right._face_list(k) if k < self.n else []
-        return self.left._face_list(k) + [(tuple(i + off for i in R), [p + shift for p in rp])
-                                          for R, rp in right]
+        return ([L for L, _ in self.left._face_list(k)]
+                + [tuple(i + self.offset for i in R) for R, _ in right])
 
 
 def _shifted(vals, offset):

@@ -9,7 +9,8 @@ validation found: the ridge pairing (per vertex, the neighbour across each
 facet and the facet entered there), each two-face's vertex cycle and
 whether the edge graph is bipartite, which the connectivity walk
 two-colours as it goes; the sorted edge graph and the sorted two-faces are
-built from them on request.
+built from them on request.  The faces (_faces) and a certified shelling
+of the dual complex (shelling, _certify) are read off the same data.
 Edge regularity already gives each vertex of a two-face exactly two
 neighbours in it, so 2-regularity needs no test of its own: a two-face
 can only fail by falling apart into several cycles.
@@ -343,15 +344,7 @@ class SimplePolytope:
     def f_vector(self):
         """f_k = number of k-dimensional faces, k = 0..n (f_n = 1 for P itself)."""
         self.require_valid()
-        n = self.dim
-        fv = []
-        for codim in range(n, 0, -1):
-            subs = set()
-            for v in self.vertices:
-                subs.update(itertools.combinations(v, codim))
-            fv.append(len(subs))
-        fv.append(1)
-        return tuple(fv)
+        return tuple(len(_faces(self.vertices, k)) for k in range(self.dim, -1, -1))
 
     def h_vector(self):
         """h-vector from the f-vector; h_k = dim of degree-2k rational cohomology.
@@ -411,16 +404,17 @@ class SimplePolytope:
 
 
 def shelling(p):
-    """A shelling of the dual of a validated simple polytope p, the complex
-    whose facets are p's vertices, each the sorted tuple of its n facets.
+    """A certified shelling of the dual of a validated simple polytope p,
+    the complex whose facets are p's vertices (sorted tuples of n facets).
 
     Returns [(vertex, R(vertex))] in shelling order, R(v) the restriction
     face: the facets i of v whose ridge v - {i} lies in an earlier vertex,
     read off the ridge pairing p's validation kept.  So the faces of v in
     no earlier vertex are exactly those containing R(v), provided R(v) lies
-    in no earlier vertex itself.  None when the greedy stalls, as it may: a
-    validated incidence need not be a sphere (the dual of the 6-vertex
-    RP^2), and not every sphere is extendably shellable.
+    in no earlier vertex itself.  None when the greedy stalls, as it may
+    (a validated incidence need not be a sphere, like the dual of the
+    6-vertex RP^2, and not every sphere is extendably shellable), or when
+    _certify does not certify the order.
 
     The greedy is incremental: placing a vertex covers one ridge of each of
     its unplaced neighbours, which is pushed onto a heap keyed by its number
@@ -454,7 +448,46 @@ def shelling(p):
             if not placed[w]:
                 covered[w].append(j)
                 heapq.heappush(heap, (len(covered[w]), w))
-    return order if len(order) == len(vertices) else None
+    return order if len(order) == len(vertices) and _certify(vertices, order, inside) else None
+
+
+def _certify(vertices, order, inside):
+    """True iff the order lists each vertex once, with R(v) a subset of v in
+    no earlier vertex (forward) and v - R(v) in no later one (reverse), as
+    read off inside, each facet's bitset of vertices, not off the greedy.
+
+    Forward makes the order a shelling.  Reverse makes the face monomials
+    triangular: <u_R(w) u_{v - R(v)}, [M]> = 0 for v before w (a vertex
+    containing both would come no earlier than w and no later than v), and
+    u_v at v = w.  So the u_R(v), as many as the vertices, are a basis of
+    H*(M; Q) for any quasitoric M over p.
+    """
+    if sorted(v for v, _ in order) != list(range(len(vertices))):
+        return False
+    full = (1 << len(vertices)) - 1
+    before = 0
+    for v, R in order:
+        face = vertices[v]
+        if not set(R) <= set(face):
+            return False
+        rest = tuple(i for i in face if i not in R)
+        after = full & ~before & ~(1 << v)
+        if _containing(R, inside, full) & before or _containing(rest, inside, full) & after:
+            return False
+        before |= 1 << v
+    return True
+
+
+def _containing(face, masks, full):
+    """The bitset of the vertices (or points) containing the face, per masks[i]."""
+    for i in face:
+        full &= masks.get(i, 0)
+    return full
+
+
+def _faces(vertices, k):
+    """The faces of codimension k: the k-sets of facets some vertex shares, sorted."""
+    return sorted({S for v in vertices for S in itertools.combinations(v, k)})
 
 
 def _steps(faces, n):

@@ -27,11 +27,11 @@ names must pair nonzero.
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from qtoric import cohomology, index, polytope
+from qtoric import cohomology, polytope
 from qtoric.charpair import cp_pair, cube_pair, hirzebruch_pair, polygon_pair, s2xs2_pair
 from qtoric.cohomology import (
     _ZERO,
@@ -41,7 +41,6 @@ from qtoric.cohomology import (
     PointModel,
     QuasitoricModel,
     _agree,
-    _faces,
     _linear_items,
     _monomial_value,
     check_admissible,
@@ -290,6 +289,16 @@ def reference_pair_top(model, poly):
     return _agree(values, "pairing of %r", poly)
 
 
+def _faces(pts, k):
+    """The k-element faces (k generators all nonzero at some point) -> their
+    points, read off one point set alone."""
+    out = {}
+    for p, (vals, _) in enumerate(pts):
+        for S in combinations(sorted(vals), k):
+            out.setdefault(S, []).append(p)
+    return out
+
+
 def reference_nonzero_face(model, poly):
     """IndexModel.nonzero_face as it was: a face table per point set, the
     two tables compared, then the sorted faces tried up to the first one
@@ -465,12 +474,6 @@ def test_merged_tangent_group_matches_the_unmerged_groups(name):
     route, give the same series."""
     model = ROUTE_MODELS[name]()
     n, roots = model.n, model.tangent_roots
-    plan = [(("Q1", "AHAT"), roots, False), (("EXPHALF",), [GP.zero()], False),
-            (("Q3",), list(roots), False)]
-    assert index._merged(plan) == [(("Q1", "AHAT", "Q3"), roots, False),
-                                   (("EXPHALF",), [GP.zero()], False)]
-    euler = [(("Q1", "AHAT"), roots, False), (("Q2PRIME",), roots, True)]
-    assert index._merged(euler) == euler
     merged = phi_c(model, None, model.tangent_bundle(), q_order=Q_ORDER).series
     unmerged = model.pair_series([(log_table(("Q1", "AHAT"), Q_ORDER, n), roots),
                                   (log_table(("Q3",), Q_ORDER, n), roots)], Q_ORDER)
@@ -764,11 +767,16 @@ def test_basis_faces_count_the_betti_numbers(name):
     multiplied, or the summands' faces side by side with one top face."""
     model = BASIS_MODELS[name]
     assert tuple(len(model._face_list(k)) for k in range(model.n + 1)) == _betti(model)
+    supports = [set(vals) for vals, _ in model.fixed_points()[0]]
+    for k in range(model.n + 1):
+        for S, points in model._face_list(k):
+            assert points == [p for p, support in enumerate(supports) if set(S) <= support], S
 
 
 def _bad_order(make_restriction):
-    """A stand-in for cohomology.shelling: every vertex in order, with the
-    restriction face that make_restriction gives its facets."""
+    """A hand-made order in place of polytope.shelling's greedy one: every
+    vertex in order, with the restriction face that make_restriction gives
+    its facets."""
     return lambda p: [(v, make_restriction(face)) for v, face in enumerate(p.vertices)]
 
 
@@ -785,16 +793,24 @@ def _failed_checks(supports, order):
     (lambda face: face, (False, True)),  # the empty v - R(v) lies in every later point
 ], ids=["forward", "reverse"])
 def test_uncertified_order_falls_back_to_all_faces(make_restriction, failed, monkeypatch):
-    """A hand-made order that fails one check of the certificate is dropped,
-    and the zero test tries every face, as the reference does."""
+    """A hand-made order that fails one check of the certificate is
+    rejected by polytope._certify; fed to the certificate in place of the
+    greedy's order, it leaves shelling no order, and the zero test tries
+    every face, as the reference does."""
     model = _quasitoric("cube:4")
     supports = model.polytope.vertices
     order = _bad_order(make_restriction)(model.polytope)
     assert _failed_checks(supports, order) == failed
-    assert not cohomology._certify(supports, order, model._support_masks(), model.n)
+    inside = {}
+    for v, face in enumerate(supports):
+        for i in face:
+            inside[i] = inside.get(i, 0) | 1 << v
+    assert not polytope._certify(supports, order, inside)
 
     model = _quasitoric("cube:4")
-    monkeypatch.setattr(cohomology, "shelling", _bad_order(make_restriction))
+    certify = polytope._certify
+    monkeypatch.setattr(polytope, "_certify",
+                        lambda vertices, _, inside: certify(vertices, order, inside))
     tables = _counting(monkeypatch, "_faces")
     rng = random.Random(7)
     for trial in range(10):

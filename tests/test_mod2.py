@@ -21,7 +21,8 @@ from qtoric.charpair import (
     s2xs2_pair,
     sphere_pair,
 )
-from qtoric.cohomology import BundleSpec, QuasitoricModel, check_admissible, is_even_class
+from qtoric.cohomology import (BundleSpec, QuasitoricModel, _linear_items, check_admissible,
+                               is_even_class)
 from qtoric.errors import StructureError
 from qtoric.index import (
     ConnectedSumModel,
@@ -237,6 +238,14 @@ def test_non_integral_classes_rejected():
             is_even_class(model, bad)
         with pytest.raises(StructureError):
             check_admissible(model, empty, empty, c1c=bad)
+    # a bundle class is checked when the bundle is built, not after a pairing
+    half = GP.linear([Fraction(1, 2), 0, 0])
+    for classes in ([half, half], [GP.generator(3)]):
+        with pytest.raises(StructureError):
+            BundleSpec(classes, 3)
+    for root in (half, GP.generator(0).mul(GP.generator(1))):
+        with pytest.raises(StructureError):
+            _linear_items(root)
     with pytest.raises(StructureError):
         phi_c(model, c1c=[1.5, 1.5, 0])
     with pytest.raises(StructureError):
