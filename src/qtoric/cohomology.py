@@ -42,7 +42,7 @@ order.  Twisted root lists are paired afresh on every call and not kept.
 The mod-2 test needs no elimination: each model keeps one basis of its even
 degree-2 classes mod 2 (IndexModel.is_even_vector), a quasitoric model's
 read off the dual basis at one vertex, cached by validation.  A face-ring
-reduction oracle cross-checks the pairing at small half-dimension.
+reduction oracle (facering) cross-checks the pairing at small half-dimension.
 """
 
 from __future__ import annotations
@@ -54,13 +54,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpair import DEFAULT_SEED, _dual_basis, _eliminate
-from .errors import (
-    InternalConsistencyError,
-    OracleUnavailableError,
-    StructureError,
-)
-from .polynomial import GradedPolynomial, monomials_of_degree
+from .charpair import DEFAULT_SEED
+from .errors import InternalConsistencyError, StructureError
+from .polynomial import GradedPolynomial
 from .polytope import _containing, _faces, int_vector, shelling
 from .qseries import series_product
 
@@ -249,6 +245,9 @@ class IndexModel:
     def _face_pairings(self, terms, k):
         """One (S, numerator, denominator) per face S of size k in _face_list,
         lazily: the pairing of u_S with a homogeneous {monomial: coefficient}."""
+        for mon in terms:
+            for i in mon:
+                self._generator(i)
         point_sets = self.fixed_points()
         masks = self._support_masks()
         full = (1 << len(point_sets[0])) - 1
@@ -278,6 +277,13 @@ class IndexModel:
                     % (GradedPolynomial(terms), S, Fraction(a, den_a * scale),
                        Fraction(b, den_b * scale)))
             yield S, a, den_a * scale
+
+    def _generator(self, i):
+        """i, refused unless it is one of the model's generators 0..gen_count - 1."""
+        if not 0 <= i < self.gen_count:
+            raise StructureError("u_%d is not a generator of %s (u_0..u_%d)"
+                                 % (i, self.name, self.gen_count - 1))
+        return i
 
     def _support_masks(self):
         """Per generator, the bitset of the points supporting it; built once."""
@@ -344,12 +350,12 @@ class IndexModel:
             by_gen = {}
             for r, root in enumerate(roots):
                 for i, a in _linear_items(root):
-                    by_gen.setdefault(i, []).append((r, a))
+                    by_gen.setdefault(self._generator(i), []).append((r, a))
             indexed.append((xpow, len(roots), by_gen, ks))
             rows += [(k, L[k - 1]) for k in ks]
             if by_gen:
                 live.append(list(roots))
-        monomials = _exponent_vectors([k for k, _ in rows], top)
+        monomials = list(_exponent_vectors([k for k, _ in rows], top))
         if not monomials:  # top < 0, or an odd top with only even k
             return [_ZERO] * (q_order + 1)
         if top == self.n and live == [self.tangent_roots]:
@@ -368,7 +374,7 @@ class IndexModel:
                 factors = [rows[v][1] for v, e in mu for _ in range(e)]
                 term = (functools.reduce(series_product, factors) if factors
                         else [1] + [0] * q_order)
-                number *= C / math.prod(math.factorial(e) for _, e in mu)
+                number *= Fraction(C, math.prod(math.factorial(e) for _, e in mu))
                 series = [s + number * t for s, t in zip(series, term)]
         return series
 
@@ -422,6 +428,18 @@ def _row_plan(groups, n):
     return top, [[k for k in range(1, top + 1) if any(L[k - 1])]
                  if any(root.terms for root in roots) else []
                  for (_, _, L), roots in groups]
+
+
+def _pairing_work(model: IndexModel, groups, q_order: int, budget: int) -> int:
+    """About the steps of model.pair_series on the built groups: its exponent
+    vectors (_exponent_vectors over _row_plan's rows, counted only until past
+    budget), each formed at every point and multiplying up to n q-rows."""
+    top, plan = _row_plan(groups, model.n)
+    vectors = _exponent_vectors([k for ks in plan for k in ks], top)
+    if next(vectors, None) is None:  # nothing to pair: no generic point is drawn
+        return 0
+    step = len(model.fixed_points()[0]) + model.n * (q_order + 1) ** 2
+    return step * (1 + sum(1 for _ in itertools.islice(vectors, budget // step)))
 
 
 def _agree(values, what, *args):
@@ -500,12 +518,13 @@ def _linear_items(root):
 
 def _exponent_vectors(weights, total, start=0):
     """The exponent vectors mu with sum_v weights[v] mu_v = total over the
-    variables v >= start, each as its pairs (v, mu_v) with mu_v > 0."""
+    variables v >= start, each as its pairs (v, mu_v) with mu_v > 0, lazily."""
     if total == 0:
-        return [()]
-    return [((v, e),) + rest for v in range(start, len(weights))
-            for e in range(1, total // weights[v] + 1)
-            for rest in _exponent_vectors(weights, total - e * weights[v], v + 1)]
+        yield ()
+    for v in range(start, len(weights)):
+        for e in range(1, total // weights[v] + 1):
+            for rest in _exponent_vectors(weights, total - e * weights[v], v + 1):
+                yield ((v, e),) + rest
 
 
 class PointModel(IndexModel):
@@ -620,94 +639,9 @@ class QuasitoricModel(IndexModel):
                     if sum(x * y for x, y in zip(row, w)) % 2))
             for k, w in zip(self.polytope.vertices[0], self.pair.vertex_weights[0]))
 
-    # -- independent face-ring oracle --------------------------------------
-
-    RING_ORACLE_MAX_N = 3
-    RING_ORACLE_MAX_FREE = 8
-
-    def _minimal_nonfaces(self, max_size):
-        verts = [set(v) for v in self.polytope.vertices]
-        m = self.pair.m
-
-        def is_face(S):
-            return any(S <= v for v in verts)
-
-        minimal = []
-        for size in range(2, max_size + 1):
-            for S in itertools.combinations(range(m), size):
-                Sset = set(S)
-                if is_face(Sset):
-                    continue
-                if all(is_face(Sset - {i}) for i in S):
-                    minimal.append(S)
-        return minimal
-
-    def _build_ring_oracle(self):
-        n, m = self.n, self.pair.m
-        if n > self.RING_ORACLE_MAX_N or m - n > self.RING_ORACLE_MAX_FREE:
-            raise OracleUnavailableError(
-                "face-ring oracle unavailable for n=%d, m=%d (budget n<=%d)"
-                % (n, m, self.RING_ORACLE_MAX_N))
-        base = self.polytope.vertices[0]
-        free = [i for i in range(m) if i not in base]
-        free_index = {i: r for r, i in enumerate(free)}
-        signs = self.pair.signs
-        lamt = [tuple(signs[i] * x for x in self.pair.lam[i]) for i in range(m)]
-        inv_t = _dual_basis([lamt[i] for i in base])  # (A^{-1})^T rows
-        # u_elim = -(A^T)^{-1} B^T u_free; (A^T)^{-1} = (A^{-1})^T
-        mapping = {}
-        for k, i in enumerate(base):
-            coeffs = {}
-            for r, j in enumerate(free):
-                c = -sum(inv_t[k][s] * lamt[j][s] for s in range(n))
-                if c:
-                    coeffs[r] = c
-            mapping[i] = GradedPolynomial.linear(coeffs)
-        for i in free:
-            mapping[i] = GradedPolynomial.generator(free_index[i])
-
-        basis = list(monomials_of_degree(len(free), n))
-        basis_index = {mon: j for j, mon in enumerate(basis)}
-
-        def to_vector(poly):
-            vec = [_ZERO] * len(basis)
-            for mon, c in poly.terms.items():
-                if len(mon) != n:
-                    raise InternalConsistencyError("substitution changed the degree")
-                vec[basis_index[mon]] = c
-            return vec
-
-        span = []
-        for S in self._minimal_nonfaces(n):
-            g = GradedPolynomial({tuple(sorted(S)): Fraction(1)})
-            g_sub = g.substitute(mapping)
-            for h in monomials_of_degree(len(free), n - len(S)):
-                vec = to_vector(g_sub.mul(GradedPolynomial({h: Fraction(1)})))
-                if any(vec):
-                    span.append(vec)
-        _, d, reduced, pivots = _eliminate(_integer_rows(span))
-        kernel = [c for c in range(len(basis)) if c not in pivots]
-        if len(kernel) != 1:
-            raise InternalConsistencyError(
-                "face-ring top degree is %d-dimensional, expected 1" % len(kernel))
-        (f,) = kernel  # row r reads d x[pivots[r]] + reduced[r][f] x[f] = 0
-        phi = [0] * len(basis)
-        phi[f] = d
-        for row, c in zip(reduced, pivots):
-            phi[c] = -row[f]
-        ref = GradedPolynomial({tuple(base): Fraction(1)}).substitute(mapping)
-        val = sum(a * b for a, b in zip(phi, to_vector(ref)))
-        if val == 0:
-            raise InternalConsistencyError("reference vertex monomial pairs to 0")
-        target = Fraction(1)
-        for i in base:
-            target *= signs[i]
-        scale = target / val
-        phi = [x * scale for x in phi]
-        return mapping, phi, to_vector
-
     def ring_reduction_pairing(self, mon) -> Fraction:
-        """Pairing via linear elimination and face-ring reduction.
+        """Pairing via linear elimination and face-ring reduction, built once
+        (facering.build), the first time a test asks for it.
 
         Independent of the localization route: uses only the linear relations,
         the face ideal, and the base-vertex normalization convention.
@@ -715,7 +649,8 @@ class QuasitoricModel(IndexModel):
         if len(mon) != self.n:
             return _ZERO
         if self._ring_oracle is None:
-            self._ring_oracle = self._build_ring_oracle()
+            from .facering import build
+            self._ring_oracle = build(self)
         mapping, phi, to_vector = self._ring_oracle
         poly = GradedPolynomial({tuple(sorted(mon)): Fraction(1)}).substitute(mapping)
         vec = to_vector(poly)
@@ -762,6 +697,9 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     rationally.  p1(V + W - TM) is built in one pass from the first Chern
     classes of the line bundles, as an integer quadratic form.
     """
+    if V.gen_count != model.gen_count or W.gen_count != model.gen_count:
+        raise StructureError("V and W are over %d and %d generators, the model has %d"
+                             % (V.gen_count, W.gen_count, model.gen_count))
     if V.dim:
         c1c_vec = V.c1_vector()
     elif c1c is not None:

@@ -37,7 +37,7 @@ from .cohomology import (
     BundleSpec,
     IndexModel,
     QuasitoricModel,
-    _row_plan,
+    _pairing_work,
     check_admissible,
 )
 from .errors import (BudgetExceededError, HypothesisUnmetError, InternalConsistencyError,
@@ -110,8 +110,9 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     is used (integral classes only); the e^{c1(V)/2}*Q2(V) form has the same
     log_table, so it is not a route of its own.  With V = 0 the class c1c
     (default 0, the Witten-genus convention) enters through e^{c1c/2} alone,
-    and a c1c given with a nonzero V is refused before any pairing.  Work
-    estimated past PAIRING_BUDGET raises BudgetExceededError.
+    and a c1c given with a nonzero V is refused before any pairing.  Work past
+    PAIRING_BUDGET raises BudgetExceededError: the tables' own before they
+    are built, with the pairing's price on them before any point is paired.
     """
     check_q_order(q_order)
     V = _as_bundle(model, V)
@@ -134,12 +135,13 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
         plan.append((("Q2PRIME",), V.classes, True))
     if W.dim and not tangent_twist:
         plan.append((("Q3",), W.classes, False))
-    work = _table_work(plan, n, q_order) + _pairing_work(model, plan, q_order)
+    work = _table_work(plan, n, q_order)
+    if work <= PAIRING_BUDGET:
+        groups = [(log_table(kinds, q_order, n, euler=e), roots) for kinds, roots, e in plan]
+        work += _pairing_work(model, groups, q_order, PAIRING_BUDGET - work)
     if work > PAIRING_BUDGET:
         raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
                                   "budget of %d" % (q_order, work, PAIRING_BUDGET))
-    groups = [(log_table(kinds, q_order, n, euler=euler), roots)
-              for kinds, roots, euler in plan]
 
     if not admissibility.met:
         warnings.append("hypotheses unmet: " + ", ".join(
@@ -185,31 +187,6 @@ def _table_work(plan, n: int, q_order: int) -> int:
     in odd n, so that a huge q_order is refused before any table is built.
     """
     return len(plan) * n * (q_order + 1) * (q_order + 1).bit_length()
-
-
-def _pairing_work(model: IndexModel, plan, q_order: int) -> int:
-    """About the steps of model.pair_series on the groups of the plan.
-
-    pair_series forms each exponent vector over its rows (group, k) at every
-    point, then multiplies up to n q-rows for it; the rows are those of
-    _row_plan, as in pair_series.  Each L_k is a constant plus multiples of
-    two divisor sums (log_table), which agree at q^1 and differ at q^2, so
-    it vanishes through q^N iff it does through q^min(N, 2): the rows are
-    read off tables that small.
-    """
-    n = model.n
-    top, rows = _row_plan([(log_table(kinds, min(q_order, 2), n, euler=euler), roots)
-                           for kinds, roots, euler in plan if roots], n)
-    if top < 0:
-        return 0
-    counts = [1] + [0] * top  # exponent vectors by weight
-    for ks in rows:
-        for k in ks:
-            for w in range(k, top + 1):
-                counts[w] += counts[w - k]
-    if not counts[top]:  # nothing to pair: no generic points are drawn for it
-        return 0
-    return counts[top] * (len(model.fixed_points()[0]) + n * (q_order + 1) ** 2)
 
 
 # ----------------------------------------------------------------------

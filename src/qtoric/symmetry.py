@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import BudgetExceededError, StructureError
+from .polytope import int_vector
 
 # The highest rank the alpha table takes on.  The Weyl orders are factorials, so
 # building the records outgrows linear time: rank 1,000 takes 0.06 s, 4,000 2.6 s.
@@ -140,6 +141,7 @@ def kmss_bound(alpha_deg: int, n: int) -> int:
     alpha_deg is the (real) cohomological degree witnessing H^alpha != 0 on a
     2n-dimensional manifold other than CP^n.
     """
+    int_vector([alpha_deg, n], "(alpha_deg, n)")
     if not 0 <= alpha_deg <= 2 * n:
         raise StructureError("alpha_deg must lie in 0..2n")
     a = alpha_deg
@@ -219,6 +221,9 @@ def symmetry_report(model=None, n=None, chi=None,
         chi = model.euler
     if n is None or chi is None:
         raise StructureError("need a model or explicit n and chi")
+    int_vector([n, chi], "(n, chi)")
+    if n < 0:
+        raise StructureError("n must be non-negative, got %d" % n)
     rules = []
     ceilings = []
 
@@ -249,19 +254,18 @@ def symmetry_report(model=None, n=None, chi=None,
         })
 
     alpha_deg = n if n % 2 == 0 else n - 1
-    if alpha_deg >= 0:
-        kmss = kmss_bound(alpha_deg, n) if n >= 1 else None
-        both = {a: kmss_bound(a, n) for a in {n, n - 1} if 0 <= a <= 2 * n}
-        rules.append({
-            "rule": "kmss-degree-bound",
-            "bound": kmss,
-            "alpha_deg": alpha_deg,
-            "bounds_by_degree": both,
-            "applied": True,
-            "conditional_on": "M != CP^n",
-            "note": "cohomology in even degrees is nonzero at alpha_deg; "
-                    "ceiling applies to every quasitoric M other than CP^n",
-        })
+    kmss = kmss_bound(alpha_deg, n) if n >= 1 else None
+    both = {a: kmss_bound(a, n) for a in {n, n - 1} if 0 <= a <= 2 * n}
+    rules.append({
+        "rule": "kmss-degree-bound",
+        "bound": kmss,
+        "alpha_deg": alpha_deg,
+        "bounds_by_degree": both,
+        "applied": True,
+        "conditional_on": "M != CP^n",
+        "note": "cohomology in even degrees is nonzero at alpha_deg; "
+                "ceiling applies to every quasitoric M other than CP^n",
+    })
 
     simple = []
     semis = []

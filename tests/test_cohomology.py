@@ -22,9 +22,10 @@ from qtoric.cohomology import (
     check_admissible,
     is_even_class,
 )
-from qtoric.errors import OracleUnavailableError
+from qtoric.errors import OracleUnavailableError, StructureError
 from qtoric.polynomial import GradedPolynomial as GP
 from qtoric.polynomial import monomials_of_degree
+from qtoric.qseries import log_table
 
 
 def test_cp1_normalization():
@@ -226,6 +227,34 @@ def test_point_model():
     assert pt.pair_monomial(()) == 1
     assert pt.pair_monomial((0,)) == 0
     assert pt.is_even_vector(())
+
+
+def test_point_model_series_is_exact():
+    """An empty product pairs to 1 at q^0, as an exact Fraction, not a float."""
+    series = PointModel().pair_series([], 2)
+    assert series == [1, 0, 0] and all(type(c) is Fraction for c in series)
+
+
+def test_generators_outside_the_model_are_refused():
+    """cp:2 has u_0..u_2: a class or root over another generator is refused,
+    not paired as zero."""
+    m = cp_pair(2).to_index_model()
+    for pair in (lambda: m.pair_top(GP.generator(5) * GP.generator(5)),
+                 lambda: m.pair_monomial((7, 7)),
+                 lambda: m.is_zero_class(GP.generator(0) * GP.generator(9)),
+                 lambda: m.pair_series([(log_table(("Q3",), 0, 2), [GP.generator(9)])], 0)):
+        with pytest.raises(StructureError, match="not a generator"):
+            pair()
+
+
+def test_bundles_over_another_number_of_generators_are_refused():
+    """A bundle's classes are checked over its own gen_count; the model's must match."""
+    m = cp_pair(2).to_index_model()
+    u4 = GP.generator(4)
+    for V, W in ((BundleSpec([u4], 5), BundleSpec.empty(3)),
+                 (BundleSpec.empty(3), BundleSpec([u4], 5))):
+        with pytest.raises(StructureError, match="the model has 3"):
+            check_admissible(m, V, W)
 
 
 def test_memoization_returns_same_object_value():

@@ -143,13 +143,38 @@ def test_budget_counts_tables_where_no_exponent_vector_is_formed(genus, monkeypa
     """On cube:3 every L_k of the Witten and elliptic genus that fits in odd
     degree 3 vanishes, so pair_series forms no exponent vector; the tables
     alone are then refused past the budget, and admitted below it."""
-    from qtoric import index
-    assert index._pairing_work(CUBE3, [(("Q1", "AHAT"), CUBE3.tangent_roots, False)], 10 ** 9) == 0
+    from qtoric import cohomology, index
+    groups = [(log_table(("Q1", "AHAT"), 1000, 3), CUBE3.tangent_roots)]
+    for q_order in (1000, 10 ** 9):
+        assert cohomology._pairing_work(CUBE3, groups, q_order, index.PAIRING_BUDGET) == 0
     calls = _stub_pairing(CUBE3, monkeypatch)
     with pytest.raises(BudgetExceededError, match="over the budget"):
         genus(CUBE3, q_order=10 ** 9)
     assert calls == []
     assert genus(CUBE3, q_order=1000).is_zero() and calls == [1000]
+
+
+def test_pairing_price_stops_counting_past_the_budget(monkeypatch):
+    """The price enumerates the exponent vectors lazily and stops at the
+    first one past the budget, so a refusal forms no more of them than the
+    budget admits: CP^40 with W = u_1 and c1c = u_0 has about 80,000 at q^4."""
+    from qtoric import cohomology, index
+    model = cp_pair(40).to_index_model()
+    counted, vectors = [], cohomology._exponent_vectors
+
+    def counting(weights, total):
+        counted.append(0)
+        for mu in vectors(weights, total):
+            counted[-1] += 1
+            yield mu
+
+    monkeypatch.setattr(cohomology, "_exponent_vectors", lambda weights, total, start=0: (
+        vectors(weights, total, start) if start else counting(weights, total)))
+    with pytest.raises(BudgetExceededError, match="over the budget"):
+        phi_c(model, None, [[0, 1] + [0] * 39], q_order=4, c1c=[1] + [0] * 40)
+    step = len(model.fixed_points()[0]) + 40 * 5 ** 2  # per vector, at 41 points
+    remaining = index.PAIRING_BUDGET - index._table_work([None] * 3, 40, 4)  # three groups
+    assert counted == [1 + remaining // step]
 
 
 def test_zero_pairing_draws_no_generic_points():
@@ -180,7 +205,8 @@ def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
     """The budget's estimate is the number of exponent vectors pair_series
     forms, times its per-vector steps, on every route of phi_c: the merged
     tangent group of the elliptic genus and of phi_c(M; 0, TM) too, and on
-    a call that reads the kept tangent numbers."""
+    a call that reads the kept tangent numbers.  The price and the pairing
+    enumerate the same vectors, the price first."""
     from qtoric import cohomology, index
     estimates, formed = [], []
     work, vectors = index._pairing_work, cohomology._exponent_vectors
@@ -188,7 +214,7 @@ def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
         (work(*args), args[2])) or estimates[-1][0])
     monkeypatch.setattr(cohomology, "_exponent_vectors", lambda weights, total, start=0: (
         vectors(weights, total, start) if start
-        else formed.append(len(vectors(weights, total))) or vectors(weights, total)))
+        else formed.append(len(list(vectors(weights, total)))) or vectors(weights, total)))
     m, n, points = model.gen_count, model.n, len(model.fixed_points()[0])
     line = [[1] + [0] * (m - 1)]
     for q_order in range(4):
@@ -198,8 +224,10 @@ def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
         if model.is_even_vector(model.c1_vector):
             elliptic_genus(model, q_order)
         phi_c(model, None, model.tangent_bundle(), q_order=q_order)
-    assert any(formed)
-    assert [w // (points + n * (q + 1) ** 2) for w, q in estimates] == formed
+    priced, paired = formed[::2], formed[1::2]
+    assert any(paired) and priced == paired and len(estimates) == len(paired)
+    assert [w for w, _ in estimates] == [
+        count * (points + n * (q + 1) ** 2) for count, (_, q) in zip(paired, estimates)]
 
 
 # ----------------------------------------------------------------------

@@ -208,3 +208,10 @@ def test_symmetry_report_kmss_conditional():
 def test_report_requires_inputs():
     with pytest.raises(StructureError):
         symmetry_report()
+    for n, chi in ((2.5, 3), (-1, 3), (True, 3), (2, 3.0), (2, False)):
+        with pytest.raises(StructureError):
+            symmetry_report(n=n, chi=chi)
+    for alpha_deg, n in ((2.5, 3), (2, 3.0), (True, 3), (2, True)):
+        with pytest.raises(StructureError, match="must be a list of integers"):
+            kmss_bound(alpha_deg, n)
+    assert symmetry_report(n=0, chi=1).n_max == 0
