@@ -29,15 +29,14 @@ or without one every face of that size (polytope._faces).  A product
 multiplies its factors' basis faces (Kunneth), a connected sum joins its
 summands' (with one top face), and the point model has only the empty
 face.
-pair_series reads a whole product of per-root factors at the points only as
-q-free characteristic numbers, products of the roots' power sums, and builds
-the q-series once from them; it evaluates only the roots supported at a
-point, and drops a point at which a root of an Euler-class group vanishes.
-The model keeps those numbers for one root list only, its own tangent
-roots, when they are the only nonzero roots and carry no Euler class: the
-numbers <p^mu(TM), [M]> of the Witten genus, the elliptic genus and
-phi_c(M; 0, TM) are then paired at the points once per model, in either
-order.  Twisted root lists are paired afresh on every call and not kept.
+pair_series takes a whole product of per-root factors as (kinds, roots) and
+prices, builds and pairs it in one pass, reading it at the points only as
+q-free characteristic numbers, products of the roots' power sums; it
+evaluates only the roots supported at a point, and drops a point at which a
+root of an Euler-class group vanishes.  The model keeps the numbers of its
+own tangent roots when they are the only nonzero roots and carry no Euler
+class (the Witten genus, the elliptic genus, phi_c(M; 0, TM)), paired once
+per model in either order; twisted root lists are paired afresh each call.
 
 The mod-2 test needs no elimination: each model keeps one basis of its even
 degree-2 classes mod 2 (IndexModel.is_even_vector), a quasitoric model's
@@ -48,22 +47,27 @@ reduction oracle (facering) cross-checks the pairing at small half-dimension.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpair import DEFAULT_SEED
-from .errors import InternalConsistencyError, StructureError
+from .errors import BudgetExceededError, InternalConsistencyError, StructureError
 from .polynomial import GradedPolynomial
 from .polytope import _containing, _faces, int_vector, shelling
-from .qseries import series_product
+from .qseries import _table_work, log_table, series_product
 
 _POINT_LO = 10 ** 3
 _POINT_HI = 10 ** 6
 
 _ZERO = Fraction(0)
+
+# The most work pair_series takes on: 3.4e5 for Witten at q^400 on CP^2, 1.8e6 for W
+# on cube:14 at q^4, 1.7e7 (11 s; 8.0e7 at q^860, a minute) for CP^6 with W = u_1, c1c =
+# u_0 at q^400, and 9.2e6 (2.9 s) for the tables alone of Witten on cube:3 at q^90000.
+# It also caps index.admissible_splits at m * 2^r entries: cp:18 has 5.0e6, cp:19 1.05e7.
+PAIRING_BUDGET = 10 ** 7
 
 
 def _int_class(cls, gen_count, what):
@@ -74,15 +78,6 @@ def _int_class(cls, gen_count, what):
     if len(vec) != gen_count:
         raise StructureError("%s %r has length %d, expected %d" % (what, vec, len(vec), gen_count))
     return vec
-
-
-def _integer_rows(rows):
-    """Each row times the lcm of its denominators (same rank and kernel)."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +205,9 @@ class IndexModel:
         face of size 0, which every point contains (_face_pairings).  That
         face's list needs no basis work (_face_list), so a model that only
         pairs top-degree classes never builds a basis."""
-        for _, a, den in self._face_pairings(poly.homogeneous_part(self.n).terms, 0):
-            return Fraction(a, den)
+        self._own_terms(poly)
+        for _, value in self._face_pairings(poly, poly.homogeneous_part(self.n).terms, 0):
+            return value
         return _ZERO
 
     def pair_monomial(self, mon) -> Fraction:
@@ -233,21 +229,18 @@ class IndexModel:
         """
         n = self.n
         parts = {}
-        for mon, c in poly.terms.items():
+        for mon, c in self._own_terms(poly).items():
             if len(mon) <= n:  # beyond top degree: zero automatically
                 parts.setdefault(len(mon), {})[mon] = c
         for d in sorted(parts):
-            for S, numerator, _ in self._face_pairings(parts[d], n - d):
-                if numerator:
+            for S, value in self._face_pairings(poly, parts[d], n - d):
+                if value:
                     return S
         return None
 
-    def _face_pairings(self, terms, k):
-        """One (S, numerator, denominator) per face S of size k in _face_list,
-        lazily: the pairing of u_S with a homogeneous {monomial: coefficient}."""
-        for mon in terms:
-            for i in mon:
-                self._generator(i)
+    def _face_pairings(self, poly, terms, k):
+        """One (S, pairing) per face S of size k in _face_list, lazily: the
+        pairing of u_S with terms, poly's part of degree n - k."""
         point_sets = self.fixed_points()
         masks = self._support_masks()
         full = (1 << len(point_sets[0])) - 1
@@ -269,21 +262,19 @@ class IndexModel:
                         v = cache[p] = _evaluate(vals, constant, by_first)
                     if v:
                         total += v * _monomial_value(S, vals) * (common // den)
-                sums.append((total, common))
-            (a, den_a), (b, den_b) = sums
-            if a * den_b != b * den_a:
-                raise InternalConsistencyError(
-                    "pairing of %r with u_%r disagrees between generic points: %s vs %s"
-                    % (GradedPolynomial(terms), S, Fraction(a, den_a * scale),
-                       Fraction(b, den_b * scale)))
-            yield S, a, den_a * scale
+                sums.append(Fraction(total, common * scale) if total else _ZERO)  # most are 0
+            yield S, _agree(sums, "pairing of the degree-%d part of %r with u_%r",
+                            self.n - k, poly, S)
 
-    def _generator(self, i):
-        """i, refused unless it is one of the model's generators 0..gen_count - 1."""
-        if not 0 <= i < self.gen_count:
-            raise StructureError("u_%d is not a generator of %s (u_0..u_%d)"
-                                 % (i, self.name, self.gen_count - 1))
-        return i
+    def _own_terms(self, poly):
+        """poly's terms, refused unless each is over the model's generators
+        0..gen_count - 1 only."""
+        for mon in poly.terms:
+            for i in mon:
+                if not 0 <= i < self.gen_count:
+                    raise StructureError("u_%d is not a generator of %s (u_0..u_%d)"
+                                         % (i, self.name, self.gen_count - 1))
+        return poly.terms
 
     def _support_masks(self):
         """Per generator, the bitset of the points supporting it; built once."""
@@ -313,18 +304,25 @@ class IndexModel:
         monomials of complementary degree (see nonzero_face)."""
         return self.nonzero_face(poly) is None
 
-    def pair_series(self, groups, q_order: int) -> list:
-        """Top-degree pairing of prod over groups of prod_{x in roots} F(x), per q^j.
+    def pair_series(self, plan, q_order: int) -> list:
+        """Top-degree pairing of prod over plan of prod_{x in roots} F(x), per q^j.
 
-        groups: (table, roots) with table = (xpow, c, L) from
-        qseries.log_table(..., q_order, n), so F(x) = x^xpow c exp(sum_k
-        L_k(q) x^k) with c a number, and roots linear classes.  With p_gk the
-        k-th power sum of group g's roots, e = prod x^xpow, C = prod c^#roots,
-        the product is e C exp(sum L^g_k p_gk), and its pairing is C times
-        sum_mu <e p^mu, [M]> prod (L^g_k)^mu_gk / mu_gk!, mu over the exponent
-        vectors of weight sum k mu_gk = n - deg e in the variables (g, k) with
-        L^g_k nonzero and a nonzero root in g.  So the points give only these
-        q-free characteristic numbers, and the series is assembled once.
+        plan: (kinds, roots), roots linear classes, F(x) = prod_K root_factor(K,
+        x) = x^xpow c exp(sum_k L_k(q) x^k), c a number, from its table
+        (xpow, c, L) = qseries.log_table(kinds, q_order, n).  With p_gk the
+        k-th power sum of group g's roots, e = prod x^xpow, C = prod
+        c^#roots, the product is e C exp(sum L^g_k p_gk), and its pairing is
+        C times sum_mu <e p^mu, [M]> prod (L^g_k)^mu_gk / mu_gk!, mu over the
+        exponent vectors of weight sum k mu_gk = n - deg e in the variables
+        (g, k) with L^g_k nonzero and a nonzero root in g.  So the points
+        give only these q-free characteristic numbers (_characteristic_numbers,
+        agreed at both point sets), and the series is assembled once.
+
+        One pass, priced as it goes: past PAIRING_BUDGET steps it raises
+        BudgetExceededError before any point is paired, on the tables' work
+        (qseries._table_work) before they are built, or on the exponent
+        vectors as they are formed, a step per point and n (q_order + 1)^2
+        each.  It pairs the vectors it formed; with none it draws no point.
 
         Only the roots supported at a point are evaluated there: each group
         is indexed by generator, and the point's own nonzero generators are
@@ -333,29 +331,36 @@ class IndexModel:
         groups are evaluated first and the point is dropped before any
         other group.
 
-        The numbers (_characteristic_numbers, agreed at both point sets) are
-        split from the series assembly.  When the model's tangent roots are
-        the only group with a nonzero root and no group has xpow > 0, the
-        numbers are <p^mu(TM), [M]>, whatever the kinds: they are kept per
-        tuple of k rows formed, and a later call forming the same rows
-        (the Witten genus after the elliptic genus, or the other way round)
-        reads them without evaluating a point.  Its exponent vectors are
-        still formed, for the assembly.
+        When the model's tangent roots are the only group with a nonzero
+        root and no group has xpow > 0, the numbers are <p^mu(TM), [M]>,
+        whatever the kinds: they are kept per tuple of k rows formed, and a
+        later call forming the same rows (the Witten genus after the
+        elliptic genus, or the other way round) reads them without
+        evaluating a point.
         """
-        groups = sorted(((table, roots) for table, roots in groups if roots),
+        plan = [(kinds, roots) for kinds, roots in plan if roots]
+        work = _table_work(plan, self.n, q_order)
+        _check_work(work, q_order)
+        groups = sorted(((log_table(kinds, q_order, self.n), roots) for kinds, roots in plan),
                         key=lambda g: g[0][0] == 0)
-        top, plan = _row_plan(groups, self.n)
+        top, ks_plan = _row_plan(groups, self.n)
         indexed, rows, live = [], [], []
-        for ((xpow, _, L), roots), ks in zip(groups, plan):
+        for ((xpow, _, L), roots), ks in zip(groups, ks_plan):
             by_gen = {}
             for r, root in enumerate(roots):
+                self._own_terms(root)
                 for i, a in _linear_items(root):
-                    by_gen.setdefault(self._generator(i), []).append((r, a))
+                    by_gen.setdefault(i, []).append((r, a))
             indexed.append((xpow, len(roots), by_gen, ks))
             rows += [(k, L[k - 1]) for k in ks]
             if by_gen:
                 live.append(list(roots))
-        monomials = list(_exponent_vectors([k for k, _ in rows], top))
+        monomials = []
+        for mu in _exponent_vectors([k for k, _ in rows], top):
+            if not monomials:
+                step = len(self.fixed_points()[0]) + self.n * (q_order + 1) ** 2
+            monomials.append(mu)
+            _check_work(work + step * len(monomials), q_order)
         if not monomials:  # top < 0, or an odd top with only even k
             return [_ZERO] * (q_order + 1)
         if top == self.n and live == [self.tangent_roots]:
@@ -430,16 +435,11 @@ def _row_plan(groups, n):
                  for (_, _, L), roots in groups]
 
 
-def _pairing_work(model: IndexModel, groups, q_order: int, budget: int) -> int:
-    """About the steps of model.pair_series on the built groups: its exponent
-    vectors (_exponent_vectors over _row_plan's rows, counted only until past
-    budget), each formed at every point and multiplying up to n q-rows."""
-    top, plan = _row_plan(groups, model.n)
-    vectors = _exponent_vectors([k for ks in plan for k in ks], top)
-    if next(vectors, None) is None:  # nothing to pair: no generic point is drawn
-        return 0
-    step = len(model.fixed_points()[0]) + model.n * (q_order + 1) ** 2
-    return step * (1 + sum(1 for _ in itertools.islice(vectors, budget // step)))
+def _check_work(work, q_order):
+    """Refuse a pairing whose work is past PAIRING_BUDGET."""
+    if work > PAIRING_BUDGET:
+        raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
+                                  "budget of %d" % (q_order, work, PAIRING_BUDGET))
 
 
 def _agree(values, what, *args):

@@ -7,21 +7,31 @@ normalization: the degree-n part of Q[u_free] modulo the minimal non-faces
 functional is scaled so that the base vertex monomial pairs to the product
 of its signs.  The tests compare it with the engine at small half-dimension;
 QuasitoricModel.ring_reduction_pairing builds it on first use, so nothing
-else imports this module.
+else in the package imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .charpair import _dual_basis, _eliminate
-from .cohomology import _ZERO, _integer_rows
+from .cohomology import _ZERO
 from .errors import InternalConsistencyError, OracleUnavailableError
 from .polynomial import GradedPolynomial, monomials_of_degree
 
 MAX_N = 3
 MAX_FREE = 8
+
+
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators (same rank and kernel)."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out
 
 
 def _minimal_nonfaces(model, max_size):

@@ -5,10 +5,13 @@ phi_c(M; V, W) is evaluated cohomologically: the top-degree pairing of
     e(V) * Q2'(V) * Q1(TM) * Q3(W) * Ahat(TM)          (V a sum of lines)
     e^{c1c/2}    * Q1(TM) * Q3(W) * Ahat(TM)           (V = 0)
 
-per power of q, all over exact rationals.  The integrand is never expanded
-into monomials: each per-root factor is a cached closed-form table
-(qseries.log_table) x^xpow c exp(sum_k L_k(q) x^k), and the model's
-fixed-point engine (IndexModel.pair_series) pairs only q-free
+per power of q, all over exact rationals.  phi_c only describes the
+integrand, as (kinds, roots) factors, the V factor spelled e^{c1(V)/2} *
+Q2(V), which has the table of e(V) * Q2'(V).  It is never expanded into
+monomials: in one pass the model's fixed-point engine
+(IndexModel.pair_series) reads each per-root factor from a cached
+closed-form table (qseries.log_table) x^xpow c exp(sum_k L_k(q) x^k),
+prices the pairing against PAIRING_BUDGET, pairs only q-free
 characteristic numbers, products of power sums of the root values, at the
 fixed points and assembles the q-series once.  A twist W by the tangent
 roots themselves joins their group, its kind concatenated (the L_k add):
@@ -33,28 +36,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import (
+    PAIRING_BUDGET,
     AdmissibilityReport,
     BundleSpec,
     IndexModel,
     QuasitoricModel,
-    _pairing_work,
     check_admissible,
 )
 from .errors import (BudgetExceededError, HypothesisUnmetError, InternalConsistencyError,
                      StructureError)
 from .polynomial import GradedPolynomial
 from .polytope import FacetColoring, verify_coloring
-from .qseries import log_table, series_product
+from .qseries import series_product
 
 DEFAULT_Q_ORDER = 4
-
-# The most work phi_c takes on (_table_work + _pairing_work): 3.4e5 for Witten at
-# q^400 on CP^2 and 1.8e6 for an index with W on cube:14 at q^4; on CP^6 with
-# W = u_1 and c1c = u_0, 1.7e7 at q^400 runs 11 s, and 8.0e7 at q^860 about a minute.
-# Witten on cube:3 forms no exponent vector; its tables take 2.9 s at q^90000 (9.2e6).
-# It also caps admissible_splits' list at m * 2^r entries: cp:18 has 19 * 2^18
-# (5.0e6) and is listed, cp:19 has 20 * 2^19 (1.05e7) and is refused.
-PAIRING_BUDGET = 10 ** 7
 
 
 @dataclass
@@ -106,50 +101,42 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
           c1c=None) -> IndexResult:
     """Twisted Dirac index over any model, per power of q.
 
-    With V a nonzero sum of line bundles the Euler-class route e(V)*Q2'(V)
-    is used (integral classes only); the e^{c1(V)/2}*Q2(V) form has the same
-    log_table, so it is not a route of its own.  With V = 0 the class c1c
-    (default 0, the Witten-genus convention) enters through e^{c1c/2} alone,
-    and a c1c given with a nonzero V is refused before any pairing.  Work past
-    PAIRING_BUDGET raises BudgetExceededError: the tables' own before they
-    are built, with the pairing's price on them before any point is paired.
+    phi_c only describes the integrand, as (kinds, roots) factors, and
+    model.pair_series builds, prices and pairs it in one pass.  A nonzero V
+    (integral classes only) is spelled e^{c1(V)/2} Q2(V), ("EXPHALF",
+    "Q2") per root, whose table is that of e(V) Q2'(V).  With V = 0 the
+    class c1c (default 0, the Witten-genus convention) enters through
+    e^{c1c/2} alone, and a c1c given with a nonzero V is refused before any
+    pairing.  Work past PAIRING_BUDGET raises BudgetExceededError before
+    any point is paired (see IndexModel.pair_series).
     """
     check_q_order(q_order)
     V = _as_bundle(model, V)
     W = _as_bundle(model, W)
     if V.dim and c1c is not None:
         raise StructureError("c1c is determined by V when V is nonzero")
-    n = model.n
     warnings = []
     admissibility = check_admissible(model, V, W, c1c=c1c)
 
     tangent_twist = W.classes == model.tangent_roots
     plan = [(("Q1", "AHAT", "Q3") if tangent_twist else ("Q1", "AHAT"),
-             model.tangent_roots, False)]
+             model.tangent_roots)]
     if V.dim == 0:
         if c1c is None and not admissibility.spin_c_exists:
             warnings.append(
                 "c1(M) is not even: no Spin structure, c1^c = 0 is a formal choice")
-        plan.append((("EXPHALF",), [GradedPolynomial.linear(admissibility.c1c_vector)], False))
+        plan.append((("EXPHALF",), [GradedPolynomial.linear(admissibility.c1c_vector)]))
     else:
-        plan.append((("Q2PRIME",), V.classes, True))
+        plan.append((("EXPHALF", "Q2"), V.classes))
     if W.dim and not tangent_twist:
-        plan.append((("Q3",), W.classes, False))
-    work = _table_work(plan, n, q_order)
-    if work <= PAIRING_BUDGET:
-        groups = [(log_table(kinds, q_order, n, euler=e), roots) for kinds, roots, e in plan]
-        work += _pairing_work(model, groups, q_order, PAIRING_BUDGET - work)
-    if work > PAIRING_BUDGET:
-        raise BudgetExceededError("q_order %d: the pairing needs about %d steps, over the "
-                                  "budget of %d" % (q_order, work, PAIRING_BUDGET))
-
+        plan.append((("Q3",), W.classes))
     if not admissibility.met:
         warnings.append("hypotheses unmet: " + ", ".join(
             k for k, v in admissibility.as_dict().items()
             if k != "hypotheses_met" and not v))
 
-    series = model.pair_series(groups, q_order)
-    if n % 2 == 0 and V.dim == 0 and not any(admissibility.c1c_vector) and tangent_twist:
+    series = model.pair_series(plan, q_order)
+    if model.n % 2 == 0 and V.dim == 0 and not any(admissibility.c1c_vector) and tangent_twist:
         _check_signature(model, series[0])
 
     meta = {"model": model.name, "V": V.to_vectors(), "W": W.to_vectors()}
@@ -176,17 +163,6 @@ def _check_signature(model: IndexModel, constant) -> None:
             raise InternalConsistencyError(
                 "q^0 of the tangent twist is %s, but the vertex signs sum to %d: "
                 "expected %s" % (constant, sigma, scale * sigma))
-
-
-def _table_work(plan, n: int, q_order: int) -> int:
-    """About the steps of log_table on the groups of the plan.
-
-    Each group has up to n rows of q_order + 1 coefficients, and a divisor
-    sum sieves a row in about (q_order + 1) * ln(q_order) steps.  Counted
-    even where pair_series forms no exponent vector, as for the Witten genus
-    in odd n, so that a huge q_order is refused before any table is built.
-    """
-    return len(plan) * n * (q_order + 1) * (q_order + 1).bit_length()
 
 
 # ----------------------------------------------------------------------

@@ -275,15 +275,27 @@ def series_product(a, b):
     return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(N + 1)]
 
 
+def _table_work(plan, n: int, q_order: int) -> int:
+    """About the steps of log_table on the groups of the plan.
+
+    Each group has up to n rows of q_order + 1 coefficients, and a divisor
+    sum sieves a row in about (q_order + 1) * ln(q_order) steps.  Counted
+    even where pair_series forms no exponent vector, as for the Witten genus
+    in odd n, so that a huge q_order is refused before any table is built.
+    """
+    return len(plan) * n * (q_order + 1) * (q_order + 1).bit_length()
+
+
 @lru_cache(maxsize=None)
-def log_table(kinds: tuple, q_order: int, trunc: int, euler: bool = False):
-    """Power-sum form of one root's factor F(x) = [x *] prod_K root_factor(K, x).
+def log_table(kinds: tuple, q_order: int, trunc: int):
+    """Power-sum form of one root's factor F(x) = prod_K root_factor(K, x).
 
     Returns (xpow, c, L) with F(x) = x^xpow * c * exp(sum_k L[k-1](q) x^k)
     through x^trunc and q^q_order; each L[k-1] is a tuple of q coefficients.
-    xpow counts the Euler-class x (euler set) and the Q2 factors, which are
-    x e^{-x/2} times Q2PRIME; L is known through x^(trunc - xpow), all that
-    the top degree needs.  c is 2 per Q3 factor.  A factor that vanishes
+    xpow counts the Q2 factors, which are x e^{-x/2} times Q2PRIME, so
+    ("EXPHALF", "Q2") is the Euler class x times Q2PRIME; L is known
+    through x^(trunc - xpow), all that the top degree needs.  c is 2 per
+    Q3 factor.  A factor that vanishes
     through x^trunc gets xpow = trunc + 1, c = 0 and empty L.
 
     The L_k add over the kinds, in closed form (Zagier, LNM 1326, 1988;
@@ -295,7 +307,7 @@ def log_table(kinds: tuple, q_order: int, trunc: int, euler: bool = False):
     """
     if not set(kinds) <= set(ROOT_KINDS):
         raise StructureError("unknown root factor kind in %r" % (kinds,))
-    xpow = euler + kinds.count("Q2")
+    xpow = kinds.count("Q2")
     if xpow > trunc:
         return trunc + 1, _ZERO, ()
     bernoulli = [Fraction(1)]  # sum_{j <= m} C(m + 1, j) B_j = 0

@@ -18,14 +18,13 @@ from qtoric.cohomology import (
     BundleSpec,
     PointModel,
     QuasitoricModel,
-    _integer_rows,
     check_admissible,
     is_even_class,
 )
 from qtoric.errors import OracleUnavailableError, StructureError
+from qtoric.facering import _integer_rows
 from qtoric.polynomial import GradedPolynomial as GP
 from qtoric.polynomial import monomials_of_degree
-from qtoric.qseries import log_table
 
 
 def test_cp1_normalization():
@@ -225,7 +224,8 @@ def test_colored_cube_admissible():
 def test_point_model():
     pt = PointModel()
     assert pt.pair_monomial(()) == 1
-    assert pt.pair_monomial((0,)) == 0
+    with pytest.raises(StructureError, match="not a generator"):
+        pt.pair_monomial((0,))  # the point has no generator
     assert pt.is_even_vector(())
 
 
@@ -237,12 +237,16 @@ def test_point_model_series_is_exact():
 
 def test_generators_outside_the_model_are_refused():
     """cp:2 has u_0..u_2: a class or root over another generator is refused,
-    not paired as zero."""
+    not paired as zero, in every degree, also in one that is not paired."""
     m = cp_pair(2).to_index_model()
+    u0, u9 = GP.generator(0), GP.generator(9)
     for pair in (lambda: m.pair_top(GP.generator(5) * GP.generator(5)),
                  lambda: m.pair_monomial((7, 7)),
-                 lambda: m.is_zero_class(GP.generator(0) * GP.generator(9)),
-                 lambda: m.pair_series([(log_table(("Q3",), 0, 2), [GP.generator(9)])], 0)):
+                 lambda: m.is_zero_class(u0 * u9),
+                 lambda: m.is_zero_class(u9 * u9 * u9),
+                 lambda: m.pair_top(u0 + u9),
+                 lambda: m.nonzero_face(u0 * u0 + u9),
+                 lambda: m.pair_series([(("Q3",), [u9])], 0)):
         with pytest.raises(StructureError, match="not a generator"):
             pair()
 

@@ -96,12 +96,14 @@ def test_phi_c_rejects_c1c_with_nonzero_v():
 
 
 def test_q2_spelling_has_the_q2prime_table():
-    """e^{c1/2} Q2 and e(V) Q2' build one table per root: xpow 1, L_1 = 0,
-    the same even L_k and c = 1, so phi_c has one route for a nonzero V."""
+    """e^{x/2} Q2(x) = x Q2'(x), so phi_c spells e(V) Q2'(V) as ("EXPHALF",
+    "Q2"): its table is Q2PRIME's times the Euler class x, xpow 1 with the
+    L_k of Q2PRIME (L_1 = 0) through one degree less, and c = 1."""
     for q_order in range(7):
-        for n in range(9):
-            assert (log_table(("EXPHALF", "Q2"), q_order, n)
-                    == log_table(("Q2PRIME",), q_order, n, euler=True)), (q_order, n)
+        assert log_table(("EXPHALF", "Q2"), q_order, 0) == (1, 0, ())
+        for n in range(1, 9):
+            _, c, L = log_table(("Q2PRIME",), q_order, n - 1)
+            assert log_table(("EXPHALF", "Q2"), q_order, n) == (1, c, L), (q_order, n)
 
 
 # ----------------------------------------------------------------------
@@ -109,10 +111,12 @@ def test_q2_spelling_has_the_q2prime_table():
 
 
 def _stub_pairing(model, monkeypatch):
-    """Replace model.pair_series by a zero series, recording its q-orders."""
+    """Replace the model's characteristic numbers by zeros, recording how
+    many exponent vectors each pairing pairs.  pair_series keeps its
+    budget, which it checks before any number is paired."""
     calls = []
-    monkeypatch.setattr(model, "pair_series",
-                        lambda groups, q_order: calls.append(q_order) or [Fraction(0)] * (q_order + 1))
+    monkeypatch.setattr(model, "_characteristic_numbers", lambda indexed, monomials: (
+        calls.append(len(monomials)) or [0] * len(monomials)))
     return calls
 
 
@@ -120,12 +124,12 @@ CP6_TWIST = {"W": [[0, 1, 0, 0, 0, 0, 0]], "c1c": [1, 0, 0, 0, 0, 0, 0]}
 
 
 def test_pairing_budget_admits_cp6_twist_through_q302(monkeypatch):
-    """CP^6 with W = u_1 and c1c = u_0 needs 9,964,584 steps at q^302
-    (49,086 of them for the tables)."""
+    """CP^6 with W = u_1 and c1c = u_0 needs 9,964,584 steps at q^302:
+    49,086 for the tables and 18 exponent vectors of 7 + 6 * 303^2 each."""
     model = cp_pair(6).to_index_model()
     calls = _stub_pairing(model, monkeypatch)
-    phi_c(model, None, CP6_TWIST["W"], q_order=302, c1c=CP6_TWIST["c1c"])
-    assert calls == [302]
+    assert phi_c(model, None, CP6_TWIST["W"], q_order=302, c1c=CP6_TWIST["c1c"]).is_zero()
+    assert calls == [18]
 
 
 @pytest.mark.parametrize("q_order", [303, 860])
@@ -141,40 +145,33 @@ def test_pairing_budget_refuses_cp6_twist_from_q303(q_order, monkeypatch):
 @pytest.mark.parametrize("genus", [witten_genus, elliptic_genus])
 def test_budget_counts_tables_where_no_exponent_vector_is_formed(genus, monkeypatch):
     """On cube:3 every L_k of the Witten and elliptic genus that fits in odd
-    degree 3 vanishes, so pair_series forms no exponent vector; the tables
-    alone are then refused past the budget, and admitted below it."""
-    from qtoric import cohomology, index
-    groups = [(log_table(("Q1", "AHAT"), 1000, 3), CUBE3.tangent_roots)]
-    for q_order in (1000, 10 ** 9):
-        assert cohomology._pairing_work(CUBE3, groups, q_order, index.PAIRING_BUDGET) == 0
+    degree 3 vanishes, so pair_series forms no exponent vector and pairs
+    nothing; the tables alone are then refused past the budget, before any
+    is built, and built and admitted below it."""
+    from qtoric import cohomology
+    built, table = [], cohomology.log_table
+    monkeypatch.setattr(cohomology, "log_table", lambda kinds, q_order, trunc: (
+        built.append(q_order) or table(kinds, q_order, trunc)))
     calls = _stub_pairing(CUBE3, monkeypatch)
-    with pytest.raises(BudgetExceededError, match="over the budget"):
+    with pytest.raises(BudgetExceededError, match="needs about 180000000180 steps"):
         genus(CUBE3, q_order=10 ** 9)
-    assert calls == []
-    assert genus(CUBE3, q_order=1000).is_zero() and calls == [1000]
+    assert built == [] and calls == []
+    assert genus(CUBE3, q_order=1000).is_zero()
+    assert built == [1000, 1000] and calls == []  # the tangent and the c1c tables
 
 
 def test_pairing_price_stops_counting_past_the_budget(monkeypatch):
-    """The price enumerates the exponent vectors lazily and stops at the
+    """pair_series enumerates the exponent vectors lazily and stops at the
     first one past the budget, so a refusal forms no more of them than the
     budget admits: CP^40 with W = u_1 and c1c = u_0 has about 80,000 at q^4."""
-    from qtoric import cohomology, index
+    from qtoric import cohomology, qseries
     model = cp_pair(40).to_index_model()
-    counted, vectors = [], cohomology._exponent_vectors
-
-    def counting(weights, total):
-        counted.append(0)
-        for mu in vectors(weights, total):
-            counted[-1] += 1
-            yield mu
-
-    monkeypatch.setattr(cohomology, "_exponent_vectors", lambda weights, total, start=0: (
-        vectors(weights, total, start) if start else counting(weights, total)))
+    formed = _listing_vectors(monkeypatch)
     with pytest.raises(BudgetExceededError, match="over the budget"):
         phi_c(model, None, [[0, 1] + [0] * 39], q_order=4, c1c=[1] + [0] * 40)
     step = len(model.fixed_points()[0]) + 40 * 5 ** 2  # per vector, at 41 points
-    remaining = index.PAIRING_BUDGET - index._table_work([None] * 3, 40, 4)  # three groups
-    assert counted == [1 + remaining // step]
+    remaining = cohomology.PAIRING_BUDGET - qseries._table_work([None] * 3, 40, 4)  # three groups
+    assert [len(vectors) for vectors in formed] == [1 + remaining // step]
 
 
 def test_zero_pairing_draws_no_generic_points():
@@ -191,43 +188,112 @@ def test_zero_pairing_draws_no_generic_points():
 
 
 def test_budget_counts_tables_with_more_euler_classes_than_n(monkeypatch):
-    """Four Euler classes on CP^2 leave no degree for any row."""
+    """Four Euler classes on CP^2 leave no degree for any row, so nothing
+    is paired; the tables alone are refused at q^10^9."""
     calls = _stub_pairing(CP2, monkeypatch)
-    with pytest.raises(BudgetExceededError, match="over the budget"):
+    with pytest.raises(BudgetExceededError, match="needs about 120000000120 steps"):
         phi_c(CP2, [[1, 0, 0]] * 4, None, q_order=10 ** 9)
-    assert calls == []
-    assert phi_c(CP2, [[1, 0, 0]] * 4, None, q_order=100).is_zero() and calls == [100]
+    assert phi_c(CP2, [[1, 0, 0]] * 4, None, q_order=100).is_zero() and calls == []
 
 
-@pytest.mark.parametrize("model", [CP3, CUBE3, S2S2, ProductModel(CP2, S2)],
-                         ids=["cp:3", "cube:3", "s2xs2", "cp:2 x s2"])
-def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
-    """The budget's estimate is the number of exponent vectors pair_series
-    forms, times its per-vector steps, on every route of phi_c: the merged
-    tangent group of the elliptic genus and of phi_c(M; 0, TM) too, and on
-    a call that reads the kept tangent numbers.  The price and the pairing
-    enumerate the same vectors, the price first."""
-    from qtoric import cohomology, index
-    estimates, formed = [], []
-    work, vectors = index._pairing_work, cohomology._exponent_vectors
-    monkeypatch.setattr(index, "_pairing_work", lambda *args: estimates.append(
-        (work(*args), args[2])) or estimates[-1][0])
+ROUTE_MODELS = [CP3, CUBE3, S2S2, ProductModel(CP2, S2)]
+ROUTE_IDS = ["cp:3", "cube:3", "s2xs2", "cp:2 x s2"]
+
+
+def _routes(model):
+    """Every route of phi_c, each with its number of groups: the merged
+    tangent group of the elliptic genus and of phi_c(M; 0, TM) too."""
+    line = [[1] + [0] * (model.gen_count - 1)]
+    routes = [(2, lambda q: witten_genus(model, q)),
+              (3, lambda q: phi_c(model, None, line, q_order=q, c1c=line[0])),
+              (3, lambda q: phi_c(model, line, line, q_order=q)),
+              (2, lambda q: phi_c(model, None, model.tangent_bundle(), q_order=q))]
+    if model.is_even_vector(model.c1_vector):
+        routes.append((2, lambda q: elliptic_genus(model, q)))
+    return routes
+
+
+def _listing_vectors(monkeypatch):
+    """Record the exponent vectors of each top-level _exponent_vectors call."""
+    from qtoric import cohomology
+    formed, vectors = [], cohomology._exponent_vectors
+
+    def listing(weights, total):
+        formed.append([])
+        for mu in vectors(weights, total):
+            formed[-1].append(mu)
+            yield mu
+
     monkeypatch.setattr(cohomology, "_exponent_vectors", lambda weights, total, start=0: (
-        vectors(weights, total, start) if start
-        else formed.append(len(list(vectors(weights, total)))) or vectors(weights, total)))
-    m, n, points = model.gen_count, model.n, len(model.fixed_points()[0])
-    line = [[1] + [0] * (m - 1)]
+        vectors(weights, total, start) if start else listing(weights, total)))
+    return formed
+
+
+@pytest.mark.parametrize("model", ROUTE_MODELS, ids=ROUTE_IDS)
+def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
+    """The price is the tables' work plus, per exponent vector pair_series
+    forms, a step per point and n (q_order + 1)^2, on every route of phi_c
+    and on a call that reads the kept tangent numbers: a budget of exactly
+    that price admits the call, and one step less refuses it with the price
+    as its figure."""
+    from qtoric import cohomology, qseries
+    formed = _listing_vectors(monkeypatch)
+    n, points, budget = model.n, len(model.fixed_points()[0]), cohomology.PAIRING_BUDGET
     for q_order in range(4):
-        witten_genus(model, q_order)
-        phi_c(model, None, line, q_order=q_order, c1c=line[0])
-        phi_c(model, line, line, q_order=q_order)
-        if model.is_even_vector(model.c1_vector):
-            elliptic_genus(model, q_order)
-        phi_c(model, None, model.tangent_bundle(), q_order=q_order)
-    priced, paired = formed[::2], formed[1::2]
-    assert any(paired) and priced == paired and len(estimates) == len(paired)
-    assert [w for w, _ in estimates] == [
-        count * (points + n * (q + 1) ** 2) for count, (_, q) in zip(paired, estimates)]
+        for groups, route in _routes(model):
+            series = route(q_order).series
+            price = (qseries._table_work([None] * groups, n, q_order)
+                     + len(formed[-1]) * (points + n * (q_order + 1) ** 2))
+            monkeypatch.setattr(cohomology, "PAIRING_BUDGET", price)
+            assert route(q_order).series == series
+            monkeypatch.setattr(cohomology, "PAIRING_BUDGET", price - 1)
+            with pytest.raises(BudgetExceededError, match="needs about %d steps" % price):
+                route(q_order)
+            monkeypatch.setattr(cohomology, "PAIRING_BUDGET", budget)
+    assert any(formed)
+
+
+@pytest.mark.parametrize("model", ROUTE_MODELS, ids=ROUTE_IDS)
+def test_each_pairing_forms_its_exponent_vectors_once(model, monkeypatch):
+    """phi_c describes the integrand, and pair_series builds, prices and
+    pairs it in one pass: one _row_plan and one _exponent_vectors
+    enumeration per call, and the numbers are paired on the very vectors
+    that enumeration formed."""
+    from qtoric import cohomology
+    formed = _listing_vectors(monkeypatch)
+    plans, paired = [], []
+    row_plan, numbers = cohomology._row_plan, model._characteristic_numbers
+    monkeypatch.setattr(cohomology, "_row_plan", lambda groups, n: (
+        plans.append(n) or row_plan(groups, n)))
+    monkeypatch.setattr(model, "_characteristic_numbers", lambda indexed, monomials: (
+        paired.append((len(formed) - 1, monomials)) or numbers(indexed, monomials)))
+    calls = 0
+    for q_order in range(3):
+        for _, route in _routes(model):
+            route(q_order)
+            calls += 1
+            assert len(plans) == len(formed) == calls
+    assert paired and all(monomials == formed[i] for i, monomials in paired)
+
+
+@pytest.mark.parametrize("k, route, q_order, figure", [
+    (2, lambda m, q: witten_genus(m, q), 10 ** 9, 120000000120),
+    (2, lambda m, q: witten_genus(m, q), 3000, 18156053),
+    (6, lambda m, q: phi_c(m, None, [[0, 1, 0, 0, 0, 0, 0]], q_order=q), 406, 10004944),
+], ids=["witten cp:2 q^10^9", "witten cp:2 q^3000", "index cp:6 W q^406"])
+def test_refusal_comes_before_any_point_is_paired(k, route, q_order, figure, monkeypatch):
+    """The CLI's three budget refusals, in process, with their figures: on
+    the tables' work alone and on the vectors' alike, no point is paired."""
+    model = cp_pair(k).to_index_model()
+
+    def refuse(*args):
+        raise AssertionError("a point was paired")
+
+    monkeypatch.setattr(model, "_characteristic_numbers", refuse)
+    with pytest.raises(BudgetExceededError,
+                       match="q_order %d: the pairing needs about %d steps, over the budget "
+                             "of 10000000" % (q_order, figure)):
+        route(model, q_order)
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +321,8 @@ def test_signature_check_refuses_a_wrong_constant(monkeypatch):
     the numbers were just paired or read from the kept ones."""
     model = s2xs2_pair().to_index_model()
     pair = model.pair_series
-    monkeypatch.setattr(model, "pair_series", lambda groups, q_order: [
-        c + 1 for c in pair(groups, q_order)])
+    monkeypatch.setattr(model, "pair_series", lambda plan, q_order: [
+        c + 1 for c in pair(plan, q_order)])
     with pytest.raises(InternalConsistencyError, match="vertex signs sum to 0"):
         elliptic_genus(model, q_order=1)
     monkeypatch.undo()
