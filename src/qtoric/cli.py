@@ -5,7 +5,8 @@ computations, and emits machine-readable JSON (default) or plain text.
 Rationals are serialized as strings "p/q" so nothing is lost to floats.
 
 Exit codes: 0 success, 2 validation failure or malformed input,
-3 hypothesis unmet (incl. inconclusive searches), 4 internal-consistency error.
+3 hypothesis unmet or budget exceeded (a refused computation, whose stderr
+reads "budget exceeded: ..."), 4 internal-consistency error.
 """
 
 from __future__ import annotations
@@ -405,8 +406,11 @@ def main(argv=None) -> int:
     except (StructureError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except (HypothesisUnmetError, BudgetExceededError) as exc:
+    except HypothesisUnmetError as exc:
         print("hypothesis unmet: %s" % exc, file=sys.stderr)
+        return EXIT_HYPOTHESIS
+    except BudgetExceededError as exc:
+        print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (InternalConsistencyError, QtoricError) as exc:
         print("internal consistency error: %s" % exc, file=sys.stderr)

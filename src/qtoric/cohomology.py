@@ -23,6 +23,9 @@ containing S only, which only the engine finds (_face_list).  pair_top is
 the pairing with the empty face, u_() = 1; is_zero_class pairs a class
 only against a basis of the complementary degree of H*(M; Q), the
 monomials u_S of faces that each model reads off its structure (_basis).
+A basis face keeps its weights u_S(p) lcm / den_p per point set, built the
+first time it is paired, so a later zero test only evaluates the class;
+the empty face spans every point and builds its weights per call.
 A quasitoric model takes the h_k restriction faces of size k of its
 polytope's certified shelling (polytope.shelling, built once per model),
 or without one every face of that size (polytope._faces).  A product
@@ -31,12 +34,14 @@ summands' (with one top face), and the point model has only the empty
 face.
 pair_series takes a whole product of per-root factors as (kinds, roots) and
 prices, builds and pairs it in one pass, reading it at the points only as
-q-free characteristic numbers, products of the roots' power sums; it
-evaluates only the roots supported at a point, and drops a point at which a
-root of an Euler-class group vanishes.  The model keeps the numbers of its
-own tangent roots when they are the only nonzero roots and carry no Euler
-class (the Witten genus, the elliptic genus, phi_c(M; 0, TM)), paired once
-per model in either order; twisted root lists are paired afresh each call.
+q-free characteristic numbers, products of the roots' power sums.  It
+visits only the points where every Euler-class root can be nonzero, read
+off the generators' support masks (none for e(V) of two opposite facets),
+evaluates only the roots supported at a point, and drops a point at which
+an Euler-class root still vanishes.  The model keeps the numbers of its own
+tangent roots when they are the only nonzero roots and carry no Euler class
+(the Witten genus, the elliptic genus, phi_c(M; 0, TM)), paired once per
+model in either order; twisted root lists are paired afresh each call.
 
 The mod-2 test needs no elimination: each model keeps one basis of its even
 degree-2 classes mod 2 (IndexModel.is_even_vector), a quasitoric model's
@@ -49,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpair import DEFAULT_SEED
@@ -153,6 +157,7 @@ class IndexModel:
     _point_sets = None
     _masks = None  # generator -> bitset of the points supporting it
     _face_lists = None  # face size -> [(face, its points)], the faces the zero test tries
+    _face_weights = None  # basis face -> per point set, its _weights
     _tangent_numbers = None  # the k rows formed -> pair_series' numbers of the tangent roots
 
     @property
@@ -240,7 +245,10 @@ class IndexModel:
 
     def _face_pairings(self, poly, terms, k):
         """One (S, pairing) per face S of size k in _face_list, lazily: the
-        pairing of u_S with terms, poly's part of degree n - k."""
+        pairing of u_S with terms, poly's part of degree n - k, summed over
+        S's points with S's _weights, which do not depend on the class: a
+        basis face (k > 0) keeps them, built the first time it is paired;
+        the empty face's span every point and are built per call."""
         point_sets = self.fixed_points()
         masks = self._support_masks()
         full = (1 << len(point_sets[0])) - 1
@@ -248,20 +256,23 @@ class IndexModel:
             {mon: c for mon, c in terms.items() if _containing(mon, masks, full)})
         if not constant and not by_first:
             return
+        if k and self._face_weights is None:
+            self._face_weights = {}
+        kept = self._face_weights if k else {}
         values = [{}, {}]  # per point set: point -> the part there, times scale
         for S, points in self._face_list(k):
+            weights = kept.get(S)
+            if weights is None:
+                weights = kept[S] = [_weights(S, points, pts) for pts in point_sets]
             sums = []
-            for pts, cache in zip(point_sets, values):
-                dens = [pts[p][1] for p in points]
-                common = math.lcm(*dens)
+            for pts, cache, (common, ws) in zip(point_sets, values, weights):
                 total = 0
-                for p, den in zip(points, dens):
-                    vals = pts[p][0]
+                for p, w in zip(points, ws):
                     v = cache.get(p)
                     if v is None:
-                        v = cache[p] = _evaluate(vals, constant, by_first)
+                        v = cache[p] = _evaluate(pts[p][0], constant, by_first)
                     if v:
-                        total += v * _monomial_value(S, vals) * (common // den)
+                        total += v * w
                 sums.append(Fraction(total, common * scale) if total else _ZERO)  # most are 0
             yield S, _agree(sums, "pairing of the degree-%d part of %r with u_%r",
                             self.n - k, poly, S)
@@ -284,6 +295,21 @@ class IndexModel:
                 for i in vals:
                     self._masks[i] = self._masks.get(i, 0) | 1 << p
         return self._masks
+
+    def _supporting(self, roots):
+        """The points, ascending, where every root (its generators) can be
+        nonzero: the AND over the roots of the OR of their generators'
+        masks, off which a root is zero.  Every point for no root."""
+        count = len(self.fixed_points()[0])
+        if not roots:
+            return range(count)
+        masks, support = self._support_masks(), (1 << count) - 1
+        for gens in roots:
+            either = 0
+            for i in gens:
+                either |= masks.get(i, 0)
+            support &= either
+        return _bits(support)
 
     def _face_list(self, k):
         """The faces of size k that the zero test tries, each with the points
@@ -324,12 +350,14 @@ class IndexModel:
         vectors as they are formed, a step per point and n (q_order + 1)^2
         each.  It pairs the vectors it formed; with none it draws no point.
 
-        Only the roots supported at a point are evaluated there: each group
+        Only the points where e can be nonzero are paired, read off the
+        support masks once a vector is admitted (_supporting over the roots
+        of the groups with xpow > 0, the Euler classes), each point set's
+        lcm taken over them alone; with none left no point is evaluated.
+        At a point only the roots supported there are evaluated: each group
         is indexed by generator, and the point's own nonzero generators are
-        walked through that index.  In a group with xpow > 0 (an Euler
-        class) a root that is zero at the point makes e zero, so those
-        groups are evaluated first and the point is dropped before any
-        other group.
+        walked through that index.  The Euler-class groups come first, and
+        a point at which one of their roots still vanishes is dropped.
 
         When the model's tangent roots are the only group with a nonzero
         root and no group has xpow > 0, the numbers are <p^mu(TM), [M]>,
@@ -344,13 +372,16 @@ class IndexModel:
         groups = sorted(((log_table(kinds, q_order, self.n), roots) for kinds, roots in plan),
                         key=lambda g: g[0][0] == 0)
         top, ks_plan = _row_plan(groups, self.n)
-        indexed, rows, live = [], [], []
+        indexed, rows, live, euler = [], [], [], []
         for ((xpow, _, L), roots), ks in zip(groups, ks_plan):
             by_gen = {}
             for r, root in enumerate(roots):
                 self._own_terms(root)
-                for i, a in _linear_items(root):
+                items = _linear_items(root)
+                for i, a in items:
                     by_gen.setdefault(i, []).append((r, a))
+                if xpow:
+                    euler.append([i for i, _ in items])
             indexed.append((xpow, len(roots), by_gen, ks))
             rows += [(k, L[k - 1]) for k in ks]
             if by_gen:
@@ -363,15 +394,17 @@ class IndexModel:
             _check_work(work + step * len(monomials), q_order)
         if not monomials:  # top < 0, or an odd top with only even k
             return [_ZERO] * (q_order + 1)
+        points = self._supporting(euler)
         if top == self.n and live == [self.tangent_roots]:
             if self._tangent_numbers is None:
                 self._tangent_numbers = {}
             key = tuple(k for k, _ in rows)
             if key not in self._tangent_numbers:
-                self._tangent_numbers[key] = self._characteristic_numbers(indexed, monomials)
+                self._tangent_numbers[key] = self._characteristic_numbers(
+                    indexed, monomials, points)
             numbers = self._tangent_numbers[key]
         else:
-            numbers = self._characteristic_numbers(indexed, monomials)
+            numbers = self._characteristic_numbers(indexed, monomials, points)
         C = math.prod(c ** len(roots) for (_, c, _), roots in groups)
         series = [_ZERO] * (q_order + 1)
         for number, mu in zip(numbers, monomials):
@@ -383,15 +416,17 @@ class IndexModel:
                 series = [s + number * t for s, t in zip(series, term)]
         return series
 
-    def _characteristic_numbers(self, indexed, monomials):
+    def _characteristic_numbers(self, indexed, monomials, points):
         """The q-free numbers <e p^mu, [M]> of pair_series, one per exponent
-        vector mu, from the groups as pair_series indexes them; both point
-        sets must agree.  Each set is summed over the lcm of its denominators."""
+        vector mu, from the groups as pair_series indexes them, summed over
+        the given points, off which e is zero; both point sets must agree.
+        Each set is summed over the lcm of those points' denominators."""
         numbers = []
         for pts in self.fixed_points():
-            common = math.lcm(*(den for _, den in pts))
+            common = math.lcm(*(pts[p][1] for p in points))
             sums = [0] * len(monomials)
-            for vals, den in pts:
+            for point in points:
+                vals, den = pts[point]
                 pref, p = 1, []
                 for xpow, count, by_gen, ks in indexed:
                     acc = {}
@@ -460,6 +495,13 @@ def _bits(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _weights(S, points, pts):
+    """u_S at the points of one point set that contain S, over their
+    denominators: their lcm and, per point, u_S(p) lcm / den_p."""
+    common = math.lcm(*(pts[p][1] for p in points))
+    return common, [_monomial_value(S, pts[p][0]) * (common // pts[p][1]) for p in points]
 
 
 def _indexed_terms(terms):
@@ -662,18 +704,22 @@ def is_even_class(model: IndexModel, cls) -> bool:
     return model.is_even_vector(_int_class(cls, model.gen_count, "class vector"))
 
 
-@dataclass
 class AdmissibilityReport:
     """The index-theorem hypotheses.  p1_witness names (by generator labels)
     the first basis face S (IndexModel.nonzero_face) whose monomial u_S
     pairs nonzero with p1(V + W - TM), or is None when p1 vanishes; as_dict
     leaves it out."""
 
-    spin_c_exists: bool
-    w_is_spin: bool
-    p1_zero: bool
-    c1c_vector: tuple
-    p1_witness: tuple = None
+    def __init__(self, spin_c_exists: bool, w_is_spin: bool, p1_zero: bool,
+                 c1c_vector: tuple, p1_witness: tuple = None):
+        self.spin_c_exists = spin_c_exists
+        self.w_is_spin = w_is_spin
+        self.p1_zero = p1_zero
+        self.c1c_vector = c1c_vector
+        self.p1_witness = p1_witness
+
+    def __eq__(self, other):
+        return type(other) is AdmissibilityReport and vars(self) == vars(other)
 
     @property
     def met(self) -> bool:

@@ -22,7 +22,10 @@ class HypothesisUnmetError(QtoricError):
 
 
 class BudgetExceededError(QtoricError):
-    """A search exceeded its node budget; the answer is inconclusive, never wrong."""
+    """A computation exceeded its work budget: the colouring search's nodes,
+    a pairing's steps, the admissible splits' entries, a validation's work
+    or the alpha table's rank.  It is refused instead of running on; the
+    answer is inconclusive, never wrong."""
 
 
 class InternalConsistencyError(QtoricError):

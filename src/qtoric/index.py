@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import (
@@ -52,14 +51,15 @@ from .qseries import series_product
 DEFAULT_Q_ORDER = 4
 
 
-@dataclass
 class IndexResult:
     """A computed index series plus the hypothesis flags and reproducibility data."""
 
-    series: list                      # exact rationals, q^0 .. q^N
-    admissibility: AdmissibilityReport
-    warnings: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, series: list, admissibility: AdmissibilityReport,
+                 warnings: list = None, meta: dict = None):
+        self.series = series  # exact rationals, q^0 .. q^N
+        self.admissibility = admissibility
+        self.warnings = [] if warnings is None else warnings
+        self.meta = {} if meta is None else meta
 
     @property
     def q_order(self) -> int:

@@ -22,7 +22,6 @@ import collections
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     BudgetExceededError,
@@ -41,16 +40,16 @@ from .errors import (
 VALIDATION_BUDGET = 6 * 10 ** 7
 
 
-@dataclass
 class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class ValidationReport:
-    checks: list = field(default_factory=list)
+    def __init__(self, checks: list = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:
@@ -77,12 +76,12 @@ class ValidationReport:
                 "; ".join("%s: %s" % (c.name, c.detail) for c in self.failures())), self)
 
 
-@dataclass(frozen=True)
 class FacetColoring:
     """Proper coloring of the facet adjacency graph, colors in 1..color_count."""
 
-    colors: dict
-    color_count: int
+    def __init__(self, colors: dict, color_count: int):
+        self.colors = colors
+        self.color_count = color_count
 
     def color_classes(self):
         classes = {}

@@ -10,7 +10,6 @@ auditable structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -22,14 +21,21 @@ from .polytope import int_vector
 ALPHA_MAX_RANK = 1000
 
 
-@dataclass(frozen=True)
 class GroupRecord:
-    family: str          # A, B, C, D, G2, F4, E6, E7, E8
-    rank: int
-    dim: int
-    weyl_order: int
-    name: str
-    aliases: tuple = ()
+    def __init__(self, family: str, rank: int, dim: int, weyl_order: int, name: str,
+                 aliases: tuple = ()):
+        self.family = family  # A, B, C, D, G2, F4, E6, E7, E8
+        self.rank = rank
+        self.dim = dim
+        self.weyl_order = weyl_order
+        self.name = name
+        self.aliases = aliases
+
+    def __eq__(self, other):
+        return type(other) is GroupRecord and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @property
     def names(self):
@@ -182,16 +188,18 @@ def semisimple_products(chi: int, n: int):
     return results
 
 
-@dataclass
 class SymmetryReport:
-    n: int
-    chi: int
-    index_nonvanishing: bool
-    rules: list = field(default_factory=list)
-    simple_candidates: list = field(default_factory=list)
-    semisimple_products: list = field(default_factory=list)
-    n_max: int = 0
-    semisimple_note: str = ""
+    def __init__(self, n: int, chi: int, index_nonvanishing: bool, rules: list = None,
+                 simple_candidates: list = None, semisimple_products: list = None,
+                 n_max: int = 0, semisimple_note: str = ""):
+        self.n = n
+        self.chi = chi
+        self.index_nonvanishing = index_nonvanishing
+        self.rules = [] if rules is None else rules
+        self.simple_candidates = [] if simple_candidates is None else simple_candidates
+        self.semisimple_products = [] if semisimple_products is None else semisimple_products
+        self.n_max = n_max
+        self.semisimple_note = semisimple_note
 
     def as_dict(self):
         return {

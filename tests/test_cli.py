@@ -261,6 +261,21 @@ def test_huge_q_order_exits_3_before_any_series():
     _run_huge_q_order("cp:2", ["genus", "--kind", "witten"])
 
 
+@pytest.mark.parametrize("argv, label", [
+    (["genus", "--kind", "witten", "--q-order", "1000000000"],
+     "budget exceeded: q_order 1000000000"),
+    (["genus", "--kind", "elliptic"], "hypothesis unmet: elliptic genus needs a Spin model"),
+], ids=["budget", "hypothesis"])
+def test_exit_3_names_its_cause(tmp_path, capsys, argv, label):
+    """Exit code 3 covers a refused budget and an unmet hypothesis; stderr
+    says which (cp:2 is not Spin)."""
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(generate_pair("cp:2").to_json_dict()))
+    assert main(argv + ["--manifold", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(label), err
+
+
 @pytest.mark.parametrize("family,args", [
     # odd n: every L_k that fits is identically zero
     ("cube:3", ["genus", "--kind", "witten"]),

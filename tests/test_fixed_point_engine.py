@@ -26,6 +26,7 @@ names must pair nonzero.
 
 import math
 import random
+import types
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -437,6 +438,78 @@ def test_pair_series_matches_dense_point_loop(name, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the points an Euler class is paired at
+
+
+class _Recording(list):
+    """A point set that records which of its points are read."""
+
+    def __init__(self, pts, seen):
+        super().__init__(pts)
+        self.seen = seen
+
+    def __getitem__(self, p):
+        self.seen.add(p)
+        return super().__getitem__(p)
+
+    def __iter__(self):
+        self.seen.update(range(len(self)))
+        return super().__iter__()
+
+
+def _visited_points(model, monkeypatch):
+    """Per _characteristic_numbers call, the points it read from either set."""
+    visits, numbers = [], model._characteristic_numbers
+
+    def visiting(*args):
+        sets, seen = model._point_sets, set()
+        model._point_sets = tuple(_Recording(pts, seen) for pts in sets)
+        try:
+            return numbers(*args)
+        finally:
+            model._point_sets = sets
+            visits.append(sorted(seen))
+
+    monkeypatch.setattr(model, "_characteristic_numbers", visiting)
+    return visits
+
+
+EULER_MODELS = {  # a model, generators on no common point and on some
+    # cube:3 takes three: two Euler roots leave degree 1, which no row fills
+    "cube:3": lambda: (_quasitoric("cube:3"), (0, 1, 3), (0, 1, 2)),
+    "cube:4 rebased": lambda: (QuasitoricModel(dense_rebased(cube_pair(4), 6), seed=12),
+                               (1, 5), (1, 2)),
+    "cube:2 x cp:2": lambda: (ProductModel(_quasitoric("cube:2"), _quasitoric("cp:2", 15)),
+                              (0, 2), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(EULER_MODELS))
+def test_euler_class_pairs_only_the_points_supporting_it(name, monkeypatch):
+    """e(V) = u_a u_b is zero off the points that contain both generators,
+    so the pairing reads only those: none for opposite facets, which share
+    no vertex (the series is zero), and exactly the points on both for
+    adjacent ones, where the series is the dense loop's: nonzero where
+    e(V) is a top class (of cube:3, or of cube:2 in the product), zero on
+    cube:4.  On cube:3 V takes three generators, with and without an
+    opposite pair."""
+    model, opposite, adjacent = EULER_MODELS[name]()
+    supports = [set(vals) for vals, _ in model.fixed_points()[0]]
+    visits = _visited_points(model, monkeypatch)
+    for q_order in range(3):
+        for pair in (opposite, adjacent):
+            V = _unit(model, *pair)
+            series = phi_c(model, V, None, q_order=q_order).series
+            plan = [(("Q1", "AHAT"), model.tangent_roots),
+                    (("EXPHALF", "Q2"), BundleSpec.from_vectors(V, model.gen_count).classes)]
+            assert series == reference_pair_series(model, plan, q_order), (pair, q_order)
+            assert visits[-1] == [p for p, support in enumerate(supports)
+                                  if set(pair) <= support], (pair, q_order)
+        assert any(series) == (name != "cube:4 rebased")
+    assert len(visits) == 6 and visits[0::2] == [[]] * 3
+
+
+# ----------------------------------------------------------------------
 # the merged tangent group and the kept tangent numbers
 
 
@@ -714,6 +787,62 @@ def test_pair_top_builds_no_shelling(monkeypatch):
         assert model.pair_top(poly) == reference_pair_top(model, poly)
     assert model.pair_top(vertex) != 0
     assert shellings == [] and tables == [] and model._face_lists is None
+
+
+def _point_lcms(model, monkeypatch):
+    """The math.lcm calls cohomology makes over any of the model's point
+    denominators (the class's own coefficient lcm is left out)."""
+    dens = {den for pts in model.fixed_points() for _, den in pts}
+    calls = []
+
+    def lcm(*args):
+        if dens & set(args):
+            calls.append(args)
+        return math.lcm(*args)
+
+    spy = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math)
+                                   if not name.startswith("_")})
+    spy.lcm = lcm
+    monkeypatch.setattr(cohomology, "math", spy)
+    return calls
+
+
+def _own_weights(model, S):
+    """Per point set, the lcm of the denominators at the points containing
+    S and the weights u_S(p) lcm / den_p there, from the model's points."""
+    out = []
+    for pts in model.fixed_points():
+        at = [(vals, den) for vals, den in pts if set(S) <= set(vals)]
+        common = math.lcm(*(den for _, den in at))
+        out.append((common, [math.prod(vals[i] for i in S) * (common // den) for vals, den in at]))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["cube:5", "cp:4"])
+def test_basis_faces_keep_their_weights(spec, monkeypatch):
+    """A basis face's weights do not depend on the class, so the face keeps
+    them, built the first time it is paired: a second zero test takes no
+    lcm over point denominators and gives the same answer and witness
+    (none on cube:5, where p1 = 0).  The weights are the model's own, and
+    pair_top, whose empty face spans every point, keeps none."""
+    model, other = _quasitoric(spec), _quasitoric(spec, seed=3)
+    empty = BundleSpec.empty(model.gen_count)
+    vertex = GP({tuple(sorted(model.fixed_points()[0][0][0])): Fraction(1)})
+    lcms = _point_lcms(model, monkeypatch)
+    model.pair_top(vertex)
+    assert len(lcms) == 2 and model._face_weights is None
+    first = check_admissible(model, empty, empty)
+    assert len(lcms) == 2 + 2 * len(model._face_weights)
+    assert (first.p1_witness is None) == (spec == "cube:5") == first.p1_zero
+    del lcms[:]
+    assert check_admissible(model, empty, empty) == first and lcms == []
+    kept = dict(model._face_weights)
+    model.pair_top(vertex)
+    assert len(lcms) == 2 and model._face_weights == kept
+    assert check_admissible(other, empty, empty) == first
+    for m in (model, other):
+        assert m._face_weights and all(weights == _own_weights(m, S)
+                                       for S, weights in m._face_weights.items())
 
 
 def test_quasitoric_shelling_reads_the_kept_ridge_pairing(monkeypatch):

@@ -7,6 +7,8 @@ the first: it imports names to re-export them.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,16 @@ def test_unread_private_definitions_are_found():
               "x = _Kept\n")
     assert unread_private_definitions({"m.py": source}) == [
         ("m.py", 3, "_unread"), ("m.py", 8, "_unread_method")]
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """The package's records are plain classes: a fresh interpreter without
+    site imports qtoric and its CLI without dataclasses and, through it,
+    inspect, dis, ast and tokenize."""
+    source = ("import sys; sys.path.insert(0, %r); import qtoric, qtoric.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+              % str(Path(qtoric.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", source], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

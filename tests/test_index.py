@@ -113,9 +113,10 @@ def test_q2_spelling_has_the_q2prime_table():
 def _stub_pairing(model, monkeypatch):
     """Replace the model's characteristic numbers by zeros, recording how
     many exponent vectors each pairing pairs.  pair_series keeps its
-    budget, which it checks before any number is paired."""
+    budget, which it checks before any number is paired, and still reads
+    the points to pair from the Euler-class supports."""
     calls = []
-    monkeypatch.setattr(model, "_characteristic_numbers", lambda indexed, monomials: (
+    monkeypatch.setattr(model, "_characteristic_numbers", lambda indexed, monomials, points: (
         calls.append(len(monomials)) or [0] * len(monomials)))
     return calls
 
@@ -265,8 +266,8 @@ def test_each_pairing_forms_its_exponent_vectors_once(model, monkeypatch):
     row_plan, numbers = cohomology._row_plan, model._characteristic_numbers
     monkeypatch.setattr(cohomology, "_row_plan", lambda groups, n: (
         plans.append(n) or row_plan(groups, n)))
-    monkeypatch.setattr(model, "_characteristic_numbers", lambda indexed, monomials: (
-        paired.append((len(formed) - 1, monomials)) or numbers(indexed, monomials)))
+    monkeypatch.setattr(model, "_characteristic_numbers", lambda indexed, monomials, points: (
+        paired.append((len(formed) - 1, monomials)) or numbers(indexed, monomials, points)))
     calls = 0
     for q_order in range(3):
         for _, route in _routes(model):
@@ -283,13 +284,15 @@ def test_each_pairing_forms_its_exponent_vectors_once(model, monkeypatch):
 ], ids=["witten cp:2 q^10^9", "witten cp:2 q^3000", "index cp:6 W q^406"])
 def test_refusal_comes_before_any_point_is_paired(k, route, q_order, figure, monkeypatch):
     """The CLI's three budget refusals, in process, with their figures: on
-    the tables' work alone and on the vectors' alike, no point is paired."""
+    the tables' work alone and on the vectors' alike, no point is paired,
+    nor are the Euler-class supports read to choose the points."""
     model = cp_pair(k).to_index_model()
 
     def refuse(*args):
         raise AssertionError("a point was paired")
 
     monkeypatch.setattr(model, "_characteristic_numbers", refuse)
+    monkeypatch.setattr(model, "_supporting", refuse)
     with pytest.raises(BudgetExceededError,
                        match="q_order %d: the pairing needs about %d steps, over the budget "
                              "of 10000000" % (q_order, figure)):
