@@ -3,13 +3,15 @@
 Each facet carries a primitive integer vector (its isotropy circle) and an
 omniorientation sign; validity means the lambda-block at every vertex is
 unimodular and the orientation signs the edges impose close up around every
-cycle.  Validation caches the dual covector bases and those signs at the
-vertices, which drive the localization pairing downstream.
+cycle.  Validation finds the dual covector bases and those signs at the
+vertices in one walk of the edge graph, a sparse rank-one update per edge,
+and caches them; they drive the localization pairing downstream.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul, sub
 
 from .errors import StructureError
 from .polytope import (
@@ -176,13 +178,21 @@ class CharacteristicPair:
         base vertex.  Every edge is checked once, from the endpoint the walk
         leaves first.  A quasitoric manifold is orientable, so a pair on
         which the signs clash describes none.
+
+        Each lambda row is read once for its nonzero (position, entry)
+        pairs: with one entry x at j, <w, lambda_enter> is w_j x, else a
+        C-level sum of products.  The bases, each aligned with its vertex's
+        facets, are kept in a list by vertex; a w orthogonal to
+        lambda_enter stays the same tuple.
         """
         verts = self.polytope.vertices
         lam = self.lam
         first = _dual_basis([lam[i] for i in verts[0]])
         if first is None:
             return None
-        bases = {0: dict(zip(verts[0], first))}
+        nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in lam]
+        bases = [None] * len(verts)
+        bases[0] = first
         eps = [1] + [0] * (len(verts) - 1)
         done = [False] * len(verts)
         clash = None
@@ -191,37 +201,38 @@ class CharacteristicPair:
         while stack:
             a = stack.pop()
             done[a] = True
-            basis_a = bases[a]
-            for b, out, enter in sorted(zip(neighbours[a], verts[a], entered[a])):
+            va, basis_a = verts[a], bases[a]
+            for b, out, w_out, enter in sorted(zip(neighbours[a], va, basis_a, entered[a])):
                 if done[b]:
                     continue
-                w_out = basis_a[out]
-                if b in bases:
+                if bases[b] is not None:
                     # both blocks are unimodular, so w'_enter = c w_out with
                     # c = +-1, and eps_b = -c eps_a asks c = 1 iff eps_b != eps_a
-                    if clash is None and (bases[b][enter] == w_out) == (eps[b] == eps[a]):
+                    w_enter = bases[b][verts[b].index(enter)]
+                    if clash is None and (w_enter == w_out) == (eps[b] == eps[a]):
                         clash = b
                     continue
                 row = lam[enter]
-                c = sum(x * y for x, y in zip(w_out, row))
+                one = len(nonzero[enter]) == 1
+                if one:
+                    ((j, x),) = nonzero[enter]
+                    c = w_out[j] * x
+                else:
+                    c = sum(map(mul, w_out, row))
                 if c == 1:
                     w_enter = w_out
                 elif c == -1:
                     w_enter = tuple(-x for x in w_out)
                 else:
                     return None
-                basis = dict(basis_a)
-                del basis[out]
-                for k, w in basis.items():
-                    t = sum(x * y for x, y in zip(w, row))
-                    if t:
-                        basis[k] = tuple(x - t * y for x, y in zip(w, w_enter))
-                basis[enter] = w_enter
+                basis = [w if not (t := w[j] * x if one else sum(map(mul, w, row)))
+                         else tuple(map(sub, w, [t * y for y in w_enter]))
+                         for f, w in zip(va, basis_a) if f != out]
+                basis.insert(verts[b].index(enter), w_enter)
                 bases[b] = basis
                 eps[b] = -c * eps[a]
                 stack.append(b)
-        weights = tuple(tuple(bases[vid][i] for i in v) for vid, v in enumerate(verts))
-        return weights, tuple(eps), clash
+        return tuple(map(tuple, bases)), tuple(eps), clash
 
     def require_valid(self):
         self.validate().require("characteristic pair", self.name)

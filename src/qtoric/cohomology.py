@@ -55,6 +55,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from .charpair import DEFAULT_SEED
 from .errors import BudgetExceededError, InternalConsistencyError, StructureError
@@ -636,7 +637,7 @@ class QuasitoricModel(IndexModel):
             for v, weights, den in zip(self.polytope.vertices, self.pair.vertex_weights, eps):
                 vals = {}
                 for facet, w in zip(v, weights):
-                    x = sum(a * b for a, b in zip(w, t))
+                    x = sum(map(mul, w, t))
                     if x == 0:
                         ok = False
                         break
@@ -678,7 +679,7 @@ class QuasitoricModel(IndexModel):
         H^2(M; Z) = Z^m / lambda Z^n (Davis-Januszkiewicz)."""
         return tuple(
             (k, sum(1 << i for i, row in enumerate(self.pair.lam)
-                    if sum(x * y for x, y in zip(row, w)) % 2))
+                    if sum(map(mul, row, w)) % 2))
             for k, w in zip(self.polytope.vertices[0], self.pair.vertex_weights[0]))
 
     def ring_reduction_pairing(self, mon) -> Fraction:

@@ -96,11 +96,14 @@ class FacetColoring:
         }
 
 
+_INT = frozenset((int,))
+
+
 def int_vector(values, what):
     """The entries of a list as a tuple of ints.  Anything else (a float, a
-    bool, a string, a scalar in place of the list) is a StructureError, so
-    input is never silently truncated."""
-    if not isinstance(values, (list, tuple)) or any(type(x) is not int for x in values):
+    bool or another int subclass, a string, a scalar in place of the list)
+    is a StructureError, so input is never silently truncated."""
+    if not isinstance(values, (list, tuple)) or not _INT.issuperset(map(type, values)):
         raise StructureError("%s must be a list of integers, got %r" % (what, values))
     return tuple(values)
 

@@ -215,6 +215,41 @@ def vertex_cuts(pair, cuts, seed):
     return CharacteristicPair(poly, lam, name=pair.name + "+cuts")
 
 
+def sheared(pair, seed):
+    """lambda times a unit bidiagonal shear (+-1 above the diagonal) with its
+    columns permuted and signed: a unit row becomes two nonzero entries with
+    zeros between and around them, and cp's (-1, ..., -1) row more."""
+    rng = random.Random(seed)
+    n = pair.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    shear = [[1 if i == j else (rng.choice((1, -1)) if j == i + 1 else 0)
+              for j in range(n)] for i in range(n)]
+    a = [[shear[i][perm[j]] * signs[j] for j in range(n)] for i in range(n)]
+    lam = [[sum(r[k] * a[k][j] for k in range(n)) for j in range(n)] for r in pair.lam]
+    return CharacteristicPair(pair.polytope, lam, name=pair.name + "+shear")
+
+
+def negated(pair, rows):
+    """The pair with the lambda rows in ``rows`` negated: still unimodular,
+    with single-entry rows -e_j."""
+    lam = [tuple(-x for x in r) if i in rows else r for i, r in enumerate(pair.lam)]
+    return CharacteristicPair(pair.polytope, lam, name=pair.name + "+neg")
+
+
+# single-entry rows +-e_j walked beside rows of two or more nonzero entries
+# with zeros between them (sheared; cp cuts such as (-2, 0, 0, -1, 0)), beside
+# cut rows without a zero (cube cuts), and negated rows -e_j
+SPARSE_CASES = (
+    ("shear cube:6", lambda: sheared(cube_pair(6), 6)),
+    ("shear cp:7", lambda: sheared(cp_pair(7), 7)),
+    ("cube:5 with 4 vertex cuts", lambda: vertex_cuts(cube_pair(5), 4, 5)),
+    ("cp:5 with 6 vertex cuts", lambda: vertex_cuts(cp_pair(5), 6, 5)),
+    ("cp:4 with rows 1, 3 and 4 negated", lambda: negated(cp_pair(4), (1, 3, 4))),
+)
+
+
 KERNEL_CASES = (
     [("cube:%d" % n, lambda n=n: cube_pair(n)) for n in range(3, 7)]
     + [("cp:%d" % n, lambda n=n: cp_pair(n)) for n in range(2, 8)]
@@ -223,6 +258,7 @@ KERNEL_CASES = (
        ("dense cp:7", lambda: dense_rebased(cp_pair(7), 7)),
        ("dense cube:6", lambda: dense_rebased(cube_pair(6), 6)),
        ("cp:4 with 3 vertex cuts", lambda: vertex_cuts(cp_pair(4), 3, 4))]
+    + list(SPARSE_CASES)
 )
 
 
@@ -377,6 +413,23 @@ def test_first_bad_vertex_in_stored_order_is_reported():
     assert _unimodular_detail(pair) == "vertex (0, 4, 5) has det 2, expected +-1"
 
 
+def test_non_primitive_single_entry_row_names_the_first_bad_vertex():
+    # facet 4 of cube:4 (not at the base vertex) gets the row (2, 0, 0, 0):
+    # the walk stops at the first edge entering it, with c = 2, and the
+    # report still names the first bad block in stored order
+    lam = list(cube_pair(4).lam)
+    lam[4] = (2, 0, 0, 0)
+    pair = CharacteristicPair(cube(4), lam)
+    assert 4 not in pair.polytope.vertices[0]
+    bad = next(v for v in pair.polytope.vertices
+               if laplace_det([lam[i] for i in v]) not in (-1, 1))
+    assert bad == (1, 2, 3, 4) and laplace_det([lam[i] for i in bad]) == -2
+    assert pair._dual_bases() is None
+    report = pair.validate()
+    assert [c.name for c in report.failures()] == ["primitive-rows", "vertex-unimodular"]
+    assert report.failures()[1].detail == "vertex (1, 2, 3, 4) has det -2, expected +-1"
+
+
 # ----------------------------------------------------------------------
 # Orientation signs.  The walk that propagated them inside QuasitoricModel,
 # before validation read them off its own walk, kept as the reference: it
@@ -435,6 +488,7 @@ ORIENTATION_CASES = (
        ("dense cp:7", lambda: dense_rebased(cp_pair(7), 7)),
        ("dense cube:6", lambda: dense_rebased(cube_pair(6), 6)),
        ("cp:4 with 3 vertex cuts", lambda: vertex_cuts(cp_pair(4), 3, 4))]
+    + list(SPARSE_CASES)
 )
 
 

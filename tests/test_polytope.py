@@ -1,4 +1,5 @@
 import collections
+import enum
 import heapq
 import itertools
 import random
@@ -26,9 +27,28 @@ from qtoric.polytope import (
     prism,
     shelling,
     simplex,
+    int_vector,
     verify_coloring,
     _check_validation_work,
 )
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("values", [[True], [1.0], ["1"], [None], [[1]], [_Level.ONE],
+                                    [1, 2, False], 1, "12", None],
+                         ids=repr)
+def test_int_vector_refuses_anything_but_a_list_of_ints(values):
+    with pytest.raises(StructureError, match="^v must be a list of integers, got "):
+        int_vector(values, "v")
+
+
+@pytest.mark.parametrize("values", [[], (1, 2), [-3], [0, 2 ** 80]], ids=repr)
+def test_int_vector_accepts_lists_of_ints(values):
+    out = int_vector(values, "v")
+    assert out == tuple(values) and type(out) is tuple
 
 
 def brute_force_chromatic(poly):
