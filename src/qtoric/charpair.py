@@ -46,7 +46,7 @@ def _eliminate(rows):
         top = rows[k]
         p = top[c]
         for i in range(len(rows)):
-            if i != k:
+            if i != k and (rows[i][c] or p != prev):  # else (p x - 0 y) / prev = x
                 a = rows[i][c]
                 rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
         prev = p

@@ -194,7 +194,7 @@ def cmd_analyze(args):
         "dim": poly.dim,
         "facets": poly.facet_count,
         "vertices": len(poly.vertices),
-        "edges": len(poly.edges),
+        "edges": len(poly.vertices) * poly.dim // 2,  # n distinct neighbours per vertex
         "two_faces": [len(cycle) for _, cycle in poly.two_faces],
         "is_even": even,
         "vertex_graph_bipartite": bip,

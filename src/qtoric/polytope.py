@@ -6,14 +6,17 @@ realizability is never checked; validation covers the necessary
 combinatorial conditions (simplicity, edge regularity, connectivity,
 facet coverage, polygonal two-faces).  A valid polytope keeps what
 validation found: the ridge pairing (per vertex, the neighbour across each
-facet and the facet entered there), each two-face's vertex cycle and
-whether the edge graph is bipartite, which the connectivity walk
-two-colours as it goes; the sorted edge graph and the sorted two-faces are
-built from them on request.  The faces (_faces) and a certified shelling
-of the dual complex (shelling, _certify) are read off the same data.
-Edge regularity already gives each vertex of a two-face exactly two
-neighbours in it, so 2-regularity needs no test of its own: a two-face
-can only fail by falling apart into several cycles.
+facet and the facet entered there, paired in one pass over the ridges),
+each two-face's vertex cycle and whether the edge graph is bipartite,
+which the connectivity walk two-colours as it goes; the sorted edge graph
+and the two-faces, sorted by facet complement, are built from them on
+request.  The distinct facet pairs that share a vertex (facet_pairs) are
+built once, for the facet graph and every colouring check.  The faces
+(_faces) and a certified shelling of the dual complex (shelling,
+_certify) are read off the same data.  Edge regularity already gives each
+vertex n distinct neighbours (so V * n / 2 edges) and each vertex of a
+two-face exactly two neighbours in it, so 2-regularity needs no test of
+its own: a two-face can only fail by falling apart into several cycles.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import collections
 import heapq
 import itertools
 import math
+from operator import itemgetter
 
 from .errors import (
     BudgetExceededError,
@@ -108,6 +112,27 @@ def int_vector(values, what):
     return tuple(values)
 
 
+def _vertex_sets(vertices):
+    """The vertices as sorted tuples of facet indices.  The checks run over
+    all vertices at once; if one fails, a per-vertex pass raises for the
+    first vertex that fails any check, naming that check."""
+    if (all(map(isinstance, vertices, itertools.repeat((list, tuple))))
+            and _INT.issuperset(map(type, itertools.chain.from_iterable(vertices)))):
+        vertex_sets = list(map(tuple, map(sorted, vertices)))
+        if (sum(map(len, map(set, vertex_sets))) == sum(map(len, vertex_sets))
+                and min(map(itemgetter(0), filter(None, vertex_sets)), default=0) >= 0):
+            return vertex_sets
+    vertex_sets = []
+    for pos, v in enumerate(vertices):
+        v = tuple(sorted(int_vector(v, "vertex %d" % pos)))
+        if len(set(v)) != len(v):
+            raise StructureError("vertex %d repeats a facet index: %r" % (pos, v))
+        if v and v[0] < 0:
+            raise StructureError("vertex %d has a bad facet index %r" % (pos, v[0]))
+        vertex_sets.append(v)
+    return vertex_sets
+
+
 class SimplePolytope:
     """Simple n-polytope given by its vertex-facet incidences."""
 
@@ -116,23 +141,21 @@ class SimplePolytope:
             raise StructureError("dim must be an integer >= 1, got %r" % (dim,))
         if not isinstance(vertices, (list, tuple)):
             raise StructureError("vertices must be a list, got %r" % (vertices,))
-        vertex_sets = []
-        for pos, v in enumerate(vertices):
-            v = tuple(sorted(int_vector(v, "vertex %d" % pos)))
-            if len(set(v)) != len(v):
-                raise StructureError("vertex %d repeats a facet index: %r" % (pos, v))
-            if v and v[0] < 0:
-                raise StructureError("vertex %d has a bad facet index %r" % (pos, v[0]))
-            vertex_sets.append(v)
+        vertex_sets = _vertex_sets(vertices)
         if not vertex_sets:
             raise StructureError("polytope needs at least one vertex")
-        counts = collections.Counter(vertex_sets)
-        if len(counts) != len(vertex_sets):
+        if len(set(vertex_sets)) != len(vertex_sets):
+            counts = collections.Counter(vertex_sets)
             dup = next(v for v in vertex_sets if counts[v] > 1)
             raise StructureError("duplicate vertex %r" % (dup,))
-        max_idx = max((max(v) for v in vertex_sets if v), default=-1)
+        max_idx = max(map(itemgetter(-1), filter(None, vertex_sets)), default=-1)
         if facet_count is None:
             facet_count = max_idx + 1
+            incidences = sum(map(len, vertex_sets))
+            if facet_count > incidences:  # refused before that many facet names are built
+                raise StructureError(
+                    "facet index %d implies %d facets, more than the %d facet incidences "
+                    "of the vertices can cover" % (max_idx, facet_count, incidences))
         if max_idx >= facet_count:
             raise StructureError(
                 "facet index %d out of range (facet_count=%d)" % (max_idx, facet_count)
@@ -153,6 +176,7 @@ class SimplePolytope:
         self._across = None  # (neighbours, entered): per vertex, aligned with its facets
         self._cycles = None  # facet complement -> vertex cycle of each two-face
         self._bipartite = None  # whether validation's walk two-coloured the edge graph
+        self._pairs = None  # facet_pairs, once asked for
 
     # ------------------------------------------------------------------
 
@@ -303,19 +327,30 @@ class SimplePolytope:
 
     @property
     def two_faces(self):
-        """The two-faces as sorted (facet complement, vertex cycle) pairs:
-        the n - 2 facets containing each and validation's cycle of it."""
+        """The two-faces as (facet complement, vertex cycle) pairs, sorted by
+        facet complement (distinct, so no cycle is compared): the n - 2
+        facets containing each and validation's cycle of it."""
         self.require_valid()
-        return tuple(sorted(self._cycles.items()))
+        return tuple(sorted(self._cycles.items(), key=itemgetter(0)))
+
+    def facet_pairs(self):
+        """The facet pairs (i, j), i < j, that some vertex contains, each
+        once: the edges of the facet graph, as a frozenset built on the first
+        call and kept.  Read off the vertex sets alone, so it needs no
+        validation."""
+        if self._pairs is None:
+            self._pairs = frozenset(itertools.chain.from_iterable(
+                map(itertools.combinations, self.vertices, itertools.repeat(2))))
+        return self._pairs
 
     def facet_adjacency(self):
-        """Adjacency sets of the facet graph: i ~ j iff some vertex contains both."""
+        """Adjacency sets of the facet graph, i ~ j iff some vertex contains
+        both, built from facet_pairs."""
         self.require_valid()
         adj = [set() for _ in range(self.facet_count)]
-        for v in self.vertices:
-            for i, j in itertools.combinations(v, 2):
-                adj[i].add(j)
-                adj[j].add(i)
+        for i, j in self.facet_pairs():
+            adj[i].add(j)
+            adj[j].add(i)
         return adj
 
     def ridge_pairing(self):
@@ -493,27 +528,40 @@ def _faces(vertices, k):
 
 
 def _steps(faces, n):
-    """The ridges of faces (sorted n-tuples) paired: ((neighbours, entered),
-    None), or (None, (ridge, count)) for the first ridge listed that does
-    not lie in exactly two faces.  neighbours[v] and entered[v] are lists
-    aligned with face v: its ridge without v[k] is also a ridge of face
+    """The ridges of faces (sorted n-tuples) paired in one pass: ((neighbours,
+    entered), None), or (None, (ridge, count)) for the first ridge listed
+    that does not lie in exactly two faces.  neighbours[v] and entered[v] are
+    lists aligned with face v: its ridge without v[k] is also a ridge of face
     neighbours[v][k], which has facet entered[v][k] in place of v[k] (at a
-    vertex, the edge that leaves its k-th facet enters that facet there)."""
-    ridges = {}
+    vertex, the edge that leaves its k-th facet enters that facet there).
+
+    first maps each ridge to the (face, k) that listed it first; the second
+    listing pairs the two slots.  A third listing finds its first slot
+    paired already, and a ridge in one face leaves fewer ridges than half
+    the slots; either way the counts are taken afresh, on that path only.
+    """
+    first = {}
+    neighbours = [[-1] * n for _ in faces]
+    entered = [[0] * n for _ in faces]
     for v, face in enumerate(faces):
         # the k-th (n-1)-subset of face omits face[n-1-k]
-        for ridge, i in zip(itertools.combinations(face, n - 1) if n else (),
-                            range(n - 1, -1, -1)):
-            ridges.setdefault(ridge, []).append((v, i))
-    neighbours = [[0] * n for _ in faces]
-    entered = [[0] * n for _ in faces]
-    for ridge, ends in ridges.items():
-        if len(ends) != 2:
-            return None, (ridge, len(ends))
-        (a, i), (b, j) = ends
-        neighbours[a][i], entered[a][i] = b, faces[b][j]
-        neighbours[b][j], entered[b][j] = a, faces[a][i]
+        for ridge, i in zip(itertools.combinations(face, n - 1), range(n - 1, -1, -1)):
+            a, j = first.setdefault(ridge, (v, i))
+            if a != v:
+                if neighbours[a][j] >= 0:
+                    return None, _first_miscounted(faces, n)
+                neighbours[a][j], entered[a][j] = v, face[i]
+                neighbours[v][i], entered[v][i] = a, faces[a][j]
+    if 2 * len(first) != n * len(faces):
+        return None, _first_miscounted(faces, n)
     return (neighbours, entered), None
+
+
+def _first_miscounted(faces, n):
+    """(ridge, count) for the first ridge listed whose count is not 2."""
+    counts = collections.Counter(
+        itertools.chain.from_iterable(itertools.combinations(face, n - 1) for face in faces))
+    return next((ridge, c) for ridge, c in counts.items() if c != 2)
 
 
 def _check_validation_work(vertex_count, n):
@@ -603,17 +651,19 @@ def facet_chromatic(p: SimplePolytope):
 
 
 def verify_coloring(p: SimplePolytope, coloring: FacetColoring):
-    """Independent properness pass; raises ValidationError on a bad coloring."""
+    """Independent properness pass over each facet pair of p.facet_pairs()
+    once; raises ValidationError on a bad coloring, naming the first pair
+    of equal colors in vertex order."""
     colors = coloring.colors
     if set(colors) != set(range(p.facet_count)):
         raise ValidationError("coloring does not cover all facets")
     if any(not 1 <= c <= coloring.color_count for c in colors.values()):
         raise ValidationError("coloring uses out-of-range colors")
-    for v in p.vertices:
-        for i, j in itertools.combinations(v, 2):
-            if colors[i] == colors[j]:
-                raise ValidationError(
-                    "facets %d,%d share a vertex but also color %d" % (i, j, colors[i]))
+    if any(colors[i] == colors[j] for i, j in p.facet_pairs()):
+        i, j = next((i, j) for v in p.vertices for i, j in itertools.combinations(v, 2)
+                    if colors[i] == colors[j])
+        raise ValidationError(
+            "facets %d,%d share a vertex but also color %d" % (i, j, colors[i]))
     return True
 
 

@@ -284,6 +284,55 @@ def test_bareiss_det_and_adjugate():
                 assert sum(a[i][k] * adj[k][j] for k in range(n)) == (d if i == j else 0)
 
 
+def fraction_det_adjugate(a):
+    """Determinant and adjugate (det times the inverse) by Fraction
+    Gauss-Jordan on [A | I]; (0, None) for a singular matrix."""
+    n = len(a)
+    rows = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(a)]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return 0, None
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return det, [[det * x for x in row[n:]] for row in rows]
+
+
+def test_bareiss_matches_the_fraction_reference():
+    """Random, signed permutation, identity and singular matrices.  In
+    diag(2, 3) and [[2, 1], [0, 3]] the second row has a zero in the first
+    pivot column, yet the pivot 2 differs from the previous pivot 1, so the
+    row must still be scaled by 2; an elimination that skipped it would
+    give the determinant 3."""
+    rng = random.Random(26)
+    cases = [[[2, 0], [0, 3]], [[2, 1], [0, 3]], [[0, 2], [3, 0]], [[1, 2], [2, 4]],
+             [[0, 0], [0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 5]]]
+    for n in range(1, 7):
+        cases.append([[int(i == j) for j in range(n)] for i in range(n)])
+        perm = rng.sample(range(n), n)
+        cases.append([[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)]
+                      for i in range(n)])
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        cases.append(a)
+        cases.append(a[:-1] + [[x + y for x, y in zip(a[0], a[-2 if n > 1 else 0])]])
+    cases += [[[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+              for n in rng.choices(range(1, 6), k=200)]
+    singular = 0
+    for a in cases:
+        d, adj = _bareiss(a)
+        assert (d, adj) == fraction_det_adjugate(a), a
+        singular += d == 0
+    assert singular >= 8
+
+
 # The Fraction Gauss-Jordan that cohomology used for ranks and kernels before
 # every elimination moved onto _eliminate, kept as the reference.
 

@@ -207,6 +207,7 @@ def test_analyze_joswig_fields():
     data = json.loads(out)
     assert data["is_even"] and data["vertex_graph_bipartite"]
     assert data["facet_chromatic"] == 3 and data["joswig_consistent"]
+    assert data["edges"] == 12 and data["two_faces"] == [4] * 6
 
 
 def test_index_series_json():
@@ -314,6 +315,16 @@ def test_duplicate_vertex_in_a_large_polygon_exits_2():
     proc = _run_limited(["validate"], json.dumps({"dim": 2, "vertices": vertices}))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: duplicate vertex (0, 19999)\n"
+
+
+def test_a_huge_facet_index_exits_2():
+    """With no facets list the facet count is inferred from the largest
+    index; 10^8 facets cannot be covered by 2 incidences, and the run ends
+    before it builds 10^8 facet names, which 1 GiB could not hold."""
+    proc = _run_limited(["validate"], json.dumps({"dim": 1, "vertices": [[0], [100000000]]}))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: facet index 100000000 implies 100000001 facets, more than "
+                           "the 2 facet incidences of the vertices can cover\n")
 
 
 def test_symmetry_report_on_four_decagons():

@@ -3,6 +3,7 @@ import enum
 import heapq
 import itertools
 import random
+import re
 
 import pytest
 from test_charpair import rp2_dual_pair, vertex_cuts
@@ -151,7 +152,14 @@ def test_validation_budget_admits_cube_15_and_polygon_461538():
     (cube(3).vertices[1:], "facet set (0, 1) lies in 1 vertices, expected 2"),
     # cube:3 with a vertex (0, 1, 6) more: the ridge (0, 1) lies in three
     (cube(3).vertices + ((0, 1, 6),), "facet set (0, 1) lies in 3 vertices, expected 2"),
-], ids=["one vertex", "three vertices"])
+    # the ridge (0, 5) is listed a third time (by (0, 5, 6)) after (0, 1) was
+    # listed alone, so the first ridge listed with a count other than 2 is (0, 1)
+    (cube(3).vertices[1:] + ((0, 5, 6),), "facet set (0, 1) lies in 1 vertices, expected 2"),
+    # a ridge listed four times is named with its full count
+    (cube(3).vertices + ((0, 1, 6), (0, 1, 7)),
+     "facet set (0, 1) lies in 4 vertices, expected 2"),
+], ids=["one vertex", "three vertices", "one vertex listed before three",
+        "four vertices"])
 def test_edge_regularity_names_the_first_ridge_not_in_two_vertices(vertices, detail):
     report = SimplePolytope(3, vertices).validate()
     assert not report.ok
@@ -162,6 +170,114 @@ def test_unused_facet_detected():
     p = SimplePolytope(1, [(0,), (1,)], facet_count=3)
     report = p.validate()
     assert any(c.name == "facet-coverage" and not c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize("vertices,message", [
+    ([[0, 0], [1.0, 2]], "vertex 0 repeats a facet index: (0, 0)"),
+    ([[1.0, 2], [0, 0]], "vertex 0 must be a list of integers, got [1.0, 2]"),
+    ([[0, 1], [-1, 2]], "vertex 1 has a bad facet index -1"),
+    ([[-1, 2], [0, 0]], "vertex 0 has a bad facet index -1"),
+    ([[0, 0], [-1, 2]], "vertex 0 repeats a facet index: (0, 0)"),
+    ([[], [0, -3], [True, 1]], "vertex 1 has a bad facet index -3"),
+    ([[0, 1], [2, 1, 2]], "vertex 1 repeats a facet index: (1, 2, 2)"),
+    ([[0, 1], 5], "vertex 1 must be a list of integers, got 5"),
+    ([[0, 1], "12"], "vertex 1 must be a list of integers, got '12'"),
+    ([[1, 0], [0, 1]], "duplicate vertex (0, 1)"),
+    ([], "polytope needs at least one vertex"),
+], ids=["repeat before float", "float before repeat", "negative", "negative before repeat",
+        "repeat before negative", "empty vertex then negative then bool", "repeat",
+        "scalar vertex", "string vertex", "duplicate", "no vertex"])
+def test_vertex_errors_name_the_first_vertex_and_check_that_fails(vertices, message):
+    with pytest.raises(StructureError, match="^%s$" % re.escape(message)):
+        SimplePolytope(2, vertices)
+
+
+@pytest.mark.parametrize("vertices,message", [
+    ([[0], [10 ** 8]], "facet index 100000000 implies 100000001 facets, more than the 2 "
+                       "facet incidences of the vertices can cover"),
+    ([[0], [2]], "facet index 2 implies 3 facets, more than the 2 facet incidences of the "
+                 "vertices can cover"),
+], ids=["10^8", "2"])
+def test_an_inferred_facet_count_over_the_incidences_is_refused_at_once(vertices, message):
+    """Some facet would be unused, so no facet name is built; 10^8 names
+    would take gigabytes."""
+    with pytest.raises(StructureError, match="^%s$" % re.escape(message)):
+        SimplePolytope(1, vertices)
+    # as many facets as incidences is admitted
+    assert SimplePolytope(1, [[0], [1]]).facet_count == 2
+
+
+def reference_steps(faces, n):
+    """The two-pass ridge pairing: each ridge's (face, k) listings gathered
+    in lists, then each ridge of two listings paired, or the first ridge
+    listed with another count returned with that count."""
+    ridges = {}
+    for v, face in enumerate(faces):
+        for ridge, i in zip(itertools.combinations(face, n - 1), range(n - 1, -1, -1)):
+            ridges.setdefault(ridge, []).append((v, i))
+    neighbours = [[0] * n for _ in faces]
+    entered = [[0] * n for _ in faces]
+    for ridge, ends in ridges.items():
+        if len(ends) != 2:
+            return None, (ridge, len(ends))
+        (a, i), (b, j) = ends
+        neighbours[a][i], entered[a][i] = b, faces[b][j]
+        neighbours[b][j], entered[b][j] = a, faces[a][i]
+    return (neighbours, entered), None
+
+
+def perturbed(p, rng):
+    """p's vertices with some removed and some random n-sets of facets (new
+    or old) added, sorted as the constructor sorts them."""
+    n, m = p.dim, p.facet_count
+    verts = set(p.vertices)
+    for _ in range(rng.randint(0, 2)):
+        verts.discard(rng.choice(sorted(verts)))
+    for _ in range(rng.randint(0 if verts != set(p.vertices) else 1, 3)):
+        verts.add(tuple(sorted(rng.sample(range(m + 2), n))))
+    return sorted(verts)
+
+
+def test_one_pass_pairing_matches_the_two_pass_reference():
+    """On valid incidences _steps pairs as the reference does; on perturbed
+    ones it names the same first ridge with the same count."""
+    rng = random.Random(26)
+    bases = corpus() + [vertex_cuts(cube_pair(4), 5, 1).polytope,
+                        vertex_cuts(cp_pair(3), 4, 2).polytope]
+    counts = collections.Counter()
+    for p in bases:
+        assert polytope._steps(p.vertices, p.dim) == reference_steps(p.vertices, p.dim)
+        for _ in range(20):
+            faces = perturbed(p, rng)
+            steps, bad = polytope._steps(faces, p.dim)
+            assert (steps, bad) == reference_steps(faces, p.dim), (p.name, faces)
+            counts[min(bad[1], 3) if bad else 2] += 1
+    # ridges in one face, in three or more, and incidences that still pair all occur
+    assert set(counts) == {1, 2, 3}, counts
+
+
+def brute_force_facet_pairs(p):
+    return {(i, j) for i, j in itertools.combinations(range(p.facet_count), 2)
+            if any(i in v and j in v for v in p.vertices)}
+
+
+def test_facet_pairs_are_the_brute_force_pairs():
+    for p in corpus() + [vertex_cuts(cube_pair(4), 5, 1).polytope,
+                         SimplePolytope(2, [(0, 1, 2), (0, 1), (1, 2)])]:
+        pairs = p.facet_pairs()
+        assert pairs == brute_force_facet_pairs(p), p.name
+        assert p.facet_pairs() is pairs
+
+
+def test_verify_coloring_on_an_unvalidated_polytope_names_the_first_pair_in_vertex_order():
+    """Facets 1, 5 (in the first vertex) and 0, 3 (in the second) both share
+    a colour; the pair named is the first in vertex order, not the least."""
+    p = SimplePolytope(3, [(0, 3, 4), (0, 1, 5), (2, 3, 5)])
+    bad = FacetColoring({0: 1, 1: 2, 2: 3, 3: 1, 4: 3, 5: 2}, 3)
+    with pytest.raises(ValidationError, match="^facets 1,5 share a vertex but also color 2$"):
+        verify_coloring(p, bad)
+    assert verify_coloring(p, FacetColoring({0: 1, 1: 2, 2: 1, 3: 2, 4: 3, 5: 3}, 3))
+    assert p._report is None  # nothing was validated
 
 
 def test_edge_count_consistency():

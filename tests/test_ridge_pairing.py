@@ -7,17 +7,23 @@ and the sorted edge graph, two-faces and shelling, which the polytope
 builds from what its validation kept, must equal the reference routes:
 test_charpair.reference_weights and reference_orientation_signs (Laplace
 determinants and Fraction inverses at every vertex, and a walk comparing
-the endpoint weights of every edge), test_polytope.reference_adjacency,
-reference_two_faces and reference_shelling (the ridges and faces paired
-from the vertex sets).  The polytope is validated on its own first in some
-examples, as `analyze` and `product` do, before the pair reads its pairing.
+the endpoint weights of every edge), test_polytope.reference_steps,
+reference_adjacency, reference_two_faces and reference_shelling (the
+ridges and faces paired from the vertex sets).  The polytope is validated
+on its own first in some examples, as `analyze` and `product` do, before
+the pair reads its pairing.
 The runs are derandomized and keep no example database.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_charpair import reference_orientation_signs, reference_weights, vertex_cuts
-from test_polytope import reference_adjacency, reference_shelling, reference_two_faces
+from test_polytope import (
+    reference_adjacency,
+    reference_shelling,
+    reference_steps,
+    reference_two_faces,
+)
 
 from qtoric.charpair import (
     CharacteristicPair,
@@ -92,6 +98,8 @@ def test_kept_ridge_pairing_matches_the_reference_routes(case):
         assert len(poly.two_faces) == len(reference_two_faces(poly, reference_adjacency(poly)))
     assert pair.vertex_weights == reference_weights(pair)
     assert pair.orientation_signs == reference_orientation_signs(pair)
+    steps, _ = reference_steps(poly.vertices, poly.n)
+    assert poly.ridge_pairing() == tuple(tuple(map(tuple, half)) for half in steps)
     adj = reference_adjacency(poly)
     assert poly.vertex_adjacency() == adj
     faces = tuple(reference_two_faces(poly, adj))
