@@ -250,7 +250,6 @@ def cmd_color_index(args):
     result = colored_index(model, coloring, signs, q_order=args.q_order)
     payload = result.as_dict()
     payload["coloring"] = coloring.as_dict()
-    payload["predicted_constant"] = str(result.meta["predicted_constant"])
     _emit(args, payload)
     return EXIT_OK
 

@@ -143,8 +143,10 @@ class IndexModel:
 
     Concrete subclasses set: n, gen_labels, tangent_roots (linear classes),
     c1_vector (integers), euler, name, even_basis, and implement
-    _draw_fixed_points and _basis (faces only).  Every pairing runs on the
-    fixed-point engine below, at both point sets, which must agree exactly.
+    _draw_fixed_points and _basis(k): for every k, faces whose monomials span
+    H^2k(M; Q), [()] at k = 0; a composed model reads them off its parts'
+    _basis.  Every pairing runs on the fixed-point engine below, at both
+    point sets, which must agree exactly.
     """
 
     n: int
@@ -314,9 +316,9 @@ class IndexModel:
 
     def _face_list(self, k):
         """The faces of size k that the zero test tries, each with the points
-        containing it, ascending, which only this method finds: the empty
-        face with every point for k = 0, before any basis work, and for k > 0
-        the model's _basis(k), whose monomials span H^2k(M; Q), built once."""
+        containing it, ascending, which only this method finds, for the model
+        being paired only: the empty face with every point for k = 0, before
+        any basis work, and for k > 0 the model's _basis(k), built once."""
         if k == 0:
             return [((), list(range(len(self.fixed_points()[0]))))]
         if self._face_lists is None:
@@ -343,7 +345,8 @@ class IndexModel:
         exponent vectors of weight sum k mu_gk = n - deg e in the variables
         (g, k) with L^g_k nonzero and a nonzero root in g.  So the points
         give only these q-free characteristic numbers (_characteristic_numbers,
-        agreed at both point sets), and the series is assembled once.
+        agreed at both point sets), and the series is assembled once; a
+        group's rows k <= n - deg e are planned as its roots are indexed.
 
         One pass, priced as it goes: past PAIRING_BUDGET steps it raises
         BudgetExceededError before any point is paired, on the tables' work
@@ -372,9 +375,9 @@ class IndexModel:
         _check_work(work, q_order)
         groups = sorted(((log_table(kinds, q_order, self.n), roots) for kinds, roots in plan),
                         key=lambda g: g[0][0] == 0)
-        top, ks_plan = _row_plan(groups, self.n)
+        top = self.n - sum(xpow * len(roots) for (xpow, _, _), roots in groups)
         indexed, rows, live, euler = [], [], [], []
-        for ((xpow, _, L), roots), ks in zip(groups, ks_plan):
+        for (xpow, _, L), roots in groups:
             by_gen = {}
             for r, root in enumerate(roots):
                 self._own_terms(root)
@@ -383,6 +386,7 @@ class IndexModel:
                     by_gen.setdefault(i, []).append((r, a))
                 if xpow:
                     euler.append([i for i, _ in items])
+            ks = [k for k in range(1, top + 1) if any(L[k - 1])] if by_gen else []
             indexed.append((xpow, len(roots), by_gen, ks))
             rows += [(k, L[k - 1]) for k in ks]
             if by_gen:
@@ -421,13 +425,13 @@ class IndexModel:
         """The q-free numbers <e p^mu, [M]> of pair_series, one per exponent
         vector mu, from the groups as pair_series indexes them, summed over
         the given points, off which e is zero; both point sets must agree.
-        Each set is summed over the lcm of those points' denominators."""
+        Each set is weighted as the empty face over those points (_weights)."""
         numbers = []
         for pts in self.fixed_points():
-            common = math.lcm(*(pts[p][1] for p in points))
+            common, weights = _weights((), points, pts)
             sums = [0] * len(monomials)
-            for point in points:
-                vals, den = pts[point]
+            for point, weight in zip(points, weights):
+                vals = pts[point][0]
                 pref, p = 1, []
                 for xpow, count, by_gen, ks in indexed:
                     acc = {}
@@ -443,7 +447,7 @@ class IndexModel:
                             pref *= x ** xpow
                     p += [sum(x ** k for x in xs) for k in ks]
                 if pref:
-                    pref *= common // den
+                    pref *= weight
                     for j, mu in enumerate(monomials):
                         sums[j] += pref * math.prod(p[v] ** e for v, e in mu)
             numbers.append([Fraction(s, common) for s in sums])
@@ -458,17 +462,6 @@ class IndexModel:
     def __repr__(self):
         return "%s(%s, n=%d, m=%d)" % (
             type(self).__name__, self.name or "?", self.n, self.gen_count)
-
-
-def _row_plan(groups, n):
-    """The rows that pair_series forms for groups of (table, roots), table
-    = (xpow, c, L): the degree left after the Euler classes, top = n - sum
-    xpow * #roots, and per group the k in 1..top with L_k not identically
-    zero, none for a group without a nonzero root (none at all if top < 0)."""
-    top = n - sum(xpow * len(roots) for (xpow, _, _), roots in groups)
-    return top, [[k for k in range(1, top + 1) if any(L[k - 1])]
-                 if any(root.terms for root in roots) else []
-                 for (_, _, L), roots in groups]
 
 
 def _check_work(work, q_order):
@@ -587,7 +580,7 @@ class PointModel(IndexModel):
         return [({}, 1)], [({}, 1)]
 
     def _basis(self, k):
-        return []  # no face of positive size
+        return [] if k else [()]  # only the empty face
 
 
 # ----------------------------------------------------------------------

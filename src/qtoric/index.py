@@ -72,6 +72,7 @@ class IndexResult:
         return all(c == 0 for c in self.series[1:])
 
     def as_dict(self):
+        """The result as JSON values: each Fraction, in series or meta, as a string."""
         out = {
             "series": [str(c) for c in self.series],
             "q_order": self.q_order,
@@ -79,7 +80,7 @@ class IndexResult:
             "warnings": list(self.warnings),
             "constant_in_q": self.constant_in_q(),
         }
-        out.update(self.meta)
+        out.update((k, str(v) if isinstance(v, Fraction) else v) for k, v in self.meta.items())
         return out
 
 
@@ -343,10 +344,9 @@ class ProductModel(_PairedModel):
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
 
     def _basis(self, k):
-        return [L + tuple(i + self.offset for i in R)
-                for j in range(k + 1)
-                for L, _ in self.left._face_list(j)
-                for R, _ in self.right._face_list(k - j)]
+        right = [[tuple(i + self.offset for i in R) for R in self.right._basis(k - j)]
+                 for j in range(k + 1)]  # right[j]: the right faces of size k - j, shifted
+        return [L + R for j in range(k + 1) for L in self.left._basis(j) for R in right[j]]
 
 
 class ConnectedSumModel(_PairedModel):
@@ -379,10 +379,9 @@ class ConnectedSumModel(_PairedModel):
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
 
     def _basis(self, k):
-        # H^2k is the sum of the summands' for 0 < k < n; H^2n is one class
-        right = self.right._face_list(k) if k < self.n else []
-        return ([L for L, _ in self.left._face_list(k)]
-                + [tuple(i + self.offset for i in R) for R, _ in right])
+        # H^2k is the sum of the summands' for 0 < k < n; H^0 and H^2n are the left one's
+        right = self.right._basis(k) if 0 < k < self.n else []
+        return self.left._basis(k) + [tuple(i + self.offset for i in R) for R in right]
 
 
 def _shifted(vals, offset):

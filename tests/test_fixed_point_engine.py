@@ -883,13 +883,15 @@ COMPOSED_MODELS = {
     "(cp:2 # cp:2) x cp:1": ProductModel(
         ConnectedSumModel(_quasitoric("cp:2"), _quasitoric("cp:2"), 1), _quasitoric("cp:1")),
     "point x cube:3": ProductModel(PointModel(), _quasitoric("cube:3")),
+    "(cube:2 x cp:1) x cp:2": ProductModel(
+        ProductModel(_quasitoric("cube:2"), _quasitoric("cp:1")), _quasitoric("cp:2")),
 }
 BASIS_MODELS = {**ZERO_TEST_MODELS, **ZERO_TEST_TWIST_MODELS, **COMPOSED_MODELS}
 
 
 @pytest.mark.parametrize("name", ["cp:4", "cube:5", "cube:3 x cp:2", "cube:4 with 3 vertex cuts",
                                   "dense cube:4", "cp:2 # -cp:2", "cube:3 # -cp:3",
-                                  "(cp:2 # cp:2) x cp:1"])
+                                  "(cp:2 # cp:2) x cp:1", "(cube:2 x cp:1) x cp:2"])
 def test_basis_faces_count_the_betti_numbers(name):
     """The zero test's face list of size k has b_2k faces: the restriction
     faces of a certified shelling (h_k of them), the factors' faces
@@ -900,6 +902,41 @@ def test_basis_faces_count_the_betti_numbers(name):
     for k in range(model.n + 1):
         for S, points in model._face_list(k):
             assert points == [p for p, support in enumerate(supports) if set(S) <= support], S
+
+
+@pytest.mark.parametrize("name", list(COMPOSED_MODELS))
+def test_composed_bases_read_their_parts_bases(name, monkeypatch):
+    """A product's or connected sum's basis is composed from its parts'
+    _basis, so only the model being paired finds points (_face_list),
+    never one of its parts, whose point lists it would throw away."""
+    model = COMPOSED_MODELS[name]
+    face_list, calls = cohomology.IndexModel._face_list, []
+    monkeypatch.setattr(cohomology.IndexModel, "_face_list",
+                        lambda self, k: calls.append(self) or face_list(self, k))
+    monkeypatch.setattr(model, "_face_lists", None)  # build every list afresh
+    for k in range(model.n + 1):
+        model._face_list(k)
+    assert len(calls) == model.n + 1 and all(m is model for m in calls)
+
+
+@pytest.mark.parametrize("make, refuse", [
+    (PointModel, False),
+    (lambda: _quasitoric("cube:3"), False),
+    (lambda: _quasitoric("cube:3"), True),
+    (lambda: ProductModel(_quasitoric("cube:2"), PointModel()), False),
+    (lambda: ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cp:3"), -1), False),
+], ids=["point", "certified", "uncertified", "product", "connected sum"])
+def test_every_basis_states_degree_zero_as_the_empty_face(make, refuse, monkeypatch):
+    """Every model's _basis(0) is [()], the empty face alone: a quasitoric
+    model's from its certified shelling or, with _certify refusing, from
+    every face of size 0; a product's from its factors'; a connected sum's
+    from its left summand's alone."""
+    if refuse:
+        monkeypatch.setattr(polytope, "_certify", lambda *args: False)
+    model = make()
+    assert model._basis(0) == [()]
+    if isinstance(model, QuasitoricModel):
+        assert (model._shelling is None) == refuse
 
 
 def _bad_order(make_restriction):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -257,15 +258,11 @@ def test_pairing_work_counts_the_exponent_vectors_formed(model, monkeypatch):
 @pytest.mark.parametrize("model", ROUTE_MODELS, ids=ROUTE_IDS)
 def test_each_pairing_forms_its_exponent_vectors_once(model, monkeypatch):
     """phi_c describes the integrand, and pair_series builds, prices and
-    pairs it in one pass: one _row_plan and one _exponent_vectors
-    enumeration per call, and the numbers are paired on the very vectors
-    that enumeration formed."""
-    from qtoric import cohomology
+    pairs it in one pass: one _exponent_vectors enumeration per call, and
+    the numbers are paired on the very vectors that enumeration formed."""
     formed = _listing_vectors(monkeypatch)
-    plans, paired = [], []
-    row_plan, numbers = cohomology._row_plan, model._characteristic_numbers
-    monkeypatch.setattr(cohomology, "_row_plan", lambda groups, n: (
-        plans.append(n) or row_plan(groups, n)))
+    paired = []
+    numbers = model._characteristic_numbers
     monkeypatch.setattr(model, "_characteristic_numbers", lambda indexed, monomials, points: (
         paired.append((len(formed) - 1, monomials)) or numbers(indexed, monomials, points)))
     calls = 0
@@ -273,7 +270,7 @@ def test_each_pairing_forms_its_exponent_vectors_once(model, monkeypatch):
         for _, route in _routes(model):
             route(q_order)
             calls += 1
-            assert len(plans) == len(formed) == calls
+            assert len(formed) == calls
     assert paired and all(monomials == formed[i] for i, monomials in paired)
 
 
@@ -439,6 +436,25 @@ def test_colored_index_exhaustive_signs_cube2():
         assert r.series[0] == r.meta["predicted_constant"]
         values.append(r.series[0])
     assert max(abs(v) for v in values) == 4
+
+
+@pytest.mark.parametrize("route", [
+    lambda: colored_index(CUBE3, coloring_of(CUBE3), [1, -1, 1, 1, -1, 1]),
+    lambda: elliptic_genus(S2S2, q_order=2),
+    lambda: phi_c(CP3, None, [[0, 1, 0, 0]], q_order=2),
+], ids=["colored_index", "elliptic_genus", "phi_c"])
+def test_as_dict_round_trips_through_json(route):
+    """as_dict writes each Fraction, the colored index's predicted constant
+    too, as a string, so the dict round-trips through json; meta keeps its
+    Fractions."""
+    result = route()
+    out = result.as_dict()
+    assert json.loads(json.dumps(out)) == out
+    for key, value in result.meta.items():
+        assert out[key] == (str(value) if isinstance(value, Fraction) else value)
+    constant = result.meta.get("predicted_constant")
+    assert constant is None or (isinstance(constant, Fraction)
+                                and out["predicted_constant"] == str(result.series[0]))
 
 
 def test_colored_index_needs_n_colors():
