@@ -34,7 +34,8 @@ summands' (with one top face), and the point model has only the empty
 face.
 pair_series takes a whole product of per-root factors as (kinds, roots) and
 prices, builds and pairs it in one pass, reading it at the points only as
-q-free characteristic numbers, products of the roots' power sums.  It
+q-free characteristic numbers, products of the roots' power sums, from
+which qseries.assemble sums the q-series in integers.  It
 visits only the points where every Euler-class root can be nonzero, read
 off the generators' support masks (none for e(V) of two opposite facets),
 evaluates only the roots supported at a point, and drops a point at which
@@ -61,7 +62,7 @@ from .charpair import DEFAULT_SEED
 from .errors import BudgetExceededError, InternalConsistencyError, StructureError
 from .polynomial import GradedPolynomial
 from .polytope import _containing, _faces, int_vector, shelling
-from .qseries import _table_work, log_table, series_product
+from .qseries import _table_work, assemble, log_table
 
 _POINT_LO = 10 ** 3
 _POINT_HI = 10 ** 6
@@ -69,8 +70,9 @@ _POINT_HI = 10 ** 6
 _ZERO = Fraction(0)
 
 # The most work pair_series takes on: 3.4e5 for Witten at q^400 on CP^2, 1.8e6 for W
-# on cube:14 at q^4, 1.7e7 (11 s; 8.0e7 at q^860, a minute) for CP^6 with W = u_1, c1c =
-# u_0 at q^400, and 9.2e6 (2.9 s) for the tables alone of Witten on cube:3 at q^90000.
+# on cube:14 at q^4, 1.7e7 (0.23 s; 8.0e7 at q^860, 0.96 s) for CP^6 with W = u_1, c1c =
+# u_0 at q^400, and 9.2e6 (2.9 s) for the tables alone of Witten on cube:3 at q^90000
+# (in-process wall times on a 2-vCPU Xeon, Python 3.11).
 # It also caps index.admissible_splits at m * 2^r entries: cp:18 has 5.0e6, cp:19 1.05e7.
 PAIRING_BUDGET = 10 ** 7
 
@@ -345,8 +347,9 @@ class IndexModel:
         exponent vectors of weight sum k mu_gk = n - deg e in the variables
         (g, k) with L^g_k nonzero and a nonzero root in g.  So the points
         give only these q-free characteristic numbers (_characteristic_numbers,
-        agreed at both point sets), and the series is assembled once; a
-        group's rows k <= n - deg e are planned as its roots are indexed.
+        agreed at both point sets), and the series is assembled once, in
+        integers (qseries.assemble); a group's rows k <= n - deg e are
+        planned as its roots are indexed.
 
         One pass, priced as it goes: past PAIRING_BUDGET steps it raises
         BudgetExceededError before any point is paired, on the tables' work
@@ -411,15 +414,8 @@ class IndexModel:
         else:
             numbers = self._characteristic_numbers(indexed, monomials, points)
         C = math.prod(c ** len(roots) for (_, c, _), roots in groups)
-        series = [_ZERO] * (q_order + 1)
-        for number, mu in zip(numbers, monomials):
-            if number:
-                factors = [rows[v][1] for v, e in mu for _ in range(e)]
-                term = (functools.reduce(series_product, factors) if factors
-                        else [1] + [0] * q_order)
-                number *= Fraction(C, math.prod(math.factorial(e) for _, e in mu))
-                series = [s + number * t for s, t in zip(series, term)]
-        return series
+        return assemble([row for _, row in rows], [(number * C, mu) for number, mu
+                                                   in zip(numbers, monomials) if number], q_order)
 
     def _characteristic_numbers(self, indexed, monomials, points):
         """The q-free numbers <e p^mu, [M]> of pair_series, one per exponent

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .errors import StructureError
 from .polynomial import GradedPolynomial
@@ -270,9 +271,36 @@ def root_factor(kind: str, x: GradedPolynomial, q_order: int, trunc: int) -> QSe
 
 
 def series_product(a, b):
-    """Cauchy product of two coefficient lists, truncated to their length."""
-    N = min(len(a), len(b)) - 1
-    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(N + 1)]
+    """Cauchy product of two coefficient lists, truncated to the shorter."""
+    return [sum(map(mul, a[:j + 1], b[j::-1])) for j in range(min(len(a), len(b)))]
+
+
+def assemble(rows, terms, q_order: int) -> list:
+    """sum over the terms (a, mu) of a prod_v rows[v]^mu_v / mu_v!, per q^j.
+
+    rows are lists of q_order + 1 Fractions and mu is a tuple of (v, mu_v)
+    pairs.  The sum is taken in integers: each row is scaled to integers
+    over d_v, the lcm of its denominators, so each term's q-product is an
+    integer Cauchy product of rows (series_product) and keeps one Fraction
+    coefficient, a / prod mu_v! d_v^mu_v; the products are summed over D,
+    the lcm of those coefficients' denominators, and only the q_order + 1
+    sums become Fractions.  With no term every entry is Fraction(0).
+    """
+    scaled = []  # per row: d_v, and the row times d_v
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        scaled.append((d, [x.numerator * (d // x.denominator) for x in row]))
+    coeffs, products = [], []
+    for a, mu in terms:
+        coeffs.append(Fraction(a, math.prod(math.factorial(e) * scaled[v][0] ** e for v, e in mu)))
+        factors = [scaled[v][1] for v, e in mu for _ in range(e)]
+        products.append(reduce(series_product, factors) if factors else [1] + [0] * q_order)
+    D = math.lcm(*(c.denominator for c in coeffs))
+    sums = [0] * (q_order + 1)
+    for c, product in zip(coeffs, products):
+        c = c.numerator * (D // c.denominator)
+        sums = [s + c * t for s, t in zip(sums, product)]
+    return [Fraction(s, D) for s in sums]
 
 
 def _table_work(plan, n: int, q_order: int) -> int:

@@ -437,6 +437,56 @@ def test_pair_series_matches_dense_point_loop(name, monkeypatch):
     assert set(calls) == set(range(7))
 
 
+def _assembly_cases(seed):
+    """(branch, model, plan) for each branch of pair_series' integer
+    assembly, on fresh models, the twists' coefficients drawn from seed."""
+    rng = random.Random(seed)
+
+    def draw(model, *gens):  # positive on the given generators, so nonzero on CP^n
+        return GP.linear([rng.randint(1, 3) if i in gens else 0
+                          for i in range(model.gen_count)])
+
+    cp3, cp4, cp4_w, cp4_v = (_quasitoric(spec) for spec in ("cp:3", "cp:4", "cp:4", "cp:4"))
+    s2 = ProductModel(_quasitoric("cp:1"), _quasitoric("cp:3"))
+    zero = [GP.zero()]
+    return [
+        ("odd row", cp3, [(("Q1", "AHAT"), cp3.tangent_roots), (("EXPHALF",), [draw(cp3, 0)])]),
+        ("W twist", cp4_w, [(("Q1", "AHAT"), cp4_w.tangent_roots), (("EXPHALF",), zero),
+                            (("Q3",), [draw(cp4_w, 1), draw(cp4_w, 2, 3)])]),
+        ("two V roots on one generator", cp4_v,
+         [(("Q1", "AHAT"), cp4_v.tangent_roots),
+          (("EXPHALF", "Q2"), [draw(cp4_v, 0), draw(cp4_v, 0, 4)])]),
+        ("an exponent of 2", cp4, [(("Q1", "AHAT"), cp4.tangent_roots), (("EXPHALF",), zero)]),
+        ("all numbers zero", s2, [(("Q1", "AHAT"), s2.tangent_roots), (("EXPHALF",), zero)]),
+    ]
+
+
+@pytest.mark.parametrize("q_order", [0, 1, 7, 25])
+def test_integer_assembly_matches_dense_point_loop(q_order, monkeypatch):
+    """pair_series sums its series in integers (qseries.assemble: each L
+    row scaled over its own denominator, one common denominator for the
+    sum).  On every branch of that assembly it gives the dense loop's
+    series: an odd row (L_1 = 1/2 of e^{c1c/2}, the only row of odd
+    weight, so on CP^3 a nonzero series reads it), a W twist (Q3, c = 2
+    per root), a V with two roots on one generator, an exponent vector
+    with mu_v = 2 (p_2^2 on CP^4), and S^2 x CP^3, whose numbers are all
+    zero and whose series is Fraction zeros."""
+    for branch, model, plan in _assembly_cases(q_order + 1):
+        seen = []
+        numbers = model._characteristic_numbers
+        monkeypatch.setattr(model, "_characteristic_numbers", lambda *args: (
+            seen.append((args[1], numbers(*args))) or seen[-1][1]))
+        series = model.pair_series(plan, q_order)
+        assert series == reference_pair_series(model, plan, q_order), (branch, q_order)
+        assert all(type(c) is Fraction for c in series) and len(series) == q_order + 1
+        ((monomials, values),) = seen
+        assert any(values) == any(series) == (branch != "all numbers zero"), branch
+        if branch == "odd row":
+            assert model.n % 2 and log_table(("EXPHALF",), q_order, 1)[2][0][0] == Fraction(1, 2)
+        if branch == "an exponent of 2":
+            assert any(e == 2 and value for mu, value in zip(monomials, values) for _, e in mu)
+
+
 # ----------------------------------------------------------------------
 # the points an Euler class is paired at
 

@@ -273,6 +273,32 @@ def test_log_table_matches_root_factor_expansion(kinds, euler):
             assert [len(row) for row in L] == [N + 1] * len(expected[2]), (kinds, N, n)
 
 
+def test_series_product_matches_double_loop():
+    """The C-level Cauchy product against the double loop, on ints and on
+    Fractions, with lists of unequal length truncated to the shorter."""
+    rng = random.Random(11)
+
+    def naive(a, b):
+        N = min(len(a), len(b))
+        out = [0] * N
+        for i in range(N):
+            for j in range(N - i):
+                out[i + j] += a[i] * b[j]
+        return out
+
+    for _ in range(60):
+        la, lb = rng.randint(0, 9), rng.randint(0, 9)
+        a = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(la)]
+        b = [rng.randint(-5, 5) for _ in range(lb)]
+        assert series_product(a, b) == naive(a, b) == series_product(b, a), (a, b)
+        fa = [Fraction(x, rng.randint(1, 12)) for x in a]
+        fb = [Fraction(x, rng.randint(1, 12)) for x in b]
+        assert series_product(fa, fb) == naive(fa, fb), (fa, fb)
+        assert len(series_product(a, b)) == min(la, lb)
+    assert series_product([1, 2, 3], [4, 5]) == [4, 13]
+    assert series_product([], [1, 2]) == []
+
+
 def test_log_table_rejects_unknown_kind():
     with pytest.raises(StructureError):
         log_table(("NOPE",), 1, 2)
