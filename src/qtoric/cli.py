@@ -195,7 +195,7 @@ def cmd_analyze(args):
         "facets": poly.facet_count,
         "vertices": len(poly.vertices),
         "edges": len(poly.vertices) * poly.dim // 2,  # n distinct neighbours per vertex
-        "two_faces": [len(cycle) for _, cycle in poly.two_faces],
+        "two_faces": [size for _, size in poly.two_face_sizes()],
         "is_even": even,
         "vertex_graph_bipartite": bip,
         "facet_chromatic": d_min,

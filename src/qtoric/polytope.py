@@ -7,16 +7,18 @@ combinatorial conditions (simplicity, edge regularity, connectivity,
 facet coverage, polygonal two-faces).  A valid polytope keeps what
 validation found: the ridge pairing (per vertex, the neighbour across each
 facet and the facet entered there, paired in one pass over the ridges),
-each two-face's vertex cycle and whether the edge graph is bipartite,
-which the connectivity walk two-colours as it goes; the sorted edge graph
-and the two-faces, sorted by facet complement, are built from them on
-request.  The distinct facet pairs that share a vertex (facet_pairs) are
-built once, for the facet graph and every colouring check.  The faces
-(_faces) and a certified shelling of the dual complex (shelling,
-_certify) are read off the same data.  Edge regularity already gives each
-vertex n distinct neighbours (so V * n / 2 edges) and each vertex of a
-two-face exactly two neighbours in it, so 2-regularity needs no test of
-its own: a two-face can only fail by falling apart into several cycles.
+each two-face's number of vertices and whether the edge graph is
+bipartite, which the connectivity walk two-colours as it goes; the sorted
+edge graph and the two-face cycles, sorted by facet complement, are built
+from them on request.  The distinct facet pairs that share a vertex
+(facet_pairs) are built once, for the facet graph and every colouring
+check.  The faces (_faces) and a certified shelling of the dual complex
+(shelling, _certify) are read off the same data.  Edge regularity already
+gives each vertex n distinct neighbours (so V * n / 2 edges) and each
+vertex of a two-face exactly two neighbours in it, so 2-regularity needs
+no test of its own: a two-face can only fail by falling apart into
+several cycles, each of at least 3 vertices, so only a face of 6 or more
+vertices is traced.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .errors import (
 # The most work validation takes on (_check_validation_work): per vertex, the
 # n * C(n, 2) tuple entries of its n ridges (n - 1 facets each) and its C(n, 2)
 # two-face keys (n - 2 each), plus 128 for its own tuple, steps and kept ridge
-# pairing (about 1 KB).  cube:14 needs 2.3e7 (`generate` 3.0 s, 173 MB on a 2 vCPU
-# Xeon, Python 3.11.7) and cube:15 5.6e7 (7.3 s, 359 MB); cube:16 needs 1.3e8, the
+# pairing (about 1 KB).  cube:14 needs 2.3e7 (`generate` 1.7 s, 129 MB on a 2 vCPU
+# Xeon, Python 3.11.7) and cube:15 5.6e7 (2.8 s, 261 MB); cube:16 needs 1.3e8, the
 # 160-simplex 3.3e8 and polygon:1000000 1.3e8 (`validate` 7 s, 971 MB).
 VALIDATION_BUDGET = 6 * 10 ** 7
 
@@ -174,7 +176,7 @@ class SimplePolytope:
         self.facet_names = list(facet_names)
         self._report = None
         self._across = None  # (neighbours, entered): per vertex, aligned with its facets
-        self._cycles = None  # facet complement -> vertex cycle of each two-face
+        self._sizes = None  # facet complement -> number of vertices of each two-face
         self._bipartite = None  # whether validation's walk two-coloured the edge graph
         self._pairs = None  # facet_pairs, once asked for
 
@@ -199,9 +201,10 @@ class SimplePolytope:
         """Check simplicity, edge regularity (each ridge lies in exactly two
         vertices), connectivity, facet coverage and that each two-face is a
         single cycle; if all pass, keep the ridge pairing, the two-face
-        cycles and whether the connectivity walk two-coloured the edge
-        graph.  Edge regularity implies that every two-face is 2-regular (see
-        `_walk_two_faces`), so that is not checked separately.  Work past
+        sizes and whether the connectivity walk two-coloured the edge
+        graph.  Edge regularity implies that every two-face is a union of
+        simple cycles of length >= 3 (see `_count_two_faces`), so only the
+        faces of 6 or more vertices are traced.  Work past
         VALIDATION_BUDGET raises BudgetExceededError."""
         if self._report is not None:
             return self._report
@@ -251,10 +254,10 @@ class SimplePolytope:
             "facet-coverage", coverage,
             "" if coverage else "unused facets %r" % sorted(set(range(self.facet_count)) - used)))
 
-        cycles = None
+        sizes = None
         if connected:
             try:
-                cycles = self._walk_two_faces(steps)
+                sizes = self._count_two_faces(steps)
                 checks.append(ValidationCheck("two-faces-polygonal", True))
             except ValidationError as exc:
                 checks.append(ValidationCheck("two-faces-polygonal", False, str(exc)))
@@ -262,56 +265,57 @@ class SimplePolytope:
         report = ValidationReport(checks)
         if report.ok:
             self._across = tuple(tuple(map(tuple, half)) for half in steps)
-            self._cycles = cycles
+            self._sizes = sizes
             self._bipartite = bipartite
         self._report = report
         return report
 
-    def _walk_two_faces(self, steps):
-        """The two-faces as {facet complement: vertex cycle}, each cycle
-        traced from its lowest vertex towards the lower of that vertex's two
-        neighbours in the face.
-
-        steps = (neighbours, entered), from _steps: the edge of vertex v
-        that leaves facet v[k] ends at neighbours[v][k] and enters facet
-        entered[v][k] there.  At a vertex of a two-face, its two free facets
-        (those outside the facet complement) name the vertex's two edges in
-        the face, and edge regularity makes their ends distinct.  So every
-        two-face is 2-regular, a union of simple cycles of length >= 3, and
-        a walk that leaves the free facet it did not just enter goes once
-        round one of them.  The one way to fail is a face of several cycles:
-        then the traced lengths fall short of V * C(n, 2), the number of
-        (vertex, two-face) incidences.
-        """
+    def _count_two_faces(self, steps):
+        """{facet complement: number of vertices} for the two-faces, counted
+        at C level.  At a vertex of a two-face, its two free facets (those
+        outside the complement) name its two edges in the face, whose ends
+        edge regularity makes distinct; so each face is a disjoint union of
+        simple cycles of length >= 3, and one of at most 5 vertices is a
+        single cycle.  Only larger faces are traced; the least whose cycle
+        is shorter than its count raises ValidationError."""
         n = self.dim
         if n < 2:
             return {}
-        # the k-th (n-2)-subset of v omits v[i] and v[j], (i, j) the k-th pair from the end
-        free = list(itertools.combinations(range(n), 2))[::-1]
+        sizes = collections.Counter(itertools.chain.from_iterable(
+            map(itertools.combinations, self.vertices, itertools.repeat(n - 2))))
+        large = sorted(sub for sub, size in sizes.items() if size >= 6)
+        if large:
+            for sub, cycle in self._trace_two_faces(large, steps):
+                if len(cycle) != sizes[sub]:
+                    raise ValidationError("two-face %r is not a single cycle" % (sub,))
+        return sizes
+
+    def _trace_two_faces(self, subs, steps):
+        """Yield (sub, cycle) for each facet complement in subs: the face's
+        cycle from its lowest vertex (read off one C-level map) towards the
+        lower of that vertex's two neighbours in it, leaving each vertex by
+        the free facet it did not enter.  steps is the ridge pairing
+        (neighbours, entered), as from _steps."""
+        n = self.dim
         verts = self.vertices
+        down = range(len(verts) - 1, -1, -1)
+        lowest = dict(zip(
+            itertools.chain.from_iterable(
+                map(itertools.combinations, reversed(verts), itertools.repeat(n - 2))),
+            itertools.chain.from_iterable(
+                map(itertools.repeat, down, itertools.repeat(n * (n - 1) // 2)))))
         neighbours, entered = steps
-        cycles = {}
-        traced = 0
-        for start, v in enumerate(verts):
-            ns, es = neighbours[start], entered[start]
-            for sub, (i, j) in zip(itertools.combinations(v, n - 2), free):
-                if sub in cycles:
-                    continue
-                a, b = ns[i], ns[j]
-                cur, leave, back = (a, v[j], es[i]) if a < b else (b, v[i], es[j])
-                cycle = [start]
-                while cur != start:
-                    cycle.append(cur)
-                    k = verts[cur].index(leave)
-                    cur, leave, back = neighbours[cur][k], back, entered[cur][k]
-                cycles[sub] = tuple(cycle)
-                traced += len(cycle)
-        if traced != len(self.vertices) * n * (n - 1) // 2:
-            members = collections.Counter(
-                sub for v in self.vertices for sub in itertools.combinations(v, n - 2))
-            sub = next(s for s in sorted(cycles) if len(cycles[s]) != members[s])
-            raise ValidationError("two-face %r is not a single cycle" % (sub,))
-        return cycles
+        for sub in subs:
+            start = lowest[sub]
+            v, ns, es = verts[start], neighbours[start], entered[start]
+            i, j = (k for k, f in enumerate(v) if f not in sub)
+            cur, leave, back = (ns[i], v[j], es[i]) if ns[i] < ns[j] else (ns[j], v[i], es[j])
+            cycle = [start]
+            while cur != start:
+                cycle.append(cur)
+                k = verts[cur].index(leave)
+                cur, leave, back = neighbours[cur][k], back, entered[cur][k]
+            yield sub, tuple(cycle)
 
     def require_valid(self):
         self.validate().require("polytope", self.name)
@@ -328,10 +332,19 @@ class SimplePolytope:
     @property
     def two_faces(self):
         """The two-faces as (facet complement, vertex cycle) pairs, sorted by
-        facet complement (distinct, so no cycle is compared): the n - 2
-        facets containing each and validation's cycle of it."""
+        facet complement: the n - 2 facets containing each and its cycle
+        from its lowest vertex towards the lower neighbour, traced on each
+        call (none for n = 1)."""
         self.require_valid()
-        return tuple(sorted(self._cycles.items(), key=itemgetter(0)))
+        if not self._sizes:
+            return ()
+        return tuple(self._trace_two_faces(sorted(self._sizes), self._across))
+
+    def two_face_sizes(self):
+        """The two-faces as (facet complement, number of vertices) pairs,
+        sorted by facet complement, as validation counted them."""
+        self.require_valid()
+        return tuple(sorted(self._sizes.items()))
 
     def facet_pairs(self):
         """The facet pairs (i, j), i < j, that some vertex contains, each
@@ -368,9 +381,10 @@ class SimplePolytope:
         return tuple(tuple(sorted(ns)) for ns in self._across[0])
 
     def is_even(self) -> bool:
-        """True iff every two-face has an even number of vertices (vacuous for n=1)."""
+        """True iff every two-face has an even number of vertices (vacuous
+        for n=1), read off validation's counts."""
         self.require_valid()
-        return all(len(cycle) % 2 == 0 for cycle in self._cycles.values())
+        return all(size % 2 == 0 for size in self._sizes.values())
 
     def is_vertex_graph_bipartite(self) -> bool:
         """Whether the edge graph is bipartite, as validation's connectivity

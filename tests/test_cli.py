@@ -502,12 +502,10 @@ SPLIT_FACE = {
 }
 
 
-def test_two_face_of_several_cycles_exits_2(tmp_path):
-    # an icosahedron's dual with antipodal vertices identified: its two-face
-    # of facet 10 is two pentagons
+def _exits_2_on_split_face(tmp_path, data, detail):
+    """validate and analyze on data exit 2, naming the split two-face."""
     path = tmp_path / "split.json"
-    path.write_text(json.dumps(SPLIT_FACE))
-    detail = "two-face (10,) is not a single cycle"
+    path.write_text(json.dumps(data))
     code, out, err = run_cli(["validate", "--manifold", str(path)])
     assert code == 2 and "Traceback" not in err
     checks = json.loads(out)["checks"]
@@ -516,3 +514,18 @@ def test_two_face_of_several_cycles_exits_2(tmp_path):
     code, out, err = run_cli(["analyze", "--manifold", str(path)])
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("error: ") and detail in err
+
+
+def test_two_face_of_several_cycles_exits_2(tmp_path):
+    # an icosahedron's dual with antipodal vertices identified: its two-face
+    # of facet 10 is two pentagons
+    _exits_2_on_split_face(tmp_path, SPLIT_FACE, "two-face (10,) is not a single cycle")
+
+
+def test_two_face_of_two_triangles_exits_2(tmp_path):
+    # the 3-cube with two opposite vertices cut off by one shared facet 6:
+    # its two-face of facet 6 is two triangles, 6 vertices in all
+    _exits_2_on_split_face(tmp_path, {"name": "two-triangles", "dim": 3, "vertices": [
+        [0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5], [1, 3, 4],
+        [0, 2, 6], [0, 4, 6], [2, 4, 6], [1, 3, 6], [1, 5, 6], [3, 5, 6]]},
+        "two-face (6,) is not a single cycle")

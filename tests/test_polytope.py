@@ -400,6 +400,57 @@ def test_two_face_of_several_cycles_fails():
         p.require_valid()
 
 
+# The 3-cube on facets 0-5 (opposite facets 2k and 2k + 1; its vertices are
+# the triangles of the octahedron on 0-5) with the vertices (0,2,4) and
+# (1,3,5) each cut off by one shared new facet 6, so each of those triangles
+# becomes a cone to 6: edge-regular and connected, with 12 vertices, but the
+# two-face of facet 6 is two triangles, the smallest face that counting alone
+# cannot clear.
+TWO_TRIANGLES = [[0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5], [1, 3, 4],
+                 [0, 2, 6], [0, 4, 6], [2, 4, 6], [1, 3, 6], [1, 5, 6], [3, 5, 6]]
+
+
+def test_two_face_of_two_triangles_fails():
+    p = SimplePolytope(3, TWO_TRIANGLES)
+    report = p.validate()
+    assert [c.name for c in report.failures()] == ["two-faces-polygonal"]
+    assert report.checks[-1].detail == "two-face (6,) is not a single cycle"
+    with pytest.raises(ValidationError, match=r"^two-face \(6,\) is not a single cycle$"):
+        reference_two_faces(p, reference_adjacency(p))
+
+
+def _refuse_trace(*args):
+    raise AssertionError("a face was traced")
+
+
+@pytest.mark.parametrize("make", [lambda: cube(9), lambda: simplex(7),
+                                  lambda: cp_pair(4).polytope,
+                                  lambda: cube(3).product(polygon(5))],
+                         ids=["cube:9", "simplex:7", "cp:4", "cube:3*polygon:5"])
+def test_faces_of_at_most_five_vertices_are_counted_not_traced(make, monkeypatch):
+    p = make()
+    monkeypatch.setattr(SimplePolytope, "_trace_two_faces", _refuse_trace)
+    p.require_valid()
+    assert p.is_even() == all(size % 2 == 0 for _, size in p.two_face_sizes())
+
+
+@pytest.mark.parametrize("make", [lambda: polygon(6), lambda: SimplePolytope(3, SPLIT_FACE)],
+                         ids=["polygon:6", "split-face"])
+def test_faces_of_six_or_more_vertices_are_traced(make, monkeypatch):
+    p = make()
+    monkeypatch.setattr(SimplePolytope, "_trace_two_faces", _refuse_trace)
+    with pytest.raises(AssertionError, match="a face was traced"):
+        p.validate()
+
+
+@pytest.mark.parametrize("make", [m for _, m in WALK_CASES],
+                         ids=[name for name, _ in WALK_CASES])
+def test_two_face_sizes_match_reference_cycles(make):
+    p = make()
+    assert p.two_face_sizes() == tuple(
+        (sub, len(cycle)) for sub, cycle in reference_two_faces(p, reference_adjacency(p)))
+
+
 # ----------------------------------------------------------------------
 # adjacency
 
