@@ -32,12 +32,12 @@ or without one every face of that size (polytope._faces).  A product
 multiplies its factors' basis faces (Kunneth), a connected sum joins its
 summands' (with one top face), and the point model has only the empty
 face.
-pair_series takes a whole product of per-root factors as (kinds, roots) and
-prices, builds and pairs it in one pass, reading it at the points only as
-q-free characteristic numbers, products of the roots' power sums, from
-which qseries.assemble sums the q-series in integers.  It
-visits only the points where every Euler-class root can be nonzero, read
-off the generators' support masks (none for e(V) of two opposite facets),
+pair_series takes a whole product of per-root factors, (kinds, roots) with
+the roots integer items, and prices, builds and pairs it in one pass,
+reading it at the points only as q-free characteristic numbers, products of
+the roots' power sums, from which qseries.assemble sums the q-series in
+integers.  It visits only the points where every Euler-class root can be
+nonzero, read off the generators' support masks (none for e(V) of two opposite facets),
 evaluates only the roots supported at a point, and drops a point at which
 an Euler-class root still vanishes.  The model keeps the numbers of its own
 tangent roots when they are the only nonzero roots and carry no Euler class
@@ -60,7 +60,7 @@ from operator import mul
 
 from .charpair import DEFAULT_SEED
 from .errors import BudgetExceededError, InternalConsistencyError, StructureError
-from .polynomial import GradedPolynomial
+from .polynomial import GradedPolynomial, _linear_items, _p1_terms, _vector_items
 from .polytope import _containing, _faces, int_vector, shelling
 from .qseries import _table_work, assemble, log_table
 
@@ -93,44 +93,60 @@ def _int_class(cls, gen_count, what):
 
 class BundleSpec:
     """A sum of line bundles, each given by its first Chern class, an
-    integral linear class in the gen_count generators, checked here."""
+    integral linear class in the gen_count generators, checked here and
+    kept as integer items (_linear_items)."""
 
     def __init__(self, classes, gen_count: int):
         classes = list(classes)
-        for c in classes:
-            if not isinstance(c, GradedPolynomial):
-                raise StructureError("bundle classes must be GradedPolynomial")
-            c.integer_vector(gen_count)
-        self.classes = classes
+        if not all(isinstance(c, GradedPolynomial) for c in classes):
+            raise StructureError("bundle classes must be GradedPolynomial")
+        self.items = [_linear_items(c, gen_count) for c in classes]
         self.gen_count = gen_count
 
     @classmethod
+    def _of_items(cls, items, gen_count: int) -> "BundleSpec":
+        spec = cls.__new__(cls)
+        spec.items, spec.gen_count = list(items), gen_count
+        return spec
+
+    @classmethod
     def empty(cls, gen_count: int) -> "BundleSpec":
-        return cls([], gen_count)
+        return cls._of_items([], gen_count)
 
     @classmethod
     def from_vectors(cls, vectors, gen_count: int) -> "BundleSpec":
-        return cls([GradedPolynomial.linear(_int_class(vec, gen_count, "bundle vector"))
-                    for vec in vectors], gen_count)
+        if not isinstance(vectors, (list, tuple)):
+            raise StructureError("bundle spec must be a list of coefficient vectors, got %r"
+                                 % (vectors,))
+        return cls._of_items([_vector_items(_int_class(vec, gen_count, "bundle vector"))
+                              for vec in vectors], gen_count)
 
     @property
     def dim(self) -> int:
-        return len(self.classes)
+        return len(self.items)
 
-    def c1(self) -> GradedPolynomial:
-        out = GradedPolynomial.zero()
-        for c in self.classes:
-            out = out + c
-        return out
+    @property
+    def classes(self):
+        return [GradedPolynomial({(i,): a for i, a in items}) for items in self.items]
 
     def c1_vector(self):
-        return self.c1().integer_vector(self.gen_count)
+        vec = [0] * self.gen_count
+        for items in self.items:
+            for i, a in items:
+                vec[i] += a
+        return tuple(vec)
 
     def p1(self) -> GradedPolynomial:
-        return GradedPolynomial(_p1_terms(self.classes, ()))
+        return GradedPolynomial(_p1_terms(self.items, ()))
 
     def to_vectors(self):
-        return [list(c.integer_vector(self.gen_count)) for c in self.classes]
+        out = []
+        for items in self.items:
+            vec = [0] * self.gen_count
+            for i, a in items:
+                vec[i] = a
+            out.append(vec)
+        return out
 
     def __repr__(self):
         return "BundleSpec(%d line bundles over %d generators)" % (self.dim, self.gen_count)
@@ -143,9 +159,9 @@ class BundleSpec:
 class IndexModel:
     """Interface shared by quasitoric, product, connected-sum and point models.
 
-    Concrete subclasses set: n, gen_labels, tangent_roots (linear classes),
-    c1_vector (integers), euler, name, even_basis, and implement
-    _draw_fixed_points and _basis(k): for every k, faces whose monomials span
+    Concrete subclasses set: n, gen_labels, tangent_items (the stable tangent
+    roots, integer items), c1_vector (integers), euler, name, even_basis,
+    and implement _draw_fixed_points and _basis(k): for every k, faces whose monomials span
     H^2k(M; Q), [()] at k = 0; a composed model reads them off its parts'
     _basis.  Every pairing runs on the fixed-point engine below, at both
     point sets, which must agree exactly.
@@ -153,7 +169,7 @@ class IndexModel:
 
     n: int
     gen_labels: list
-    tangent_roots: list
+    tangent_items: list
     c1_vector: tuple
     euler: int
     name: str
@@ -168,6 +184,10 @@ class IndexModel:
     @property
     def gen_count(self) -> int:
         return len(self.gen_labels)
+
+    @property
+    def tangent_roots(self) -> list:
+        return self.tangent_bundle().classes
 
     def generators(self):
         return [GradedPolynomial.generator(i) for i in range(self.gen_count)]
@@ -215,7 +235,7 @@ class IndexModel:
         face of size 0, which every point contains (_face_pairings).  That
         face's list needs no basis work (_face_list), so a model that only
         pairs top-degree classes never builds a basis."""
-        self._own_terms(poly)
+        self._own_terms(poly.terms)
         for _, value in self._face_pairings(poly, poly.homogeneous_part(self.n).terms, 0):
             return value
         return _ZERO
@@ -237,9 +257,13 @@ class IndexModel:
         Terms whose generators share no point vanish at every point and are
         dropped first, so a part made only of them tries no face.
         """
+        return self._nonzero_face(self._own_terms(poly.terms), poly)
+
+    def _nonzero_face(self, terms, poly):
+        """nonzero_face of the class {monomial: coefficient}, named poly."""
         n = self.n
         parts = {}
-        for mon, c in self._own_terms(poly).items():
+        for mon, c in terms.items():
             if len(mon) <= n:  # beyond top degree: zero automatically
                 parts.setdefault(len(mon), {})[mon] = c
         for d in sorted(parts):
@@ -282,15 +306,15 @@ class IndexModel:
             yield S, _agree(sums, "pairing of the degree-%d part of %r with u_%r",
                             self.n - k, poly, S)
 
-    def _own_terms(self, poly):
-        """poly's terms, refused unless each is over the model's generators
-        0..gen_count - 1 only."""
-        for mon in poly.terms:
+    def _own_terms(self, terms):
+        """The monomials terms, refused unless each is over the model's
+        generators 0..gen_count - 1 only."""
+        for mon in terms:
             for i in mon:
                 if not 0 <= i < self.gen_count:
                     raise StructureError("u_%d is not a generator of %s (u_0..u_%d)"
                                          % (i, self.name, self.gen_count - 1))
-        return poly.terms
+        return terms
 
     def _support_masks(self):
         """Per generator, the bitset of the points supporting it; built once."""
@@ -338,7 +362,7 @@ class IndexModel:
     def pair_series(self, plan, q_order: int) -> list:
         """Top-degree pairing of prod over plan of prod_{x in roots} F(x), per q^j.
 
-        plan: (kinds, roots), roots linear classes, F(x) = prod_K root_factor(K,
+        plan: (kinds, roots), roots integer items, F(x) = prod_K root_factor(K,
         x) = x^xpow c exp(sum_k L_k(q) x^k), c a number, from its table
         (xpow, c, L) = qseries.log_table(kinds, q_order, n).  With p_gk the
         k-th power sum of group g's roots, e = prod x^xpow, C = prod
@@ -382,13 +406,12 @@ class IndexModel:
         indexed, rows, live, euler = [], [], [], []
         for (xpow, _, L), roots in groups:
             by_gen = {}
-            for r, root in enumerate(roots):
-                self._own_terms(root)
-                items = _linear_items(root)
+            for r, items in enumerate(roots):
                 for i, a in items:
                     by_gen.setdefault(i, []).append((r, a))
                 if xpow:
                     euler.append([i for i, _ in items])
+            self._own_terms([by_gen])  # its generators, as one monomial
             ks = [k for k in range(1, top + 1) if any(L[k - 1])] if by_gen else []
             indexed.append((xpow, len(roots), by_gen, ks))
             rows += [(k, L[k - 1]) for k in ks]
@@ -403,7 +426,7 @@ class IndexModel:
         if not monomials:  # top < 0, or an odd top with only even k
             return [_ZERO] * (q_order + 1)
         points = self._supporting(euler)
-        if top == self.n and live == [self.tangent_roots]:
+        if top == self.n and live == [self.tangent_items]:
             if self._tangent_numbers is None:
                 self._tangent_numbers = {}
             key = tuple(k for k, _ in rows)
@@ -453,7 +476,7 @@ class IndexModel:
         return self.tangent_bundle().p1()
 
     def tangent_bundle(self) -> BundleSpec:
-        return BundleSpec(list(self.tangent_roots), self.gen_count)
+        return BundleSpec._of_items(self.tangent_items, self.gen_count)
 
     def __repr__(self):
         return "%s(%s, n=%d, m=%d)" % (
@@ -517,35 +540,11 @@ def _evaluate(vals, constant, by_first):
     return v
 
 
-def _p1_terms(plus, minus):
-    """p1 of the sum of the line bundles plus minus those of minus, as
-    {monomial: coefficient}: the square of each first Chern class, summed."""
-    out = {}
-    for sign, classes in ((1, plus), (-1, minus)):
-        for c in classes:
-            items = _linear_items(c)
-            for a, (i, x) in enumerate(items):
-                out[(i, i)] = out.get((i, i), 0) + sign * x * x
-                for j, y in items[a + 1:]:
-                    mon = (i, j) if i < j else (j, i)
-                    out[mon] = out.get(mon, 0) + 2 * sign * x * y
-    return out
-
-
 def _monomial_value(mon, vals):
     v = 1
     for i in mon:
         v *= vals[i]
     return v
-
-
-def _linear_items(root):
-    """An integral linear class as (generator, integer coefficient) pairs."""
-    items = [(mon[0], c.numerator) for mon, c in root.terms.items()
-             if len(mon) == 1 and c.denominator == 1]
-    if len(items) != len(root.terms):
-        raise StructureError("root must be an integral degree-1 class, got %r" % (root,))
-    return items
 
 
 def _exponent_vectors(weights, total, start=0):
@@ -567,7 +566,7 @@ class PointModel(IndexModel):
     def __init__(self):
         self.n = 0
         self.gen_labels = []
-        self.tangent_roots = []
+        self.tangent_items = []
         self.c1_vector = ()
         self.euler = 1
         self.name = "point"
@@ -602,8 +601,7 @@ class QuasitoricModel(IndexModel):
         self.polytope = pair.polytope
         self.n = pair.n
         self.gen_labels = list(pair.polytope.facet_names)
-        self.tangent_roots = [
-            GradedPolynomial.generator(i, pair.signs[i]) for i in range(pair.m)]
+        self.tangent_items = [((i, s),) for i, s in enumerate(pair.signs)]
         self.c1_vector = tuple(pair.signs)
         self.euler = len(pair.polytope.vertices)
         self.name = pair.name
@@ -745,8 +743,8 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     diff = [a - b for a, b in zip(c1c_vec, model.c1_vector)]
     spin_c = model.is_even_vector(diff)
     w_spin = model.is_even_vector(W.c1_vector())
-    p1 = GradedPolynomial(_p1_terms(V.classes + W.classes, model.tangent_roots))
-    face = model.nonzero_face(p1)
+    p1 = _p1_terms(V.items + W.items, model.tangent_items)
+    face = model._nonzero_face(p1, p1)
     witness = None if face is None else tuple(model.gen_labels[i] for i in face)
     return AdmissibilityReport(spin_c, w_spin, face is None, tuple(c1c_vec), witness)
 

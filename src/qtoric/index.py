@@ -6,9 +6,10 @@ phi_c(M; V, W) is evaluated cohomologically: the top-degree pairing of
     e^{c1c/2}    * Q1(TM) * Q3(W) * Ahat(TM)           (V = 0)
 
 per power of q, all over exact rationals.  phi_c only describes the
-integrand, as (kinds, roots) factors, the V factor spelled e^{c1(V)/2} *
-Q2(V), which has the table of e(V) * Q2'(V).  It is never expanded into
-monomials: in one pass the model's fixed-point engine
+integrand, as (kinds, roots) factors, the roots integer items kept by each
+bundle (BundleSpec) and model (tangent_items), the V factor spelled
+e^{c1(V)/2} * Q2(V), which has the table of e(V) * Q2'(V).  It is never
+expanded into monomials: in one pass the model's fixed-point engine
 (IndexModel.pair_series) reads each per-root factor from a cached
 closed-form table (qseries.log_table) x^xpow c exp(sum_k L_k(q) x^k),
 prices the pairing against PAIRING_BUDGET, pairs only q-free
@@ -44,7 +45,7 @@ from .cohomology import (
 )
 from .errors import (BudgetExceededError, HypothesisUnmetError, InternalConsistencyError,
                      StructureError)
-from .polynomial import GradedPolynomial
+from .polynomial import GradedPolynomial, _vector_items
 from .polytope import FacetColoring, verify_coloring
 from .qseries import series_product
 
@@ -119,18 +120,18 @@ def phi_c(model: IndexModel, V=None, W=None, q_order: int = DEFAULT_Q_ORDER,
     warnings = []
     admissibility = check_admissible(model, V, W, c1c=c1c)
 
-    tangent_twist = W.classes == model.tangent_roots
+    tangent_twist = W.items == model.tangent_items
     plan = [(("Q1", "AHAT", "Q3") if tangent_twist else ("Q1", "AHAT"),
-             model.tangent_roots)]
+             model.tangent_items)]
     if V.dim == 0:
         if c1c is None and not admissibility.spin_c_exists:
             warnings.append(
                 "c1(M) is not even: no Spin structure, c1^c = 0 is a formal choice")
-        plan.append((("EXPHALF",), [GradedPolynomial.linear(admissibility.c1c_vector)]))
+        plan.append((("EXPHALF",), [_vector_items(admissibility.c1c_vector)]))
     else:
-        plan.append((("EXPHALF", "Q2"), V.classes))
+        plan.append((("EXPHALF", "Q2"), V.items))
     if W.dim and not tangent_twist:
-        plan.append((("Q3",), W.classes))
+        plan.append((("Q3",), W.items))
     if not admissibility.met:
         warnings.append("hypotheses unmet: " + ", ".join(
             k for k, v in admissibility.as_dict().items()
@@ -157,7 +158,7 @@ def _check_signature(model: IndexModel, constant) -> None:
     is constant in s, so sigma(M) = sum_v sign(den_v) at each point set
     (Buchstaber-Panov, Toric Topology; Panov, Izv. Math. 65, 2001).
     """
-    scale = Fraction(2) ** (len(model.tangent_roots) - model.n)
+    scale = Fraction(2) ** (len(model.tangent_items) - model.n)
     for pts in model.fixed_points():
         sigma = sum(1 if den > 0 else -1 for _, den in pts)
         if constant != scale * sigma:
@@ -193,7 +194,7 @@ def elliptic_genus(model: IndexModel, q_order: int = DEFAULT_Q_ORDER) -> IndexRe
             "elliptic genus needs a Spin model: c1(%s) is not even" % model.name)
     W = model.tangent_bundle()
     result = phi_c(model, None, W, q_order=q_order)
-    extras = len(model.tangent_roots) - model.n
+    extras = len(model.tangent_items) - model.n
     scale = Fraction(1, 2 ** extras)
     result.series = [c * scale for c in result.series]
     result.meta["genus"] = "elliptic"
@@ -310,9 +311,8 @@ class _PairedModel(IndexModel):
         self.offset = left.gen_count
         self.gen_labels = (["L:" + s for s in left.gen_labels]
                            + ["R:" + s for s in right.gen_labels])
-        self.tangent_roots = (list(left.tangent_roots)
-                              + [r.shift_generators(self.offset)
-                                 for r in right.tangent_roots])
+        self.tangent_items = left.tangent_items + [_shifted_items(r, self.offset)
+                                                   for r in right.tangent_items]
         self.c1_vector = tuple(left.c1_vector) + tuple(right.c1_vector)
 
     @functools.cached_property
@@ -388,10 +388,14 @@ def _shifted(vals, offset):
     return {i + offset: x for i, x in vals.items()}
 
 
+def _shifted_items(items, offset):
+    return tuple([(i + offset, a) for i, a in items])
+
+
 def extend_bundles(model: _PairedModel, V1: BundleSpec, V2: BundleSpec) -> BundleSpec:
     """External direct sum V1 (+) V2 over a product or connected-sum model."""
-    classes = list(V1.classes) + [c.shift_generators(model.offset) for c in V2.classes]
-    return BundleSpec(classes, model.gen_count)
+    return BundleSpec._of_items(V1.items + [_shifted_items(c, model.offset) for c in V2.items],
+                                model.gen_count)
 
 
 def tensor_extend(model: ConnectedSumModel, V1: BundleSpec, V2: BundleSpec) -> BundleSpec:
@@ -399,17 +403,13 @@ def tensor_extend(model: ConnectedSumModel, V1: BundleSpec, V2: BundleSpec) -> B
 
     The shorter list is padded with trivial bundles, so the j-th class
     restricts to the j-th class of each summand (0 beyond its length).
+    The left generators come first, so the joined items stay sorted.
     """
-    k = max(V1.dim, V2.dim)
-    classes = []
-    for j in range(k):
-        c = GradedPolynomial.zero()
-        if j < V1.dim:
-            c = c + V1.classes[j]
-        if j < V2.dim:
-            c = c + V2.classes[j].shift_generators(model.offset)
-        classes.append(c)
-    return BundleSpec(classes, model.gen_count)
+    pad = max(V1.dim, V2.dim)
+    left = V1.items + [()] * (pad - V1.dim)
+    right = V2.items + [()] * (pad - V2.dim)
+    return BundleSpec._of_items([a + _shifted_items(b, model.offset)
+                                 for a, b in zip(left, right)], model.gen_count)
 
 
 # ----------------------------------------------------------------------
@@ -491,12 +491,12 @@ def verify_exhaustive_split_vanishing(model: IndexModel, subset,
     hypotheses unmet the series is reported without any assertion.
     """
     subset = sorted(set(subset))
-    m = len(model.tangent_roots)
+    m = len(model.tangent_items)
     if any(i < 0 or i >= m for i in subset):
         raise StructureError("subset indices must name stable line bundles 0..%d" % (m - 1))
-    V = BundleSpec([model.tangent_roots[i] for i in subset], model.gen_count)
-    W = BundleSpec([model.tangent_roots[i] for i in range(m) if i not in subset],
-                   model.gen_count)
+    roots = model.tangent_items
+    V = BundleSpec._of_items([roots[i] for i in subset], model.gen_count)
+    W = BundleSpec._of_items([roots[i] for i in range(m) if i not in subset], model.gen_count)
     result = phi_c(model, V, W, q_order=q_order)
     return {
         "theorem": "exhaustive-split",
@@ -519,7 +519,7 @@ def admissible_splits(model: IndexModel):
     model.even_basis.  Over PAIRING_BUDGET entries (m * 2^r) it raises
     BudgetExceededError.
     """
-    m = len(model.tangent_roots)
+    m = len(model.tangent_items)
     basis = model.even_basis
     if m << len(basis) > PAIRING_BUDGET:
         raise BudgetExceededError(

@@ -161,12 +161,9 @@ class GradedPolynomial:
 
     def integer_vector(self, m: int):
         """Coefficient vector of an integral linear class over generators 0..m-1."""
-        if any(len(mon) != 1 or mon[0] >= m or c.denominator != 1
-               for mon, c in self.terms.items()):
-            raise StructureError("not an integral linear class in u_0..u_%d: %r" % (m - 1, self))
         vec = [0] * m
-        for (i,), c in self.terms.items():
-            vec[i] = int(c)
+        for i, a in _linear_items(self, m):
+            vec[i] = a
         return tuple(vec)
 
     def shift_generators(self, offset: int) -> "GradedPolynomial":
@@ -216,6 +213,37 @@ class GradedPolynomial:
             else:
                 parts.append("%s*%s" % (c, body))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _linear_items(root, m):
+    """An integral linear class over the generators 0..m-1, a
+    GradedPolynomial, as its integer items: (generator, coefficient) pairs,
+    sorted by generator."""
+    if any(len(mon) != 1 or not 0 <= mon[0] < m or c.denominator != 1
+           for mon, c in root.terms.items()):
+        raise StructureError("not an integral linear class in u_0..u_%d: %r" % (m - 1, root))
+    return tuple(sorted((i, c.numerator) for (i,), c in root.terms.items()))
+
+
+def _vector_items(vec):
+    """An integer coefficient vector as integer items (see _linear_items)."""
+    return tuple([(i, a) for i, a in enumerate(vec) if a])
+
+
+def _p1_terms(plus, minus):
+    """p1 of the sum of the line bundles plus minus those of minus, each
+    given by the integer items of its first Chern class, as {monomial:
+    integer coefficient}, zeros dropped: the square of each class, summed."""
+    out = {}
+    for sign, classes in ((1, plus), (-1, minus)):
+        for items in classes:
+            for a, (i, x) in enumerate(items):
+                mon = (i, i)
+                out[mon] = out.get(mon, 0) + sign * x * x
+                for j, y in items[a + 1:]:  # sorted, so i < j
+                    mon = (i, j)
+                    out[mon] = out.get(mon, 0) + 2 * sign * x * y
+    return {mon: c for mon, c in out.items() if c}
 
 
 def monomials_of_degree(m: int, deg: int):

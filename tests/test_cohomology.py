@@ -18,6 +18,7 @@ from qtoric.cohomology import (
     BundleSpec,
     PointModel,
     QuasitoricModel,
+    _linear_items,
     check_admissible,
     is_even_class,
 )
@@ -246,7 +247,7 @@ def test_generators_outside_the_model_are_refused():
                  lambda: m.is_zero_class(u9 * u9 * u9),
                  lambda: m.pair_top(u0 + u9),
                  lambda: m.nonzero_face(u0 * u0 + u9),
-                 lambda: m.pair_series([(("Q3",), [u9])], 0)):
+                 lambda: m.pair_series([(("Q3",), [_linear_items(u9, 10)])], 0)):
         with pytest.raises(StructureError, match="not a generator"):
             pair()
 

@@ -221,8 +221,7 @@ def reference_pair_series(model, plan, q_order):
     the product of x^xpow, and each point carries the whole q-series
     through one truncated exponential, in integers after scaling s by the
     common denominator delta of the L_k."""
-    groups = [(log_table(kinds, q_order, model.n), [_linear_items(r) for r in roots])
-              for kinds, roots in plan if roots]
+    groups = [(log_table(kinds, q_order, model.n), roots) for kinds, roots in plan if roots]
     top = model.n - sum(table[0] * len(roots) for table, roots in groups)
     if top < 0:
         return [_ZERO] * (q_order + 1)
@@ -443,21 +442,21 @@ def _assembly_cases(seed):
     rng = random.Random(seed)
 
     def draw(model, *gens):  # positive on the given generators, so nonzero on CP^n
-        return GP.linear([rng.randint(1, 3) if i in gens else 0
-                          for i in range(model.gen_count)])
+        return _linear_items(GP.linear([rng.randint(1, 3) if i in gens else 0
+                                        for i in range(model.gen_count)]), model.gen_count)
 
     cp3, cp4, cp4_w, cp4_v = (_quasitoric(spec) for spec in ("cp:3", "cp:4", "cp:4", "cp:4"))
     s2 = ProductModel(_quasitoric("cp:1"), _quasitoric("cp:3"))
-    zero = [GP.zero()]
+    zero = [()]
     return [
-        ("odd row", cp3, [(("Q1", "AHAT"), cp3.tangent_roots), (("EXPHALF",), [draw(cp3, 0)])]),
-        ("W twist", cp4_w, [(("Q1", "AHAT"), cp4_w.tangent_roots), (("EXPHALF",), zero),
+        ("odd row", cp3, [(("Q1", "AHAT"), cp3.tangent_items), (("EXPHALF",), [draw(cp3, 0)])]),
+        ("W twist", cp4_w, [(("Q1", "AHAT"), cp4_w.tangent_items), (("EXPHALF",), zero),
                             (("Q3",), [draw(cp4_w, 1), draw(cp4_w, 2, 3)])]),
         ("two V roots on one generator", cp4_v,
-         [(("Q1", "AHAT"), cp4_v.tangent_roots),
+         [(("Q1", "AHAT"), cp4_v.tangent_items),
           (("EXPHALF", "Q2"), [draw(cp4_v, 0), draw(cp4_v, 0, 4)])]),
-        ("an exponent of 2", cp4, [(("Q1", "AHAT"), cp4.tangent_roots), (("EXPHALF",), zero)]),
-        ("all numbers zero", s2, [(("Q1", "AHAT"), s2.tangent_roots), (("EXPHALF",), zero)]),
+        ("an exponent of 2", cp4, [(("Q1", "AHAT"), cp4.tangent_items), (("EXPHALF",), zero)]),
+        ("all numbers zero", s2, [(("Q1", "AHAT"), s2.tangent_items), (("EXPHALF",), zero)]),
     ]
 
 
@@ -550,8 +549,8 @@ def test_euler_class_pairs_only_the_points_supporting_it(name, monkeypatch):
         for pair in (opposite, adjacent):
             V = _unit(model, *pair)
             series = phi_c(model, V, None, q_order=q_order).series
-            plan = [(("Q1", "AHAT"), model.tangent_roots),
-                    (("EXPHALF", "Q2"), BundleSpec.from_vectors(V, model.gen_count).classes)]
+            plan = [(("Q1", "AHAT"), model.tangent_items),
+                    (("EXPHALF", "Q2"), BundleSpec.from_vectors(V, model.gen_count).items)]
             assert series == reference_pair_series(model, plan, q_order), (pair, q_order)
             assert visits[-1] == [p for p, support in enumerate(supports)
                                   if set(pair) <= support], (pair, q_order)
@@ -597,10 +596,10 @@ def test_merged_tangent_group_matches_the_unmerged_groups(name):
     one group; pair_series on the two groups it replaces, and the monomial
     route, give the same series."""
     model = ROUTE_MODELS[name]()
-    roots = model.tangent_roots
+    roots = model.tangent_items
     merged = phi_c(model, None, model.tangent_bundle(), q_order=Q_ORDER).series
     unmerged = model.pair_series([(("Q1", "AHAT"), roots), (("Q3",), roots)], Q_ORDER)
-    tangent = [r.integer_vector(model.gen_count) for r in roots]
+    tangent = [r.integer_vector(model.gen_count) for r in model.tangent_roots]
     assert merged == unmerged == old_phi_c(model, W=tangent)
 
 
@@ -615,7 +614,7 @@ def test_witten_and_tangent_twist_agree_in_either_order(name):
     assert witten_genus(twist_first, 2).series == witten
     assert witten_first._tangent_numbers == twist_first._tangent_numbers
     # other kinds form other k rows, so they key other numbers: L_1 alone
-    exphalf = [(("EXPHALF",), witten_first.tangent_roots)]
+    exphalf = [(("EXPHALF",), witten_first.tangent_items)]
     assert witten_first.pair_series(exphalf, 2) == ROUTE_MODELS[name]().pair_series(exphalf, 2)
 
 
@@ -741,18 +740,19 @@ ZERO_TEST_TWIST_MODELS = {**SPARSE_MODELS,
 @pytest.mark.parametrize("name", list(ZERO_TEST_TWIST_MODELS))
 def test_nonzero_face_matches_reference_on_twists(name, monkeypatch):
     """Every p1(V + W - TM) that the twists of
-    test_pair_series_matches_dense_point_loop send to the zero test."""
+    test_pair_series_matches_dense_point_loop send to the zero test, which
+    check_admissible hands over as an integer quadratic form."""
     model = ZERO_TEST_TWIST_MODELS[name]
-    engine = model.nonzero_face
+    engine = model._nonzero_face
     classes = []
 
-    def checked(poly):
-        face = engine(poly)
-        _assert_zero_test_matches_reference(model, poly, face)
-        classes.append(poly)
+    def checked(terms, poly):
+        face = engine(terms, poly)
+        _assert_zero_test_matches_reference(model, GP(terms), face)
+        classes.append(terms)
         return face
 
-    monkeypatch.setattr(model, "nonzero_face", checked)
+    monkeypatch.setattr(model, "_nonzero_face", checked)
     m = model.gen_count
     witten_genus(model, 0)
     phi_c(model, None, model.tangent_bundle(), q_order=0)

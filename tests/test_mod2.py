@@ -245,7 +245,7 @@ def test_non_integral_classes_rejected():
             BundleSpec(classes, 3)
     for root in (half, GP.generator(0).mul(GP.generator(1))):
         with pytest.raises(StructureError):
-            _linear_items(root)
+            _linear_items(root, 3)
     with pytest.raises(StructureError):
         phi_c(model, c1c=[1.5, 1.5, 0])
     with pytest.raises(StructureError):
