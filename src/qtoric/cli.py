@@ -92,7 +92,7 @@ def _read_json(path: str):
         else:
             with open(path) as fh:
                 data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, JSON or digits
         raise StructureError("cannot read manifold JSON from %r: %s" % (path, exc))
     if not isinstance(data, dict):
         raise StructureError("manifold JSON must be an object, got %r" % (data,))
@@ -131,15 +131,15 @@ def _emit(args, payload, text_lines=None):
         _write("\n".join(text_lines or [json.dumps(payload, sort_keys=True)]))
 
 
-def _parse_bundle(arg):
+def _parse_bundle(arg, flag):
     if arg is None:
         return None
     try:
         data = json.loads(arg)
-    except json.JSONDecodeError as exc:
-        raise StructureError("bundle spec must be JSON like [[1,0,1,0]]: %s" % exc)
+    except (ValueError, RecursionError) as exc:
+        raise StructureError("%s: bundle spec must be JSON like [[1,0,1,0]]: %s" % (flag, exc))
     if not isinstance(data, list):
-        raise StructureError("bundle spec must be a list of coefficient vectors")
+        raise StructureError("%s: bundle spec must be a list of coefficient vectors" % flag)
     return data
 
 
@@ -219,7 +219,7 @@ def cmd_chi(args):
 def cmd_index(args):
     pair = load_pair(args.manifold)
     model = pair.to_index_model(seed=args.seed)
-    result = phi_c(model, _parse_bundle(args.V), _parse_bundle(args.W),
+    result = phi_c(model, _parse_bundle(args.V, "--V"), _parse_bundle(args.W, "--W"),
                    q_order=args.q_order)
     _emit(args, result.as_dict(),
           ["phi_c(%s) = %s" % (model.name,
@@ -271,8 +271,8 @@ def cmd_verify(args):
     if args.other is None:
         raise StructureError("verify %s needs --other" % args.theorem)
     other = load_pair(args.other).to_index_model(seed=args.seed)
-    V1, W1 = _parse_bundle(args.V1), _parse_bundle(args.W1)
-    V2, W2 = _parse_bundle(args.V2), _parse_bundle(args.W2)
+    V1, W1 = _parse_bundle(args.V1, "--V1"), _parse_bundle(args.W1, "--W1")
+    V2, W2 = _parse_bundle(args.V2, "--V2"), _parse_bundle(args.W2, "--W2")
     if args.theorem == "product":
         payload = verify_product_formula(model, V1, W1, other, V2, W2,
                                          q_order=args.q_order)

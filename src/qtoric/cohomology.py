@@ -46,8 +46,11 @@ model in either order; twisted root lists are paired afresh each call.
 
 The mod-2 test needs no elimination: each model keeps one basis of its even
 degree-2 classes mod 2 (IndexModel.is_even_vector), a quasitoric model's
-read off the dual basis at one vertex, cached by validation.  A face-ring
-reduction oracle (facering) cross-checks the pairing at small half-dimension.
+read off the dual basis at one vertex, cached by validation.  At n >= 3
+check_admissible decides p1 = 0 in degree 4 of the face ring instead
+(facering, imported on first use), and the engine's zero test finds the
+witness only when it is read; facering also cross-checks the top pairing
+at small half-dimension.
 """
 
 from __future__ import annotations
@@ -606,7 +609,6 @@ class QuasitoricModel(IndexModel):
         self.euler = len(pair.polytope.vertices)
         self.name = pair.name
         self.seed = seed
-        self._ring_oracle = None
 
     # -- fixed-point data ------------------------------------------------
 
@@ -670,21 +672,12 @@ class QuasitoricModel(IndexModel):
             for k, w in zip(self.polytope.vertices[0], self.pair.vertex_weights[0]))
 
     def ring_reduction_pairing(self, mon) -> Fraction:
-        """Pairing via linear elimination and face-ring reduction, built once
-        (facering.build), the first time a test asks for it.
-
-        Independent of the localization route: uses only the linear relations,
-        the face ideal, and the base-vertex normalization convention.
-        """
-        if len(mon) != self.n:
-            return _ZERO
-        if self._ring_oracle is None:
-            from .facering import build
-            self._ring_oracle = build(self)
-        mapping, phi, to_vector = self._ring_oracle
-        poly = GradedPolynomial({tuple(sorted(mon)): Fraction(1)}).substitute(mapping)
-        vec = to_vector(poly)
-        return sum(a * b for a, b in zip(phi, vec))
+        """Pairing via linear elimination and face-ring reduction
+        (facering.top_pairing), independent of the localization route: it
+        uses only the linear relations, the face ideal and the base-vertex
+        normalization."""
+        from .facering import top_pairing
+        return top_pairing(self, mon)
 
 
 def is_even_class(model: IndexModel, cls) -> bool:
@@ -695,8 +688,9 @@ def is_even_class(model: IndexModel, cls) -> bool:
 class AdmissibilityReport:
     """The index-theorem hypotheses.  p1_witness names (by generator labels)
     the first basis face S (IndexModel.nonzero_face) whose monomial u_S
-    pairs nonzero with p1(V + W - TM), or is None when p1 vanishes; as_dict
-    leaves it out."""
+    pairs nonzero with p1(V + W - TM), or is None when p1 vanishes; at
+    n >= 3 the engine finds it when it is first read (facering.Report).
+    as_dict leaves it out."""
 
     def __init__(self, spin_c_exists: bool, w_is_spin: bool, p1_zero: bool,
                  c1c_vector: tuple, p1_witness: tuple = None):
@@ -729,7 +723,9 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     c1(V) must reduce to w_2(M) mod 2 (so a Spin^c structure with
     c1^c = c1(V) exists), W must be Spin, and p1(V + W - TM) must vanish
     rationally.  p1(V + W - TM) is built in one pass from the first Chern
-    classes of the line bundles, as an integer quadratic form.
+    classes of the line bundles, as an integer quadratic form, and decided
+    at n >= 3 in degree 4 of the face ring (facering.Report), at n <= 2 by
+    the engine's zero test.
     """
     if V.gen_count != model.gen_count or W.gen_count != model.gen_count:
         raise StructureError("V and W are over %d and %d generators, the model has %d"
@@ -744,7 +740,9 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     spin_c = model.is_even_vector(diff)
     w_spin = model.is_even_vector(W.c1_vector())
     p1 = _p1_terms(V.items + W.items, model.tangent_items)
+    if p1 and model.n > 2:
+        from .facering import Report
+        return Report(model, p1, spin_c, w_spin, tuple(c1c_vec))
     face = model._nonzero_face(p1, p1)
     witness = None if face is None else tuple(model.gen_labels[i] for i in face)
     return AdmissibilityReport(spin_c, w_spin, face is None, tuple(c1c_vec), witness)
-

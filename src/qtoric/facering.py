@@ -1,28 +1,60 @@
-"""The face-ring reduction oracle: a second route to the top pairing of a
-quasitoric model, independent of the fixed-point engine in cohomology.
+"""Degree 4 of the face ring, and the face-ring oracle for the top pairing.
 
-It uses only the linear relations, the face ideal and the base-vertex
-normalization: the degree-n part of Q[u_free] modulo the minimal non-faces
-(after eliminating the base vertex's generators) is one-dimensional, and its
-functional is scaled so that the base vertex monomial pairs to the product
-of its signs.  The tests compare it with the engine at small half-dimension;
-QuasitoricModel.ring_reduction_pairing builds it on first use, so nothing
-else in the package imports this module.
+H*(M; Q) = Q[u_1..u_m] / (I_K + J) for a quasitoric model
+(Davis-Januszkiewicz 1991; Buchstaber-Panov, Toric Topology, ch. 3): J holds
+the linear relations sum_i lambda_ij signs_i u_i = 0, I_K the monomials of
+the facet sets that share no vertex.  Substituting a base vertex's n
+generators through the dual basis that validation keeps there,
+u_b = -s_b sum_j s_j <w_b, lambda_j> u_j over the free facets j
+(_substitution), leaves the m - n free generators as coordinates of H^2.
+
+check_admissible imports this module on first use, at n >= 3, to decide
+p1 = 0 (Report, degree4_zero).  H^4 is generated in degree 2, so it is
+Sym^2(H^2) modulo the products u_i u_j of facets that do not meet.  Each
+model keeps a presentation of it at two base vertices, built once
+(_presentations): the image of every generator in the coordinates, and the
+relations: a product of two free facets, or one left with a single
+coordinate, kills it, and the others are reduced once to echelon form by
+charpair._eliminate.  They must have full rank, one per pair of facets that
+do not meet: the free certificate dim H^4 = h_2.  A product joins its
+factors' presentations, a connected sum of n >= 3 joins its summands' and
+kills every mixed product, the point model has none.  A quasitoric
+presentation priced past PRICE is not built, and then the fixed-point
+engine decides alone.
+
+The top-pairing oracle (build, QuasitoricModel.ring_reduction_pairing) reads
+the same substitution at vertex 0: the degree-n part of Q[u_free] modulo the
+minimal non-faces is one-dimensional, and its functional is scaled so that
+the base vertex monomial pairs to the product of its signs.  The tests
+compare it with the engine at small half-dimension.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
-from .charpair import _dual_basis, _eliminate
-from .cohomology import _ZERO
+from .charpair import _eliminate
+from .cohomology import _ZERO, AdmissibilityReport, PointModel, QuasitoricModel
 from .errors import InternalConsistencyError, OracleUnavailableError
+from .index import ConnectedSumModel, ProductModel
 from .polynomial import GradedPolynomial, monomials_of_degree
 
 MAX_N = 3
 MAX_FREE = 8
+
+# The most work a quasitoric presentation takes on, at either base vertex: the
+# relations that touch it times the coordinates of Sym^2(H^2).  cube:12 costs
+# 936 (16 ms against 65 ms for the engine's zero test, p1 = 0), cube:14 1470,
+# cube:5 with 5 vertex cuts 1155 (0.6 ms against 0.5 ms, where p1 != 0 and the
+# engine stops at its first face) and with 10 cuts 4680 (2.0 against 0.7 ms);
+# with 60 cuts, 6.4e5, the elimination alone takes 2.8 s.
+PRICE = 2000
+
+_EMPTY = (0, (), {}, [])  # the point model's presentation: no coordinate at all
 
 
 def _integer_rows(rows):
@@ -32,6 +64,195 @@ def _integer_rows(rows):
         scale = math.lcm(*(x.denominator for x in row))
         out.append([int(x * scale) for x in row])
     return out
+
+
+def _substitution(model, vertex):
+    """(base, free, images) of a quasitoric model at polytope.vertices[vertex]:
+    its facets, the others in order, and per generator its image in H^2 as
+    (free position, integer coefficient) pairs."""
+    pair = model.pair
+    base = model.polytope.vertices[vertex]
+    free = [i for i in range(pair.m) if i not in base]
+    signs, lam = pair.signs, pair.lam
+    images = [None] * pair.m
+    for r, j in enumerate(free):
+        images[j] = ((r, 1),)
+    for b, w in zip(base, pair.vertex_weights[vertex]):
+        images[b] = tuple([(r, c) for r, j in enumerate(free)
+                           if (c := -signs[b] * signs[j] * sum(map(mul, w, lam[j])))])
+    return base, free, images
+
+
+def _times(a, b, c, out):
+    """out += c a b for images a, b in H^2, keyed by coordinate pairs (r, s), r <= s."""
+    for r, x in a:
+        for s, y in b:
+            key = (r, s) if r <= s else (s, r)
+            out[key] = out.get(key, 0) + c * x * y
+
+
+def _quasitoric(model, apart, vertex):
+    """A quasitoric model's presentation of H^4 at a base vertex, given the
+    facet pairs apart that do not meet: (coordinates of H^2, generator
+    images, where, blocks).  where maps a coordinate pair of Sym^2 to -1 if
+    a relation kills it, or to its block; a block is (d, {pivot: its row
+    off the pivots}), d the echelon form's pivot value.  A pair in neither
+    is free in H^4."""
+    base, free, images = _substitution(model, vertex)
+    base = set(base)
+    where, forms = {}, []
+    for i, j in apart:
+        if i in base or j in base:
+            form = {}
+            _times(images[i], images[j], 1, form)
+            forms.append(form)
+        else:  # two free facets: the relation kills one coordinate
+            ((r, _),), ((s, _),) = images[i], images[j]
+            where[r, s] = -1
+    rows = []
+    for form in forms:  # one with a single coordinate left kills it too
+        form = {key: c for key, c in form.items() if c and key not in where}
+        if len(form) == 1:
+            where.update(dict.fromkeys(form, -1))
+        else:
+            rows.append(form)
+    columns = sorted(set().union(*rows).difference(where))
+    _, d, reduced, pivots = _eliminate([[form.get(key, 0) for key in columns] for form in rows])
+    if len(where) + len(pivots) != len(apart):
+        raise InternalConsistencyError(
+            "degree 4 of the face ring of %s: %d independent relations for %d pairs of "
+            "facets that do not meet" % (model.name, len(where) + len(pivots), len(apart)))
+    where.update(dict.fromkeys(columns, 0))
+    on = set(pivots)
+    block = {columns[p]: tuple([(columns[c], x) for c, x in enumerate(row) if x and c not in on])
+             for row, p in zip(reduced, pivots)}
+    return len(free), tuple(images), where, [(d, block)] if columns else []
+
+
+def _side_by_side(left, right, kill_mixed):
+    """The presentation over the left generators, then the right ones,
+    whose coordinates and blocks are numbered after the left's: a
+    product's (kill_mixed False: the mixed products span H^2 (x) H^2) or a
+    connected sum's of n >= 3 (every mixed product is zero)."""
+    by, count = left[0], len(left[3])
+
+    def key(k):
+        return k[0] + by, k[1] + by
+    _, images, where, blocks = right
+    where = {key(k): b if b < 0 else b + count for k, b in where.items()}
+    where.update(left[2])
+    if kill_mixed:
+        where.update(dict.fromkeys(itertools.product(range(by), range(by, by + right[0])), -1))
+    images = [tuple([(r + by, c) for r, c in image]) for image in images]
+    blocks = [(d, {key(p): tuple([(key(c), x) for c, x in row]) for p, row in block.items()})
+              for d, block in blocks]
+    return by + right[0], left[1] + tuple(images), where, left[3] + blocks
+
+
+def _presentations(model):
+    """The model's presentations of H^4 at its two base vertices, built on
+    the first call and kept, or None: past PRICE, for a connected sum of
+    n = 2, whose H^4 is its top degree, and for a model or part of no known
+    kind."""
+    if "_degree4" in vars(model):
+        return model._degree4
+    found = None
+    if isinstance(model, QuasitoricModel):
+        vertices, m = model.polytope.vertices, model.pair.m
+        meeting = model.polytope.facet_pairs()
+        degree = collections.Counter(itertools.chain.from_iterable(meeting))
+        size = m - model.n
+        ends = (0, len(vertices) - 1)
+        if all(sum(m - 1 - degree[b] for b in vertices[v]) * size * (size + 1) // 2 <= PRICE
+               for v in ends):
+            apart = [p for p in itertools.combinations(range(m), 2) if p not in meeting]
+            found = tuple(_quasitoric(model, apart, v) for v in ends)
+    elif isinstance(model, PointModel):
+        found = (_EMPTY, _EMPTY)
+    elif isinstance(model, ProductModel) or (isinstance(model, ConnectedSumModel)
+                                             and model.n >= 3):
+        left, right = _presentations(model.left), _presentations(model.right)
+        if left is not None and right is not None:
+            kill = isinstance(model, ConnectedSumModel)
+            found = tuple(_side_by_side(a, b, kill) for a, b in zip(left, right))
+    model._degree4 = found
+    return found
+
+
+def _is_zero(presentation, terms):
+    """Whether the quadratic form {(i, j): integer} is zero in H^4."""
+    _, images, where, blocks = presentation
+    x = {}
+    for (i, j), c in terms.items():
+        _times(images[i], images[j], c, x)
+    parts = [{} for _ in blocks]
+    for key, v in x.items():
+        if v:
+            b = where.get(key)
+            if b is None:
+                return False
+            if b >= 0:
+                parts[b][key] = v
+    for (d, block), part in zip(blocks, parts):
+        # in the span of the rows iff, off the pivots, d x = sum_p x_p row_p
+        rest = {}
+        for key, v in part.items():
+            row = block.get(key)
+            if row is None:
+                rest[key] = rest.get(key, 0) + d * v
+            else:
+                for c, y in row:
+                    rest[c] = rest.get(c, 0) - v * y
+        if any(rest.values()):
+            return False
+    return True
+
+
+def degree4_zero(model, terms):
+    """Whether the integer quadratic form {(i, j): coefficient}, i <= j,
+    vanishes in H^4(M; Q), decided at the model's two base vertices, which
+    must agree; None when the model keeps no presentation (_presentations)."""
+    found = _presentations(model)
+    if found is None:
+        return None
+    first, second = (_is_zero(p, terms) for p in found)
+    if first != second:
+        raise InternalConsistencyError(
+            "degree 4 of the face ring of %s: the quadratic form %r is %szero at the "
+            "first base vertex and %szero at the second"
+            % (model.name, terms, "" if first else "non", "" if second else "non"))
+    return first
+
+
+class Report(AdmissibilityReport):
+    """check_admissible's report at n >= 3, for a nonzero p1 form: p1_zero
+    from degree4_zero, and p1_witness found by the engine's zero test when
+    it is first read, which must agree with p1_zero.  Without a
+    presentation (past PRICE) the engine decides at once."""
+
+    def __init__(self, model, p1, spin_c_exists, w_is_spin, c1c_vector):
+        super().__init__(spin_c_exists, w_is_spin, degree4_zero(model, p1), c1c_vector)
+        del self.p1_witness  # read through __getattr__
+        self._pending = model, p1
+        if self.p1_zero is None:
+            self.p1_zero = self.p1_witness is None
+
+    def __getattr__(self, name):
+        if name != "p1_witness" or "_pending" not in vars(self):
+            raise AttributeError(name)
+        model, p1 = self._pending
+        face = model._nonzero_face(p1, p1)
+        if self.p1_zero not in (None, face is None):
+            raise InternalConsistencyError(
+                "p1 of %s is %szero in degree 4 of the face ring, but the engine finds the "
+                "witness %r" % (model.name, "" if self.p1_zero else "non", face))
+        del self._pending
+        self.p1_witness = None if face is None else tuple(model.gen_labels[i] for i in face)
+        return self.p1_witness
+
+    def __eq__(self, other):
+        return (isinstance(other, AdmissibilityReport) and self.p1_witness == other.p1_witness
+                and vars(self) == vars(other))
 
 
 def _minimal_nonfaces(model, max_size):
@@ -52,6 +273,18 @@ def _minimal_nonfaces(model, max_size):
     return minimal
 
 
+def top_pairing(model, mon) -> Fraction:
+    """<u_mon, [M]> for a quasitoric model by face-ring reduction, from the
+    oracle built on the first call (build) and kept on the model."""
+    if len(mon) != model.n:
+        return _ZERO
+    if "_ring_oracle" not in vars(model):
+        model._ring_oracle = build(model)
+    mapping, phi, to_vector = model._ring_oracle
+    vec = to_vector(GradedPolynomial({tuple(sorted(mon)): Fraction(1)}).substitute(mapping))
+    return sum(a * b for a, b in zip(phi, vec))
+
+
 def build(model):
     """(mapping, phi, to_vector) for a QuasitoricModel: the substitution of
     the eliminated generators, the top-degree functional and the coordinate
@@ -60,23 +293,9 @@ def build(model):
     if n > MAX_N or m - n > MAX_FREE:
         raise OracleUnavailableError(
             "face-ring oracle unavailable for n=%d, m=%d (budget n<=%d)" % (n, m, MAX_N))
-    base = model.polytope.vertices[0]
-    free = [i for i in range(m) if i not in base]
-    free_index = {i: r for r, i in enumerate(free)}
+    base, free, images = _substitution(model, 0)
     signs = model.pair.signs
-    lamt = [tuple(signs[i] * x for x in model.pair.lam[i]) for i in range(m)]
-    inv_t = _dual_basis([lamt[i] for i in base])  # (A^{-1})^T rows
-    # u_elim = -(A^T)^{-1} B^T u_free; (A^T)^{-1} = (A^{-1})^T
-    mapping = {}
-    for k, i in enumerate(base):
-        coeffs = {}
-        for r, j in enumerate(free):
-            c = -sum(inv_t[k][s] * lamt[j][s] for s in range(n))
-            if c:
-                coeffs[r] = c
-        mapping[i] = GradedPolynomial.linear(coeffs)
-    for i in free:
-        mapping[i] = GradedPolynomial.generator(free_index[i])
+    mapping = {i: GradedPolynomial.linear(dict(image)) for i, image in enumerate(images)}
 
     basis = list(monomials_of_degree(len(free), n))
     basis_index = {mon: j for j, mon in enumerate(basis)}

@@ -167,25 +167,28 @@ def semisimple_products(chi: int, n: int):
     chi = abs(chi)
     pool = divisibility_candidates(chi, max(n, 1))
     results = []
-
-    def rec(start, chosen, rank, dim, weyl):
-        for i in range(start, len(pool)):
-            g = pool[i]
-            if rank + g.rank > n:
-                continue
-            w = weyl * g.weyl_order
-            if chi % w != 0:
-                continue
-            d = dim + g.dim
-            r = rank + g.rank
-            if d - r > 2 * n:
-                continue
-            results.append((chosen + [g], r, d, w))
-            rec(i, chosen + [g], r, d, w)
-
-    rec(0, [], 0, 0, 1)
+    _extend_products(pool, chi, n, 0, [], 0, 0, 1, results)
     results.sort(key=lambda item: (-item[2], item[1]))
     return results
+
+
+def _extend_products(pool, chi, n, start, chosen, rank, dim, weyl, results):
+    """Append to results, depth first, every multiset chosen + pool[i:] (i >=
+    start) that semisimple_products allows.  A module-level function, not a
+    closure over itself, so a search leaves no reference cycle behind."""
+    for i in range(start, len(pool)):
+        g = pool[i]
+        if rank + g.rank > n:
+            continue
+        w = weyl * g.weyl_order
+        if chi % w != 0:
+            continue
+        d = dim + g.dim
+        r = rank + g.rank
+        if d - r > 2 * n:
+            continue
+        results.append((chosen + [g], r, d, w))
+        _extend_products(pool, chi, n, i, chosen + [g], r, d, w, results)
 
 
 class SymmetryReport:

@@ -110,6 +110,43 @@ def test_malformed_pair_data_exits_2(tmp_path, capsys, data, flags):
     assert out == "" and err.startswith("error: ")
 
 
+def _unreadable(capsys, argv, named):
+    """argv run in process exits 2 with one error line that names the input."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """Python refuses to read an integer of more than 4,300 digits; in the
+    manifold file or in --V the refusal is an input error naming it."""
+    big = "1" * 4301
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_cp2(**{"lambda": "BIG"})).replace('"BIG"', "[[%s, 0]]" % big))
+    _unreadable(capsys, ["validate", "--manifold", str(path)], str(path))
+    path.write_text(json.dumps(_cp2()))
+    _unreadable(capsys, ["index", "--V", "[[%s,0,0]]" % big, "--manifold", str(path)],
+                "--V")
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    """100,000 nested lists overflow the JSON reader's recursion, in the
+    manifold file or in --V."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    _unreadable(capsys, ["validate", "--manifold", str(path)], str(path))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_cp2()))
+    _unreadable(capsys, ["index", "--W", "[" * 100000, "--manifold", str(path)],
+                "--W")
+
+
+def test_a_manifold_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    _unreadable(capsys, ["chi", "--manifold", str(path)], str(path))
+
+
 # Integer lists given as flag text: a non-integer entry exits 2, not 1.
 BAD_FLAG_VALUES = [
     ("--signs letters", "hirzebruch:2", ["color-index", "--signs", "a,b,c,d"]),

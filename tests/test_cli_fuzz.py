@@ -78,11 +78,38 @@ def _mutant(data):
     return pair, m
 
 
+# integers of about Python's 4,300-digit reading limit, and lists nested
+# about as deep as the JSON reader's recursion allows, or far deeper
+DIGITS = st.integers(4295, 4305).map(lambda k: "7" * k)
+DEPTH = st.one_of(st.integers(990, 1010), st.just(100000))
+
+
 def _bundle(m):
     vectors = st.one_of(st.lists(st.lists(SMALL, min_size=m, max_size=m), max_size=3),
                         st.lists(st.lists(SMALL, max_size=m + 1), max_size=3))
     return st.one_of(st.none(), vectors.map(json.dumps), JUNK.map(json.dumps),
-                     st.sampled_from(("[[1,", "[[1.5]]", '[["a"]]', "[[true]]", "{}")))
+                     st.sampled_from(("[[1,", "[[1.5]]", '[["a"]]', "[[true]]", "{}")),
+                     DIGITS.map(lambda d: "[[%s]]" % d),
+                     DEPTH.map(lambda k: "[" * k + "]" * k))
+
+
+def _manifold(data, pair):
+    """The pair as the bytes of a manifold file: its JSON, or that JSON with
+    a lambda entry of many digits, wrapped in deeply nested lists, or with
+    raw bytes in front (often not UTF-8)."""
+    text = json.dumps(pair)
+    form = data.draw(st.sampled_from(("json", "json", "digits", "nested", "bytes")),
+                     label="manifold form")
+    if form == "digits" and pair.get("lambda"):
+        text = json.dumps(dict(pair, **{"lambda": "BIG"})).replace(
+            '"BIG"', "[[%s]]" % data.draw(DIGITS, label="digits"))
+    elif form == "nested":
+        depth = data.draw(DEPTH, label="depth")
+        text = "[" * depth + text + "]" * depth
+    raw = text.encode()
+    if form == "bytes":
+        raw = data.draw(st.binary(min_size=1, max_size=4), label="raw bytes") + raw
+    return raw
 
 
 def _arguments(data, m):
@@ -153,9 +180,11 @@ def test_exit_code_contract_on_mutated_pairs(data):
     argv = _arguments(data, m)
     with tempfile.TemporaryDirectory() as tmp:
         other = os.path.join(tmp, "other.json")
-        with open(other, "w") as fh:
-            json.dump(pair, fh)
+        with open(other, "wb") as fh:
+            fh.write(_manifold(data, pair))
         argv = [other if a == "OTHER" else a for a in argv]
+        if data.draw(st.booleans(), label="manifold from a file"):
+            argv += ["--manifold", other]
         code, _, err = _run(argv, json.dumps(pair))
     assert code in (0, 2, 3, 4), (argv, pair, code, err)
     assert "Traceback" not in err, (argv, pair, err)

@@ -22,6 +22,11 @@ list the same faces.  The library tries only a basis (the restriction faces
 of a certified shelling, or the factors' or summands' bases), so it may name
 another face; it must give the same zero/nonzero answer, and a face it
 names must pair nonzero.
+
+The last section checks check_admissible's route at n >= 3, p1 = 0 decided
+in degree 4 of the face ring (facering), against the engine's zero test on
+every model kind, under rebasing and relabelling, on two mutants of the
+ring, past its price and for its rank certificate.
 """
 
 import math
@@ -32,8 +37,15 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from qtoric import cohomology, polytope
-from qtoric.charpair import cp_pair, cube_pair, hirzebruch_pair, polygon_pair, s2xs2_pair
+from qtoric import cohomology, facering, polytope
+from qtoric.charpair import (
+    CharacteristicPair,
+    cp_pair,
+    cube_pair,
+    hirzebruch_pair,
+    polygon_pair,
+    s2xs2_pair,
+)
 from qtoric.cohomology import (
     _ZERO,
     DEFAULT_SEED,
@@ -44,6 +56,8 @@ from qtoric.cohomology import (
     _agree,
     _linear_items,
     _monomial_value,
+    _p1_terms,
+    _vector_items,
     check_admissible,
 )
 from qtoric.errors import InternalConsistencyError
@@ -740,19 +754,13 @@ ZERO_TEST_TWIST_MODELS = {**SPARSE_MODELS,
 @pytest.mark.parametrize("name", list(ZERO_TEST_TWIST_MODELS))
 def test_nonzero_face_matches_reference_on_twists(name, monkeypatch):
     """Every p1(V + W - TM) that the twists of
-    test_pair_series_matches_dense_point_loop send to the zero test, which
-    check_admissible hands over as an integer quadratic form."""
+    test_pair_series_matches_dense_point_loop form in check_admissible, as
+    an integer quadratic form, goes through the engine's zero test, which
+    must match the reference."""
     model = ZERO_TEST_TWIST_MODELS[name]
-    engine = model._nonzero_face
-    classes = []
-
-    def checked(terms, poly):
-        face = engine(terms, poly)
-        _assert_zero_test_matches_reference(model, GP(terms), face)
-        classes.append(terms)
-        return face
-
-    monkeypatch.setattr(model, "_nonzero_face", checked)
+    p1_terms, classes = cohomology._p1_terms, []
+    monkeypatch.setattr(cohomology, "_p1_terms",
+                        lambda plus, minus: classes.append(p1_terms(plus, minus)) or classes[-1])
     m = model.gen_count
     witten_genus(model, 0)
     phi_c(model, None, model.tangent_bundle(), q_order=0)
@@ -769,6 +777,8 @@ def test_nonzero_face_matches_reference_on_twists(name, monkeypatch):
         verify_exhaustive_split_vanishing(model, range(0, m, 2), 0)
         verify_exhaustive_split_vanishing(model, [m - 1], 0)
     assert classes
+    for terms in classes:
+        _assert_zero_test_matches_reference(model, GP(terms), model._nonzero_face(terms, terms))
 
 
 def _monomial_on_no_point(model):
@@ -871,25 +881,24 @@ def _own_weights(model, S):
 @pytest.mark.parametrize("spec", ["cube:5", "cp:4"])
 def test_basis_faces_keep_their_weights(spec, monkeypatch):
     """A basis face's weights do not depend on the class, so the face keeps
-    them, built the first time it is paired: a second zero test takes no
-    lcm over point denominators and gives the same answer and witness
-    (none on cube:5, where p1 = 0).  The weights are the model's own, and
+    them, built the first time it is paired: a second zero test of p1(M)
+    takes no lcm over point denominators and gives the same witness (none
+    on cube:5, where p1 = 0).  The weights are the model's own, and
     pair_top, whose empty face spans every point, keeps none."""
     model, other = _quasitoric(spec), _quasitoric(spec, seed=3)
-    empty = BundleSpec.empty(model.gen_count)
     vertex = GP({tuple(sorted(model.fixed_points()[0][0][0])): Fraction(1)})
     lcms = _point_lcms(model, monkeypatch)
     model.pair_top(vertex)
     assert len(lcms) == 2 and model._face_weights is None
-    first = check_admissible(model, empty, empty)
+    first = model.nonzero_face(model.p1_poly())
     assert len(lcms) == 2 + 2 * len(model._face_weights)
-    assert (first.p1_witness is None) == (spec == "cube:5") == first.p1_zero
+    assert (first is None) == (spec == "cube:5")
     del lcms[:]
-    assert check_admissible(model, empty, empty) == first and lcms == []
+    assert model.nonzero_face(model.p1_poly()) == first and lcms == []
     kept = dict(model._face_weights)
     model.pair_top(vertex)
     assert len(lcms) == 2 and model._face_weights == kept
-    assert check_admissible(other, empty, empty) == first
+    assert other.nonzero_face(other.p1_poly()) == first
     for m in (model, other):
         assert m._face_weights and all(weights == _own_weights(m, S)
                                        for S, weights in m._face_weights.items())
@@ -1170,7 +1179,7 @@ def _moved_generator(model):
 @pytest.mark.parametrize("call", [
     lambda model: model.pair_top(GP.generator(0).mul(GP.generator(1)).mul(GP.generator(2))),
     lambda model: model.is_zero_class(model.p1_poly()),
-    lambda model: witten_genus(model, 1),
+    lambda model: witten_genus(model, 1).admissibility.p1_witness,
     lambda model: model.fixed_points(),
 ], ids=["pair_top", "is_zero_class", "witten_genus", "fixed_points"])
 def test_moved_support_raises(call):
@@ -1183,3 +1192,194 @@ def test_moved_support_raises(call):
     model._draw_fixed_points = lambda: sets
     with pytest.raises(InternalConsistencyError, match="supports"):
         call(model)
+
+
+# ----------------------------------------------------------------------
+# p1 = 0 in degree 4 of the face ring
+
+
+def _ring_models():
+    """Every model kind at n >= 3: quasitoric models, odd n among them, their
+    GL_n(Z)-rebased twins, a product pair, a cut input, products (with the
+    point and with a factor of n = 1) and connected sums of n >= 3."""
+    out = {}
+    for spec in ("cube:3", "cube:4", "cp:3", "cp:4", "cp:5"):
+        model = _quasitoric(spec)
+        out[spec] = model
+        out[spec + " rebased"] = QuasitoricModel(dense_rebased(model.pair, 3))
+    out["hirzebruch:2 * cube:3"] = QuasitoricModel(hirzebruch_pair(2).product_pair(cube_pair(3)))
+    out["cube:4 with 3 vertex cuts"] = QuasitoricModel(vertex_cuts(cube_pair(4), 3, 4))
+    out["cube:3 x cp:2"] = ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2"))
+    out["polygon:6 x cp:1"] = ProductModel(_quasitoric("polygon:6"), _quasitoric("cp:1"))
+    out["point x cube:3"] = ProductModel(PointModel(), _quasitoric("cube:3"))
+    out["cube:3 # -cp:3"] = ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cp:3"), -1)
+    out["(cube:3 # cube:3) x cp:2"] = ProductModel(
+        ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cube:3"), 1), _quasitoric("cp:2"))
+    return out
+
+
+RING_MODELS = _ring_models()
+
+
+def _twists(model, rng, count):
+    """Seeded (V, W) item lists: tangent roots, often in opposite pairs, so
+    that p1(V + W - TM) is often zero, and random classes."""
+    m, roots = model.gen_count, model.tangent_items
+    out = []
+    for t in range(count):
+        if t % 3 == 0:
+            V, W = [], []
+        elif t % 3 == 1:
+            chosen = rng.sample(roots, rng.randint(0, len(roots)))
+            V, W = chosen[::2], chosen[1::2]
+        else:
+            V, W = [], []
+            for _ in range(rng.randint(1, 3)):
+                vec = [0] * m
+                for i in rng.sample(range(m), min(m, rng.randint(1, 3))):
+                    vec[i] = rng.choice((1, -1, 2))
+                rng.choice((V, W)).append(_vector_items(vec))
+        out.append((BundleSpec._of_items(V, m), BundleSpec._of_items(W, m)))
+    return out
+
+
+@pytest.mark.parametrize("name", list(RING_MODELS))
+def test_degree4_ring_decides_p1_as_the_engine(name):
+    """On seeded twists the ring's p1_zero, at two base vertices, is the
+    engine's, and the witness read later is the engine's first face."""
+    model = RING_MODELS[name]
+    assert facering._presentations(model) is not None
+    seen = set()
+    for V, W in _twists(model, random.Random(name), 24):
+        p1 = _p1_terms(V.items + W.items, model.tangent_items)
+        face = model._nonzero_face(p1, p1)
+        report = check_admissible(model, V, W)
+        assert report.p1_zero == (face is None) == (facering.degree4_zero(model, p1) is not False)
+        assert report.p1_witness == (None if face is None
+                                     else tuple(model.gen_labels[i] for i in face))
+        seen.add(report.p1_zero)
+    assert seen == {True, False}
+
+
+def _unimodular(n, rng):
+    """A seeded matrix in GL_n(Z): the identity under a few row operations."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        if rng.random() < 0.3:
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "cube:4", "cp:4", "hirzebruch:2 * cube:3"])
+def test_p1_zero_ignores_rebasing_and_relabelling(spec):
+    """Property: a GL_n(Z) change of lambda basis and a relabelling of the
+    facets (the twists relabelled with them) describe the same manifold
+    and the same bundles, so p1_zero does not change, over seeded draws."""
+    from test_relabel import relabelled
+    base = RING_MODELS[spec].pair
+    rng = random.Random(spec)
+    for _ in range(6):
+        a = _unimodular(base.n, rng)
+        lam = [[sum(r[k] * a[k][j] for k in range(base.n)) for j in range(base.n)]
+               for r in base.lam]
+        perm = rng.sample(range(base.m), base.m)
+        twin = QuasitoricModel(relabelled(CharacteristicPair(base.polytope, lam, base.signs),
+                                          perm))
+        model = QuasitoricModel(base)
+        for V, W in _twists(model, rng, 6):
+            moved = [BundleSpec._of_items([tuple(sorted((perm[i], x) for i, x in items))
+                                           for items in bundle.items], base.m)
+                     for bundle in (V, W)]
+            assert (check_admissible(model, V, W).p1_zero
+                    == check_admissible(twin, *moved).p1_zero)
+
+
+def test_a_dropped_product_of_facets_that_do_not_meet_raises(monkeypatch):
+    """Mutant: the ring is told that opposite facets 0 and 4 of cube:4 meet,
+    so it drops u_0 u_4, which p1(TM) = 0 needs.  Both base vertices then
+    agree on the wrong answer, and reading the witness, which the engine
+    finds, raises."""
+    model = _quasitoric("cube:4")
+    meeting = model.polytope.facet_pairs()
+    monkeypatch.setattr(model.polytope, "facet_pairs", lambda: meeting | {(0, 4)})
+    empty = BundleSpec.empty(model.gen_count)
+    report = check_admissible(model, empty, empty)
+    assert report.p1_zero is False
+    with pytest.raises(InternalConsistencyError, match="engine finds the witness None"):
+        report.p1_witness
+
+
+def test_a_flipped_lambda_sign_raises(monkeypatch):
+    """Mutant: the ring reads lambda_4 of CP^4 negated, while validation's
+    dual bases are the true ones.  Vertex 0 then substitutes u_b = -u_4,
+    the last vertex the true u_b = u_4, and on V = u_0 + u_4, u_1 (where
+    p1(V - TM) = 4 - 5 + 1 = 0) the two base vertices disagree."""
+    model = _quasitoric("cp:4")
+    lam = list(model.pair.lam)
+    lam[4] = tuple(-x for x in lam[4])
+    monkeypatch.setattr(model.pair, "lam", tuple(lam))
+    V = BundleSpec.from_vectors([[1, 0, 0, 0, 1], [0, 1, 0, 0, 0]], 5)
+    with pytest.raises(InternalConsistencyError, match="first base vertex"):
+        check_admissible(model, V, BundleSpec.empty(5))
+
+
+@pytest.mark.parametrize("name", [name for name, model in RING_MODELS.items()
+                                  if isinstance(model, QuasitoricModel)])
+def test_degree4_relations_have_full_rank(name, monkeypatch):
+    """The free certificate: one independent relation per pair of facets
+    that do not meet, so dim H^4 = C(m - n + 1, 2) - that count = h_2.  A
+    kernel that loses a pivot is refused when the presentation is built."""
+    model = RING_MODELS[name]
+    meeting = model.polytope.facet_pairs()
+    apart = math.comb(model.gen_count, 2) - len(meeting)
+    size = model.gen_count - model.n
+    assert math.comb(size + 1, 2) - apart == model.polytope.h_vector()[2]
+    for presentation in facering._presentations(model):
+        _, _, where, blocks = presentation
+        killed = sum(1 for b in where.values() if b < 0)
+        assert killed + sum(len(rows) for _, rows in blocks) == apart
+    fresh = QuasitoricModel(model.pair)
+    eliminate = facering._eliminate
+
+    def one_pivot_lost(rows):
+        sign, d, reduced, pivots = eliminate(rows)
+        return sign, d, reduced, pivots[:-1]
+
+    monkeypatch.setattr(facering, "_eliminate", one_pivot_lost)
+    if any(rows for _, _, _, rows in facering._presentations(model)):
+        with pytest.raises(InternalConsistencyError, match="independent relations"):
+            facering._presentations(fresh)
+
+
+def test_past_the_price_the_engine_decides_alone(monkeypatch):
+    """cube:5 with 10 vertex cuts prices past facering.PRICE: no
+    presentation is built and the engine decides at once, with the witness
+    it always gave; with the price lifted the ring agrees."""
+    pair = vertex_cuts(cube_pair(5), 10, 1)
+    model = QuasitoricModel(pair)
+    engine, calls = model._nonzero_face, []
+    monkeypatch.setattr(model, "_nonzero_face", lambda *args: calls.append(1) or engine(*args))
+    empty = BundleSpec.empty(model.gen_count)
+    report = check_admissible(model, empty, empty)
+    assert facering._presentations(model) is None and calls == [1]
+    p1 = _p1_terms([], model.tangent_items)
+    face = engine(p1, p1)
+    assert report.p1_zero is (face is None) is False
+    assert report.p1_witness == tuple(model.gen_labels[i] for i in face) and calls == [1]
+    monkeypatch.setattr(facering, "PRICE", 10 ** 9)
+    lifted = QuasitoricModel(pair)
+    assert facering.degree4_zero(lifted, p1) is False
+
+
+def test_n_at_most_2_keeps_the_empty_face_pairing(monkeypatch):
+    """At n <= 2, p1 lies in the top degree or beyond: the engine pairs it
+    with the empty face, and no degree-4 presentation is asked for."""
+    monkeypatch.setattr(facering, "degree4_zero", lambda *args: pytest.fail("ring asked"))
+    for spec, zero in (("cp:2", False), ("hirzebruch:1", True), ("cp:1", True)):
+        model = _quasitoric(spec)
+        empty = BundleSpec.empty(model.gen_count)
+        report = check_admissible(model, empty, empty)
+        assert report.p1_zero is zero and not model._face_lists

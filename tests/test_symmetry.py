@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from math import factorial
 
@@ -215,3 +216,38 @@ def test_report_requires_inputs():
         with pytest.raises(StructureError, match="must be a list of integers"):
             kmss_bound(alpha_deg, n)
     assert symmetry_report(n=0, chi=1).n_max == 0
+
+
+def _closure_products(chi, n):
+    """semisimple_products as it was: a nested search that calls itself."""
+    chi = abs(chi)
+    pool = divisibility_candidates(chi, max(n, 1))
+    results = []
+
+    def rec(start, chosen, rank, dim, weyl):
+        for i in range(start, len(pool)):
+            g = pool[i]
+            w = weyl * g.weyl_order
+            if rank + g.rank > n or chi % w or dim + g.dim - rank - g.rank > 2 * n:
+                continue
+            results.append((chosen + [g], rank + g.rank, dim + g.dim, w))
+            rec(i, chosen + [g], rank + g.rank, dim + g.dim, w)
+
+    rec(0, [], 0, 0, 1)
+    results.sort(key=lambda item: (-item[2], item[1]))
+    return results
+
+
+@pytest.mark.parametrize("chi,n", [(16, 4), (7, 4), (-48, 3), (1152, 6), (24, 2), (5, 1)])
+def test_semisimple_products_leave_no_garbage(chi, n):
+    """The search is a module-level function, not a closure that refers to
+    itself: a call leaves nothing for the cyclic collector, and the results
+    are the closure's, in its order."""
+    gc.collect()
+    gc.disable()
+    try:
+        results = semisimple_products(chi, n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert results == _closure_products(chi, n)
