@@ -12,6 +12,7 @@ reads "budget exceeded: ..."), 4 internal-consistency error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -46,6 +47,10 @@ EXIT_VALIDATION = 2
 EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
 
+# Python's limit on the digits of an integer string (0: none), under which the
+# inputs are read; main lifts it for the exact answers.
+_INPUT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 _FAMILIES = {
     "cube": cp.cube_pair,
     "simplex": cp.cp_pair,
@@ -57,6 +62,21 @@ _PLAIN = {
     "s2": cp.sphere_pair,
     "s2xs2": cp.s2xs2_pair,
 }
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """Integer strings of more than limit digits (0: any) are refused within,
+    and the limit is restored after.  Python has the limit from 3.10.7 on."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def generate_pair(spec: str) -> cp.CharacteristicPair:
@@ -75,7 +95,8 @@ def generate_pair(spec: str) -> cp.CharacteristicPair:
         if fam not in _FAMILIES:
             raise StructureError("unknown family %r" % fam)
         try:
-            k = int(arg)
+            with _digit_limit(_INPUT_DIGITS):
+                k = int(arg)
         except ValueError:
             raise StructureError("bad family parameter in %r" % part)
         pairs.append(_FAMILIES[fam](k))
@@ -87,11 +108,12 @@ def generate_pair(spec: str) -> cp.CharacteristicPair:
 
 def _read_json(path: str):
     try:
-        if path == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(path) as fh:
-                data = json.load(fh)
+        with _digit_limit(_INPUT_DIGITS):
+            if path == "-":
+                data = json.load(sys.stdin)
+            else:
+                with open(path) as fh:
+                    data = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, JSON or digits
         raise StructureError("cannot read manifold JSON from %r: %s" % (path, exc))
     if not isinstance(data, dict):
@@ -135,7 +157,8 @@ def _parse_bundle(arg, flag):
     if arg is None:
         return None
     try:
-        data = json.loads(arg)
+        with _digit_limit(_INPUT_DIGITS):
+            data = json.loads(arg)
     except (ValueError, RecursionError) as exc:
         raise StructureError("%s: bundle spec must be JSON like [[1,0,1,0]]: %s" % (flag, exc))
     if not isinstance(data, list):
@@ -146,7 +169,8 @@ def _parse_bundle(arg, flag):
 def _parse_ints(arg, what):
     """Integers separated by commas or spaces, e.g. '0,1'."""
     try:
-        return [int(x) for x in arg.replace(",", " ").split()]
+        with _digit_limit(_INPUT_DIGITS):
+            return [int(x) for x in arg.replace(",", " ").split()]
     except ValueError:
         raise StructureError("%s must be integers like '0,1', got %r" % (what, arg))
 
@@ -401,7 +425,8 @@ def main(argv=None) -> int:
         argv, argparse.Namespace(q_order=4, seed=DEFAULT_SEED, format="json"))
     try:
         check_q_order(args.q_order)
-        return args.func(args)
+        with _digit_limit(0):  # an exact answer may have any number of digits
+            return args.func(args)
     except (StructureError, ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION

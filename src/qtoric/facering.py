@@ -1,4 +1,5 @@
-"""Degree 4 of the face ring, and the face-ring oracle for the top pairing.
+"""The face ring, one presentation per degree: p1 = 0 in degree 4, and the
+top-pairing oracle in degree 2n.
 
 H*(M; Q) = Q[u_1..u_m] / (I_K + J) for a quasitoric model
 (Davis-Januszkiewicz 1991; Buchstaber-Panov, Toric Topology, ch. 3): J holds
@@ -7,26 +8,16 @@ the facet sets that share no vertex.  Substituting a base vertex's n
 generators through the dual basis that validation keeps there,
 u_b = -s_b sum_j s_j <w_b, lambda_j> u_j over the free facets j
 (_substitution), leaves the m - n free generators as coordinates of H^2.
+So H^2k is Sym^k(H^2) modulo the images of u_S h, S a minimal non-face of
+at most k facets and h a free monomial of degree k - |S| (_quasitoric),
+whose dimension is certified: h_2 for k = 2, 1 for k = n.
 
-check_admissible imports this module on first use, at n >= 3, to decide
-p1 = 0 (Report, degree4_zero).  H^4 is generated in degree 2, so it is
-Sym^2(H^2) modulo the products u_i u_j of facets that do not meet.  Each
-model keeps a presentation of it at two base vertices, built once
-(_presentations): the image of every generator in the coordinates, and the
-relations: a product of two free facets, or one left with a single
-coordinate, kills it, and the others are reduced once to echelon form by
-charpair._eliminate.  They must have full rank, one per pair of facets that
-do not meet: the free certificate dim H^4 = h_2.  A product joins its
-factors' presentations, a connected sum of n >= 3 joins its summands' and
-kills every mixed product, the point model has none.  A quasitoric
-presentation priced past PRICE is not built, and then the fixed-point
-engine decides alone.
-
-The top-pairing oracle (build, QuasitoricModel.ring_reduction_pairing) reads
-the same substitution at vertex 0: the degree-n part of Q[u_free] modulo the
-minimal non-faces is one-dimensional, and its functional is scaled so that
-the base vertex monomial pairs to the product of its signs.  The tests
-compare it with the engine at small half-dimension.
+check_admissible imports this module at n >= 3 to decide p1 = 0 in H^4 at
+two base vertices (Report, degree4_zero, _presentations); products and
+connected sums of n >= 3 join their parts' presentations, and past PRICE
+the fixed-point engine decides alone.  The top-pairing oracle (top_pairing,
+QuasitoricModel.ring_reduction_pairing) reduces in H^2n at vertex 0; the
+tests compare it with the engine at small half-dimension.
 """
 
 from __future__ import annotations
@@ -41,7 +32,6 @@ from .charpair import _eliminate
 from .cohomology import _ZERO, AdmissibilityReport, PointModel, QuasitoricModel
 from .errors import InternalConsistencyError, OracleUnavailableError
 from .index import ConnectedSumModel, ProductModel
-from .polynomial import GradedPolynomial, monomials_of_degree
 
 MAX_N = 3
 MAX_FREE = 8
@@ -57,18 +47,9 @@ PRICE = 2000
 _EMPTY = (0, (), {}, [])  # the point model's presentation: no coordinate at all
 
 
-def _integer_rows(rows):
-    """Each row times the lcm of its denominators (same rank and kernel)."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return out
-
-
 def _substitution(model, vertex):
-    """(base, free, images) of a quasitoric model at polytope.vertices[vertex]:
-    its facets, the others in order, and per generator its image in H^2 as
+    """(free, images) of a quasitoric model at polytope.vertices[vertex]: the
+    facets off the vertex in order, and per generator its image in H^2 as
     (free position, integer coefficient) pairs."""
     pair = model.pair
     base = model.polytope.vertices[vertex]
@@ -80,48 +61,64 @@ def _substitution(model, vertex):
     for b, w in zip(base, pair.vertex_weights[vertex]):
         images[b] = tuple([(r, c) for r, j in enumerate(free)
                            if (c := -signs[b] * signs[j] * sum(map(mul, w, lam[j])))])
-    return base, free, images
+    return free, images
 
 
-def _times(a, b, c, out):
-    """out += c a b for images a, b in H^2, keyed by coordinate pairs (r, s), r <= s."""
-    for r, x in a:
-        for s, y in b:
-            key = (r, s) if r <= s else (s, r)
-            out[key] = out.get(key, 0) + c * x * y
+def _image(images, terms):
+    """The form {monomial of k generators: integer} in Sym^k(H^2), given the
+    generators' images in H^2, as {sorted tuple of coordinates: integer}."""
+    out = {}
+    for mon, c in terms.items():
+        if len(mon) == 2:  # the pair loop of degree 4
+            i, j = mon
+            b = images[j]
+            for r, x in images[i]:
+                cx = c * x
+                for s, y in b:
+                    key = (r, s) if r <= s else (s, r)
+                    out[key] = out.get(key, 0) + cx * y
+        else:
+            for factors in itertools.product(*[images[i] for i in mon]):
+                key = tuple(sorted([r for r, _ in factors]))
+                out[key] = out.get(key, 0) + c * math.prod([x for _, x in factors])
+    return out
 
 
-def _quasitoric(model, apart, vertex):
-    """A quasitoric model's presentation of H^4 at a base vertex, given the
-    facet pairs apart that do not meet: (coordinates of H^2, generator
-    images, where, blocks).  where maps a coordinate pair of Sym^2 to -1 if
-    a relation kills it, or to its block; a block is (d, {pivot: its row
-    off the pivots}), d the echelon form's pivot value.  A pair in neither
-    is free in H^4."""
-    base, free, images = _substitution(model, vertex)
-    base = set(base)
+def _quasitoric(model, nonfaces, vertex, k):
+    """A quasitoric model's presentation of H^2k at a base vertex, given its
+    minimal non-faces of at most k facets: (coordinates of H^2, generator
+    images, where, blocks).  where maps a coordinate monomial of Sym^k to -1
+    if a relation kills it, or to its block; a block is (d, {pivot: its row
+    off the pivots}), d the echelon form's pivot value.  A monomial in
+    neither is free in H^2k."""
+    free, images = _substitution(model, vertex)
     where, forms = {}, []
-    for i, j in apart:
-        if i in base or j in base:
-            form = {}
-            _times(images[i], images[j], 1, form)
-            forms.append(form)
-        else:  # two free facets: the relation kills one coordinate
-            ((r, _),), ((s, _),) = images[i], images[j]
-            where[r, s] = -1
+    fill = {s: list(itertools.combinations_with_replacement(free, k - s)) for s in range(2, k + 1)}
+    for S in nonfaces:
+        for h in fill[len(S)]:
+            form = _image(images, {S + h: 1})
+            if len(form) == 1:  # a relation with a single coordinate kills it
+                where[next(iter(form))] = -1
+            else:
+                forms.append(form)
     rows = []
-    for form in forms:  # one with a single coordinate left kills it too
+    for form in forms:  # and so does one left with a single coordinate
         form = {key: c for key, c in form.items() if c and key not in where}
         if len(form) == 1:
-            where.update(dict.fromkeys(form, -1))
-        else:
+            where[next(iter(form))] = -1
+        elif form:
             rows.append(form)
     columns = sorted(set().union(*rows).difference(where))
     _, d, reduced, pivots = _eliminate([[form.get(key, 0) for key in columns] for form in rows])
-    if len(where) + len(pivots) != len(apart):
+    rank = len(where) + len(pivots)
+    if k == 2 and rank != len(nonfaces):
         raise InternalConsistencyError(
             "degree 4 of the face ring of %s: %d independent relations for %d pairs of "
-            "facets that do not meet" % (model.name, len(where) + len(pivots), len(apart)))
+            "facets that do not meet" % (model.name, rank, len(nonfaces)))
+    dim = math.comb(len(free) + k - 1, k) - rank
+    if k == model.n and dim != 1:
+        raise InternalConsistencyError(
+            "face-ring top degree of %s is %d-dimensional, expected 1" % (model.name, dim))
     where.update(dict.fromkeys(columns, 0))
     on = set(pivots)
     block = {columns[p]: tuple([(columns[c], x) for c, x in enumerate(row) if x and c not in on])
@@ -166,7 +163,7 @@ def _presentations(model):
         if all(sum(m - 1 - degree[b] for b in vertices[v]) * size * (size + 1) // 2 <= PRICE
                for v in ends):
             apart = [p for p in itertools.combinations(range(m), 2) if p not in meeting]
-            found = tuple(_quasitoric(model, apart, v) for v in ends)
+            found = tuple(_quasitoric(model, apart, v, 2) for v in ends)
     elif isinstance(model, PointModel):
         found = (_EMPTY, _EMPTY)
     elif isinstance(model, ProductModel) or (isinstance(model, ConnectedSumModel)
@@ -179,22 +176,23 @@ def _presentations(model):
     return found
 
 
-def _is_zero(presentation, terms):
-    """Whether the quadratic form {(i, j): integer} is zero in H^4."""
+def _remainder(presentation, terms):
+    """The form {monomial of generators: integer} reduced off the relations:
+    yields (free coordinate monomial, value) for its nonzero values, a
+    block's scaled by its pivot value d.  Yields none iff the form is zero
+    in H^2k."""
     _, images, where, blocks = presentation
-    x = {}
-    for (i, j), c in terms.items():
-        _times(images[i], images[j], c, x)
+    x = _image(images, terms)
     parts = [{} for _ in blocks]
     for key, v in x.items():
         if v:
             b = where.get(key)
             if b is None:
-                return False
-            if b >= 0:
+                yield key, v
+            elif b >= 0:
                 parts[b][key] = v
     for (d, block), part in zip(blocks, parts):
-        # in the span of the rows iff, off the pivots, d x = sum_p x_p row_p
+        # off the pivots, d x - sum_p x_p row_p: zero iff x is in the rows' span
         rest = {}
         for key, v in part.items():
             row = block.get(key)
@@ -204,8 +202,7 @@ def _is_zero(presentation, terms):
                 for c, y in row:
                     rest[c] = rest.get(c, 0) - v * y
         if any(rest.values()):
-            return False
-    return True
+            yield from ((key, v) for key, v in rest.items() if v)
 
 
 def degree4_zero(model, terms):
@@ -215,7 +212,7 @@ def degree4_zero(model, terms):
     found = _presentations(model)
     if found is None:
         return None
-    first, second = (_is_zero(p, terms) for p in found)
+    first, second = (next(_remainder(p, terms), None) is None for p in found)
     if first != second:
         raise InternalConsistencyError(
             "degree 4 of the face ring of %s: the quadratic form %r is %szero at the "
@@ -274,65 +271,22 @@ def _minimal_nonfaces(model, max_size):
 
 
 def top_pairing(model, mon) -> Fraction:
-    """<u_mon, [M]> for a quasitoric model by face-ring reduction, from the
-    oracle built on the first call (build) and kept on the model."""
+    """<u_mon, [M]> for a quasitoric model: the remainder of u_mon in the top
+    degree at vertex 0, one-dimensional, over the vertex monomial's, times
+    the product of the vertex's signs.  The presentation is built on the
+    first call and kept on the model."""
     if len(mon) != model.n:
         return _ZERO
     if "_ring_oracle" not in vars(model):
-        model._ring_oracle = build(model)
-    mapping, phi, to_vector = model._ring_oracle
-    vec = to_vector(GradedPolynomial({tuple(sorted(mon)): Fraction(1)}).substitute(mapping))
-    return sum(a * b for a, b in zip(phi, vec))
-
-
-def build(model):
-    """(mapping, phi, to_vector) for a QuasitoricModel: the substitution of
-    the eliminated generators, the top-degree functional and the coordinate
-    map of the free monomials of degree n."""
-    n, m = model.n, model.pair.m
-    if n > MAX_N or m - n > MAX_FREE:
-        raise OracleUnavailableError(
-            "face-ring oracle unavailable for n=%d, m=%d (budget n<=%d)" % (n, m, MAX_N))
-    base, free, images = _substitution(model, 0)
-    signs = model.pair.signs
-    mapping = {i: GradedPolynomial.linear(dict(image)) for i, image in enumerate(images)}
-
-    basis = list(monomials_of_degree(len(free), n))
-    basis_index = {mon: j for j, mon in enumerate(basis)}
-
-    def to_vector(poly):
-        vec = [_ZERO] * len(basis)
-        for mon, c in poly.terms.items():
-            if len(mon) != n:
-                raise InternalConsistencyError("substitution changed the degree")
-            vec[basis_index[mon]] = c
-        return vec
-
-    span = []
-    for S in _minimal_nonfaces(model, n):
-        g = GradedPolynomial({tuple(sorted(S)): Fraction(1)})
-        g_sub = g.substitute(mapping)
-        for h in monomials_of_degree(len(free), n - len(S)):
-            vec = to_vector(g_sub.mul(GradedPolynomial({h: Fraction(1)})))
-            if any(vec):
-                span.append(vec)
-    _, d, reduced, pivots = _eliminate(_integer_rows(span))
-    kernel = [c for c in range(len(basis)) if c not in pivots]
-    if len(kernel) != 1:
-        raise InternalConsistencyError(
-            "face-ring top degree is %d-dimensional, expected 1" % len(kernel))
-    (f,) = kernel  # row r reads d x[pivots[r]] + reduced[r][f] x[f] = 0
-    phi = [0] * len(basis)
-    phi[f] = d
-    for row, c in zip(reduced, pivots):
-        phi[c] = -row[f]
-    ref = GradedPolynomial({tuple(base): Fraction(1)}).substitute(mapping)
-    val = sum(a * b for a, b in zip(phi, to_vector(ref)))
-    if val == 0:
-        raise InternalConsistencyError("reference vertex monomial pairs to 0")
-    target = Fraction(1)
-    for i in base:
-        target *= signs[i]
-    scale = target / val
-    phi = [x * scale for x in phi]
-    return mapping, phi, to_vector
+        n, m = model.n, model.pair.m
+        if n > MAX_N or m - n > MAX_FREE:
+            raise OracleUnavailableError(
+                "face-ring oracle unavailable for n=%d, m=%d (budget n<=%d)" % (n, m, MAX_N))
+        top = _quasitoric(model, _minimal_nonfaces(model, n), 0, n)
+        base = tuple(model.polytope.vertices[0])
+        ref = sum(v for _, v in _remainder(top, {base: 1}))
+        if not ref:
+            raise InternalConsistencyError("reference vertex monomial pairs to 0")
+        model._ring_oracle = top, Fraction(math.prod(model.pair.signs[i] for i in base), ref)
+    top, scale = model._ring_oracle
+    return scale * sum(v for _, v in _remainder(top, {tuple(mon): 1}))

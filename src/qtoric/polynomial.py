@@ -171,21 +171,6 @@ class GradedPolynomial:
         p.terms = {tuple(i + offset for i in m): c for m, c in self.terms.items()}
         return p
 
-    def substitute(self, mapping: dict) -> "GradedPolynomial":
-        """Replace each generator i in ``mapping`` by the given polynomial."""
-        out = GradedPolynomial.zero()
-        for mon, c in self.terms.items():
-            term = GradedPolynomial.constant(c)
-            for i in mon:
-                factor = mapping.get(i)
-                if factor is None:
-                    factor = GradedPolynomial.generator(i)
-                term = term.mul(factor)
-                if not term:
-                    break
-            out = out + term
-        return out
-
     # ------------------------------------------------------------------
 
     def __repr__(self):

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from qtoric import facering
 from qtoric.charpair import (
     CharacteristicPair,
     _eliminate,
@@ -22,8 +24,7 @@ from qtoric.cohomology import (
     check_admissible,
     is_even_class,
 )
-from qtoric.errors import OracleUnavailableError, StructureError
-from qtoric.facering import _integer_rows
+from qtoric.errors import InternalConsistencyError, OracleUnavailableError, StructureError
 from qtoric.polynomial import GradedPolynomial as GP
 from qtoric.polynomial import monomials_of_degree
 
@@ -91,6 +92,23 @@ def test_ring_oracle_budget():
         m.ring_reduction_pairing((0, 1, 2, 3))
 
 
+@pytest.mark.parametrize("pair,mutate", [
+    (cube_pair(3), lambda nonfaces: nonfaces[1:]),
+    (s2xs2_pair(), lambda nonfaces: nonfaces[1:]),
+    (cp_pair(2), lambda nonfaces: nonfaces + [(0, 1)]),  # it has none of at most 2 facets
+], ids=["cube:3 one dropped", "s2xs2 one dropped", "cp:2 one added"])
+def test_ring_oracle_certifies_its_top_degree(pair, mutate, monkeypatch):
+    """Mutants: a minimal non-face dropped leaves the top degree of the
+    face ring more than one-dimensional, a spurious one added leaves it
+    zero; the oracle refuses to pair in either."""
+    minimal_nonfaces = facering._minimal_nonfaces
+    monkeypatch.setattr(facering, "_minimal_nonfaces",
+                        lambda model, k: mutate(minimal_nonfaces(model, k)))
+    m = pair.to_index_model()
+    with pytest.raises(InternalConsistencyError, match="top degree"):
+        m.ring_reduction_pairing(tuple(range(m.n)))
+
+
 def test_free_function_oracles():
     pair = cp_pair(2)
     assert pair.to_index_model().pair_monomial((0, 1)) == 1
@@ -103,7 +121,8 @@ def rank_of_pairing(model, k):
     right = list(monomials_of_degree(model.gen_count, model.n - k))
     rows = [[model.pair_monomial(tuple(sorted(w1 + w2))) for w2 in right]
             for w1 in monomials_of_degree(model.gen_count, k)]
-    return len(_eliminate(_integer_rows(rows))[3])
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]  # same rank
+    return len(_eliminate([[int(x * c) for x in row] for row, c in zip(rows, scales)])[3])
 
 
 def test_poincare_duality_ranks_match_h_vector():

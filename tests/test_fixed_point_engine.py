@@ -26,7 +26,8 @@ names must pair nonzero.
 The last section checks check_admissible's route at n >= 3, p1 = 0 decided
 in degree 4 of the face ring (facering), against the engine's zero test on
 every model kind, under rebasing and relabelling, on two mutants of the
-ring, past its price and for its rank certificate.
+ring, past its price and for its rank certificate; and at n = 2, where
+degree 4 is the top degree, against the engine's top pairing.
 """
 
 import math
@@ -1383,3 +1384,33 @@ def test_n_at_most_2_keeps_the_empty_face_pairing(monkeypatch):
         empty = BundleSpec.empty(model.gen_count)
         report = check_admissible(model, empty, empty)
         assert report.p1_zero is zero and not model._face_lists
+
+
+@pytest.mark.parametrize("spec", ["cp:2", "s2xs2", "hirzebruch:0", "hirzebruch:1",
+                                  "hirzebruch:2", "hirzebruch:3", "polygon:5", "polygon:6"])
+def test_at_n_2_degree_4_is_the_top_degree(spec):
+    """At n = 2 the ring's degree-4 presentation, the one the top-pairing
+    oracle reduces in, decides zero as the engine's top pairing does, on
+    seeded quadratic forms f and on b f - a g, which pairs to zero (a, b
+    the pairings of f and of another form g)."""
+    model = _quasitoric(spec)
+    rng = random.Random(spec)
+    pairs = list(combinations_with_replacement(range(model.gen_count), 2))
+
+    def pairing(form):
+        value = model.pair_top(GP({mon: Fraction(c) for mon, c in form.items()}))
+        assert value.denominator == 1
+        return int(value)
+
+    seen = set()
+    for _ in range(12):
+        f, g = ({mon: rng.randint(-3, 3) for mon in rng.sample(pairs, rng.randint(1, 4))}
+                for _ in range(2))
+        a, b = pairing(f), pairing(g)
+        combined = {mon: b * f.get(mon, 0) - a * g.get(mon, 0) for mon in set(f) | set(g)}
+        for form in (f, combined):
+            form = {mon: c for mon, c in form.items() if c}
+            zero = facering.degree4_zero(model, form)
+            assert zero is (pairing(form) == 0)
+            seen.add(zero)
+    assert seen == {True, False}
