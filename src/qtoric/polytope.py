@@ -18,7 +18,10 @@ gives each vertex n distinct neighbours (so V * n / 2 edges) and each
 vertex of a two-face exactly two neighbours in it, so 2-regularity needs
 no test of its own: a two-face can only fail by falling apart into
 several cycles, each of at least 3 vertices, so only a face of 6 or more
-vertices is traced.
+vertices is traced.  A traced face starts at its lowest vertex, the lowest
+bit of the AND of its facets' vertex masks, built only for the facets that
+the traced faces name; so the two-face work grows with the faces traced or
+listed, and validating a cube or a polygon builds no mask.
 """
 
 from __future__ import annotations
@@ -151,13 +154,19 @@ class SimplePolytope:
             dup = next(v for v in vertex_sets if counts[v] > 1)
             raise StructureError("duplicate vertex %r" % (dup,))
         max_idx = max(map(itemgetter(-1), filter(None, vertex_sets)), default=-1)
+        incidences = sum(map(len, vertex_sets))
+        # both refusals come before any facet name is built
         if facet_count is None:
             facet_count = max_idx + 1
-            incidences = sum(map(len, vertex_sets))
-            if facet_count > incidences:  # refused before that many facet names are built
+            if facet_count > incidences:
                 raise StructureError(
                     "facet index %d implies %d facets, more than the %d facet incidences "
                     "of the vertices can cover" % (max_idx, facet_count, incidences))
+        elif facet_count > 2 * incidences:
+            # more facets than incidences would be unused, each listed by facet-coverage
+            raise StructureError(
+                "facet_count %d leaves at least %d facets unused, more than the %d facet "
+                "incidences of the vertices" % (facet_count, facet_count - incidences, incidences))
         if max_idx >= facet_count:
             raise StructureError(
                 "facet index %d out of range (facet_count=%d)" % (max_idx, facet_count)
@@ -276,37 +285,49 @@ class SimplePolytope:
         outside the complement) name its two edges in the face, whose ends
         edge regularity makes distinct; so each face is a disjoint union of
         simple cycles of length >= 3, and one of at most 5 vertices is a
-        single cycle.  Only larger faces are traced; the least whose cycle
-        is shorter than its count raises ValidationError."""
+        single cycle.  Only when the largest count reaches 6 are the larger
+        faces picked out and traced (never on a cube or a simplex); the
+        least whose cycle is shorter than its count raises ValidationError."""
         n = self.dim
         if n < 2:
             return {}
         sizes = collections.Counter(itertools.chain.from_iterable(
             map(itertools.combinations, self.vertices, itertools.repeat(n - 2))))
-        large = sorted(sub for sub, size in sizes.items() if size >= 6)
-        if large:
+        if max(sizes.values()) >= 6:
+            large = sorted(sub for sub, size in sizes.items() if size >= 6)
             for sub, cycle in self._trace_two_faces(large, steps):
                 if len(cycle) != sizes[sub]:
                     raise ValidationError("two-face %r is not a single cycle" % (sub,))
         return sizes
 
     def _trace_two_faces(self, subs, steps):
-        """Yield (sub, cycle) for each facet complement in subs: the face's
-        cycle from its lowest vertex (read off one C-level map) towards the
-        lower of that vertex's two neighbours in it, leaving each vertex by
-        the free facet it did not enter.  steps is the ridge pairing
-        (neighbours, entered), as from _steps."""
-        n = self.dim
+        """Yield (sub, cycle) for each facet complement in the list subs: the
+        face's cycle from its lowest vertex towards the lower of that
+        vertex's two neighbours in it, leaving each vertex by the free facet
+        it did not enter.  steps is the ridge pairing (neighbours, entered),
+        as from _steps.
+
+        The lowest vertex is the lowest set bit of the AND of the vertex
+        masks of sub's facets (_containing).  The masks are built in one
+        pass over the vertices, and only for the facets that subs name: each
+        is written as binary digits, highest vertex first, and read by
+        int(..., 2), so an incidence costs the same at any vertex count.
+        For n = 2 the one face has the empty complement, so no mask is built
+        and the walk starts at vertex 0."""
         verts = self.vertices
-        down = range(len(verts) - 1, -1, -1)
-        lowest = dict(zip(
-            itertools.chain.from_iterable(
-                map(itertools.combinations, reversed(verts), itertools.repeat(n - 2))),
-            itertools.chain.from_iterable(
-                map(itertools.repeat, down, itertools.repeat(n * (n - 1) // 2)))))
+        rows = {f: bytearray(b"0") * len(verts) for f in set(itertools.chain.from_iterable(subs))}
+        if rows:
+            row = rows.get
+            for i, v in enumerate(reversed(verts)):
+                for f in v:
+                    digits = row(f)
+                    if digits is not None:
+                        digits[i] = 49  # ord("1")
+        masks = {f: int(digits, 2) for f, digits in rows.items()}
         neighbours, entered = steps
         for sub in subs:
-            start = lowest[sub]
+            common = _containing(sub, masks, -1)
+            start = (common & -common).bit_length() - 1
             v, ns, es = verts[start], neighbours[start], entered[start]
             i, j = (k for k, f in enumerate(v) if f not in sub)
             cur, leave, back = (ns[i], v[j], es[i]) if ns[i] < ns[j] else (ns[j], v[i], es[j])
@@ -342,9 +363,11 @@ class SimplePolytope:
 
     def two_face_sizes(self):
         """The two-faces as (facet complement, number of vertices) pairs,
-        sorted by facet complement, as validation counted them."""
+        sorted by facet complement, as validation counted them: the
+        complements are sorted alone, then each size is read."""
         self.require_valid()
-        return tuple(sorted(self._sizes.items()))
+        subs = sorted(self._sizes)
+        return tuple(zip(subs, map(self._sizes.__getitem__, subs)))
 
     def facet_pairs(self):
         """The facet pairs (i, j), i < j, that some vertex contains, each

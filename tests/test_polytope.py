@@ -4,9 +4,12 @@ import heapq
 import itertools
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from test_charpair import rp2_dual_pair, vertex_cuts
+from test_cli import _limit_address_space
 
 from qtoric import polytope
 from qtoric.charpair import cp_pair, cube_pair
@@ -207,6 +210,36 @@ def test_an_inferred_facet_count_over_the_incidences_is_refused_at_once(vertices
     assert SimplePolytope(1, [[0], [1]]).facet_count == 2
 
 
+@pytest.mark.parametrize("top", [4, 10 ** 8], ids=["5 facets", "10^8 + 1 facets"])
+def test_an_explicit_facet_count_past_twice_the_incidences_is_refused_at_once(top):
+    """The vertices [0] and [top] with facet_count top + 1 and no names: more
+    facets than incidences would be unused, so no facet name is built.  Run
+    with 1 GiB of address space, which 10^8 names would overrun."""
+    code = ("from qtoric.errors import StructureError\n"
+            "from qtoric.polytope import SimplePolytope\n"
+            "try:\n"
+            "    SimplePolytope(1, [[0], [%d]], facet_count=%d)\n"
+            "except StructureError as exc:\n"
+            "    print(exc)\n" % (top, top + 1))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("facet_count %d leaves at least %d facets unused, more than the 2 "
+                           "facet incidences of the vertices\n" % (top + 1, top - 1))
+
+
+@pytest.mark.parametrize("vertices, facet_count, unused", [
+    ([[0], [1]], 4, [2, 3]),
+    (cube(3).vertices, 7, [6]),
+    (cube(3).vertices, 48, list(range(6, 48))),
+], ids=["twice the incidences", "cube:3 and one more", "cube:3 and twice its incidences"])
+def test_an_explicit_facet_count_up_to_twice_the_incidences_fails_facet_coverage(
+        vertices, facet_count, unused):
+    p = SimplePolytope(len(vertices[0]), vertices, facet_count=facet_count)
+    assert [(c.name, c.detail) for c in p.validate().failures()] == [
+        ("facet-coverage", "unused facets %r" % unused)]
+
+
 def reference_steps(faces, n):
     """The two-pass ridge pairing: each ridge's (face, k) listings gathered
     in lists, then each ridge of two listings paired, or the first ridge
@@ -364,6 +397,54 @@ WALK_CASES = (
        ("cube:5 with 24 vertex cuts relabelled",
         lambda: relabelled(vertex_cuts(cube_pair(5), 24, 5).polytope, 3))]
 )
+
+
+def reference_lowest(p):
+    """The old lowest-vertex map of `_trace_two_faces`, built at C level over
+    every (vertex, two-face) incidence: facet complement -> the lowest vertex
+    containing it (empty for n = 1)."""
+    n = p.dim
+    if n < 2:
+        return {}
+    verts = p.vertices
+    down = range(len(verts) - 1, -1, -1)
+    return dict(zip(
+        itertools.chain.from_iterable(
+            map(itertools.combinations, reversed(verts), itertools.repeat(n - 2))),
+        itertools.chain.from_iterable(
+            map(itertools.repeat, down, itertools.repeat(n * (n - 1) // 2)))))
+
+
+# WALK_CASES and the benchmark's vertex-cut sizes, polygons and a long-polygon
+# product: the inputs whose two-faces validation traces from per-facet masks
+START_CASES = WALK_CASES + [
+    ("cp:5 with 50 vertex cuts", lambda: vertex_cuts(cp_pair(5), 50, 1).polytope),
+    ("cube:5 with 60 vertex cuts", lambda: vertex_cuts(cube_pair(5), 60, 1).polytope),
+    ("polygon:9", lambda: polygon(9)),
+    ("polygon:1001", lambda: polygon(1001)),
+    ("polygon:40*cube:2", lambda: polygon(40).product(cube(2))),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in START_CASES],
+                         ids=[name for name, _ in START_CASES])
+def test_traced_faces_start_at_the_old_maps_lowest_vertex(make):
+    """Validation's traced faces (6 or more vertices) and every face of
+    two_faces start where the old map said."""
+    p = make()
+    lowest = reference_lowest(p)
+    large = sorted(sub for sub, size in p.two_face_sizes() if size >= 6)
+    traced = list(p._trace_two_faces(large, p.ridge_pairing()))
+    assert [sub for sub, _ in traced] == large
+    assert [cycle[0] for _, cycle in traced] == [lowest[sub] for sub in large]
+    assert [cycle[0] for _, cycle in p.two_faces] == [lowest[sub] for sub, _ in p.two_face_sizes()]
+
+
+@pytest.mark.parametrize("make", [m for _, m in START_CASES],
+                         ids=[name for name, _ in START_CASES])
+def test_two_face_sizes_are_the_sorted_counts(make):
+    p = make()
+    assert p.two_face_sizes() == tuple(sorted(p.require_valid()._sizes.items()))
 
 
 @pytest.mark.parametrize("make", [m for _, m in WALK_CASES],
