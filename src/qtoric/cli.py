@@ -3,6 +3,11 @@
 Reads manifolds as JSON (from a file or stdin), dispatches the library
 computations, and emits machine-readable JSON (default) or plain text.
 Rationals are serialized as strings "p/q" so nothing is lost to floats.
+The JSON is the same bytes as json.dumps(obj, sort_keys=True, indent=2),
+written by _json_text with strings escaped and lists of plain integers
+joined at C level.  It writes dicts, lists, tuples, str, int, bool and None
+only, so a float (or a Fraction) in an answer is an internal-consistency
+error (exit 4).
 
 Exit codes: 0 success, 2 validation failure or malformed input,
 3 hypothesis unmet or budget exceeded (a refused computation, whose stderr
@@ -17,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import charpair as cp
 from . import polytope as pt
@@ -146,9 +152,54 @@ def _write(text):
         os.close(devnull)
 
 
+def _json_text(obj, pad="\n"):
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, pad being
+    the line break and indent of obj's own line.  A list of plain ints is
+    joined in one pass; any type json would not write as the text of an
+    exact answer raises InternalConsistencyError.  A module-level function
+    and no encoder closures: a call leaves no cyclic garbage."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_json_key(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]) + pad + "}"
+    raise InternalConsistencyError("cannot write a %s as exact JSON: %r"
+                                   % (type(obj).__name__, obj))
+
+
+def _json_key(key):
+    """A dict key as json spells it: a string, or an int, bool or None
+    quoted; any other key raises InternalConsistencyError."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, int):
+        return '"%s"' % _json_text(key)
+    raise InternalConsistencyError("cannot write a %s as a JSON key: %r"
+                                   % (type(key).__name__, key))
+
+
 def _emit(args, payload, text_lines=None):
     if args.format == "json":
-        _write(json.dumps(payload, sort_keys=True, indent=2))
+        _write(_json_text(payload))
     else:
         _write("\n".join(text_lines or [json.dumps(payload, sort_keys=True)]))
 
@@ -194,7 +245,7 @@ def _parse_signs(arg, m):
 def cmd_generate(args):
     pair = generate_pair(args.family)
     pair.require_valid()
-    _write(json.dumps(pair.to_json_dict(), sort_keys=True, indent=2))
+    _write(_json_text(pair.to_json_dict()))
     return EXIT_OK
 
 
@@ -219,7 +270,7 @@ def cmd_analyze(args):
         "facets": poly.facet_count,
         "vertices": len(poly.vertices),
         "edges": len(poly.vertices) * poly.dim // 2,  # n distinct neighbours per vertex
-        "two_faces": [size for _, size in poly.two_face_sizes()],
+        "two_faces": poly.two_face_size_list(),
         "is_even": even,
         "vertex_graph_bipartite": bip,
         "facet_chromatic": d_min,

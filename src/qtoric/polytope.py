@@ -21,7 +21,8 @@ several cycles, each of at least 3 vertices, so only a face of 6 or more
 vertices is traced.  A traced face starts at its lowest vertex, the lowest
 bit of the AND of its facets' vertex masks, built only for the facets that
 the traced faces name; so the two-face work grows with the faces traced or
-listed, and validating a cube or a polygon builds no mask.
+listed, and validating a cube or a polygon builds no mask.  The list of
+two-face sizes is sorted by facet complement only when the sizes differ.
 """
 
 from __future__ import annotations
@@ -368,6 +369,17 @@ class SimplePolytope:
         self.require_valid()
         subs = sorted(self._sizes)
         return tuple(zip(subs, map(self._sizes.__getitem__, subs)))
+
+    def two_face_size_list(self):
+        """The sizes of two_face_sizes() alone, in its order, as a list.  When
+        every two-face has the same number of vertices (a cube, a simplex, a
+        polygon), no order can change the list, so the complements are not
+        sorted."""
+        self.require_valid()
+        counts = set(self._sizes.values())
+        if len(counts) == 1:
+            return [counts.pop()] * len(self._sizes)
+        return [size for _, size in self.two_face_sizes()]
 
     def facet_pairs(self):
         """The facet pairs (i, j), i < j, that some vertex contains, each

@@ -548,6 +548,37 @@ def test_orientation_signs_match_old_walk(make):
     assert pair.orientation_signs == reference_orientation_signs(pair)
 
 
+def slot_parity_orientation(polytope):
+    """P's own orientation, from the slots of the ridge pairing: o_0 = 1 and
+    o_b = (-1)^(k + j + 1) o_a along the edge that leaves a's k-th facet
+    and enters b's j-th; None when the signs clash around a cycle."""
+    verts = polytope.vertices
+    neighbours, entered = polytope.ridge_pairing()
+    o = [1] + [0] * (len(verts) - 1)
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for k, (b, f) in enumerate(zip(neighbours[a], entered[a])):
+            o_b = o[a] if (k + verts[b].index(f)) % 2 else -o[a]
+            if not o[b]:
+                o[b] = o_b
+                stack.append(b)
+            elif o[b] != o_b:
+                return None
+    return tuple(o)
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORIENTATION_CASES],
+                         ids=[name for name, _ in ORIENTATION_CASES])
+def test_orientation_signs_are_the_polytope_orientation_times_block_dets(make):
+    """A second route: eps_v = o_v det(lambda_v) / det(lambda_0), o the
+    slot-parity orientation of P alone, so orientability is P's property."""
+    pair = make()
+    o = slot_parity_orientation(pair.polytope)
+    dets = [_bareiss([pair.lam[i] for i in v])[0] for v in pair.polytope.vertices]
+    assert pair.orientation_signs == tuple(o_v * d * dets[0] for o_v, d in zip(o, dets))
+
+
 def rp2_dual_pair():
     """The dual of the 6-vertex triangulation of RP^2: every block is
     unimodular, but the edge graph carries no orientation."""
@@ -573,3 +604,5 @@ def test_non_orientable_pair_fails_validation():
                  pair.euler_characteristic, pair.to_index_model):
         with pytest.raises(ValidationError):
             read()
+    # the polytope alone already carries no orientation
+    assert slot_parity_orientation(pair.polytope) is None
