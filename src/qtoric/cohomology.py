@@ -19,19 +19,17 @@ single point ({}, 1).
 Every pairing runs on that one engine, at both point sets, which must agree
 exactly (the sum is a constant; a disagreement is reported as a bug, never
 returned).  A class pairs with the monomial u_S of a face S at the points
-containing S only, which only the engine finds (_face_list).  pair_top is
+containing S only, which only the engine finds (_every_face).  pair_top is
 the pairing with the empty face, u_() = 1; is_zero_class pairs a class
-only against a basis of the complementary degree of H*(M; Q), the
-monomials u_S of faces that each model reads off its structure (_basis).
-A basis face keeps its weights u_S(p) lcm / den_p per point set, built the
-first time it is paired, so a later zero test only evaluates the class;
-the empty face spans every point and builds its weights per call.
-A quasitoric model takes the h_k restriction faces of size k of its
-polytope's certified shelling (polytope.shelling, built once per model),
-or without one every face of that size (polytope._faces).  A product
-multiplies its factors' basis faces (Kunneth), a connected sum joins its
-summands' (with one top face), and the point model has only the empty
-face.
+against every face of the complementary degree, whose monomials span that
+degree of H*(M; Q).  The faces are found lazily from the points
+themselves, each k-set of a point's own generators once, so one generator
+serves every model kind, and a nonzero class stops at its first nonzero
+face.  At n >= 3 the public zero test first hands a class's degree-4 part
+to the face ring (facering.degree4_zero), which drops it when it is zero.
+A face of size k > 0 keeps its weights u_S(p) lcm / den_p per point set,
+built the first time it is paired, so a later zero test only evaluates the
+class; the empty face spans every point and builds its weights per call.
 pair_series takes a whole product of per-root factors, (kinds, roots) with
 the roots integer items, and prices, builds and pairs it in one pass,
 reading it at the points only as q-free characteristic numbers, products of
@@ -49,13 +47,15 @@ degree-2 classes mod 2 (IndexModel.is_even_vector), a quasitoric model's
 read off the dual basis at one vertex, cached by validation.  At n >= 3
 check_admissible decides p1 = 0 in degree 4 of the face ring instead
 (facering, imported on first use), and the engine's zero test finds the
-witness only when it is read; facering also cross-checks the top pairing
-at small half-dimension.
+witness only when it is read.  facering's top-pairing oracle
+(QuasitoricModel.ring_reduction_pairing) is a second route that only the
+tests compare with the engine.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -64,7 +64,7 @@ from operator import mul
 from .charpair import DEFAULT_SEED
 from .errors import BudgetExceededError, InternalConsistencyError, StructureError
 from .polynomial import GradedPolynomial, _linear_items, _p1_terms, _vector_items
-from .polytope import _containing, _faces, int_vector, shelling
+from .polytope import _containing, int_vector
 from .qseries import _table_work, assemble, log_table
 
 _POINT_LO = 10 ** 3
@@ -164,10 +164,9 @@ class IndexModel:
 
     Concrete subclasses set: n, gen_labels, tangent_items (the stable tangent
     roots, integer items), c1_vector (integers), euler, name, even_basis,
-    and implement _draw_fixed_points and _basis(k): for every k, faces whose monomials span
-    H^2k(M; Q), [()] at k = 0; a composed model reads them off its parts'
-    _basis.  Every pairing runs on the fixed-point engine below, at both
-    point sets, which must agree exactly.
+    and implement _draw_fixed_points.  Every pairing runs on the
+    fixed-point engine below, at both point sets, which must agree exactly,
+    and the zero test tries the faces that the points show (_every_face).
     """
 
     n: int
@@ -180,8 +179,7 @@ class IndexModel:
 
     _point_sets = None
     _masks = None  # generator -> bitset of the points supporting it
-    _face_lists = None  # face size -> [(face, its points)], the faces the zero test tries
-    _face_weights = None  # basis face -> per point set, its _weights
+    _face_weights = None  # face of size k > 0 -> per point set, its _weights
     _tangent_numbers = None  # the k rows formed -> pair_series' numbers of the tangent roots
 
     @property
@@ -235,9 +233,8 @@ class IndexModel:
 
     def pair_top(self, poly: GradedPolynomial) -> Fraction:
         """<poly, [M]>: its degree-n part's pairing with u_() = 1, the one
-        face of size 0, which every point contains (_face_pairings).  That
-        face's list needs no basis work (_face_list), so a model that only
-        pairs top-degree classes never builds a basis."""
+        face of size 0, which every point contains (_face_pairings), so a
+        model that only pairs top-degree classes tries no other face."""
         self._own_terms(poly.terms)
         for _, value in self._face_pairings(poly, poly.homogeneous_part(self.n).terms, 0):
             return value
@@ -247,23 +244,36 @@ class IndexModel:
         return self.pair_top(GradedPolynomial({tuple(sorted(mon)): Fraction(1)}))
 
     def nonzero_face(self, poly: GradedPolynomial):
-        """The first basis face S whose monomial u_S pairs nonzero with poly, or None.
+        """The first face S whose monomial u_S pairs nonzero with poly, or None.
 
         By Poincare duality a class of degree d <= n is zero in H*(M; Q)
-        exactly when it pairs to zero with all of H^{2(n-d)}.  Only the
-        model's basis of that space is tried (_face_list), in its order
-        (the faces S of size n - d span: H*(M; Q) is the face ring modulo a
-        linear system of parameters; Davis-Januszkiewicz; Buchstaber-Panov,
-        Toric Topology, ch. 3).  u_S is nonzero only at the points containing S,
-        and the class is evaluated only there, once per point
+        exactly when it pairs to zero with all of H^{2(n-d)}, which the
+        monomials u_S of the faces S of size n - d span (H*(M; Q) is the
+        face ring modulo a linear system of parameters; Davis-Januszkiewicz;
+        Buchstaber-Panov, Toric Topology, ch. 3).  At n >= 3 the degree-4
+        part goes to the face ring first (facering.degree4_zero, imported
+        on first use), scaled to integers, and is dropped when the ring
+        finds it zero.  Every other part, and one that the ring finds
+        nonzero or cannot present, tries every face of the complementary
+        size, lazily, in the order of _every_face, up to its first nonzero
+        face (_nonzero_face).  u_S is nonzero only at the points containing
+        S, and the class is evaluated only there, once per point
         (_face_pairings); each face must pair the same at both point sets.
         Terms whose generators share no point vanish at every point and are
         dropped first, so a part made only of them tries no face.
         """
-        return self._nonzero_face(self._own_terms(poly.terms), poly)
+        terms = self._own_terms(poly.terms)
+        quadratic = {mon: c for mon, c in terms.items() if len(mon) == 2}
+        if quadratic and self.n > 2:
+            from .facering import degree4_zero
+            scale = math.lcm(*(c.denominator for c in quadratic.values()))
+            if degree4_zero(self, {mon: int(c * scale) for mon, c in quadratic.items()}):
+                terms = {mon: c for mon, c in terms.items() if len(mon) != 2}
+        return self._nonzero_face(terms, poly)
 
     def _nonzero_face(self, terms, poly):
-        """nonzero_face of the class {monomial: coefficient}, named poly."""
+        """nonzero_face of the class {monomial: coefficient}, named poly, on
+        the engine alone: every part tries its faces, none goes to the ring."""
         n = self.n
         parts = {}
         for mon, c in terms.items():
@@ -276,10 +286,10 @@ class IndexModel:
         return None
 
     def _face_pairings(self, poly, terms, k):
-        """One (S, pairing) per face S of size k in _face_list, lazily: the
+        """One (S, pairing) per face S of size k from _every_face, lazily: the
         pairing of u_S with terms, poly's part of degree n - k, summed over
         S's points with S's _weights, which do not depend on the class: a
-        basis face (k > 0) keeps them, built the first time it is paired;
+        face of size k > 0 keeps them, built the first time it is paired;
         the empty face's span every point and are built per call."""
         point_sets = self.fixed_points()
         masks = self._support_masks()
@@ -292,7 +302,7 @@ class IndexModel:
             self._face_weights = {}
         kept = self._face_weights if k else {}
         values = [{}, {}]  # per point set: point -> the part there, times scale
-        for S, points in self._face_list(k):
+        for S, points in self._every_face(k):
             weights = kept.get(S)
             if weights is None:
                 weights = kept[S] = [_weights(S, points, pts) for pts in point_sets]
@@ -343,23 +353,24 @@ class IndexModel:
             support &= either
         return _bits(support)
 
-    def _face_list(self, k):
-        """The faces of size k that the zero test tries, each with the points
-        containing it, ascending, which only this method finds, for the model
-        being paired only: the empty face with every point for k = 0, before
-        any basis work, and for k > 0 the model's _basis(k), built once."""
-        if k == 0:
-            return [((), list(range(len(self.fixed_points()[0]))))]
-        if self._face_lists is None:
-            self._face_lists = {}
-        if k not in self._face_lists:
-            masks, full = self._support_masks(), (1 << len(self.fixed_points()[0])) - 1
-            self._face_lists[k] = [(S, _bits(_containing(S, masks, full))) for S in self._basis(k)]
-        return self._face_lists[k]
+    def _every_face(self, k):
+        """Every face of size k once, lazily, with the points containing it,
+        ascending, which only this method finds: for each point in order,
+        each k-set of the point's own generators not yielded before.  The
+        empty face comes once, with every point."""
+        points = self.fixed_points()[0]
+        masks, full = self._support_masks(), (1 << len(points)) - 1
+        seen = set()
+        for vals, _ in points:
+            for S in itertools.combinations(sorted(vals), k):
+                if S not in seen:
+                    seen.add(S)
+                    yield S, _bits(_containing(S, masks, full))
 
     def is_zero_class(self, poly: GradedPolynomial) -> bool:
-        """Rational zero test: poly pairs to zero against a basis of face
-        monomials of complementary degree (see nonzero_face)."""
+        """Rational zero test: poly pairs to zero with every face monomial
+        of complementary degree, its degree-4 part decided in the face ring
+        first at n >= 3 (see nonzero_face)."""
         return self.nonzero_face(poly) is None
 
     def pair_series(self, plan, q_order: int) -> list:
@@ -577,9 +588,6 @@ class PointModel(IndexModel):
     def _draw_fixed_points(self):
         return [({}, 1)], [({}, 1)]
 
-    def _basis(self, k):
-        return [] if k else [()]  # only the empty face
-
 
 # ----------------------------------------------------------------------
 # quasitoric models via localization
@@ -648,19 +656,6 @@ class QuasitoricModel(IndexModel):
         return first, second
 
     @functools.cached_property
-    def _shelling(self):
-        """The polytope's certified shelling (polytope.shelling), or None."""
-        return shelling(self.polytope)
-
-    def _basis(self, k):
-        """The restriction faces of size k of the certified shelling, in
-        shelling order, or, without one (the greedy may stall), every face
-        of size k in sorted order."""
-        if self._shelling is None:
-            return _faces(self.polytope.vertices, k)
-        return [R for _, R in self._shelling if len(R) == k]
-
-    @functools.cached_property
     def even_basis(self) -> tuple:
         """lambda w_k mod 2 for each facet v_k of the base vertex, w_k the
         dual basis validation kept there: odd at v_k, even at its other
@@ -687,10 +682,10 @@ def is_even_class(model: IndexModel, cls) -> bool:
 
 class AdmissibilityReport:
     """The index-theorem hypotheses.  p1_witness names (by generator labels)
-    the first basis face S (IndexModel.nonzero_face) whose monomial u_S
-    pairs nonzero with p1(V + W - TM), or is None when p1 vanishes; at
-    n >= 3 the engine finds it when it is first read (facering.Report).
-    as_dict leaves it out."""
+    the first face S of the engine's zero test (IndexModel._nonzero_face)
+    whose monomial u_S pairs nonzero with p1(V + W - TM), or is None when
+    p1 vanishes; at n >= 3 the engine finds it when it is first read
+    (facering.Report).  as_dict leaves it out."""
 
     def __init__(self, spin_c_exists: bool, w_is_spin: bool, p1_zero: bool,
                  c1c_vector: tuple, p1_witness: tuple = None):

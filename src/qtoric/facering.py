@@ -13,11 +13,12 @@ at most k facets and h a free monomial of degree k - |S| (_quasitoric),
 whose dimension is certified: h_2 for k = 2, 1 for k = n.
 
 check_admissible imports this module at n >= 3 to decide p1 = 0 in H^4 at
-two base vertices (Report, degree4_zero, _presentations); products and
-connected sums of n >= 3 join their parts' presentations, and past PRICE
-the fixed-point engine decides alone.  The top-pairing oracle (top_pairing,
-QuasitoricModel.ring_reduction_pairing) reduces in H^2n at vertex 0; the
-tests compare it with the engine at small half-dimension.
+two base vertices (Report, degree4_zero, _presentations), and
+IndexModel.nonzero_face to decide the degree-4 part of any class there;
+products and connected sums of n >= 3 join their parts' presentations, and
+past PRICE the fixed-point engine decides alone.  The top-pairing oracle
+(top_pairing, QuasitoricModel.ring_reduction_pairing) reduces in H^2n at
+vertex 0; the tests compare it with the engine at small half-dimension.
 """
 
 from __future__ import annotations

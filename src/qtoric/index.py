@@ -328,8 +328,8 @@ class ProductModel(_PairedModel):
 
     Its fixed points are the pairs (p, q) of the factors' points, point
     p * width + q for width right points, with the values concatenated and
-    the denominators multiplied.  Its zero-test basis multiplies the
-    factors' basis faces (Kunneth: H^2k is the sum of H^2j (x) H^2(k-j)).
+    the denominators multiplied, so a point's support is the union of
+    its factors' supports.
     """
 
     def __init__(self, left: IndexModel, right: IndexModel):
@@ -342,11 +342,6 @@ class ProductModel(_PairedModel):
         off = self.offset
         return [[({**lv, **_shifted(rv, off)}, ld * rd) for lv, ld in lp for rv, rd in rp]
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
-
-    def _basis(self, k):
-        right = [[tuple(i + self.offset for i in R) for R in self.right._basis(k - j)]
-                 for j in range(k + 1)]  # right[j]: the right faces of size k - j, shifted
-        return [L + R for j in range(k + 1) for L in self.left._basis(j) for R in right[j]]
 
 
 class ConnectedSumModel(_PairedModel):
@@ -377,11 +372,6 @@ class ConnectedSumModel(_PairedModel):
         off, sign = self.offset, self.sign
         return [lp + [(_shifted(rv, off), sign * rd) for rv, rd in rp]
                 for lp, rp in zip(self.left.fixed_points(), self.right.fixed_points())]
-
-    def _basis(self, k):
-        # H^2k is the sum of the summands' for 0 < k < n; H^0 and H^2n are the left one's
-        right = self.right._basis(k) if 0 < k < self.n else []
-        return self.left._basis(k) + [tuple(i + self.offset for i in R) for R in right]
 
 
 def _shifted(vals, offset):

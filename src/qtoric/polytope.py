@@ -12,23 +12,22 @@ bipartite, which the connectivity walk two-colours as it goes; the sorted
 edge graph and the two-face cycles, sorted by facet complement, are built
 from them on request.  The distinct facet pairs that share a vertex
 (facet_pairs) are built once, for the facet graph and every colouring
-check.  The faces (_faces) and a certified shelling of the dual complex
-(shelling, _certify) are read off the same data.  Edge regularity already
-gives each vertex n distinct neighbours (so V * n / 2 edges) and each
-vertex of a two-face exactly two neighbours in it, so 2-regularity needs
-no test of its own: a two-face can only fail by falling apart into
-several cycles, each of at least 3 vertices, so only a face of 6 or more
-vertices is traced.  A traced face starts at its lowest vertex, the lowest
-bit of the AND of its facets' vertex masks, built only for the facets that
-the traced faces name; so the two-face work grows with the faces traced or
-listed, and validating a cube or a polygon builds no mask.  The list of
-two-face sizes is sorted by facet complement only when the sizes differ.
+check.  The faces (_faces), which the f- and h-vectors count, are read
+off the same data.  Edge regularity already gives each vertex n distinct
+neighbours (so V * n / 2 edges) and each vertex of a two-face exactly two
+neighbours in it, so 2-regularity needs no test of its own: a two-face
+can only fail by falling apart into several cycles, each of at least 3
+vertices, so only a face of 6 or more vertices is traced.  A traced face
+starts at its lowest vertex, the lowest bit of the AND of its facets'
+vertex masks, built only for the facets that the traced faces name; so the
+two-face work grows with the faces traced or listed, and validating a cube
+or a polygon builds no mask.  The list of two-face sizes is sorted by
+facet complement only when the sizes differ.
 """
 
 from __future__ import annotations
 
 import collections
-import heapq
 import itertools
 import math
 from operator import itemgetter
@@ -487,81 +486,6 @@ class SimplePolytope:
         return cls(dim, vertices,
                    facet_count=len(facets) if facets else None,
                    facet_names=facets, name=data.get("name") or None)
-
-
-def shelling(p):
-    """A certified shelling of the dual of a validated simple polytope p,
-    the complex whose facets are p's vertices (sorted tuples of n facets).
-
-    Returns [(vertex, R(vertex))] in shelling order, R(v) the restriction
-    face: the facets i of v whose ridge v - {i} lies in an earlier vertex,
-    read off the ridge pairing p's validation kept.  So the faces of v in
-    no earlier vertex are exactly those containing R(v), provided R(v) lies
-    in no earlier vertex itself.  None when the greedy stalls, as it may
-    (a validated incidence need not be a sphere, like the dual of the
-    6-vertex RP^2, and not every sphere is extendably shellable), or when
-    _certify does not certify the order.
-
-    The greedy is incremental: placing a vertex covers one ridge of each of
-    its unplaced neighbours, which is pushed onto a heap keyed by its number
-    of covered ridges, smallest first, ties by vertex index.  A candidate
-    whose R(v) lies in an earlier vertex (per-facet bitsets over the placed
-    vertices) is deferred until another of its ridges is covered.
-    """
-    vertices = p.vertices
-    neighbours, entered = p.ridge_pairing()
-    covered = [[] for _ in vertices]
-    placed = [False] * len(vertices)
-    inside = collections.defaultdict(int)  # facet -> bitset of placed vertices
-    order = []
-    heap = [(0, 0)]
-    while heap:
-        count, v = heapq.heappop(heap)
-        restriction = covered[v]
-        if placed[v] or count != len(restriction):
-            continue  # placed already, or a stale entry
-        earlier = -1 if restriction else 0
-        for i in restriction:
-            earlier &= inside[i]
-        if earlier:
-            continue  # R(v) lies in an earlier vertex
-        placed[v] = True
-        order.append((v, tuple(sorted(restriction))))
-        bit = 1 << v
-        for i in vertices[v]:
-            inside[i] |= bit
-        for w, j in zip(neighbours[v], entered[v]):
-            if not placed[w]:
-                covered[w].append(j)
-                heapq.heappush(heap, (len(covered[w]), w))
-    return order if len(order) == len(vertices) and _certify(vertices, order, inside) else None
-
-
-def _certify(vertices, order, inside):
-    """True iff the order lists each vertex once, with R(v) a subset of v in
-    no earlier vertex (forward) and v - R(v) in no later one (reverse), as
-    read off inside, each facet's bitset of vertices, not off the greedy.
-
-    Forward makes the order a shelling.  Reverse makes the face monomials
-    triangular: <u_R(w) u_{v - R(v)}, [M]> = 0 for v before w (a vertex
-    containing both would come no earlier than w and no later than v), and
-    u_v at v = w.  So the u_R(v), as many as the vertices, are a basis of
-    H*(M; Q) for any quasitoric M over p.
-    """
-    if sorted(v for v, _ in order) != list(range(len(vertices))):
-        return False
-    full = (1 << len(vertices)) - 1
-    before = 0
-    for v, R in order:
-        face = vertices[v]
-        if not set(R) <= set(face):
-            return False
-        rest = tuple(i for i in face if i not in R)
-        after = full & ~before & ~(1 << v)
-        if _containing(R, inside, full) & before or _containing(rest, inside, full) & after:
-            return False
-        before |= 1 << v
-    return True
 
 
 def _containing(face, masks, full):

@@ -18,10 +18,11 @@ once; it must give the same series on every call.
 The third, reference_nonzero_face, is the zero test as it was: each point
 set read a class through its own frozenset support index and built its own
 face table of every face of complementary size, and the two tables had to
-list the same faces.  The library tries only a basis (the restriction faces
-of a certified shelling, or the factors' or summands' bases), so it may name
-another face; it must give the same zero/nonzero answer, and a face it
-names must pair nonzero.
+list the same faces.  The library finds every face from its own points,
+lazily and in their order, and at n >= 3 the public zero test hands a
+class's degree-4 part to the face ring first, so it may name another face;
+it must give the same zero/nonzero answer, and a face it names must pair
+nonzero.
 
 The last section checks check_admissible's route at n >= 3, p1 = 0 decided
 in degree 4 of the face ring (facering), against the engine's zero test on
@@ -796,7 +797,7 @@ def test_pair_top_matches_reference(name):
     classes, on classes whose top part is zero, and on terms that share no
     point."""
     model = SPARSE_MODELS[name]
-    assert model._face_list(0) == [((), list(range(len(model.fixed_points()[0]))))]
+    assert list(model._every_face(0)) == [((), list(range(len(model.fixed_points()[0]))))]
     if model.gen_count:
         rng = random.Random(5)
         classes = [_random_class(model, rng, zero=trial % 2 == 0) for trial in range(10)]
@@ -815,39 +816,18 @@ def test_pair_top_matches_reference(name):
         assert model.pair_top(poly) == reference_pair_top(model, poly), poly
 
 
-def _counting(monkeypatch, name, module=cohomology):
-    """Record the calls of module.<name>, which still does its work."""
-    fn = getattr(module, name)
-    calls = []
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
-    return calls
+def _yielded_faces(monkeypatch):
+    """Record (model, k, face) for each face that _every_face yields, as it
+    yields it."""
+    every_face, seen = cohomology.IndexModel._every_face, []
 
+    def recording(self, k):
+        for S, points in every_face(self, k):
+            seen.append((self, k, S))
+            yield S, points
 
-def test_shelling_built_once_per_model(monkeypatch):
-    """p1 of cube:5 is zero, so every basis face of size 3 is tried; the
-    shelling and each size's face list are built once, and no table of
-    every face is."""
-    shellings, tables = _counting(monkeypatch, "shelling"), _counting(monkeypatch, "_faces")
-    model = _quasitoric("cube:5")
-    for _ in range(2):
-        assert model.is_zero_class(model.p1_poly())
-        assert not model.is_zero_class(GP.generator(0).mul(GP.generator(1)).mul(GP.generator(2)))
-        check_admissible(model, BundleSpec.empty(10), BundleSpec.empty(10))
-    assert len(shellings) == 1 and tables == []
-    assert {k: len(faces) for k, faces in model._face_lists.items()} == {3: 10, 2: 10}
-    assert model._face_list(3) is model._face_list(3)
-
-
-def test_pair_top_builds_no_shelling(monkeypatch):
-    """pair_top pairs with the empty face, which every point contains, so a
-    fresh model builds neither a shelling nor a face table for it."""
-    shellings, tables = _counting(monkeypatch, "shelling"), _counting(monkeypatch, "_faces")
-    model = _quasitoric("cube:5")
-    vertex = GP({tuple(sorted(model.fixed_points()[0][0][0])): Fraction(1)})
-    for poly in (vertex, model.p1_poly().mul(model.p1_poly()).mul(GP.generator(0))):
-        assert model.pair_top(poly) == reference_pair_top(model, poly)
-    assert model.pair_top(vertex) != 0
-    assert shellings == [] and tables == [] and model._face_lists is None
+    monkeypatch.setattr(cohomology.IndexModel, "_every_face", recording)
+    return seen
 
 
 def _point_lcms(model, monkeypatch):
@@ -881,61 +861,30 @@ def _own_weights(model, S):
 
 @pytest.mark.parametrize("spec", ["cube:5", "cp:4"])
 def test_basis_faces_keep_their_weights(spec, monkeypatch):
-    """A basis face's weights do not depend on the class, so the face keeps
-    them, built the first time it is paired: a second zero test of p1(M)
+    """A face's weights do not depend on the class, so the face keeps them,
+    built the first time it is paired: a second engine zero test of p1(M)
+    (_nonzero_face; the public one decides p1 of cube:5 in the face ring)
     takes no lcm over point denominators and gives the same witness (none
     on cube:5, where p1 = 0).  The weights are the model's own, and
     pair_top, whose empty face spans every point, keeps none."""
     model, other = _quasitoric(spec), _quasitoric(spec, seed=3)
     vertex = GP({tuple(sorted(model.fixed_points()[0][0][0])): Fraction(1)})
+    p1 = model.p1_poly()
     lcms = _point_lcms(model, monkeypatch)
     model.pair_top(vertex)
     assert len(lcms) == 2 and model._face_weights is None
-    first = model.nonzero_face(model.p1_poly())
+    first = model._nonzero_face(p1.terms, p1)
     assert len(lcms) == 2 + 2 * len(model._face_weights)
     assert (first is None) == (spec == "cube:5")
     del lcms[:]
-    assert model.nonzero_face(model.p1_poly()) == first and lcms == []
+    assert model._nonzero_face(p1.terms, p1) == first and lcms == []
     kept = dict(model._face_weights)
     model.pair_top(vertex)
     assert len(lcms) == 2 and model._face_weights == kept
-    assert other.nonzero_face(other.p1_poly()) == first
+    assert other._nonzero_face(p1.terms, p1) == first
     for m in (model, other):
         assert m._face_weights and all(weights == _own_weights(m, S)
                                        for S, weights in m._face_weights.items())
-
-
-def test_quasitoric_shelling_reads_the_kept_ridge_pairing(monkeypatch):
-    """A quasitoric model's points are its polytope's vertices, so its
-    shelling reads the ridge pairing validation kept, pairs no ridge itself
-    and shells as the reference does.  A product's basis is its factors',
-    so it pairs no ridge either."""
-    from test_polytope import reference_shelling
-    calls = _counting(monkeypatch, "_steps", polytope)
-    for make in (lambda: _quasitoric("cube:5"),
-                 lambda: ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2"))):
-        model = make()
-        model.fixed_points()
-        del calls[:]
-        model._face_list(1)
-        assert calls == []
-        for factor in [model] if isinstance(model, QuasitoricModel) else [model.left, model.right]:
-            assert factor._shelling == reference_shelling(factor.polytope.vertices) is not None
-
-
-def _betti(model):
-    """The Betti numbers b_2k of the model, from its parts: the h-vector of
-    a quasitoric model's polytope, their convolution for a product, and 1,
-    their sums, 1 for a connected sum."""
-    if isinstance(model, QuasitoricModel):
-        return model.polytope.h_vector()
-    if isinstance(model, PointModel):
-        return (1,)
-    left, right = _betti(model.left), _betti(model.right)
-    if isinstance(model, ConnectedSumModel):
-        return (1,) + tuple(a + b for a, b in zip(left[1:-1], right[1:-1])) + (1,)
-    return tuple(sum(a * right[k - j] for j, a in enumerate(left) if 0 <= k - j < len(right))
-                 for k in range(model.n + 1))
 
 
 COMPOSED_MODELS = {
@@ -946,114 +895,17 @@ COMPOSED_MODELS = {
     "(cube:2 x cp:1) x cp:2": ProductModel(
         ProductModel(_quasitoric("cube:2"), _quasitoric("cp:1")), _quasitoric("cp:2")),
 }
-BASIS_MODELS = {**ZERO_TEST_MODELS, **ZERO_TEST_TWIST_MODELS, **COMPOSED_MODELS}
+FACE_MODELS = {**ZERO_TEST_MODELS, **ZERO_TEST_TWIST_MODELS, **COMPOSED_MODELS}
 
 
-@pytest.mark.parametrize("name", ["cp:4", "cube:5", "cube:3 x cp:2", "cube:4 with 3 vertex cuts",
-                                  "dense cube:4", "cp:2 # -cp:2", "cube:3 # -cp:3",
-                                  "(cp:2 # cp:2) x cp:1", "(cube:2 x cp:1) x cp:2"])
-def test_basis_faces_count_the_betti_numbers(name):
-    """The zero test's face list of size k has b_2k faces: the restriction
-    faces of a certified shelling (h_k of them), the factors' faces
-    multiplied, or the summands' faces side by side with one top face."""
-    model = BASIS_MODELS[name]
-    assert tuple(len(model._face_list(k)) for k in range(model.n + 1)) == _betti(model)
-    supports = [set(vals) for vals, _ in model.fixed_points()[0]]
-    for k in range(model.n + 1):
-        for S, points in model._face_list(k):
-            assert points == [p for p, support in enumerate(supports) if set(S) <= support], S
-
-
-@pytest.mark.parametrize("name", list(COMPOSED_MODELS))
-def test_composed_bases_read_their_parts_bases(name, monkeypatch):
-    """A product's or connected sum's basis is composed from its parts'
-    _basis, so only the model being paired finds points (_face_list),
-    never one of its parts, whose point lists it would throw away."""
-    model = COMPOSED_MODELS[name]
-    face_list, calls = cohomology.IndexModel._face_list, []
-    monkeypatch.setattr(cohomology.IndexModel, "_face_list",
-                        lambda self, k: calls.append(self) or face_list(self, k))
-    monkeypatch.setattr(model, "_face_lists", None)  # build every list afresh
-    for k in range(model.n + 1):
-        model._face_list(k)
-    assert len(calls) == model.n + 1 and all(m is model for m in calls)
-
-
-@pytest.mark.parametrize("make, refuse", [
-    (PointModel, False),
-    (lambda: _quasitoric("cube:3"), False),
-    (lambda: _quasitoric("cube:3"), True),
-    (lambda: ProductModel(_quasitoric("cube:2"), PointModel()), False),
-    (lambda: ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cp:3"), -1), False),
-], ids=["point", "certified", "uncertified", "product", "connected sum"])
-def test_every_basis_states_degree_zero_as_the_empty_face(make, refuse, monkeypatch):
-    """Every model's _basis(0) is [()], the empty face alone: a quasitoric
-    model's from its certified shelling or, with _certify refusing, from
-    every face of size 0; a product's from its factors'; a connected sum's
-    from its left summand's alone."""
-    if refuse:
-        monkeypatch.setattr(polytope, "_certify", lambda *args: False)
-    model = make()
-    assert model._basis(0) == [()]
-    if isinstance(model, QuasitoricModel):
-        assert (model._shelling is None) == refuse
-
-
-def _bad_order(make_restriction):
-    """A hand-made order in place of polytope.shelling's greedy one: every
-    vertex in order, with the restriction face that make_restriction gives
-    its facets."""
-    return lambda p: [(v, make_restriction(face)) for v, face in enumerate(p.vertices)]
-
-
-def _failed_checks(supports, order):
-    """(forward, reverse) of the certificate, by set inclusion: whether some
-    R(v) lies in an earlier point, whether some v - R(v) lies in a later one."""
-    sets = [(set(supports[v]), set(R)) for v, R in order]
-    return (any(R <= u for t, (_, R) in enumerate(sets) for u, _ in sets[:t]),
-            any(v - R <= u for t, (v, R) in enumerate(sets) for u, _ in sets[t + 1:]))
-
-
-@pytest.mark.parametrize("make_restriction,failed", [
-    (lambda face: (), (True, False)),  # the empty R(v) lies in every earlier point
-    (lambda face: face, (False, True)),  # the empty v - R(v) lies in every later point
-], ids=["forward", "reverse"])
-def test_uncertified_order_falls_back_to_all_faces(make_restriction, failed, monkeypatch):
-    """A hand-made order that fails one check of the certificate is
-    rejected by polytope._certify; fed to the certificate in place of the
-    greedy's order, it leaves shelling no order, and the zero test tries
-    every face, as the reference does."""
-    model = _quasitoric("cube:4")
-    supports = model.polytope.vertices
-    order = _bad_order(make_restriction)(model.polytope)
-    assert _failed_checks(supports, order) == failed
-    inside = {}
-    for v, face in enumerate(supports):
-        for i in face:
-            inside[i] = inside.get(i, 0) | 1 << v
-    assert not polytope._certify(supports, order, inside)
-
-    model = _quasitoric("cube:4")
-    certify = polytope._certify
-    monkeypatch.setattr(polytope, "_certify",
-                        lambda vertices, _, inside: certify(vertices, order, inside))
-    tables = _counting(monkeypatch, "_faces")
-    rng = random.Random(7)
-    for trial in range(10):
-        poly = _random_class(model, rng, zero=trial % 2 == 0)
-        face = model.nonzero_face(poly)
-        assert face == reference_nonzero_face(model, poly), poly
-    assert model._face_lists and model._shelling is None
-    assert tables
-
-
-@pytest.mark.parametrize("name", [name for name, model in BASIS_MODELS.items()
+@pytest.mark.parametrize("name", [name for name, model in FACE_MODELS.items()
                                   if isinstance(model, (ProductModel, ConnectedSumModel))])
 def test_composed_bases_match_all_faces(name):
-    """A product's or connected sum's basis, composed from its parts,
-    decides zero-ness as every face of complementary size does; it may name
-    another face than the reference, but one that pairs nonzero."""
-    model = BASIS_MODELS[name]
+    """A product's or connected sum's zero test, over the faces its own
+    points show and the face ring's degree 4 where it has a presentation,
+    decides zero-ness as the reference's every face of complementary size
+    does; it may name another face, but one that pairs nonzero."""
+    model = FACE_MODELS[name]
     rng = random.Random(11)
     seen = set()
     for trial in range(20):
@@ -1065,25 +917,135 @@ def test_composed_bases_match_all_faces(name):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ProductModel(_quasitoric("cube:3"), _quasitoric("cp:2")),
-    lambda: ConnectedSumModel(_quasitoric("cube:3"), _quasitoric("cp:3"), -1),
-], ids=["product", "connected sum"])
-def test_composed_bases_shell_only_the_factors(make, monkeypatch):
-    """Products and connected sums build no shelling of their own and no
-    table of every face: each quasitoric factor shells its polytope once,
-    and no ridge is paired."""
-    model = make()
-    model.fixed_points()
-    shellings, tables = _counting(monkeypatch, "shelling"), _counting(monkeypatch, "_faces")
-    calls = _counting(monkeypatch, "_steps", polytope)
-    for _ in range(2):
-        for k in range(model.n + 1):
-            model._face_list(k)
-        model.is_zero_class(model.p1_poly())
-    assert len(shellings) == 2
-    assert {p for (p,) in shellings} == {model.left.polytope, model.right.polytope}
-    assert tables == [] and calls == []
+def _expected_faces(model, k):
+    """The faces of size k of a model, read off its structure: its
+    polytope's faces of codimension k (polytope._faces), the empty face
+    alone for the point, the factors' faces joined for a product and the
+    summands' faces side by side for a connected sum."""
+    if isinstance(model, QuasitoricModel):
+        return set(polytope._faces(model.polytope.vertices, k))
+    if isinstance(model, PointModel):
+        return {()} if k == 0 else set()
+    off = model.offset
+    if isinstance(model, ProductModel):
+        return {L + tuple(i + off for i in R) for j in range(k + 1)
+                for L in _expected_faces(model.left, j)
+                for R in _expected_faces(model.right, k - j)}
+    return _expected_faces(model.left, k) | {tuple(i + off for i in R)
+                                              for R in _expected_faces(model.right, k)}
+
+
+EVERY_FACE_MODELS = {
+    "point": PointModel(),
+    "cp:3": _quasitoric("cp:3"),
+    "cube:4": _quasitoric("cube:4"),
+    "cube:4 with 3 vertex cuts": SPARSE_MODELS["cube:4 with 3 vertex cuts"],
+    "cube:3 x cp:2": ZERO_TEST_MODELS["cube:3 x cp:2"],
+    "point x cube:3": COMPOSED_MODELS["point x cube:3"],
+    "cube:3 # -cp:3": COMPOSED_MODELS["cube:3 # -cp:3"],
+    "cp:2 # cp:2": MODELS["cp:2 # cp:2"],
+    "(cp:2 # cp:2) x cp:1": COMPOSED_MODELS["(cp:2 # cp:2) x cp:1"],
+}
+
+
+@pytest.mark.parametrize("name", list(EVERY_FACE_MODELS))
+def test_every_face_yields_each_face_once_with_its_points(name):
+    """_every_face(k) yields each face of size k exactly once, with exactly
+    the points containing it, ascending, for every k from 0 (the empty
+    face, with every point) to n (the points themselves, both summands' for
+    a connected sum): the faces the model's structure gives and the k-sets
+    that the points' supports show."""
+    model = EVERY_FACE_MODELS[name]
+    supports = [set(vals) for vals, _ in model.fixed_points()[0]]
+    for k in range(model.n + 1):
+        faces = list(model._every_face(k))
+        names = [S for S, _ in faces]
+        assert len(set(names)) == len(names)
+        assert set(names) == _expected_faces(model, k) == {
+            S for support in supports for S in combinations(sorted(support), k)}
+        for S, points in faces:
+            assert points == [p for p, support in enumerate(supports) if set(S) <= support], S
+    assert list(model._every_face(0)) == [((), list(range(len(supports))))]
+    assert len(list(model._every_face(model.n))) == len(supports)
+
+
+def _quadratic_class(model, rng, zero):
+    """A seeded class of degree 2 with Fraction coefficients; a zero one is
+    a sum of linear relations times linear classes."""
+    m = model.gen_count
+    out = GP.zero()
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.randrange(m) for _ in range(2))
+        term = GP({(i, j): Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))})
+        if zero:
+            term = GP({(i,): term.terms[(i, j)]}).mul(rng.choice(_relations(model)))
+        out = out + term
+    return out
+
+
+DEGREE4_MODELS = {  # a model, and whether the face ring presents its degree 4
+    "cube:4": (_quasitoric("cube:4"), True),
+    "cp:4": (_quasitoric("cp:4"), True),
+    "cube:4 with 3 vertex cuts": (SPARSE_MODELS["cube:4 with 3 vertex cuts"], True),
+    "cube:3 # -cp:3": (COMPOSED_MODELS["cube:3 # -cp:3"], True),
+    "cube:3 x cp:2": (ZERO_TEST_MODELS["cube:3 x cp:2"], True),
+    "cube:5 with 10 vertex cuts": (QuasitoricModel(vertex_cuts(cube_pair(5), 10, 1)), False),
+    "(cp:2 # cp:2) x cp:1": (COMPOSED_MODELS["(cp:2 # cp:2) x cp:1"], False),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGREE4_MODELS))
+def test_degree4_route_matches_the_engine(name, monkeypatch):
+    """The public zero test of a degree-2 class at n >= 3 asks the face
+    ring first and names the engine's own first face (_nonzero_face), on
+    seeded classes with Fraction coefficients; where the ring has a
+    presentation a zero class tries no face at all.  Past PRICE (cube:5
+    with 10 vertex cuts), and for a product with a connected sum of n = 2,
+    there is no presentation, and the faces decide."""
+    model, presented = DEGREE4_MODELS[name]
+    assert (facering._presentations(model) is not None) is presented
+    ring, asked = facering.degree4_zero, []
+    monkeypatch.setattr(facering, "degree4_zero",
+                        lambda *args: asked.append(1) or ring(*args))
+    faces = _yielded_faces(monkeypatch)
+    rng = random.Random(name)
+    seen = set()
+    for trial in range(16):
+        poly = _quadratic_class(model, rng, zero=trial % 2 == 0)
+        engine = model._nonzero_face(poly.terms, poly)
+        del faces[:], asked[:]
+        face = model.nonzero_face(poly)
+        assert face == engine, poly
+        assert asked == ([1] if poly.terms else [])
+        if face is None and presented:
+            assert faces == []
+        seen.add(face is None)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("model, poly, d", [
+    (_quasitoric("cube:4"), GP({(0, 1): Fraction(1)}), 2),
+    (_quasitoric("cube:4"), GP.generator(2), 1),
+    (MODELS["cp:4"], MODELS["cp:4"].p1_poly(), 2),
+    (COMPOSED_MODELS["(cp:2 # cp:2) x cp:1"], GP({(0, 6): Fraction(1, 2)}), 2),
+    (COMPOSED_MODELS["cube:3 # -cp:3"], GP.generator(7), 1),
+], ids=["cube:4 u0 u1", "cube:4 u2", "cp:4 p1", "(cp:2 # cp:2) x cp:1", "cube:3 # -cp:3 u7"])
+def test_a_nonzero_class_yields_no_face_after_its_witness(model, poly, d, monkeypatch):
+    """The faces are found lazily: a nonzero class of degree d stops at its
+    witness, the last face yielded, and no later face is found."""
+    faces = _yielded_faces(monkeypatch)
+    face = model.nonzero_face(poly)
+    assert face is not None and faces[-1] == (model, model.n - d, face)
+    assert len(faces) < len(list(model._every_face(model.n - d)))
+
+
+def test_p1_of_cube_10_is_decided_without_a_face(monkeypatch):
+    """p1 of cube:10 is zero in degree 4 of the face ring, so the public
+    zero test drops it there and yields no face at all."""
+    model = _quasitoric("cube:10")
+    faces = _yielded_faces(monkeypatch)
+    assert model.is_zero_class(model.p1_poly())
+    assert faces == []
 
 
 def test_p1_witness():
@@ -1102,15 +1064,16 @@ def test_p1_witness():
 
 def test_part_zero_at_every_point_tries_no_face(monkeypatch):
     """The p1 test of a colouring twist: p1(V) - p1(TM) is a sum of cross
-    terms u_i u_j of same-coloured facets, which share no vertex, so no
-    shelling and no face table is built."""
+    terms u_i u_j of same-coloured facets, which share no vertex, so the
+    engine tries no face, not even when the witness is read (the report's
+    comparison reads it)."""
     model = _quasitoric("cube:6")
     _, coloring = facet_chromatic(model.polytope)
-    shellings, tables = _counting(monkeypatch, "shelling"), _counting(monkeypatch, "_faces")
+    faces = _yielded_faces(monkeypatch)
     result = colored_index(model, coloring, q_order=1)
-    assert shellings == [] and tables == [] and model._face_lists is None
     assert result.admissibility == AdmissibilityReport(
         spin_c_exists=True, w_is_spin=True, p1_zero=True, c1c_vector=(1,) * 12)
+    assert faces == [] and model._face_weights is None
 
 
 # ----------------------------------------------------------------------
@@ -1377,13 +1340,15 @@ def test_past_the_price_the_engine_decides_alone(monkeypatch):
 
 def test_n_at_most_2_keeps_the_empty_face_pairing(monkeypatch):
     """At n <= 2, p1 lies in the top degree or beyond: the engine pairs it
-    with the empty face, and no degree-4 presentation is asked for."""
+    with the empty face alone, and no degree-4 presentation is asked for."""
     monkeypatch.setattr(facering, "degree4_zero", lambda *args: pytest.fail("ring asked"))
+    faces = _yielded_faces(monkeypatch)
     for spec, zero in (("cp:2", False), ("hirzebruch:1", True), ("cp:1", True)):
         model = _quasitoric(spec)
         empty = BundleSpec.empty(model.gen_count)
         report = check_admissible(model, empty, empty)
-        assert report.p1_zero is zero and not model._face_lists
+        assert report.p1_zero is zero and model._face_weights is None
+    assert {(k, S) for _, k, S in faces} <= {(0, ())}
 
 
 @pytest.mark.parametrize("spec", ["cp:2", "s2xs2", "hirzebruch:0", "hirzebruch:1",

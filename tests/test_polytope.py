@@ -1,6 +1,5 @@
 import collections
 import enum
-import heapq
 import itertools
 import random
 import re
@@ -29,7 +28,6 @@ from qtoric.polytope import (
     interval,
     polygon,
     prism,
-    shelling,
     simplex,
     int_vector,
     verify_coloring,
@@ -690,7 +688,7 @@ def test_product_commutative_up_to_relabeling():
 # f- and h-vectors
 
 
-SHELLING_CASES = (
+H_VECTOR_CASES = (
     [("cube:%d" % n, lambda n=n: cube(n)) for n in range(3, 10)]
     + [("simplex:%d" % n, lambda n=n: simplex(n)) for n in range(1, 7)]
     + [("polygon:6^3", lambda: polygon(6).product(polygon(6)).product(polygon(6))),
@@ -703,117 +701,26 @@ SHELLING_CASES = (
 )
 
 
-@pytest.mark.parametrize("make", [m for _, m in SHELLING_CASES],
-                         ids=[name for name, _ in SHELLING_CASES])
-def test_shelling_restriction_sizes_count_the_h_vector(make):
-    """The greedy shells every case, each restriction face starts a new
-    interval of faces, and h_k counts the restriction faces of size n - k."""
+@pytest.mark.parametrize("make", [m for _, m in H_VECTOR_CASES],
+                         ids=[name for name, _ in H_VECTOR_CASES])
+def test_h_vector_meets_dehn_sommerville(make):
+    """The h-vector of a simple polytope is symmetric, h_k = h_{n-k}
+    (Dehn-Sommerville), starts at h_0 = 1 and sums to the number of
+    vertices, on cut inputs, relabelled polytopes and products alike."""
     p = make()
     p.require_valid()
-    order = shelling(p)
-    assert sorted(v for v, _ in order) == list(range(len(p.vertices)))
-    earlier = []
-    for v, R in order:
-        face = set(p.vertices[v])
-        assert set(R) <= face
-        assert all(set(R) - set(u) for u in earlier)
-        assert all(any(face - {i} <= set(u) for u in earlier) for i in R)
-        earlier.append(p.vertices[v])
-    sizes = collections.Counter(p.dim - len(R) for _, R in order)
-    assert tuple(sizes[k] for k in range(p.dim + 1)) == p.h_vector()
+    h = p.h_vector()
+    assert len(h) == p.dim + 1
+    assert h == h[::-1]
+    assert h[0] == 1
+    assert sum(h) == len(p.vertices)
 
 
-def reference_shelling(supports):
-    """polytope.shelling as it was, pairing the ridges itself."""
-    if not supports:
-        return None
-    n = len(supports[0])
-    ridges = {}
-    for v, face in enumerate(supports):
-        if len(face) != n:
-            return None
-        for ridge, i in zip(itertools.combinations(face, n - 1) if n else (), reversed(face)):
-            ridges.setdefault(ridge, []).append((v, i))
-    across = [[] for _ in supports]
-    for ends in ridges.values():
-        if len(ends) != 2:
-            return None
-        (a, i), (b, j) = ends
-        across[a].append((i, b, j))
-        across[b].append((j, a, i))
-    covered = [[] for _ in supports]
-    placed = [False] * len(supports)
-    inside = collections.defaultdict(int)
-    order = []
-    heap = [(0, 0)]
-    while heap:
-        count, v = heapq.heappop(heap)
-        restriction = covered[v]
-        if placed[v] or count != len(restriction):
-            continue
-        earlier = -1 if restriction else 0
-        for i in restriction:
-            earlier &= inside[i]
-        if earlier:
-            continue
-        placed[v] = True
-        order.append((v, tuple(sorted(restriction))))
-        bit = 1 << v
-        for i in supports[v]:
-            inside[i] |= bit
-        for i, w, j in across[v]:
-            if not placed[w]:
-                covered[w].append(j)
-                heapq.heappush(heap, (len(covered[w]), w))
-    return order if len(order) == len(supports) else None
-
-
-SHELLING_ORDER_CASES = (
-    [("cube:%d" % n, lambda n=n: cube(n)) for n in (3, 6, 9, 10)]
-    + [("cp:5", lambda: simplex(5)),
-       ("polygon:6^3", lambda: polygon(6).product(polygon(6)).product(polygon(6))),
-       ("cube:3*polygon:5", lambda: cube(3).product(polygon(5))),
-       ("prism:5*simplex:3", lambda: prism(5).product(simplex(3))),
-       ("polygon:6*polygon:4", lambda: polygon(6).product(polygon(4))),
-       ("simplex:2*cube:4", lambda: simplex(2).product(cube(4))),
-       ("cube:5 with 60 vertex cuts", lambda: vertex_cuts(cube_pair(5), 60, 5).polytope),
-       ("cube:6 relabelled", lambda: relabelled(cube(6), 1)),
-       ("cube:3*polygon:5 relabelled", lambda: relabelled(cube(3).product(polygon(5)), 2))]
-)
-
-
-@pytest.mark.parametrize("make", [m for _, m in SHELLING_ORDER_CASES],
-                         ids=[name for name, _ in SHELLING_ORDER_CASES])
-def test_shelling_order_matches_reference(make):
-    """The greedy on the kept ridge pairing finds the order the reference
-    finds when it pairs the ridges itself, so the basis faces and
-    p1_witness stay as they were."""
-    p = make()
-    assert shelling(p) == reference_shelling(p.vertices)
-
-
-@pytest.mark.parametrize("make", [m for _, m in SHELLING_CASES],
-                         ids=[name for name, _ in SHELLING_CASES])
-def test_kept_ridge_pairing_shells_as_the_reference(make, monkeypatch):
-    """Once the polytope is validated, shelling reads the pairing validation
-    kept and pairs no ridge itself (polytope._steps), and the order is the
-    reference's."""
-    p = make()
-    p.require_valid()
-    calls = []
-    steps = polytope._steps
-    monkeypatch.setattr(polytope, "_steps", lambda *args: calls.append(args) or steps(*args))
-    assert shelling(p) == reference_shelling(p.vertices)
-    assert calls == []
-
-
-def test_unshellable_incidences_do_not_shell():
-    """The dual of the 6-vertex RP^2 passes validation, but no shelling
-    exists (a shellable pseudomanifold is a sphere; its h-vector is not
-    symmetric)."""
+def test_rp2_dual_validates_with_an_asymmetric_h_vector():
+    """The dual of the 6-vertex RP^2 passes validation, but it is no
+    sphere: its h-vector breaks Dehn-Sommerville."""
     p = rp2_dual_pair().polytope
     p.require_valid()
-    assert shelling(p) is None
     assert p.h_vector() == (0, 6, 3, 1)
 
 

@@ -3,15 +3,15 @@
 A built-in pair has seeded vertices cut off, its lambda rebased by a matrix
 of GL_n(Z) and its facets relabelled.  The dual bases and orientation
 signs, which the pair's walk reads off the polytope's kept ridge pairing,
-and the sorted edge graph, two-faces and shelling, which the polytope
-builds from what its validation kept, must equal the reference routes:
+and the sorted edge graph and two-faces, which the polytope builds from
+what its validation kept, must equal the reference routes:
 test_charpair.reference_weights and reference_orientation_signs (Laplace
 determinants and Fraction inverses at every vertex, and a walk comparing
 the endpoint weights of every edge), test_polytope.reference_steps,
-reference_adjacency, reference_two_faces and reference_shelling (the
-ridges and faces paired from the vertex sets).  The polytope is validated
-on its own first in some examples, as `analyze` and `product` do, before
-the pair reads its pairing.
+reference_adjacency and reference_two_faces (the ridges and faces paired
+from the vertex sets).  The polytope is validated on its own first in
+some examples, as `analyze` and `product` do, before the pair reads its
+pairing.
 The runs are derandomized and keep no example database.
 """
 
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from test_charpair import reference_orientation_signs, reference_weights, vertex_cuts
 from test_polytope import (
     reference_adjacency,
-    reference_shelling,
     reference_steps,
     reference_two_faces,
 )
@@ -33,7 +32,7 @@ from qtoric.charpair import (
     polygon_pair,
     s2xs2_pair,
 )
-from qtoric.polytope import SimplePolytope, shelling
+from qtoric.polytope import SimplePolytope
 
 BASES = {
     "cp:2": lambda: cp_pair(2),
@@ -105,4 +104,3 @@ def test_kept_ridge_pairing_matches_the_reference_routes(case):
     faces = tuple(reference_two_faces(poly, adj))
     assert poly.two_faces == faces
     assert poly.is_even() == all(len(cycle) % 2 == 0 for _, cycle in faces)
-    assert shelling(poly) == reference_shelling(poly.vertices)
