@@ -26,7 +26,8 @@ degree of H*(M; Q).  The faces are found lazily from the points
 themselves, each k-set of a point's own generators once, so one generator
 serves every model kind, and a nonzero class stops at its first nonzero
 face.  At n >= 3 the public zero test first hands a class's degree-4 part
-to the face ring (facering.degree4_zero), which drops it when it is zero.
+to the face ring (facering.degree4_zero), which drops it when it is zero
+and answers at once when it is not (_ring_first).
 A face of size k > 0 keeps its weights u_S(p) lcm / den_p per point set,
 built the first time it is paired, so a later zero test only evaluates the
 class; the empty face spans every point and builds its weights per call.
@@ -44,10 +45,10 @@ model in either order; twisted root lists are paired afresh each call.
 
 The mod-2 test needs no elimination: each model keeps one basis of its even
 degree-2 classes mod 2 (IndexModel.is_even_vector), a quasitoric model's
-read off the dual basis at one vertex, cached by validation.  At n >= 3
-check_admissible decides p1 = 0 in degree 4 of the face ring instead
-(facering, imported on first use), and the engine's zero test finds the
-witness only when it is read.  facering's top-pairing oracle
+read off the dual basis at one vertex, cached by validation.
+check_admissible decides p1 = 0 by the same ring-first rule, and the
+engine's zero test finds the witness only when it is read
+(AdmissibilityReport.p1_witness).  facering's top-pairing oracle
 (QuasitoricModel.ring_reduction_pairing) is a second route that only the
 tests compare with the engine.
 """
@@ -250,26 +251,32 @@ class IndexModel:
         exactly when it pairs to zero with all of H^{2(n-d)}, which the
         monomials u_S of the faces S of size n - d span (H*(M; Q) is the
         face ring modulo a linear system of parameters; Davis-Januszkiewicz;
-        Buchstaber-Panov, Toric Topology, ch. 3).  At n >= 3 the degree-4
-        part goes to the face ring first (facering.degree4_zero, imported
-        on first use), scaled to integers, and is dropped when the ring
-        finds it zero.  Every other part, and one that the ring finds
-        nonzero or cannot present, tries every face of the complementary
-        size, lazily, in the order of _every_face, up to its first nonzero
-        face (_nonzero_face).  u_S is nonzero only at the points containing
-        S, and the class is evaluated only there, once per point
+        Buchstaber-Panov, Toric Topology, ch. 3).  The degree-4 part goes to
+        the face ring first (_ring_first) and is dropped when the ring finds
+        it zero.  Every other part, and one that the ring finds nonzero or
+        cannot present, tries every face of the complementary size, lazily,
+        in the order of _every_face, up to its first nonzero face
+        (_nonzero_face).  u_S is nonzero only at the points containing S,
+        and the class is evaluated only there, once per point
         (_face_pairings); each face must pair the same at both point sets.
         Terms whose generators share no point vanish at every point and are
         dropped first, so a part made only of them tries no face.
         """
-        terms = self._own_terms(poly.terms)
+        return self._nonzero_face(self._ring_first(self._own_terms(poly.terms))[1], poly)
+
+    def _ring_first(self, terms):
+        """(zero, rest): the face ring's verdict on the degree-4 part of the
+        class {monomial: coefficient} (facering.degree4_zero, in integers),
+        None at n <= 2, without it or without a presentation; rest drops it if zero."""
         quadratic = {mon: c for mon, c in terms.items() if len(mon) == 2}
-        if quadratic and self.n > 2:
-            from .facering import degree4_zero
-            scale = math.lcm(*(c.denominator for c in quadratic.values()))
-            if degree4_zero(self, {mon: int(c * scale) for mon, c in quadratic.items()}):
-                terms = {mon: c for mon, c in terms.items() if len(mon) != 2}
-        return self._nonzero_face(terms, poly)
+        if not quadratic or self.n <= 2:
+            return None, terms
+        from .facering import degree4_zero
+        if not all(type(c) is int for c in quadratic.values()):
+            scale = math.lcm(*[c.denominator for c in quadratic.values()])
+            quadratic = {mon: int(c * scale) for mon, c in quadratic.items()}
+        zero = degree4_zero(self, quadratic)
+        return zero, {mon: c for mon, c in terms.items() if len(mon) != 2} if zero else terms
 
     def _nonzero_face(self, terms, poly):
         """nonzero_face of the class {monomial: coefficient}, named poly, on
@@ -369,9 +376,10 @@ class IndexModel:
 
     def is_zero_class(self, poly: GradedPolynomial) -> bool:
         """Rational zero test: poly pairs to zero with every face monomial
-        of complementary degree, its degree-4 part decided in the face ring
-        first at n >= 3 (see nonzero_face)."""
-        return self.nonzero_face(poly) is None
+        of complementary degree (see nonzero_face); False at once when the
+        face ring finds its degree-4 part nonzero."""
+        zero, terms = self._ring_first(self._own_terms(poly.terms))
+        return zero is not False and self._nonzero_face(terms, poly) is None
 
     def pair_series(self, plan, q_order: int) -> list:
         """Top-degree pairing of prod over plan of prod_{x in roots} F(x), per q^j.
@@ -684,19 +692,33 @@ class AdmissibilityReport:
     """The index-theorem hypotheses.  p1_witness names (by generator labels)
     the first face S of the engine's zero test (IndexModel._nonzero_face)
     whose monomial u_S pairs nonzero with p1(V + W - TM), or is None when
-    p1 vanishes; at n >= 3 the engine finds it when it is first read
-    (facering.Report).  as_dict leaves it out."""
+    p1 vanishes; given pending = (model, p1 form) it is found when first read,
+    must agree with p1_zero and decides a p1_zero of None.  as_dict leaves it out."""
 
     def __init__(self, spin_c_exists: bool, w_is_spin: bool, p1_zero: bool,
-                 c1c_vector: tuple, p1_witness: tuple = None):
+                 c1c_vector: tuple, p1_witness: tuple = None, pending=None):
         self.spin_c_exists = spin_c_exists
         self.w_is_spin = w_is_spin
         self.p1_zero = p1_zero
         self.c1c_vector = c1c_vector
-        self.p1_witness = p1_witness
+        self._pending = pending
+        if pending is None:
+            self.p1_witness = p1_witness
+        elif p1_zero is None:
+            self.p1_zero = self.p1_witness is None
+
+    @functools.cached_property
+    def p1_witness(self):
+        (model, p1), self._pending = self._pending, None
+        face = model._nonzero_face(p1, p1)
+        if self.p1_zero not in (None, face is None):
+            raise InternalConsistencyError("p1 of %s: p1_zero %s, but the engine finds the "
+                                           "witness %r" % (model.name, self.p1_zero, face))
+        return None if face is None else tuple(model.gen_labels[i] for i in face)
 
     def __eq__(self, other):
-        return type(other) is AdmissibilityReport and vars(self) == vars(other)
+        return (type(other) is AdmissibilityReport and self.p1_witness == other.p1_witness
+                and vars(self) == vars(other))
 
     @property
     def met(self) -> bool:
@@ -719,8 +741,8 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     c1^c = c1(V) exists), W must be Spin, and p1(V + W - TM) must vanish
     rationally.  p1(V + W - TM) is built in one pass from the first Chern
     classes of the line bundles, as an integer quadratic form, and decided
-    at n >= 3 in degree 4 of the face ring (facering.Report), at n <= 2 by
-    the engine's zero test.
+    by the face ring where it can (IndexModel._ring_first), else by the
+    engine's zero test.
     """
     if V.gen_count != model.gen_count or W.gen_count != model.gen_count:
         raise StructureError("V and W are over %d and %d generators, the model has %d"
@@ -735,9 +757,5 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     spin_c = model.is_even_vector(diff)
     w_spin = model.is_even_vector(W.c1_vector())
     p1 = _p1_terms(V.items + W.items, model.tangent_items)
-    if p1 and model.n > 2:
-        from .facering import Report
-        return Report(model, p1, spin_c, w_spin, tuple(c1c_vec))
-    face = model._nonzero_face(p1, p1)
-    witness = None if face is None else tuple(model.gen_labels[i] for i in face)
-    return AdmissibilityReport(spin_c, w_spin, face is None, tuple(c1c_vec), witness)
+    return AdmissibilityReport(spin_c, w_spin, model._ring_first(p1)[0], tuple(c1c_vec),
+                               pending=(model, p1))

@@ -33,4 +33,4 @@ class InternalConsistencyError(QtoricError):
 
 
 class OracleUnavailableError(QtoricError):
-    """The secondary (cross-check) oracle is not available at this problem size."""
+    """The secondary (cross-check) oracle's presentation is priced past `facering.PRICE`."""

@@ -12,13 +12,13 @@ So H^2k is Sym^k(H^2) modulo the images of u_S h, S a minimal non-face of
 at most k facets and h a free monomial of degree k - |S| (_quasitoric),
 whose dimension is certified: h_2 for k = 2, 1 for k = n.
 
-check_admissible imports this module at n >= 3 to decide p1 = 0 in H^4 at
-two base vertices (Report, degree4_zero, _presentations), and
-IndexModel.nonzero_face to decide the degree-4 part of any class there;
-products and connected sums of n >= 3 join their parts' presentations, and
-past PRICE the fixed-point engine decides alone.  The top-pairing oracle
+IndexModel._ring_first (behind check_admissible, nonzero_face and
+is_zero_class) imports this module at n >= 3 to decide a class's degree-4
+part at two base vertices (degree4_zero); products and connected sums of
+n >= 3 join their parts' presentations there.  The top-pairing oracle
 (top_pairing, QuasitoricModel.ring_reduction_pairing) reduces in H^2n at
-vertex 0; the tests compare it with the engine at small half-dimension.
+the same vertices.  One _presentations(model, k), kept per model and k,
+builds every degree under one PRICE; past it the engine decides alone.
 """
 
 from __future__ import annotations
@@ -30,19 +30,20 @@ from fractions import Fraction
 from operator import mul
 
 from .charpair import _eliminate
-from .cohomology import _ZERO, AdmissibilityReport, PointModel, QuasitoricModel
+from .cohomology import _ZERO, PointModel, QuasitoricModel
 from .errors import InternalConsistencyError, OracleUnavailableError
 from .index import ConnectedSumModel, ProductModel
+from .polytope import _faces
 
-MAX_N = 3
-MAX_FREE = 8
-
-# The most work a quasitoric presentation takes on, at either base vertex: the
-# relations that touch it times the coordinates of Sym^2(H^2).  cube:12 costs
-# 936 (16 ms against 65 ms for the engine's zero test, p1 = 0), cube:14 1470,
-# cube:5 with 5 vertex cuts 1155 (0.6 ms against 0.5 ms, where p1 != 0 and the
-# engine stops at its first face) and with 10 cuts 4680 (2.0 against 0.7 ms);
-# with 60 cuts, 6.4e5, the elimination alone takes 2.8 s.
+# The most work a quasitoric presentation of H^2k takes on, at either base
+# vertex: the coordinates of Sym^k(H^2), C(f + k - 1, k) for the f = m - n free
+# generators, times the relations u_S h that touch the vertex, for each minimal
+# non-face S that does C(f + k - |S| - 1, k - |S|) (_presentations).  In degree 4
+# cube:12 costs 936 (16 ms against 65 ms for the engine's zero test, p1 = 0),
+# cube:14 1470, cube:5 with 5 vertex cuts 1155 (0.6 ms against 0.5 ms, where
+# p1 != 0 and the engine stops at its first face) and with 10 cuts 4680 (2.0
+# against 0.7 ms); with 60 cuts, 6.4e5, the elimination alone takes 2.8 s.  In
+# the top degree cube:4 costs 1400, cube:5 22050 and cp:n 0.
 PRICE = 2000
 
 _EMPTY = (0, (), {}, [])  # the point model's presentation: no coordinate at all
@@ -147,33 +148,54 @@ def _side_by_side(left, right, kill_mixed):
     return by + right[0], left[1] + tuple(images), where, left[3] + blocks
 
 
-def _presentations(model):
-    """The model's presentations of H^4 at its two base vertices, built on
-    the first call and kept, or None: past PRICE, for a connected sum of
-    n = 2, whose H^4 is its top degree, and for a model or part of no known
-    kind."""
-    if "_degree4" in vars(model):
-        return model._degree4
+def _minimal_nonfaces(model, k):
+    """The minimal non-faces of at most k facets, read off the faces: the
+    facet pairs that share no vertex (polytope.facet_pairs), then by size s
+    each face of s - 1 facets with one facet past its last added, when that
+    is no face while its other (s - 1)-subsets are."""
+    m, faces = model.pair.m, model.polytope.facet_pairs()
+    found = [p for p in itertools.combinations(range(m), 2) if p not in faces] if k > 1 else []
+    for s in range(3, k + 1):
+        below, faces = faces, set(_faces(model.polytope.vertices, s))
+        found += [S for F in sorted(below) for j in range(F[-1] + 1, m)
+                  if (S := F + (j,)) not in faces
+                  and all(T in below for T in itertools.combinations(S, s - 1))]
+    return found
+
+
+def _presentations(model, k=2):
+    """The model's presentations of H^2k at its two base vertices, built on
+    the first call per k and kept in one dict on the model, or None: past
+    PRICE, for a connected sum of n = 2, whose H^4 is its top degree, for a
+    product or connected sum at k != 2, and for a model or part of no known
+    kind.  A quasitoric model's pairs are priced first, off the facet
+    pairs' degree counts, so that a refusal there lists no non-face."""
+    kept = vars(model).setdefault("_face_ring", {})
+    if k in kept:
+        return kept[k]
     found = None
     if isinstance(model, QuasitoricModel):
-        vertices, m = model.polytope.vertices, model.pair.m
-        meeting = model.polytope.facet_pairs()
-        degree = collections.Counter(itertools.chain.from_iterable(meeting))
-        size = m - model.n
-        ends = (0, len(vertices) - 1)
-        if all(sum(m - 1 - degree[b] for b in vertices[v]) * size * (size + 1) // 2 <= PRICE
-               for v in ends):
-            apart = [p for p in itertools.combinations(range(m), 2) if p not in meeting]
-            found = tuple(_quasitoric(model, apart, v, 2) for v in ends)
+        ends, m = (model.polytope.vertices[0], model.polytope.vertices[-1]), model.pair.m
+        f = m - model.n
+
+        def price(s):  # of the relations u_S h of one non-face S of s facets
+            return math.comb(f + k - s - 1, k - s) * math.comb(f + k - 1, k) if s <= k else 0
+        degree = collections.Counter(itertools.chain.from_iterable(model.polytope.facet_pairs()))
+        pairs = [sum(m - 1 - degree[b] for b in base) * price(2) for base in ends]
+        if max(pairs) <= PRICE:
+            nonfaces = _minimal_nonfaces(model, k)
+            if all(p + sum(price(len(S)) for S in nonfaces if len(S) > 2 and set(base) & set(S))
+                   <= PRICE for p, base in zip(pairs, ends)):
+                found = tuple(_quasitoric(model, nonfaces, v, k) for v in (0, -1))
     elif isinstance(model, PointModel):
         found = (_EMPTY, _EMPTY)
-    elif isinstance(model, ProductModel) or (isinstance(model, ConnectedSumModel)
-                                             and model.n >= 3):
+    elif k == 2 and (isinstance(model, ProductModel)
+                     or (isinstance(model, ConnectedSumModel) and model.n >= 3)):
         left, right = _presentations(model.left), _presentations(model.right)
         if left is not None and right is not None:
             kill = isinstance(model, ConnectedSumModel)
             found = tuple(_side_by_side(a, b, kill) for a, b in zip(left, right))
-    model._degree4 = found
+    kept[k] = found
     return found
 
 
@@ -222,72 +244,29 @@ def degree4_zero(model, terms):
     return first
 
 
-class Report(AdmissibilityReport):
-    """check_admissible's report at n >= 3, for a nonzero p1 form: p1_zero
-    from degree4_zero, and p1_witness found by the engine's zero test when
-    it is first read, which must agree with p1_zero.  Without a
-    presentation (past PRICE) the engine decides at once."""
-
-    def __init__(self, model, p1, spin_c_exists, w_is_spin, c1c_vector):
-        super().__init__(spin_c_exists, w_is_spin, degree4_zero(model, p1), c1c_vector)
-        del self.p1_witness  # read through __getattr__
-        self._pending = model, p1
-        if self.p1_zero is None:
-            self.p1_zero = self.p1_witness is None
-
-    def __getattr__(self, name):
-        if name != "p1_witness" or "_pending" not in vars(self):
-            raise AttributeError(name)
-        model, p1 = self._pending
-        face = model._nonzero_face(p1, p1)
-        if self.p1_zero not in (None, face is None):
-            raise InternalConsistencyError(
-                "p1 of %s is %szero in degree 4 of the face ring, but the engine finds the "
-                "witness %r" % (model.name, "" if self.p1_zero else "non", face))
-        del self._pending
-        self.p1_witness = None if face is None else tuple(model.gen_labels[i] for i in face)
-        return self.p1_witness
-
-    def __eq__(self, other):
-        return (isinstance(other, AdmissibilityReport) and self.p1_witness == other.p1_witness
-                and vars(self) == vars(other))
-
-
-def _minimal_nonfaces(model, max_size):
-    verts = [set(v) for v in model.polytope.vertices]
-    m = model.pair.m
-
-    def is_face(S):
-        return any(S <= v for v in verts)
-
-    minimal = []
-    for size in range(2, max_size + 1):
-        for S in itertools.combinations(range(m), size):
-            Sset = set(S)
-            if is_face(Sset):
-                continue
-            if all(is_face(Sset - {i}) for i in S):
-                minimal.append(S)
-    return minimal
-
-
 def top_pairing(model, mon) -> Fraction:
-    """<u_mon, [M]> for a quasitoric model: the remainder of u_mon in the top
-    degree at vertex 0, one-dimensional, over the vertex monomial's, times
-    the product of the vertex's signs.  The presentation is built on the
-    first call and kept on the model."""
+    """<u_mon, [M]> for a quasitoric model: at each base vertex v, the
+    remainder of u_mon in the top degree, one-dimensional, over that of u_v,
+    times <u_v, [M]> = eps_v prod over i in v of signs_i.  The two base
+    vertices must agree; past PRICE it raises OracleUnavailableError."""
     if len(mon) != model.n:
         return _ZERO
-    if "_ring_oracle" not in vars(model):
-        n, m = model.n, model.pair.m
-        if n > MAX_N or m - n > MAX_FREE:
-            raise OracleUnavailableError(
-                "face-ring oracle unavailable for n=%d, m=%d (budget n<=%d)" % (n, m, MAX_N))
-        top = _quasitoric(model, _minimal_nonfaces(model, n), 0, n)
-        base = tuple(model.polytope.vertices[0])
-        ref = sum(v for _, v in _remainder(top, {base: 1}))
+    found = _presentations(model, model.n)
+    if found is None:
+        raise OracleUnavailableError("the top degree of the face ring of %s is priced past "
+                                     "PRICE = %d" % (model.name, PRICE))
+    values = []
+    for presentation, v in zip(found, (0, -1)):
+        base = model.polytope.vertices[v]
+        ref, value = (sum(x for _, x in _remainder(presentation, {key: 1}))
+                      for key in (base, tuple(mon)))
         if not ref:
-            raise InternalConsistencyError("reference vertex monomial pairs to 0")
-        model._ring_oracle = top, Fraction(math.prod(model.pair.signs[i] for i in base), ref)
-    top, scale = model._ring_oracle
-    return scale * sum(v for _, v in _remainder(top, {tuple(mon): 1}))
+            raise InternalConsistencyError("the vertex monomial u_%r pairs to 0" % (base,))
+        sign = model.pair.orientation_signs[v] * math.prod(model.pair.signs[i] for i in base)
+        values.append(Fraction(sign * value, ref))
+    first, second = values
+    if first != second:
+        raise InternalConsistencyError(
+            "top degree of the face ring of %s: u_%r pairs to %s at the first base vertex and "
+            "%s at the second" % (model.name, tuple(mon), first, second))
+    return first

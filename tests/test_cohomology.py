@@ -27,6 +27,7 @@ from qtoric.cohomology import (
 from qtoric.errors import InternalConsistencyError, OracleUnavailableError, StructureError
 from qtoric.polynomial import GradedPolynomial as GP
 from qtoric.polynomial import monomials_of_degree
+from test_charpair import dense_rebased, vertex_cuts
 
 
 def test_cp1_normalization():
@@ -80,6 +81,7 @@ def test_oracle_agreement():
         cp_pair(3).to_index_model(),
         cube_pair(3).to_index_model(),
         polygon_pair(5).to_index_model(),
+        sphere_pair().to_index_model(),
     ]
     for m in models:
         for mon in monomials_of_degree(m.gen_count, m.n):
@@ -87,9 +89,69 @@ def test_oracle_agreement():
 
 
 def test_ring_oracle_budget():
-    m = cube_pair(4).to_index_model()
-    with pytest.raises(OracleUnavailableError):
-        m.ring_reduction_pairing((0, 1, 2, 3))
+    """The top degree is priced past facering.PRICE, and the oracle refuses:
+    cube:5 on its pairs of opposite facets alone (22050), (cp:2)^4, whose
+    facets all meet, on its non-faces of three facets (36960)."""
+    cp2 = cp_pair(2)
+    for pair in (cube_pair(5), cp2.product_pair(cp2).product_pair(cp2).product_pair(cp2)):
+        m = pair.to_index_model()
+        with pytest.raises(OracleUnavailableError):
+            m.ring_reduction_pairing(tuple(range(m.n)))
+
+
+def _oracle_models():
+    cube4 = cube_pair(4)
+    return {"cube:4": cube4, "cube:4 rebased": dense_rebased(cube4, 3), "cp:6": cp_pair(6),
+            "cp:10": cp_pair(10), "cp:4 with 2 vertex cuts": vertex_cuts(cp_pair(4), 2, 1)}
+
+
+@pytest.mark.parametrize("name", list(_oracle_models()))
+def test_ring_oracle_reaches_every_model_under_the_price(name):
+    """Past n = 3: the top-pairing oracle, at both base vertices, pairs as
+    the engine on seeded monomials, half of them a vertex's facets with one
+    generator squared in place of another, half drawn freely."""
+    m = _oracle_models()[name].to_index_model()
+    rng = random.Random(name)
+    nonzero = 0
+    for _ in range(20):
+        v = list(rng.choice(m.polytope.vertices))
+        i, j = rng.sample(range(m.n), 2)
+        v[i] = v[j]
+        for mon in (tuple(sorted(v)), tuple(sorted(rng.choices(range(m.gen_count), k=m.n)))):
+            value = m.ring_reduction_pairing(mon)
+            assert value == m.pair_monomial(mon), mon
+            nonzero += value != 0
+    assert nonzero
+
+
+def reference_minimal_nonfaces(model, max_size):
+    """The minimal non-faces of at most max_size facets by brute force:
+    every subset of the facets against every vertex."""
+    verts = [set(v) for v in model.polytope.vertices]
+
+    def is_face(S):
+        return any(S <= v for v in verts)
+
+    minimal = []
+    for size in range(2, max_size + 1):
+        for S in itertools.combinations(range(model.pair.m), size):
+            if not is_face(set(S)) and all(is_face(set(S) - {i}) for i in S):
+                minimal.append(S)
+    return minimal
+
+
+@pytest.mark.parametrize("pair", [
+    cube_pair(3), cube_pair(4), cube_pair(5), cp_pair(3), cp_pair(4), polygon_pair(5),
+    polygon_pair(6), polygon_pair(7), vertex_cuts(cp_pair(4), 3, 1),
+    s2xs2_pair().product_pair(polygon_pair(5)),
+], ids=["cube:3", "cube:4", "cube:5", "cp:3", "cp:4", "polygon:5", "polygon:6", "polygon:7",
+        "cp:4 with 3 vertex cuts", "s2xs2 * polygon:5"])
+def test_minimal_nonfaces_match_the_subset_search(pair):
+    """The non-faces read off the faces are the brute-force search's, in
+    its order, at every degree from 1 to n."""
+    m = pair.to_index_model()
+    for k in range(1, m.n + 1):
+        assert facering._minimal_nonfaces(m, k) == reference_minimal_nonfaces(m, k), k
 
 
 @pytest.mark.parametrize("pair,mutate", [
@@ -107,6 +169,16 @@ def test_ring_oracle_certifies_its_top_degree(pair, mutate, monkeypatch):
     m = pair.to_index_model()
     with pytest.raises(InternalConsistencyError, match="top degree"):
         m.ring_reduction_pairing(tuple(range(m.n)))
+
+
+def test_ring_oracle_compares_both_base_vertices(monkeypatch):
+    """Mutant: the ring reads lambda_4 of CP^4 negated, while validation's
+    dual bases are the true ones, so the two base vertices substitute
+    differently and the oracle refuses to pair where they disagree."""
+    m = cp_pair(4).to_index_model()
+    monkeypatch.setattr(m.pair, "lam", m.pair.lam[:4] + (tuple(-x for x in m.pair.lam[4]),))
+    with pytest.raises(InternalConsistencyError, match="first base vertex"):
+        m.ring_reduction_pairing((1, 2, 3, 4))
 
 
 def test_free_function_oracles():

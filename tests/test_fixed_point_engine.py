@@ -989,6 +989,7 @@ DEGREE4_MODELS = {  # a model, and whether the face ring presents its degree 4
     "cube:4 with 3 vertex cuts": (SPARSE_MODELS["cube:4 with 3 vertex cuts"], True),
     "cube:3 # -cp:3": (COMPOSED_MODELS["cube:3 # -cp:3"], True),
     "cube:3 x cp:2": (ZERO_TEST_MODELS["cube:3 x cp:2"], True),
+    "cube:5 with 5 vertex cuts": (QuasitoricModel(vertex_cuts(cube_pair(5), 5, 1)), True),
     "cube:5 with 10 vertex cuts": (QuasitoricModel(vertex_cuts(cube_pair(5), 10, 1)), False),
     "(cp:2 # cp:2) x cp:1": (COMPOSED_MODELS["(cp:2 # cp:2) x cp:1"], False),
 }
@@ -1046,6 +1047,19 @@ def test_p1_of_cube_10_is_decided_without_a_face(monkeypatch):
     faces = _yielded_faces(monkeypatch)
     assert model.is_zero_class(model.p1_poly())
     assert faces == []
+
+
+def test_a_class_the_ring_finds_nonzero_yields_no_face(monkeypatch):
+    """u_0 u_1 of cube:6 is nonzero in degree 4 of the face ring, so the
+    public zero test answers at once, asking the ring once and yielding no
+    face; nonzero_face still finds the engine's witness."""
+    model, poly = _quasitoric("cube:6"), GP({(0, 1): Fraction(1)})
+    ring, asked = facering.degree4_zero, []
+    monkeypatch.setattr(facering, "degree4_zero", lambda *args: asked.append(1) or ring(*args))
+    faces = _yielded_faces(monkeypatch)
+    assert model.is_zero_class(poly) is False
+    assert faces == [] and asked == [1]
+    assert model.nonzero_face(poly) == model._nonzero_face(poly.terms, poly) is not None
 
 
 def test_p1_witness():
@@ -1142,7 +1156,7 @@ def _moved_generator(model):
 
 @pytest.mark.parametrize("call", [
     lambda model: model.pair_top(GP.generator(0).mul(GP.generator(1)).mul(GP.generator(2))),
-    lambda model: model.is_zero_class(model.p1_poly()),
+    lambda model: model.is_zero_class(GP.generator(0)),
     lambda model: witten_genus(model, 1).admissibility.p1_witness,
     lambda model: model.fixed_points(),
 ], ids=["pair_top", "is_zero_class", "witten_genus", "fixed_points"])
