@@ -266,15 +266,12 @@ class IndexModel:
 
     def _ring_first(self, terms):
         """(zero, rest): the face ring's verdict on the degree-4 part of the
-        class {monomial: coefficient} (facering.degree4_zero, in integers),
+        class {monomial: coefficient} (facering.degree4_zero, exact),
         None at n <= 2, without it or without a presentation; rest drops it if zero."""
         quadratic = {mon: c for mon, c in terms.items() if len(mon) == 2}
         if not quadratic or self.n <= 2:
             return None, terms
         from .facering import degree4_zero
-        if not all(type(c) is int for c in quadratic.values()):
-            scale = math.lcm(*[c.denominator for c in quadratic.values()])
-            quadratic = {mon: int(c * scale) for mon, c in quadratic.items()}
         zero = degree4_zero(self, quadratic)
         return zero, {mon: c for mon, c in terms.items() if len(mon) != 2} if zero else terms
 
@@ -678,8 +675,9 @@ class QuasitoricModel(IndexModel):
         """Pairing via linear elimination and face-ring reduction
         (facering.top_pairing), independent of the localization route: it
         uses only the linear relations, the face ideal and the base-vertex
-        normalization."""
+        normalization; a generator outside the model's is refused first."""
         from .facering import top_pairing
+        self._own_terms([mon])
         return top_pairing(self, mon)
 
 

@@ -12,10 +12,14 @@ So H^2k is Sym^k(H^2) modulo the images of u_S h, S a minimal non-face of
 at most k facets and h a free monomial of degree k - |S| (_quasitoric),
 whose dimension is certified: h_2 for k = 2, 1 for k = n.
 
+A presentation is one pivot table (_quasitoric): each coordinate monomial
+that a relation solves for maps to its row off the pivots, every row at the
+one scale d of a fraction-free echelon form (Bareiss 1968).
+
 IndexModel._ring_first (behind check_admissible, nonzero_face and
 is_zero_class) imports this module at n >= 3 to decide a class's degree-4
 part at two base vertices (degree4_zero); products and connected sums of
-n >= 3 join their parts' presentations there.  The top-pairing oracle
+n >= 3 join their parts' tables there.  The top-pairing oracle
 (top_pairing, QuasitoricModel.ring_reduction_pairing) reduces in H^2n at
 the same vertices.  One _presentations(model, k), kept per model and k,
 builds every degree under one PRICE; past it the engine decides alone.
@@ -46,7 +50,7 @@ from .polytope import _faces
 # the top degree cube:4 costs 1400, cube:5 22050 and cp:n 0.
 PRICE = 2000
 
-_EMPTY = (0, (), {}, [])  # the point model's presentation: no coordinate at all
+_EMPTY = (0, (), 1, {})  # the point model's presentation: no coordinate at all
 
 
 def _substitution(model, vertex):
@@ -67,8 +71,8 @@ def _substitution(model, vertex):
 
 
 def _image(images, terms):
-    """The form {monomial of k generators: integer} in Sym^k(H^2), given the
-    generators' images in H^2, as {sorted tuple of coordinates: integer}."""
+    """The form {monomial of k generators: coefficient} in Sym^k(H^2), given
+    the generators' images in H^2, as {sorted tuple of coordinates: coefficient}."""
     out = {}
     for mon, c in terms.items():
         if len(mon) == 2:  # the pair loop of degree 4
@@ -89,63 +93,57 @@ def _image(images, terms):
 def _quasitoric(model, nonfaces, vertex, k):
     """A quasitoric model's presentation of H^2k at a base vertex, given its
     minimal non-faces of at most k facets: (coordinates of H^2, generator
-    images, where, blocks).  where maps a coordinate monomial of Sym^k to -1
-    if a relation kills it, or to its block; a block is (d, {pivot: its row
-    off the pivots}), d the echelon form's pivot value.  A monomial in
-    neither is free in H^2k."""
+    images, d, pivots).  pivots maps each coordinate monomial of Sym^k that a
+    relation solves for to its row off the pivots, at the one scale d, the
+    echelon form's pivot value: a relation left with a single coordinate,
+    shortest first, kills it (an empty row), and the rest are eliminated.
+    A monomial that is no pivot is free in H^2k."""
     free, images = _substitution(model, vertex)
-    where, forms = {}, []
     fill = {s: list(itertools.combinations_with_replacement(free, k - s)) for s in range(2, k + 1)}
-    for S in nonfaces:
-        for h in fill[len(S)]:
-            form = _image(images, {S + h: 1})
-            if len(form) == 1:  # a relation with a single coordinate kills it
-                where[next(iter(form))] = -1
-            else:
-                forms.append(form)
-    rows = []
-    for form in forms:  # and so does one left with a single coordinate
-        form = {key: c for key, c in form.items() if c and key not in where}
+    forms = sorted([_image(images, {S + h: 1}) for S in nonfaces for h in fill[len(S)]], key=len)
+    pivots, rows = {}, []
+    for form in forms:
+        if len(form) > 1:  # else a product of single coordinates: nonzero
+            form = {key: c for key, c in form.items() if c and key not in pivots}
         if len(form) == 1:
-            where[next(iter(form))] = -1
+            pivots[next(iter(form))] = ()
         elif form:
             rows.append(form)
-    columns = sorted(set().union(*rows).difference(where))
-    _, d, reduced, pivots = _eliminate([[form.get(key, 0) for key in columns] for form in rows])
-    rank = len(where) + len(pivots)
-    if k == 2 and rank != len(nonfaces):
+    columns = sorted(set().union(*rows).difference(pivots))
+    _, d, reduced, solved = _eliminate([[form.get(key, 0) for key in columns] for form in rows])
+    on = set(solved)
+    pivots.update({columns[p]: tuple([(columns[c], x) for c, x in enumerate(row)
+                                      if x and c not in on])
+                   for row, p in zip(reduced, solved)})
+    if k == 2 and len(pivots) != len(nonfaces):
         raise InternalConsistencyError(
             "degree 4 of the face ring of %s: %d independent relations for %d pairs of "
-            "facets that do not meet" % (model.name, rank, len(nonfaces)))
-    dim = math.comb(len(free) + k - 1, k) - rank
+            "facets that do not meet" % (model.name, len(pivots), len(nonfaces)))
+    dim = math.comb(len(free) + k - 1, k) - len(pivots)
     if k == model.n and dim != 1:
         raise InternalConsistencyError(
             "face-ring top degree of %s is %d-dimensional, expected 1" % (model.name, dim))
-    where.update(dict.fromkeys(columns, 0))
-    on = set(pivots)
-    block = {columns[p]: tuple([(columns[c], x) for c, x in enumerate(row) if x and c not in on])
-             for row, p in zip(reduced, pivots)}
-    return len(free), tuple(images), where, [(d, block)] if columns else []
+    return len(free), tuple(images), d, pivots
 
 
 def _side_by_side(left, right, kill_mixed):
     """The presentation over the left generators, then the right ones,
-    whose coordinates and blocks are numbered after the left's: a
-    product's (kill_mixed False: the mixed products span H^2 (x) H^2) or a
-    connected sum's of n >= 3 (every mixed product is zero)."""
-    by, count = left[0], len(left[3])
+    whose coordinates are numbered after the left's, at the scale d_L d_R:
+    each side's rows are scaled by the other side's d.  A product's mixed
+    products span H^2 (x) H^2 (kill_mixed False); a connected sum's of
+    n >= 3 are zero, and get empty rows."""
+    by, images, d, pivots = left
+    count, right_images, e, right_pivots = right
 
     def key(k):
         return k[0] + by, k[1] + by
-    _, images, where, blocks = right
-    where = {key(k): b if b < 0 else b + count for k, b in where.items()}
-    where.update(left[2])
+    table = {p: tuple([(c, e * x) for c, x in row]) for p, row in pivots.items()}
+    table.update({key(p): tuple([(key(c), d * x) for c, x in row])
+                  for p, row in right_pivots.items()})
     if kill_mixed:
-        where.update(dict.fromkeys(itertools.product(range(by), range(by, by + right[0])), -1))
-    images = [tuple([(r + by, c) for r, c in image]) for image in images]
-    blocks = [(d, {key(p): tuple([(key(c), x) for c, x in row]) for p, row in block.items()})
-              for d, block in blocks]
-    return by + right[0], left[1] + tuple(images), where, left[3] + blocks
+        table.update(dict.fromkeys(itertools.product(range(by), range(by, by + count)), ()))
+    images += tuple([tuple([(r + by, c) for r, c in image]) for image in right_images])
+    return by + count, images, d * e, table
 
 
 def _minimal_nonfaces(model, k):
@@ -200,42 +198,29 @@ def _presentations(model, k=2):
 
 
 def _remainder(presentation, terms):
-    """The form {monomial of generators: integer} reduced off the relations:
-    yields (free coordinate monomial, value) for its nonzero values, a
-    block's scaled by its pivot value d.  Yields none iff the form is zero
-    in H^2k."""
-    _, images, where, blocks = presentation
-    x = _image(images, terms)
-    parts = [{} for _ in blocks]
-    for key, v in x.items():
-        if v:
-            b = where.get(key)
-            if b is None:
-                yield key, v
-            elif b >= 0:
-                parts[b][key] = v
-    for (d, block), part in zip(blocks, parts):
-        # off the pivots, d x - sum_p x_p row_p: zero iff x is in the rows' span
-        rest = {}
-        for key, v in part.items():
-            row = block.get(key)
-            if row is None:
-                rest[key] = rest.get(key, 0) + d * v
-            else:
-                for c, y in row:
-                    rest[c] = rest.get(c, 0) - v * y
-        if any(rest.values()):
-            yield from ((key, v) for key, v in rest.items() if v)
+    """The exact form {monomial of generators: coefficient} reduced off the
+    relations in one pass, d x - sum_p x_p row_p off the pivots, as
+    {coordinate monomial: value} without zeros: empty iff the form is zero."""
+    _, images, d, pivots = presentation
+    rest = {}
+    for key, v in _image(images, terms).items():
+        row = pivots.get(key)
+        if row is None:
+            rest[key] = rest.get(key, 0) + d * v
+        else:
+            for c, y in row:
+                rest[c] = rest.get(c, 0) - v * y
+    return {key: v for key, v in rest.items() if v}
 
 
 def degree4_zero(model, terms):
-    """Whether the integer quadratic form {(i, j): coefficient}, i <= j,
+    """Whether the exact quadratic form {(i, j): coefficient}, i <= j,
     vanishes in H^4(M; Q), decided at the model's two base vertices, which
     must agree; None when the model keeps no presentation (_presentations)."""
     found = _presentations(model)
     if found is None:
         return None
-    first, second = (next(_remainder(p, terms), None) is None for p in found)
+    first, second = (not _remainder(p, terms) for p in found)
     if first != second:
         raise InternalConsistencyError(
             "degree 4 of the face ring of %s: the quadratic form %r is %szero at the "
@@ -258,7 +243,7 @@ def top_pairing(model, mon) -> Fraction:
     values = []
     for presentation, v in zip(found, (0, -1)):
         base = model.polytope.vertices[v]
-        ref, value = (sum(x for _, x in _remainder(presentation, {key: 1}))
+        ref, value = (sum(_remainder(presentation, {key: 1}).values())
                       for key in (base, tuple(mon)))
         if not ref:
             raise InternalConsistencyError("the vertex monomial u_%r pairs to 0" % (base,))

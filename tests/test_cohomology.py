@@ -187,6 +187,16 @@ def test_free_function_oracles():
     assert pair.to_index_model().ring_reduction_pairing((0, 0)) == 1
 
 
+@pytest.mark.parametrize("mon", [(0, -1), (0, 9)])
+def test_both_pairing_routes_refuse_a_generator_outside_the_model(mon):
+    """cp:2 has u_0..u_2: the ring's generator images would read u_-1 as
+    u_2 and index past them at u_9, so each route refuses both first."""
+    m = cp_pair(2).to_index_model()
+    for route in (m.pair_monomial, m.ring_reduction_pairing):
+        with pytest.raises(StructureError, match="not a generator"):
+            route(mon)
+
+
 def rank_of_pairing(model, k):
     """Rank of the pairing between degree-k and degree-(n-k) monomial spans
     (exponential in m: a reference for small models only)."""
