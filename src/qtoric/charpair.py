@@ -1,11 +1,11 @@
 """Characteristic pairs (P, lambda): the combinatorial model of a quasitoric manifold.
 
 Each facet carries a primitive integer vector (its isotropy circle) and an
-omniorientation sign; validity means the lambda-block at every vertex is
-unimodular and the orientation signs the edges impose close up around every
-cycle.  Validation finds the dual covector bases and those signs at the
-vertices in one walk of the edge graph, a sparse rank-one update per edge,
-and caches them; they drive the localization pairing downstream.
+omniorientation sign; validity means the polytope is valid (so orientable)
+and the lambda-block at every vertex is unimodular.  Validation finds the
+dual covector bases and the orientation signs at the vertices in one walk
+of a spanning tree of the edge graph, a sparse rank-one update per tree
+edge, and caches them; they drive the localization pairing downstream.
 """
 
 from __future__ import annotations
@@ -143,41 +143,34 @@ class CharacteristicPair:
                     "vertex %r has det %d, expected +-1" % (v, d)))
             else:
                 checks.append(ValidationCheck("vertex-unimodular", True))
-                weights, signs, clash = walk
-                if clash is not None:
-                    # listed only on failure: a valid pair's report keeps three checks
-                    checks.append(ValidationCheck(
-                        "orientation-consistent", False,
-                        "orientation signs inconsistent around a cycle at %r"
-                        % (self.polytope.vertices[clash],)))
-                if prim_ok and clash is None:
-                    self._vertex_weights, self._orientation_signs = weights, signs
+                if prim_ok:
+                    self._vertex_weights, self._orientation_signs = walk
 
         report = ValidationReport(checks)
         self._report = report
         return report
 
     def _dual_bases(self):
-        """One walk of the edge graph: the dual bases and the orientation signs.
+        """One walk of a spanning tree of the edge graph: the dual bases and
+        the orientation signs.
 
         None if some block is not unimodular, else (the dual basis of every
         vertex as in vertex_weights, the orientation sign eps_v of every
-        vertex, the first vertex at which the signs close inconsistently
-        around a cycle or None).
+        vertex).
 
         Only the first vertex's block is inverted.  Every other vertex is
-        reached along an edge a -> b of the (connected) edge graph, where
-        facet `out` leaves and facet `enter` enters; both are read off the
-        polytope's ridge pairing, which validation kept, and a's edges are
-        taken in ascending order of b.  With c = <w_out, lambda_enter>,
-        Cramer gives det(b) = +-c det(a), so b is unimodular exactly when
-        c = +-1, and then its dual basis is a rank-one update: w'_enter =
-        c w_out and w'_k = w_k - <w_k, lambda_enter> w'_enter.  The
-        tangent weights along the edge are w_out at a and w'_enter at b, so
-        the orientation signs obey eps_b = -c eps_a, with eps = +1 at the
-        base vertex.  Every edge is checked once, from the endpoint the walk
-        leaves first.  A quasitoric manifold is orientable, so a pair on
-        which the signs clash describes none.
+        reached once, along an edge a -> b of the (connected) edge graph
+        where facet `out` leaves and the facet in b's slot `slot` enters, read
+        off the polytope's ridge pairing, which validation kept; an edge to
+        a vertex that already has its basis is skipped.  With c = <w_out,
+        lambda_enter>, Cramer gives det(b) = +-c det(a), so b is unimodular
+        exactly when c = +-1, and then its dual basis is a rank-one update:
+        w'_enter = c w_out and w'_k = w_k - <w_k, lambda_enter> w'_enter.
+        The tangent weights along the edge are w_out at a and w'_enter at
+        b, so the orientation signs obey eps_b = -c eps_a, with eps = +1 at
+        the base vertex.  eps_v = o_v det(lambda_v) / det(lambda_0), o the
+        orientation of P that its validation found, so the rule holds on
+        every edge, and any spanning tree gives the same signs.
 
         Each lambda row is read once for its nonzero (position, entry)
         pairs: with one entry x at j, <w, lambda_enter> is w_j x, else a
@@ -194,24 +187,15 @@ class CharacteristicPair:
         bases = [None] * len(verts)
         bases[0] = first
         eps = [1] + [0] * (len(verts) - 1)
-        done = [False] * len(verts)
-        clash = None
-        neighbours, entered = self.polytope.ridge_pairing()
+        neighbours, slots = self.polytope.ridge_pairing()
         stack = [0]
         while stack:
             a = stack.pop()
-            done[a] = True
             va, basis_a = verts[a], bases[a]
-            for b, out, w_out, enter in sorted(zip(neighbours[a], va, basis_a, entered[a])):
-                if done[b]:
-                    continue
+            for b, out, w_out, slot in zip(neighbours[a], va, basis_a, slots[a]):
                 if bases[b] is not None:
-                    # both blocks are unimodular, so w'_enter = c w_out with
-                    # c = +-1, and eps_b = -c eps_a asks c = 1 iff eps_b != eps_a
-                    w_enter = bases[b][verts[b].index(enter)]
-                    if clash is None and (w_enter == w_out) == (eps[b] == eps[a]):
-                        clash = b
                     continue
+                enter = verts[b][slot]
                 row = lam[enter]
                 one = len(nonzero[enter]) == 1
                 if one:
@@ -228,11 +212,11 @@ class CharacteristicPair:
                 basis = [w if not (t := w[j] * x if one else sum(map(mul, w, row)))
                          else tuple(map(sub, w, [t * y for y in w_enter]))
                          for f, w in zip(va, basis_a) if f != out]
-                basis.insert(verts[b].index(enter), w_enter)
+                basis.insert(slot, w_enter)
                 bases[b] = basis
                 eps[b] = -c * eps[a]
                 stack.append(b)
-        return tuple(map(tuple, bases)), tuple(eps), clash
+        return tuple(map(tuple, bases)), tuple(eps)
 
     def require_valid(self):
         self.validate().require("characteristic pair", self.name)

@@ -242,6 +242,7 @@ class IndexModel:
         return _ZERO
 
     def pair_monomial(self, mon) -> Fraction:
+        self._own_terms([mon])  # before the sort, which a non-integer could break
         return self.pair_top(GradedPolynomial({tuple(sorted(mon)): Fraction(1)}))
 
     def nonzero_face(self, poly: GradedPolynomial):
@@ -325,11 +326,11 @@ class IndexModel:
 
     def _own_terms(self, terms):
         """The monomials terms, refused unless each is over the model's
-        generators 0..gen_count - 1 only."""
+        generators 0..gen_count - 1 only, each a plain int (not a bool)."""
         for mon in terms:
             for i in mon:
-                if not 0 <= i < self.gen_count:
-                    raise StructureError("u_%d is not a generator of %s (u_0..u_%d)"
+                if type(i) is not int or not 0 <= i < self.gen_count:
+                    raise StructureError("u_%r is not a generator of %s (u_0..u_%d)"
                                          % (i, self.name, self.gen_count - 1))
         return terms
 

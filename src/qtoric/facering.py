@@ -229,27 +229,41 @@ def degree4_zero(model, terms):
     return first
 
 
+def _top_degree(model):
+    """Per base vertex v, its presentation of the top degree and <u_v, [M]>
+    over the remainder of u_v there, <u_v, [M]> = eps_v prod over i in v of
+    signs_i; built on the first call and kept on the model, or None past
+    PRICE."""
+    kept = vars(model)
+    if "_top_degree" not in kept:
+        found = _presentations(model, model.n)
+        if found is not None:
+            scaled = []
+            for presentation, v in zip(found, (0, -1)):
+                base = model.polytope.vertices[v]
+                ref = sum(_remainder(presentation, {base: 1}).values())
+                if not ref:
+                    raise InternalConsistencyError("the vertex monomial u_%r pairs to 0" % (base,))
+                sign = math.prod(model.pair.signs[i] for i in base)
+                scaled.append((presentation, Fraction(model.pair.orientation_signs[v] * sign, ref)))
+            found = tuple(scaled)
+        kept["_top_degree"] = found
+    return kept["_top_degree"]
+
+
 def top_pairing(model, mon) -> Fraction:
     """<u_mon, [M]> for a quasitoric model: at each base vertex v, the
-    remainder of u_mon in the top degree, one-dimensional, over that of u_v,
-    times <u_v, [M]> = eps_v prod over i in v of signs_i.  The two base
-    vertices must agree; past PRICE it raises OracleUnavailableError."""
+    remainder of u_mon in the top degree, one-dimensional, times the scale
+    _top_degree keeps there.  The two base vertices must agree; past PRICE
+    it raises OracleUnavailableError."""
     if len(mon) != model.n:
         return _ZERO
-    found = _presentations(model, model.n)
+    found = _top_degree(model)
     if found is None:
         raise OracleUnavailableError("the top degree of the face ring of %s is priced past "
                                      "PRICE = %d" % (model.name, PRICE))
-    values = []
-    for presentation, v in zip(found, (0, -1)):
-        base = model.polytope.vertices[v]
-        ref, value = (sum(_remainder(presentation, {key: 1}).values())
-                      for key in (base, tuple(mon)))
-        if not ref:
-            raise InternalConsistencyError("the vertex monomial u_%r pairs to 0" % (base,))
-        sign = model.pair.orientation_signs[v] * math.prod(model.pair.signs[i] for i in base)
-        values.append(Fraction(sign * value, ref))
-    first, second = values
+    first, second = (scale * sum(_remainder(presentation, {tuple(mon): 1}).values())
+                     for presentation, scale in found)
     if first != second:
         raise InternalConsistencyError(
             "top degree of the face ring of %s: u_%r pairs to %s at the first base vertex and "

@@ -4,11 +4,12 @@ A polytope is given purely combinatorially: the facets are indexed
 0..m-1 and each vertex is the set of the n facets through it.  Convex
 realizability is never checked; validation covers the necessary
 combinatorial conditions (simplicity, edge regularity, connectivity,
-facet coverage, polygonal two-faces).  A valid polytope keeps what
-validation found: the ridge pairing (per vertex, the neighbour across each
-facet and the facet entered there, paired in one pass over the ridges),
-each two-face's number of vertices and whether the edge graph is
-bipartite, which the connectivity walk two-colours as it goes; the sorted
+facet coverage, polygonal two-faces, orientability and, for n = 3, Euler's
+relation m = V/2 + 2).  A valid polytope keeps what validation found: the
+ridge pairing (per vertex, the neighbour across each facet and the slot of
+the facet entered there, paired in one pass over the ridges), each
+two-face's number of vertices, whether the edge graph is bipartite and
+the orientation of P, both of which the connectivity walk finds; the sorted
 edge graph and the two-face cycles, sorted by facet complement, are built
 from them on request.  The distinct facet pairs that share a vertex
 (facet_pairs) are built once, for the facet graph and every colouring
@@ -184,9 +185,10 @@ class SimplePolytope:
                 raise StructureError("facet name %r is not a string" % (s,))
         self.facet_names = list(facet_names)
         self._report = None
-        self._across = None  # (neighbours, entered): per vertex, aligned with its facets
+        self._across = None  # (neighbours, slots): per vertex, aligned with its facets
         self._sizes = None  # facet complement -> number of vertices of each two-face
         self._bipartite = None  # whether validation's walk two-coloured the edge graph
+        self._orientation = None  # the orientation o_v that validation's walk found
         self._pairs = None  # facet_pairs, once asked for
 
     # ------------------------------------------------------------------
@@ -214,7 +216,13 @@ class SimplePolytope:
         graph.  Edge regularity implies that every two-face is a union of
         simple cycles of length >= 3 (see `_count_two_faces`), so only the
         faces of 6 or more vertices are traced.  Work past
-        VALIDATION_BUDGET raises BudgetExceededError."""
+        VALIDATION_BUDGET raises BudgetExceededError.
+
+        The walk also orients P (see orientation).  Only when all of the
+        above pass come `orientable`, failed on a clash of orientations,
+        and for n = 3 `euler-characteristic`, failed unless m = V/2 + 2
+        (Euler's relation when E = 3V/2); each is listed only when it fails.
+        With them a valid 3-polytope's boundary is a 2-sphere (Steinitz)."""
         if self._report is not None:
             return self._report
         checks = []
@@ -237,20 +245,30 @@ class SimplePolytope:
                     "edge-regularity", False,
                     "facet set %r lies in %d vertices, expected 2" % bad))
 
-        connected = bipartite = False
+        connected = bipartite = orientable = False
         if steps is not None:
-            side = {0: 0}  # the walk two-colours the edge graph from vertex 0
+            # from vertex 0, two-colour the edge graph and orient P (orientation)
+            neighbours, slots = steps
+            side, orient = [0] * len(self.vertices), [0] * len(self.vertices)  # +-1 when reached
+            side[0] = orient[0] = 1
             stack = [0]
-            bipartite = True
+            bipartite = orientable = True
             while stack:
-                v = stack.pop()
-                for w in steps[0][v]:
-                    if w not in side:
-                        side[w] = 1 - side[v]
-                        stack.append(w)
-                    elif side[w] == side[v]:
-                        bipartite = False
-            connected = len(side) == len(self.vertices)
+                a = stack.pop()
+                s = side[a]
+                sign = orient[a]  # -(-1)^k o_a at the k-th slot, once flipped
+                for b, j in zip(neighbours[a], slots[a]):
+                    sign = -sign
+                    o = -sign if j & 1 else sign
+                    if not side[b]:
+                        side[b], orient[b] = -s, o
+                        stack.append(b)
+                    else:
+                        if side[b] == s:
+                            bipartite = False
+                        if orient[b] != o:
+                            orientable = False
+            connected = 0 not in side
         checks.append(ValidationCheck(
             "edge-graph-connected", connected,
             "" if connected else "edge graph is disconnected or undefined"))
@@ -271,11 +289,22 @@ class SimplePolytope:
             except ValidationError as exc:
                 checks.append(ValidationCheck("two-faces-polygonal", False, str(exc)))
 
+        if all(c.passed for c in checks):
+            # listed only on failure, so a valid polytope's report keeps five checks
+            if not orientable:
+                checks.append(ValidationCheck(
+                    "orientable", False, "the orientations carried along the edges clash"))
+            if n == 3 and 2 * self.facet_count != len(self.vertices) + 4:
+                checks.append(ValidationCheck(
+                    "euler-characteristic", False,
+                    "%d facets and %d vertices, where a 2-sphere has m = V/2 + 2"
+                    % (self.facet_count, len(self.vertices))))
         report = ValidationReport(checks)
         if report.ok:
             self._across = tuple(tuple(map(tuple, half)) for half in steps)
             self._sizes = sizes
             self._bipartite = bipartite
+            self._orientation = tuple(orient)
         self._report = report
         return report
 
@@ -304,7 +333,7 @@ class SimplePolytope:
         """Yield (sub, cycle) for each facet complement in the list subs: the
         face's cycle from its lowest vertex towards the lower of that
         vertex's two neighbours in it, leaving each vertex by the free facet
-        it did not enter.  steps is the ridge pairing (neighbours, entered),
+        it did not enter.  steps is the ridge pairing (neighbours, slots),
         as from _steps.
 
         The lowest vertex is the lowest set bit of the AND of the vertex
@@ -324,18 +353,21 @@ class SimplePolytope:
                     if digits is not None:
                         digits[i] = 49  # ord("1")
         masks = {f: int(digits, 2) for f, digits in rows.items()}
-        neighbours, entered = steps
+        neighbours, slots = steps
         for sub in subs:
             common = _containing(sub, masks, -1)
             start = (common & -common).bit_length() - 1
-            v, ns, es = verts[start], neighbours[start], entered[start]
+            v, ns = verts[start], neighbours[start]
             i, j = (k for k, f in enumerate(v) if f not in sub)
-            cur, leave, back = (ns[i], v[j], es[i]) if ns[i] < ns[j] else (ns[j], v[i], es[j])
+            if ns[j] < ns[i]:
+                i, j = j, i
+            cur, leave, back = ns[i], v[j], verts[ns[i]][slots[start][i]]
             cycle = [start]
             while cur != start:
                 cycle.append(cur)
                 k = verts[cur].index(leave)
-                cur, leave, back = neighbours[cur][k], back, entered[cur][k]
+                b = neighbours[cur][k]
+                cur, leave, back = b, back, verts[b][slots[cur][k]]
             yield sub, tuple(cycle)
 
     def require_valid(self):
@@ -401,10 +433,10 @@ class SimplePolytope:
         return adj
 
     def ridge_pairing(self):
-        """Validation's ridge pairing (neighbours, entered): per vertex v,
-        two tuples aligned with v's sorted facets.  The edge of v that
-        leaves facet v[k] ends at vertex neighbours[v][k] and enters facet
-        entered[v][k] there."""
+        """Validation's ridge pairing (neighbours, slots): per vertex v, two
+        tuples aligned with v's sorted facets.  The edge of v that leaves
+        facet v[k] ends at vertex b = neighbours[v][k] and enters the facet
+        vertices[b][slots[v][k]] there."""
         self.require_valid()
         return self._across
 
@@ -425,6 +457,13 @@ class SimplePolytope:
         walk found when it two-coloured the graph from vertex 0."""
         self.require_valid()
         return self._bipartite
+
+    def orientation(self):
+        """The orientation o_v of every vertex that validation's walk found:
+        +1 at vertex 0, and o_b = -(-1)^(k + j) o_a along the edge that
+        leaves a's k-th facet and enters b's j-th."""
+        self.require_valid()
+        return self._orientation
 
     def f_vector(self):
         """f_k = number of k-dimensional faces, k = 0..n (f_n = 1 for P itself)."""
@@ -502,11 +541,11 @@ def _faces(vertices, k):
 
 def _steps(faces, n):
     """The ridges of faces (sorted n-tuples) paired in one pass: ((neighbours,
-    entered), None), or (None, (ridge, count)) for the first ridge listed
-    that does not lie in exactly two faces.  neighbours[v] and entered[v] are
-    lists aligned with face v: its ridge without v[k] is also a ridge of face
-    neighbours[v][k], which has facet entered[v][k] in place of v[k] (at a
-    vertex, the edge that leaves its k-th facet enters that facet there).
+    slots), None), or (None, (ridge, count)) for the first ridge listed that
+    does not lie in exactly two faces.  neighbours[v] and slots[v] are lists
+    aligned with face v: its ridge without v[k] is also a ridge of face
+    b = neighbours[v][k], which has its facet in slot slots[v][k] in place
+    of v[k] (the edge that leaves v's k-th facet enters that one).
 
     first maps each ridge to the (face, k) that listed it first; the second
     listing pairs the two slots.  A third listing finds its first slot
@@ -515,7 +554,7 @@ def _steps(faces, n):
     """
     first = {}
     neighbours = [[-1] * n for _ in faces]
-    entered = [[0] * n for _ in faces]
+    slots = [[0] * n for _ in faces]
     for v, face in enumerate(faces):
         # the k-th (n-1)-subset of face omits face[n-1-k]
         for ridge, i in zip(itertools.combinations(face, n - 1), range(n - 1, -1, -1)):
@@ -523,11 +562,11 @@ def _steps(faces, n):
             if a != v:
                 if neighbours[a][j] >= 0:
                     return None, _first_miscounted(faces, n)
-                neighbours[a][j], entered[a][j] = v, face[i]
-                neighbours[v][i], entered[v][i] = a, faces[a][j]
+                neighbours[a][j], slots[a][j] = v, i
+                neighbours[v][i], slots[v][i] = a, j
     if 2 * len(first) != n * len(faces):
         return None, _first_miscounted(faces, n)
-    return (neighbours, entered), None
+    return (neighbours, slots), None
 
 
 def _first_miscounted(faces, n):

@@ -15,7 +15,7 @@ from qtoric.charpair import (
     sphere_pair,
 )
 from qtoric.errors import InternalConsistencyError, StructureError, ValidationError
-from qtoric.polytope import SimplePolytope, cube, polygon, simplex
+from qtoric.polytope import SimplePolytope, _steps, cube, polygon, simplex
 
 
 def test_cp2_valid():
@@ -549,17 +549,18 @@ def test_orientation_signs_match_old_walk(make):
 
 
 def slot_parity_orientation(polytope):
-    """P's own orientation, from the slots of the ridge pairing: o_0 = 1 and
-    o_b = (-1)^(k + j + 1) o_a along the edge that leaves a's k-th facet
-    and enters b's j-th; None when the signs clash around a cycle."""
-    verts = polytope.vertices
-    neighbours, entered = polytope.ridge_pairing()
-    o = [1] + [0] * (len(verts) - 1)
+    """P's own orientation, from the slots of the one-pass ridge pairing
+    (_steps, which reads the vertex sets alone, so an invalid polytope has
+    one too): o_0 = 1 and o_b = (-1)^(k + j + 1) o_a along the edge that
+    leaves a's k-th facet and enters b's j-th; None when the signs clash
+    around a cycle."""
+    (neighbours, slots), _ = _steps(polytope.vertices, polytope.dim)
+    o = [1] + [0] * (len(polytope.vertices) - 1)
     stack = [0]
     while stack:
         a = stack.pop()
-        for k, (b, f) in enumerate(zip(neighbours[a], entered[a])):
-            o_b = o[a] if (k + verts[b].index(f)) % 2 else -o[a]
+        for k, (b, j) in enumerate(zip(neighbours[a], slots[a])):
+            o_b = o[a] if (k + j) % 2 else -o[a]
             if not o[b]:
                 o[b] = o_b
                 stack.append(b)
@@ -579,6 +580,13 @@ def test_orientation_signs_are_the_polytope_orientation_times_block_dets(make):
     assert pair.orientation_signs == tuple(o_v * d * dets[0] for o_v, d in zip(o, dets))
 
 
+@pytest.mark.parametrize("make", [m for _, m in ORIENTATION_CASES],
+                         ids=[name for name, _ in ORIENTATION_CASES])
+def test_validation_orients_the_polytope_by_slot_parity(make):
+    polytope = make().polytope
+    assert polytope.orientation() == slot_parity_orientation(polytope)
+
+
 def rp2_dual_pair():
     """The dual of the 6-vertex triangulation of RP^2: every block is
     unimodular, but the edge graph carries no orientation."""
@@ -589,20 +597,17 @@ def rp2_dual_pair():
 
 
 def test_non_orientable_pair_fails_validation():
+    """Every block of the RP^2 dual is unimodular, but its polytope carries
+    no orientation, so the pair fails on the polytope before any block is
+    read."""
     pair = rp2_dual_pair()
     report = pair.validate()
-    assert not report.ok and pair.polytope.validate().ok
-    assert [c.name for c in report.checks] == [
-        "polytope-valid", "primitive-rows", "vertex-unimodular", "orientation-consistent"]
-    (fail,) = report.failures()
-    assert fail.detail == "orientation signs inconsistent around a cycle at (0, 1, 5)"
-    # the old walk meets the same cycle first
-    with pytest.raises(InternalConsistencyError) as exc:
-        reference_orientation_signs(pair)
-    assert str(exc.value) == fail.detail
+    assert report.as_dict() == {"ok": False, "checks": [
+        {"name": "polytope-valid", "passed": False,
+         "detail": "orientable; euler-characteristic"},
+        {"name": "primitive-rows", "passed": True, "detail": ""}]}
     for read in (lambda: pair.orientation_signs, lambda: pair.vertex_weights,
                  pair.euler_characteristic, pair.to_index_model):
         with pytest.raises(ValidationError):
             read()
-    # the polytope alone already carries no orientation
     assert slot_parity_orientation(pair.polytope) is None

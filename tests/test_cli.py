@@ -173,19 +173,26 @@ RP2_DUAL = {
     "lambda": [[1, 0, 0], [0, 1, 0], [-1, -1, -1], [0, 0, 1], [-1, -1, 0], [-1, 0, -1]],
 }
 
+# the dual of the 7-vertex torus: orientable, but m - V/2 = 0, not 2
+TORUS_DUAL = {
+    "name": "torus-dual", "dim": 3,
+    "vertices": [[0, 1, 3], [0, 1, 5], [0, 2, 3], [0, 2, 6], [0, 4, 5], [0, 4, 6], [1, 2, 4],
+                 [1, 2, 6], [1, 3, 4], [1, 5, 6], [2, 3, 5], [2, 4, 5], [3, 4, 6], [3, 5, 6]],
+}
+
 
 @pytest.mark.parametrize("argv", [
     ["chi"], ["index"], ["genus", "--kind", "witten"], ["color-index"],
     ["symmetry-report"], ["verify", "--theorem", "split", "--S", "0"],
 ])
 def test_non_orientable_pair_exits_2(tmp_path, capsys, argv):
-    # every block is unimodular, but the orientation signs clash around a cycle
+    # every block is unimodular, but the polytope carries no orientation
     path = tmp_path / "rp2.json"
     path.write_text(json.dumps(RP2_DUAL))
     assert main(argv + ["--manifold", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and "around a cycle at (0, 1, 5)" in err
+    assert err.startswith("error: ") and "polytope-valid: orientable; euler-characteristic" in err
 
 
 def test_validate_names_the_orientation_clash(tmp_path, capsys):
@@ -193,9 +200,16 @@ def test_validate_names_the_orientation_clash(tmp_path, capsys):
     path.write_text(json.dumps(RP2_DUAL))
     assert main(["validate", "--manifold", str(path)]) == 2
     checks = json.loads(capsys.readouterr().out)["checks"]
-    assert checks[-1] == {
-        "name": "orientation-consistent", "passed": False,
-        "detail": "orientation signs inconsistent around a cycle at (0, 1, 5)"}
+    assert checks == [
+        {"name": "polytope-valid", "passed": False, "detail": "orientable; euler-characteristic"},
+        {"name": "primitive-rows", "passed": True, "detail": ""}]
+    # the bare polytope names the clash
+    path.write_text(json.dumps({k: RP2_DUAL[k] for k in ("name", "dim", "vertices")}))
+    assert main(["validate", "--manifold", str(path)]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-2] == {
+        "name": "orientable", "passed": False,
+        "detail": "the orientations carried along the edges clash"}
     # a valid pair lists no orientation check
     path.write_text(json.dumps(generate_pair("cp:3").to_json_dict()))
     assert main(["validate", "--manifold", str(path)]) == 0
@@ -566,3 +580,18 @@ def test_two_face_of_two_triangles_exits_2(tmp_path):
         [0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5], [1, 3, 4],
         [0, 2, 6], [0, 4, 6], [2, 4, 6], [1, 3, 6], [1, 5, 6], [3, 5, 6]]},
         "two-face (6,) is not a single cycle")
+
+
+@pytest.mark.parametrize("data, failed", [
+    ({k: RP2_DUAL[k] for k in ("name", "dim", "vertices")}, ["orientable", "euler-characteristic"]),
+    (TORUS_DUAL, ["euler-characteristic"]),
+], ids=["rp2-dual", "torus-dual"])
+def test_surface_duals_other_than_the_sphere_exit_2(tmp_path, capsys, data, failed):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--manifold", str(path)]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == failed
+    assert main(["analyze", "--manifold", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid polytope %s: " % data["name"])

@@ -187,14 +187,28 @@ def test_free_function_oracles():
     assert pair.to_index_model().ring_reduction_pairing((0, 0)) == 1
 
 
-@pytest.mark.parametrize("mon", [(0, -1), (0, 9)])
+@pytest.mark.parametrize("mon", [(0, -1), (0, 9), (0.5, 1), (1.0, 1), (True, 1), ("a", 1)])
 def test_both_pairing_routes_refuse_a_generator_outside_the_model(mon):
     """cp:2 has u_0..u_2: the ring's generator images would read u_-1 as
-    u_2 and index past them at u_9, so each route refuses both first."""
+    u_2 and index past them at u_9, so each route refuses both first; a
+    float, a bool or a string is no generator either."""
     m = cp_pair(2).to_index_model()
     for route in (m.pair_monomial, m.ring_reduction_pairing):
         with pytest.raises(StructureError, match="not a generator"):
             route(mon)
+
+
+def test_the_ring_route_reduces_each_base_vertex_monomial_once(monkeypatch):
+    """The remainders of u_v at the two base vertices are kept with the top
+    degree, so a second pairing reduces only its own monomial."""
+    calls = []
+    remainder = facering._remainder
+    monkeypatch.setattr(facering, "_remainder", lambda *a: calls.append(1) or remainder(*a))
+    m = cube_pair(3).to_index_model()
+    assert m.ring_reduction_pairing((0, 1, 2)) == m.pair_monomial((0, 1, 2))
+    assert len(calls) == 4
+    assert m.ring_reduction_pairing((1, 2, 3)) == m.pair_monomial((1, 2, 3))
+    assert len(calls) == 6
 
 
 def rank_of_pairing(model, k):

@@ -7,8 +7,8 @@ import subprocess
 import sys
 
 import pytest
-from test_charpair import rp2_dual_pair, vertex_cuts
-from test_cli import _limit_address_space
+from test_charpair import rp2_dual_pair, slot_parity_orientation, vertex_cuts
+from test_cli import TORUS_DUAL, _limit_address_space
 
 from qtoric import polytope
 from qtoric.charpair import cp_pair, cube_pair
@@ -241,20 +241,23 @@ def test_an_explicit_facet_count_up_to_twice_the_incidences_fails_facet_coverage
 def reference_steps(faces, n):
     """The two-pass ridge pairing: each ridge's (face, k) listings gathered
     in lists, then each ridge of two listings paired, or the first ridge
-    listed with another count returned with that count."""
+    listed with another count returned with that count.  Per face and
+    facet, the neighbour across it and the slot there of the neighbour's
+    facet off the ridge."""
     ridges = {}
     for v, face in enumerate(faces):
         for ridge, i in zip(itertools.combinations(face, n - 1), range(n - 1, -1, -1)):
             ridges.setdefault(ridge, []).append((v, i))
     neighbours = [[0] * n for _ in faces]
-    entered = [[0] * n for _ in faces]
+    slots = [[0] * n for _ in faces]
     for ridge, ends in ridges.items():
         if len(ends) != 2:
             return None, (ridge, len(ends))
-        (a, i), (b, j) = ends
-        neighbours[a][i], entered[a][i] = b, faces[b][j]
-        neighbours[b][j], entered[b][j] = a, faces[a][i]
-    return (neighbours, entered), None
+        (a, _), (b, _) = ends
+        i, j = (next(k for k, f in enumerate(faces[e]) if f not in ridge) for e in (a, b))
+        neighbours[a][i], slots[a][i] = b, j
+        neighbours[b][j], slots[b][j] = a, i
+    return (neighbours, slots), None
 
 
 def perturbed(p, rng):
@@ -716,12 +719,30 @@ def test_h_vector_meets_dehn_sommerville(make):
     assert sum(h) == len(p.vertices)
 
 
-def test_rp2_dual_validates_with_an_asymmetric_h_vector():
-    """The dual of the 6-vertex RP^2 passes validation, but it is no
-    sphere: its h-vector breaks Dehn-Sommerville."""
+def test_rp2_dual_is_neither_orientable_nor_of_euler_characteristic_2():
+    """The dual of the 6-vertex RP^2 passes the five listed checks, but it
+    is no sphere: the walk finds no orientation, and m = 6 where V = 10
+    asks 7; both checks are listed, after the five."""
     p = rp2_dual_pair().polytope
-    p.require_valid()
-    assert p.h_vector() == (0, 6, 3, 1)
+    report = p.validate()
+    assert [(c.name, c.passed) for c in report.checks[:5]] == [
+        (name, True) for name in ("simplicity", "edge-regularity", "edge-graph-connected",
+                                  "facet-coverage", "two-faces-polygonal")]
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("orientable", "the orientations carried along the edges clash"),
+        ("euler-characteristic",
+         "6 facets and 10 vertices, where a 2-sphere has m = V/2 + 2")]
+    with pytest.raises(ValidationError, match="orientable: .*; euler-characteristic: "):
+        p.h_vector()
+
+
+def test_torus_dual_fails_euler_characteristic_alone():
+    """The dual of the 7-vertex torus is orientable and passes every other
+    check, but m - V/2 = 0 where a sphere has 2."""
+    p = SimplePolytope.from_json_dict(TORUS_DUAL)
+    assert [(c.name, c.detail) for c in p.validate().failures()] == [
+        ("euler-characteristic", "7 facets and 14 vertices, where a 2-sphere has m = V/2 + 2")]
+    assert slot_parity_orientation(p) is not None
 
 
 def test_h_vectors():

@@ -3,21 +3,27 @@
 A built-in pair has seeded vertices cut off, its lambda rebased by a matrix
 of GL_n(Z) and its facets relabelled.  The dual bases and orientation
 signs, which the pair's walk reads off the polytope's kept ridge pairing,
-and the sorted edge graph and two-faces, which the polytope builds from
-what its validation kept, must equal the reference routes:
+the orientation of P that validation's walk found, and the sorted edge
+graph and two-faces, which the polytope builds from what its validation
+kept, must equal the reference routes:
 test_charpair.reference_weights and reference_orientation_signs (Laplace
 determinants and Fraction inverses at every vertex, and a walk comparing
 the endpoint weights of every edge), test_polytope.reference_steps,
 reference_adjacency and reference_two_faces (the ridges and faces paired
-from the vertex sets).  The polytope is validated on its own first in
-some examples, as `analyze` and `product` do, before the pair reads its
-pairing.
+from the vertex sets), and test_charpair.slot_parity_orientation.  The
+polytope is validated on its own first in some examples, as `analyze` and
+`product` do, before the pair reads its pairing.
 The runs are derandomized and keep no example database.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_charpair import reference_orientation_signs, reference_weights, vertex_cuts
+from test_charpair import (
+    reference_orientation_signs,
+    reference_weights,
+    slot_parity_orientation,
+    vertex_cuts,
+)
 from test_polytope import (
     reference_adjacency,
     reference_steps,
@@ -99,6 +105,7 @@ def test_kept_ridge_pairing_matches_the_reference_routes(case):
     assert pair.orientation_signs == reference_orientation_signs(pair)
     steps, _ = reference_steps(poly.vertices, poly.n)
     assert poly.ridge_pairing() == tuple(tuple(map(tuple, half)) for half in steps)
+    assert poly.orientation() == slot_parity_orientation(poly)
     adj = reference_adjacency(poly)
     assert poly.vertex_adjacency() == adj
     faces = tuple(reference_two_faces(poly, adj))
