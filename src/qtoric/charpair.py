@@ -4,8 +4,9 @@ Each facet carries a primitive integer vector (its isotropy circle) and an
 omniorientation sign; validity means the polytope is valid (so orientable)
 and the lambda-block at every vertex is unimodular.  Validation finds the
 dual covector bases and the orientation signs at the vertices in one walk
-of a spanning tree of the edge graph, a sparse rank-one update per tree
-edge, and caches them; they drive the localization pairing downstream.
+of the spanning tree of the edge graph that the polytope's validation
+kept, a sparse rank-one update per tree edge, and caches them; they drive
+the localization pairing downstream.
 """
 
 from __future__ import annotations
@@ -151,21 +152,21 @@ class CharacteristicPair:
         return report
 
     def _dual_bases(self):
-        """One walk of a spanning tree of the edge graph: the dual bases and
-        the orientation signs.
+        """One pass over the polytope's spanning tree: the dual bases and the
+        orientation signs.
 
         None if some block is not unimodular, else (the dual basis of every
         vertex as in vertex_weights, the orientation sign eps_v of every
         vertex).
 
-        Only the first vertex's block is inverted.  Every other vertex is
-        reached once, along an edge a -> b of the (connected) edge graph
-        where facet `out` leaves and the facet in b's slot `slot` enters, read
-        off the polytope's ridge pairing, which validation kept; an edge to
-        a vertex that already has its basis is skipped.  With c = <w_out,
-        lambda_enter>, Cramer gives det(b) = +-c det(a), so b is unimodular
-        exactly when c = +-1, and then its dual basis is a rank-one update:
-        w'_enter = c w_out and w'_k = w_k - <w_k, lambda_enter> w'_enter.
+        Only the first vertex's block is inverted.  Every other vertex b is
+        reached once, by its edge (a, k, b, slot) of spanning_tree(), whose
+        order gives a its basis first: a's k-th facet leaves and the facet
+        in b's slot `slot` enters.  With w_out the k-th covector of a and
+        c = <w_out, lambda_enter>, Cramer gives det(b) = +-c det(a), so b is
+        unimodular exactly when c = +-1, and then its dual basis is a
+        rank-one update: w'_enter = c w_out and w'_k = w_k - <w_k,
+        lambda_enter> w'_enter.
         The tangent weights along the edge are w_out at a and w'_enter at
         b, so the orientation signs obey eps_b = -c eps_a, with eps = +1 at
         the base vertex.  eps_v = o_v det(lambda_v) / det(lambda_0), o the
@@ -187,35 +188,29 @@ class CharacteristicPair:
         bases = [None] * len(verts)
         bases[0] = first
         eps = [1] + [0] * (len(verts) - 1)
-        neighbours, slots = self.polytope.ridge_pairing()
-        stack = [0]
-        while stack:
-            a = stack.pop()
-            va, basis_a = verts[a], bases[a]
-            for b, out, w_out, slot in zip(neighbours[a], va, basis_a, slots[a]):
-                if bases[b] is not None:
-                    continue
-                enter = verts[b][slot]
-                row = lam[enter]
-                one = len(nonzero[enter]) == 1
-                if one:
-                    ((j, x),) = nonzero[enter]
-                    c = w_out[j] * x
-                else:
-                    c = sum(map(mul, w_out, row))
-                if c == 1:
-                    w_enter = w_out
-                elif c == -1:
-                    w_enter = tuple(-x for x in w_out)
-                else:
-                    return None
-                basis = [w if not (t := w[j] * x if one else sum(map(mul, w, row)))
-                         else tuple(map(sub, w, [t * y for y in w_enter]))
-                         for f, w in zip(va, basis_a) if f != out]
-                basis.insert(slot, w_enter)
-                bases[b] = basis
-                eps[b] = -c * eps[a]
-                stack.append(b)
+        for a, k, b, slot in self.polytope.spanning_tree():
+            basis_a = bases[a]
+            w_out = basis_a[k]
+            enter = verts[b][slot]
+            row = lam[enter]
+            one = len(nonzero[enter]) == 1
+            if one:
+                ((j, x),) = nonzero[enter]
+                c = w_out[j] * x
+            else:
+                c = sum(map(mul, w_out, row))
+            if c == 1:
+                w_enter = w_out
+            elif c == -1:
+                w_enter = tuple(-x for x in w_out)
+            else:
+                return None
+            basis = [w if not (t := w[j] * x if one else sum(map(mul, w, row)))
+                     else tuple(map(sub, w, [t * y for y in w_enter]))
+                     for w in basis_a[:k] + basis_a[k + 1:]]
+            basis.insert(slot, w_enter)
+            bases[b] = basis
+            eps[b] = -c * eps[a]
         return tuple(map(tuple, bases)), tuple(eps)
 
     def require_valid(self):

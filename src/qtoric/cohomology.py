@@ -267,14 +267,17 @@ class IndexModel:
 
     def _ring_first(self, terms):
         """(zero, rest): the face ring's verdict on the degree-4 part of the
-        class {monomial: coefficient} (facering.degree4_zero, exact),
-        None at n <= 2, without it or without a presentation; rest drops it if zero."""
-        quadratic = {mon: c for mon, c in terms.items() if len(mon) == 2}
-        if not quadratic or self.n <= 2:
-            return None, terms
-        from .facering import degree4_zero
-        zero = degree4_zero(self, quadratic)
+        class {monomial: coefficient} (_degree4_zero); rest drops it if zero."""
+        zero = self._degree4_zero({mon: c for mon, c in terms.items() if len(mon) == 2})
         return zero, {mon: c for mon, c in terms.items() if len(mon) != 2} if zero else terms
+
+    def _degree4_zero(self, quadratic):
+        """facering.degree4_zero of the quadratic form {(i, j): coefficient},
+        exact; None at n <= 2, for the empty form or without a presentation."""
+        if not quadratic or self.n <= 2:
+            return None
+        from .facering import degree4_zero
+        return degree4_zero(self, quadratic)
 
     def _nonzero_face(self, terms, poly):
         """nonzero_face of the class {monomial: coefficient}, named poly, on
@@ -740,8 +743,8 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     c1^c = c1(V) exists), W must be Spin, and p1(V + W - TM) must vanish
     rationally.  p1(V + W - TM) is built in one pass from the first Chern
     classes of the line bundles, as an integer quadratic form, and decided
-    by the face ring where it can (IndexModel._ring_first), else by the
-    engine's zero test.
+    by the face ring where it can (IndexModel._degree4_zero, handed the
+    form as it is), else by the engine's zero test.
     """
     if V.gen_count != model.gen_count or W.gen_count != model.gen_count:
         raise StructureError("V and W are over %d and %d generators, the model has %d"
@@ -756,5 +759,5 @@ def check_admissible(model: IndexModel, V: BundleSpec, W: BundleSpec,
     spin_c = model.is_even_vector(diff)
     w_spin = model.is_even_vector(W.c1_vector())
     p1 = _p1_terms(V.items + W.items, model.tangent_items)
-    return AdmissibilityReport(spin_c, w_spin, model._ring_first(p1)[0], tuple(c1c_vec),
+    return AdmissibilityReport(spin_c, w_spin, model._degree4_zero(p1), tuple(c1c_vec),
                                pending=(model, p1))

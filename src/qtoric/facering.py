@@ -16,10 +16,11 @@ A presentation is one pivot table (_quasitoric): each coordinate monomial
 that a relation solves for maps to its row off the pivots, every row at the
 one scale d of a fraction-free echelon form (Bareiss 1968).
 
-IndexModel._ring_first (behind check_admissible, nonzero_face and
-is_zero_class) imports this module at n >= 3 to decide a class's degree-4
-part at two base vertices (degree4_zero); products and connected sums of
-n >= 3 join their parts' tables there.  The top-pairing oracle
+IndexModel._degree4_zero (behind check_admissible and, through
+_ring_first, nonzero_face and is_zero_class) imports this module at
+n >= 3 to decide a class's degree-4 part at two base vertices
+(degree4_zero); products and connected sums of n >= 3 join their parts'
+tables there.  The top-pairing oracle
 (top_pairing, QuasitoricModel.ring_reduction_pairing) reduces in H^2n at
 the same vertices.  One _presentations(model, k), kept per model and k,
 builds every degree under one PRICE; past it the engine decides alone.

@@ -5,17 +5,18 @@ A polytope is given purely combinatorially: the facets are indexed
 realizability is never checked; validation covers the necessary
 combinatorial conditions (simplicity, edge regularity, connectivity,
 facet coverage, polygonal two-faces, orientability and, for n = 3, Euler's
-relation m = V/2 + 2).  A valid polytope keeps what validation found: the
-ridge pairing (per vertex, the neighbour across each facet and the slot of
-the facet entered there, paired in one pass over the ridges), each
-two-face's number of vertices, whether the edge graph is bipartite and
-the orientation of P, both of which the connectivity walk finds; the sorted
-edge graph and the two-face cycles, sorted by facet complement, are built
-from them on request.  The distinct facet pairs that share a vertex
-(facet_pairs) are built once, for the facet graph and every colouring
-check.  The faces (_faces), which the f- and h-vectors count, are read
-off the same data.  Edge regularity already gives each vertex n distinct
-neighbours (so V * n / 2 edges) and each vertex of a two-face exactly two
+relation m = V/2 + 2).  Validation pairs the ridges in one pass into one
+flat list (_steps), which only this module reads and no polytope keeps.  A
+valid polytope keeps each two-face's number of vertices and, from the
+connectivity walk, whether the edge graph is bipartite, the orientation of
+P and the spanning tree the walk followed, which the characteristic pair
+follows for its dual bases.  The ridge pairing, the sorted edge graph and
+the two-face cycles, sorted by facet complement, are paired afresh on
+request.  The distinct facet pairs that share a vertex (facet_pairs) are
+built once, for the facet graph and every colouring check.  The faces
+(_faces), which the f- and h-vectors count, are read off the same data.
+Edge regularity already gives each vertex n distinct neighbours (so
+V * n / 2 edges) and each vertex of a two-face exactly two
 neighbours in it, so 2-regularity needs no test of its own: a two-face
 can only fail by falling apart into several cycles, each of at least 3
 vertices, so only a face of 6 or more vertices is traced.  A traced face
@@ -43,10 +44,11 @@ from .errors import (
 
 # The most work validation takes on (_check_validation_work): per vertex, the
 # n * C(n, 2) tuple entries of its n ridges (n - 1 facets each) and its C(n, 2)
-# two-face keys (n - 2 each), plus 128 for its own tuple, steps and kept ridge
-# pairing (about 1 KB).  cube:14 needs 2.3e7 (`generate` 1.7 s, 129 MB on a 2 vCPU
-# Xeon, Python 3.11.7) and cube:15 5.6e7 (2.8 s, 261 MB); cube:16 needs 1.3e8, the
-# 160-simplex 3.3e8 and polygon:1000000 1.3e8 (`validate` 7 s, 971 MB).
+# two-face keys (n - 2 each), plus 128 for its own tuple, its n codes of the flat
+# ridge pairing and its edge of the kept spanning tree.  cube:14 needs 2.3e7
+# (`generate` 0.9 s, 117 MB on a 2 vCPU Xeon, Python 3.11.7) and cube:15 5.6e7
+# (2.5 s, 226 MB); cube:16 needs 1.3e8, the 160-simplex 3.3e8 and polygon:1000000
+# 1.3e8 (`validate` 7 s, 971 MB, measured while the ridge pairing was kept).
 VALIDATION_BUDGET = 6 * 10 ** 7
 
 
@@ -185,7 +187,7 @@ class SimplePolytope:
                 raise StructureError("facet name %r is not a string" % (s,))
         self.facet_names = list(facet_names)
         self._report = None
-        self._across = None  # (neighbours, slots): per vertex, aligned with its facets
+        self._tree = None  # validation's spanning tree of the edge graph (spanning_tree)
         self._sizes = None  # facet complement -> number of vertices of each two-face
         self._bipartite = None  # whether validation's walk two-coloured the edge graph
         self._orientation = None  # the orientation o_v that validation's walk found
@@ -211,12 +213,13 @@ class SimplePolytope:
     def validate(self) -> ValidationReport:
         """Check simplicity, edge regularity (each ridge lies in exactly two
         vertices), connectivity, facet coverage and that each two-face is a
-        single cycle; if all pass, keep the ridge pairing, the two-face
-        sizes and whether the connectivity walk two-coloured the edge
-        graph.  Edge regularity implies that every two-face is a union of
-        simple cycles of length >= 3 (see `_count_two_faces`), so only the
-        faces of 6 or more vertices are traced.  Work past
-        VALIDATION_BUDGET raises BudgetExceededError.
+        single cycle; if all pass, keep the two-face sizes, whether the
+        connectivity walk two-coloured the edge graph and the spanning tree
+        it followed (spanning_tree), but not the flat ridge pairing of
+        _steps that the walk and the traces read.  Edge regularity implies
+        that every two-face is a union of simple cycles of length >= 3 (see
+        `_count_two_faces`), so only the faces of 6 or more vertices are
+        traced.  Work past VALIDATION_BUDGET raises BudgetExceededError.
 
         The walk also orients P (see orientation).  Only when all of the
         above pass come `orientable`, failed on a clash of orientations,
@@ -234,11 +237,11 @@ class SimplePolytope:
             "simplicity", simple,
             "" if simple else "vertex %r has %d facets, expected %d" % (bad, len(bad), n)))
 
-        steps = None
+        partner = None
         if simple:
             _check_validation_work(len(self.vertices), n)
-            steps, bad = _steps(self.vertices, n)
-            if steps is not None:
+            partner, bad = _steps(self.vertices, n)
+            if partner is not None:
                 checks.append(ValidationCheck("edge-regularity", True))
             else:
                 checks.append(ValidationCheck(
@@ -246,9 +249,10 @@ class SimplePolytope:
                     "facet set %r lies in %d vertices, expected 2" % bad))
 
         connected = bipartite = orientable = False
-        if steps is not None:
-            # from vertex 0, two-colour the edge graph and orient P (orientation)
-            neighbours, slots = steps
+        tree = []
+        if partner is not None:
+            # from vertex 0, two-colour the edge graph, orient P (orientation)
+            # and keep the edges that reach each vertex first (spanning_tree)
             side, orient = [0] * len(self.vertices), [0] * len(self.vertices)  # +-1 when reached
             side[0] = orient[0] = 1
             stack = [0]
@@ -257,11 +261,14 @@ class SimplePolytope:
                 a = stack.pop()
                 s = side[a]
                 sign = orient[a]  # -(-1)^k o_a at the k-th slot, once flipped
-                for b, j in zip(neighbours[a], slots[a]):
+                for k, p in enumerate(partner[a * n:a * n + n]):
+                    b = p // n  # a's k-th facet leaves, b's j-th enters
+                    j = p - b * n
                     sign = -sign
                     o = -sign if j & 1 else sign
                     if not side[b]:
                         side[b], orient[b] = -s, o
+                        tree.append((a, k, b, j))
                         stack.append(b)
                     else:
                         if side[b] == s:
@@ -284,7 +291,7 @@ class SimplePolytope:
         sizes = None
         if connected:
             try:
-                sizes = self._count_two_faces(steps)
+                sizes = self._count_two_faces(partner)
                 checks.append(ValidationCheck("two-faces-polygonal", True))
             except ValidationError as exc:
                 checks.append(ValidationCheck("two-faces-polygonal", False, str(exc)))
@@ -301,14 +308,14 @@ class SimplePolytope:
                     % (self.facet_count, len(self.vertices))))
         report = ValidationReport(checks)
         if report.ok:
-            self._across = tuple(tuple(map(tuple, half)) for half in steps)
+            self._tree = tuple(tree)
             self._sizes = sizes
             self._bipartite = bipartite
             self._orientation = tuple(orient)
         self._report = report
         return report
 
-    def _count_two_faces(self, steps):
+    def _count_two_faces(self, partner):
         """{facet complement: number of vertices} for the two-faces, counted
         at C level.  At a vertex of a two-face, its two free facets (those
         outside the complement) name its two edges in the face, whose ends
@@ -324,17 +331,16 @@ class SimplePolytope:
             map(itertools.combinations, self.vertices, itertools.repeat(n - 2))))
         if max(sizes.values()) >= 6:
             large = sorted(sub for sub, size in sizes.items() if size >= 6)
-            for sub, cycle in self._trace_two_faces(large, steps):
+            for sub, cycle in self._trace_two_faces(large, partner):
                 if len(cycle) != sizes[sub]:
                     raise ValidationError("two-face %r is not a single cycle" % (sub,))
         return sizes
 
-    def _trace_two_faces(self, subs, steps):
+    def _trace_two_faces(self, subs, partner):
         """Yield (sub, cycle) for each facet complement in the list subs: the
         face's cycle from its lowest vertex towards the lower of that
         vertex's two neighbours in it, leaving each vertex by the free facet
-        it did not enter.  steps is the ridge pairing (neighbours, slots),
-        as from _steps.
+        it did not enter.  partner is the flat ridge pairing of _steps.
 
         The lowest vertex is the lowest set bit of the AND of the vertex
         masks of sub's facets (_containing).  The masks are built in one
@@ -353,21 +359,23 @@ class SimplePolytope:
                     if digits is not None:
                         digits[i] = 49  # ord("1")
         masks = {f: int(digits, 2) for f, digits in rows.items()}
-        neighbours, slots = steps
+        n = self.dim
         for sub in subs:
             common = _containing(sub, masks, -1)
             start = (common & -common).bit_length() - 1
-            v, ns = verts[start], neighbours[start]
+            v = verts[start]
             i, j = (k for k, f in enumerate(v) if f not in sub)
-            if ns[j] < ns[i]:
-                i, j = j, i
-            cur, leave, back = ns[i], v[j], verts[ns[i]][slots[start][i]]
+            p, q = partner[start * n + i], partner[start * n + j]
+            if q < p:  # codes of distinct vertices order as the vertices
+                p, j = q, i
+            cur = p // n
+            leave, back = v[j], verts[cur][p - cur * n]
             cycle = [start]
             while cur != start:
                 cycle.append(cur)
-                k = verts[cur].index(leave)
-                b = neighbours[cur][k]
-                cur, leave, back = b, back, verts[b][slots[cur][k]]
+                p = partner[cur * n + verts[cur].index(leave)]
+                cur = p // n
+                leave, back = back, verts[cur][p - cur * n]
             yield sub, tuple(cycle)
 
     def require_valid(self):
@@ -391,7 +399,7 @@ class SimplePolytope:
         self.require_valid()
         if not self._sizes:
             return ()
-        return tuple(self._trace_two_faces(sorted(self._sizes), self._across))
+        return tuple(self._trace_two_faces(sorted(self._sizes), self._partner()))
 
     def two_face_sizes(self):
         """The two-faces as (facet complement, number of vertices) pairs,
@@ -432,19 +440,34 @@ class SimplePolytope:
             adj[j].add(i)
         return adj
 
-    def ridge_pairing(self):
-        """Validation's ridge pairing (neighbours, slots): per vertex v, two
-        tuples aligned with v's sorted facets.  The edge of v that leaves
-        facet v[k] ends at vertex b = neighbours[v][k] and enters the facet
-        vertices[b][slots[v][k]] there."""
+    def _partner(self):
+        """The flat ridge pairing of _steps, paired afresh on each call."""
         self.require_valid()
-        return self._across
+        return _steps(self.vertices, self.dim)[0]
+
+    def spanning_tree(self):
+        """The spanning tree of the edge graph that validation's walk found,
+        as a tuple of edges (a, k, b, j) in the order the walk met them: the
+        edge that leaves a's k-th facet and enters b's j-th reaches b, every
+        vertex but 0 is a b once, and each a is vertex 0 or a b earlier in
+        the tuple."""
+        self.require_valid()
+        return self._tree
+
+    def ridge_pairing(self):
+        """The ridge pairing (neighbours, slots): per vertex v, two tuples
+        aligned with v's sorted facets, rebuilt on each call.  The edge of v
+        that leaves facet v[k] ends at vertex b = neighbours[v][k] and enters
+        the facet vertices[b][slots[v][k]] there."""
+        partner, n = self._partner(), self.dim
+        rows = range(0, len(partner), n)
+        return (tuple(tuple(p // n for p in partner[i:i + n]) for i in rows),
+                tuple(tuple(p % n for p in partner[i:i + n]) for i in rows))
 
     def vertex_adjacency(self):
         """The neighbours of each vertex in the edge graph, ascending, as a
         tuple of tuples: the ridge pairing's neighbours, sorted on each call."""
-        self.require_valid()
-        return tuple(tuple(sorted(ns)) for ns in self._across[0])
+        return tuple(tuple(sorted(ns)) for ns in self.ridge_pairing()[0])
 
     def is_even(self) -> bool:
         """True iff every two-face has an even number of vertices (vacuous
@@ -540,33 +563,35 @@ def _faces(vertices, k):
 
 
 def _steps(faces, n):
-    """The ridges of faces (sorted n-tuples) paired in one pass: ((neighbours,
-    slots), None), or (None, (ridge, count)) for the first ridge listed that
-    does not lie in exactly two faces.  neighbours[v] and slots[v] are lists
-    aligned with face v: its ridge without v[k] is also a ridge of face
-    b = neighbours[v][k], which has its facet in slot slots[v][k] in place
-    of v[k] (the edge that leaves v's k-th facet enters that one).
+    """The ridges of faces (sorted n-tuples) paired in one pass: (partner,
+    None), or (None, (ridge, count)) for the first ridge listed that does
+    not lie in exactly two faces.  partner is one flat list over the codes
+    v * n + k, code v * n + k naming slot k of face v: its ridge without
+    v[k] is also the ridge of face b without its slot j, where
+    partner[v * n + k] = b * n + j (the edge that leaves v's k-th facet
+    enters b's j-th).
 
-    first maps each ridge to the (face, k) that listed it first; the second
-    listing pairs the two slots.  A third listing finds its first slot
+    Each face's ridges are the (n-1)-subsets of the reversed face, so its
+    t-th ridge omits slot t and the ridges are numbered by their codes.
+    first maps each ridge to the code that listed it first; the second
+    listing pairs the two codes.  A third listing finds its first code
     paired already, and a ridge in one face leaves fewer ridges than half
-    the slots; either way the counts are taken afresh, on that path only.
+    the codes; either way the counts are taken afresh, on that path only.
     """
     first = {}
-    neighbours = [[-1] * n for _ in faces]
-    slots = [[0] * n for _ in faces]
-    for v, face in enumerate(faces):
-        # the k-th (n-1)-subset of face omits face[n-1-k]
-        for ridge, i in zip(itertools.combinations(face, n - 1), range(n - 1, -1, -1)):
-            a, j = first.setdefault(ridge, (v, i))
-            if a != v:
-                if neighbours[a][j] >= 0:
-                    return None, _first_miscounted(faces, n)
-                neighbours[a][j], slots[a][j] = v, i
-                neighbours[v][i], slots[v][i] = a, j
+    partner = [-1] * (n * len(faces))
+    ridges = itertools.chain.from_iterable(
+        map(itertools.combinations, map(reversed, faces), itertools.repeat(n - 1)))
+    for code, ridge in enumerate(ridges):
+        p = first.setdefault(ridge, code)
+        if p != code:
+            if partner[p] >= 0:
+                return None, _first_miscounted(faces, n)
+            partner[p] = code
+            partner[code] = p
     if 2 * len(first) != n * len(faces):
         return None, _first_miscounted(faces, n)
-    return (neighbours, slots), None
+    return partner, None
 
 
 def _first_miscounted(faces, n):

@@ -6,6 +6,7 @@ import pytest
 from qtoric.charpair import (
     CharacteristicPair,
     _bareiss,
+    _dual_basis,
     _eliminate,
     cp_pair,
     cube_pair,
@@ -552,14 +553,16 @@ def slot_parity_orientation(polytope):
     """P's own orientation, from the slots of the one-pass ridge pairing
     (_steps, which reads the vertex sets alone, so an invalid polytope has
     one too): o_0 = 1 and o_b = (-1)^(k + j + 1) o_a along the edge that
-    leaves a's k-th facet and enters b's j-th; None when the signs clash
-    around a cycle."""
-    (neighbours, slots), _ = _steps(polytope.vertices, polytope.dim)
+    leaves a's k-th facet and enters b's j-th, partner[a n + k] = b n + j;
+    None when the signs clash around a cycle."""
+    n = polytope.dim
+    partner, _ = _steps(polytope.vertices, n)
     o = [1] + [0] * (len(polytope.vertices) - 1)
     stack = [0]
     while stack:
         a = stack.pop()
-        for k, (b, j) in enumerate(zip(neighbours[a], slots[a])):
+        for k in range(n):
+            b, j = divmod(partner[a * n + k], n)
             o_b = o[a] if (k + j) % 2 else -o[a]
             if not o[b]:
                 o[b] = o_b
@@ -585,6 +588,64 @@ def test_orientation_signs_are_the_polytope_orientation_times_block_dets(make):
 def test_validation_orients_the_polytope_by_slot_parity(make):
     polytope = make().polytope
     assert polytope.orientation() == slot_parity_orientation(polytope)
+
+
+# The dual-basis walk before it followed the polytope's spanning tree, kept
+# as the reference: a depth-first walk of its own over the ridge pairing that
+# skips any vertex whose basis exists.
+
+
+def reference_dual_bases(pair):
+    verts, lam = pair.polytope.vertices, pair.lam
+    first = _dual_basis([lam[i] for i in verts[0]])
+    if first is None:
+        return None
+    bases = [None] * len(verts)
+    bases[0] = first
+    eps = [1] + [0] * (len(verts) - 1)
+    neighbours, slots = pair.polytope.ridge_pairing()
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        va, basis_a = verts[a], bases[a]
+        for b, out, w_out, slot in zip(neighbours[a], va, basis_a, slots[a]):
+            if bases[b] is not None:
+                continue
+            row = lam[verts[b][slot]]
+            c = sum(x * y for x, y in zip(w_out, row))
+            if c not in (1, -1):
+                return None
+            w_enter = tuple(c * x for x in w_out)
+            basis = [tuple(x - sum(p * q for p, q in zip(w, row)) * y
+                           for x, y in zip(w, w_enter))
+                     for f, w in zip(va, basis_a) if f != out]
+            basis.insert(slot, w_enter)
+            bases[b] = basis
+            eps[b] = -c * eps[a]
+            stack.append(b)
+    return tuple(map(tuple, bases)), tuple(eps)
+
+
+NON_UNIMODULAR_CASES = [
+    ("polygon:4 singular at the base vertex",
+     lambda: CharacteristicPair(polygon(4), [(1, 0), (1, 0), (0, 1), (0, 1)])),
+    ("cube:3 with dets 2 and 0",
+     lambda: CharacteristicPair(cube(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1),
+                                          (1, 1, -1), (0, 1, 1)])),
+    ("cube:4 with the row (2, 0, 0, 0)",
+     lambda: CharacteristicPair(cube(4), cube_pair(4).lam[:4] + ((2, 0, 0, 0),)
+                                + cube_pair(4).lam[5:])),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORIENTATION_CASES + NON_UNIMODULAR_CASES],
+                         ids=[name for name, _ in ORIENTATION_CASES + NON_UNIMODULAR_CASES])
+def test_dual_bases_match_the_old_depth_first_walk(make):
+    pair = make()
+    pair.polytope.require_valid()
+    walk = pair._dual_bases()
+    assert walk == reference_dual_bases(pair)
+    assert (walk is None) == (not pair.validate().ok)
 
 
 def rp2_dual_pair():

@@ -1062,6 +1062,21 @@ def test_a_class_the_ring_finds_nonzero_yields_no_face(monkeypatch):
     assert model.nonzero_face(poly) == model._nonzero_face(poly.terms, poly) is not None
 
 
+@pytest.mark.parametrize("name, zero", [("cube:6", True), ("cp:4", False)])
+def test_check_admissible_hands_the_ring_its_p1_form_uncopied(name, zero, monkeypatch):
+    """p1(V + W - TM) is purely quadratic, so check_admissible asks the
+    face ring once with the very form it keeps for the witness, not a copy
+    of its quadratic part."""
+    model = _quasitoric(name) if name.startswith("cube") else MODELS[name]
+    ring, asked = facering.degree4_zero, []
+    monkeypatch.setattr(facering, "degree4_zero",
+                        lambda m, terms: asked.append(terms) or ring(m, terms))
+    empty = BundleSpec.empty(model.gen_count)
+    report = check_admissible(model, empty, empty)
+    assert report.p1_zero is zero
+    assert len(asked) == 1 and asked[0] is report._pending[1]
+
+
 def test_p1_witness():
     empty = BundleSpec.empty
     cube = _quasitoric("cube:7")

@@ -272,19 +272,30 @@ def perturbed(p, rng):
     return sorted(verts)
 
 
+def flat_steps(faces, n):
+    """reference_steps in _steps' format: the pairing as one flat list,
+    partner[v * n + k] = neighbours[v][k] * n + slots[v][k]."""
+    steps, bad = reference_steps(faces, n)
+    if steps is None:
+        return None, bad
+    neighbours, slots = steps
+    return [b * n + j for ns, js in zip(neighbours, slots) for b, j in zip(ns, js)], None
+
+
 def test_one_pass_pairing_matches_the_two_pass_reference():
     """On valid incidences _steps pairs as the reference does; on perturbed
-    ones it names the same first ridge with the same count."""
+    ones it names the same first ridge with the same count, or, where they
+    still pair, pairs them as the reference does."""
     rng = random.Random(26)
     bases = corpus() + [vertex_cuts(cube_pair(4), 5, 1).polytope,
                         vertex_cuts(cp_pair(3), 4, 2).polytope]
     counts = collections.Counter()
     for p in bases:
-        assert polytope._steps(p.vertices, p.dim) == reference_steps(p.vertices, p.dim)
+        assert polytope._steps(p.vertices, p.dim) == flat_steps(p.vertices, p.dim)
         for _ in range(20):
             faces = perturbed(p, rng)
-            steps, bad = polytope._steps(faces, p.dim)
-            assert (steps, bad) == reference_steps(faces, p.dim), (p.name, faces)
+            partner, bad = polytope._steps(faces, p.dim)
+            assert (partner, bad) == flat_steps(faces, p.dim), (p.name, faces)
             counts[min(bad[1], 3) if bad else 2] += 1
     # ridges in one face, in three or more, and incidences that still pair all occur
     assert set(counts) == {1, 2, 3}, counts
@@ -435,10 +446,29 @@ def test_traced_faces_start_at_the_old_maps_lowest_vertex(make):
     p = make()
     lowest = reference_lowest(p)
     large = sorted(sub for sub, size in p.two_face_sizes() if size >= 6)
-    traced = list(p._trace_two_faces(large, p.ridge_pairing()))
+    traced = list(p._trace_two_faces(large, polytope._steps(p.vertices, p.dim)[0]))
     assert [sub for sub, _ in traced] == large
     assert [cycle[0] for _, cycle in traced] == [lowest[sub] for sub in large]
     assert [cycle[0] for _, cycle in p.two_faces] == [lowest[sub] for sub, _ in p.two_face_sizes()]
+
+
+@pytest.mark.parametrize("make", [m for _, m in START_CASES],
+                         ids=[name for name, _ in START_CASES])
+def test_spanning_tree_reaches_each_vertex_once_along_a_ridge_pairing_edge(make):
+    """Every vertex but 0 is a b exactly once, each a is reached before the
+    edge that leaves it, and each edge (a, k, b, j) is the reference
+    pairing's edge across a's k-th facet; the pairing rebuilt on request
+    is the reference's too."""
+    p = make()
+    (neighbours, slots), _ = reference_steps(p.vertices, p.dim)
+    tree = p.spanning_tree()
+    reached = {0}
+    for a, k, b, j in tree:
+        assert a in reached and b not in reached
+        assert (neighbours[a][k], slots[a][k]) == (b, j)
+        reached.add(b)
+    assert len(tree) == len(p.vertices) - 1
+    assert p.ridge_pairing() == (tuple(map(tuple, neighbours)), tuple(map(tuple, slots)))
 
 
 @pytest.mark.parametrize("make", [m for _, m in START_CASES],
@@ -732,8 +762,9 @@ def test_rp2_dual_is_neither_orientable_nor_of_euler_characteristic_2():
         ("orientable", "the orientations carried along the edges clash"),
         ("euler-characteristic",
          "6 facets and 10 vertices, where a 2-sphere has m = V/2 + 2")]
-    with pytest.raises(ValidationError, match="orientable: .*; euler-characteristic: "):
-        p.h_vector()
+    for read in (p.h_vector, p.spanning_tree):
+        with pytest.raises(ValidationError, match="orientable: .*; euler-characteristic: "):
+            read()
 
 
 def test_torus_dual_fails_euler_characteristic_alone():
